@@ -5,10 +5,11 @@ Subcommands: ``simulate`` (model -> observation stream), ``analyze``
 prediction set), ``check`` (DAG -> criterion report), ``coverage``
 (model -> Monte Carlo report).
 
-Exit codes: 0 success, 2 input or configuration error (parse errors
-report the line number), 3 criterion or statistical precondition
-violation.  All outputs are JSON / JSON-lines with a ``format_version``
-field; identical configuration and seed give byte-identical output.
+Exit codes: 0 success, 2 input or configuration error (parse and domain
+errors in a data stream name its line), 3 criterion or statistical
+precondition violation.  All outputs are JSON / JSON-lines with a
+``format_version`` field; identical configuration and seed give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import math
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 from .counts import ObservationParseError, open_stream
 from .coverage import run_coverage, run_prediction_coverage
@@ -139,29 +140,39 @@ def _build_query(args) -> EffectQuery:
     )
 
 
-def _check_model_criterion(model, query, assume: bool) -> int:
-    if assume:
-        return OK
+def _criterion_holds(model, query) -> bool:
+    """Whether the model's DAG meets the query's criterion; each violation
+    is printed to stderr."""
     roles = model.roles
     if query.criterion == 'backdoor':
         report = check_backdoor(model.dag, {roles.x}, {roles.y}, set(roles.z))
     else:
         report = check_frontdoor(model.dag, roles.x, roles.y, set(roles.z))
-    if report.satisfied:
-        return OK
     for violation in report.violations:
         print(f"criterion violation: {violation}", file=sys.stderr)
-    print("refusing to analyze (pass --assume-criterion to override)",
-          file=sys.stderr)
-    return VIOLATION
+    return report.satisfied
+
+
+@contextmanager
+def _at_line(stream):
+    """Re-raise a ``ValueError`` met while rows are ingested (a value outside
+    its domain) as an :class:`ObservationParseError` naming the line of the
+    row last read, which is the row being handled."""
+    try:
+        yield
+    except ObservationParseError:
+        raise
+    except ValueError as exc:
+        raise ObservationParseError(stream.line, str(exc)) from exc
 
 
 def cmd_analyze(args) -> int:
     model = load_model(args.model)
     query = _build_query(args)
-    status = _check_model_criterion(model, query, args.assume_criterion)
-    if status != OK:
-        return status
+    if not args.assume_criterion and not _criterion_holds(model, query):
+        print("refusing to analyze (pass --assume-criterion to override)",
+              file=sys.stderr)
+        return VIOLATION
     table = model.count_table(track_arrivals=False)
     columns = _parse_columns(args.columns)
     stream = open_stream(args.data, columns)
@@ -170,17 +181,19 @@ def cmd_analyze(args) -> int:
             emitter = backdoor_cs_anytime if query.criterion == 'backdoor' \
                 else frontdoor_cs_anytime
             version = -1
-            for obs in stream:
-                table.ingest(obs)
-                if args.changes_only and table.checkpoint_version == version:
-                    continue
-                version = table.checkpoint_version
-                _emit(out, _interval_record(emitter(table, query), query))
+            with _at_line(stream):
+                for obs in stream:
+                    table.ingest(obs)
+                    if args.changes_only and table.checkpoint_version == version:
+                        continue
+                    version = table.checkpoint_version
+                    _emit(out, _interval_record(emitter(table, query), query))
             if table.n == 0:
                 print("warning: empty input stream", file=sys.stderr)
                 _emit(out, _interval_record(emitter(table, query), query))
         else:
-            table.ingest_all(stream)
+            with _at_line(stream):
+                table.ingest_all(stream)
             if table.n == 0:
                 print("warning: empty input stream", file=sys.stderr)
             _emit(out, _interval_record(effect_interval(table, query), query))
@@ -191,7 +204,9 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     x = _scalar(args.xtilde)
     table = model.count_table(track_arrivals=False)
-    table.ingest_all(open_stream(args.data, _parse_columns(args.columns)))
+    stream = open_stream(args.data, _parse_columns(args.columns))
+    with _at_line(stream):
+        table.ingest_all(stream)
     if table.n == 0:
         print("warning: empty input stream", file=sys.stderr)
     gamma = prediction_set(table, x, args.delta)
@@ -249,6 +264,10 @@ def cmd_coverage(args) -> int:
             _emit(out, report)
         return OK
     query = _build_query(args)
+    if not _criterion_holds(model, query):
+        # the truth coverage is measured against is the criterion's formula
+        print("refusing to run coverage", file=sys.stderr)
+        return VIOLATION
     policy = None
     if query.regime != 'iid':
         policy = make_policy(args.policy, model)

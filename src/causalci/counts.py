@@ -1,12 +1,20 @@
 """Streaming occurrence counts over categorical observation streams.
 
-A :class:`CountTable` ingests observations ``(x, y, z)`` one at a time and
-maintains, for every value pattern, the number of occurrences so far plus
-dyadic checkpoint tallies: whenever a pattern's count reaches a power of
-two ``2**j``, the table snapshots the joint counts over the pattern's
-outcome coordinate.  Those snapshots are exactly what is needed to compute
+A :class:`CountTable` ingests observations ``(x, y, z)`` and maintains, for
+every value pattern, the number of occurrences so far plus dyadic
+checkpoint tallies: whenever a pattern's count reaches a power of two
+``2**j``, the table snapshots the joint counts over the pattern's outcome
+coordinate.  Those snapshots are exactly what is needed to compute
 estimates restricted to the first ``dyadic_floor(count)`` occurrences of a
 condition, in O(1) per query and O(1) amortized per ingested observation.
+
+:meth:`CountTable.ingest` adds one observation and is the reference path
+(the anytime regime reads the table after every row).
+:meth:`CountTable.ingest_all` adds a whole stream column-wise, in chunks of
+``_CHUNK_ROWS`` rows: each row becomes one integer cell code, and a chunk
+is applied with ``numpy.bincount`` for the counts and a stable argsort by
+condition cell for the checkpoints.  The resulting table, checkpoint
+version included, equals the one row-by-row ``ingest`` builds.
 
 Arrival positions (the 1-based stream index of every occurrence of every
 pattern) are kept by default so that counts over arbitrary prefixes can be
@@ -27,6 +35,14 @@ import json
 from bisect import bisect_right
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
+
+# rows per chunk of CountTable.ingest_all; bounds the memory it holds
+_CHUNK_ROWS = 4096
+# tracked patterns: tag and the axes of (x, y, z) that the pattern fixes
+_PATTERNS = (('xyz', (0, 1, 2)), ('xz', (0, 2)), ('xy', (0, 1)),
+             ('x', (0,)), ('y', (1,)), ('z', (2,)))
 
 
 class Observation(NamedTuple):
@@ -54,6 +70,14 @@ def dyadic_floor(n: int) -> int:
 
 def _is_pow2(n: int) -> bool:
     return n & (n - 1) == 0
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
 
 
 class CountTable:
@@ -101,15 +125,24 @@ class CountTable:
         """Add one observation to the stream; validates every coordinate."""
         x, y, z = obs
         z = tuple(z) if isinstance(z, (list, tuple)) else (z,)
-        if x not in self._x_set:
-            raise ValueError(f"x value {x!r} not in declared domain")
-        if y not in self._y_set:
-            raise ValueError(f"y value {y!r} not in declared domain")
-        if len(z) != len(self.z_domains):
-            raise ValueError(f"z has {len(z)} coordinates, expected {len(self.z_domains)}")
-        for i, (zv, dom) in enumerate(zip(z, self._z_sets)):
-            if zv not in dom:
-                raise ValueError(f"z[{i}] value {zv!r} not in declared domain")
+        try:
+            if x not in self._x_set:
+                raise ValueError(f"x value {x!r} not in declared domain")
+            if y not in self._y_set:
+                raise ValueError(f"y value {y!r} not in declared domain")
+            if len(z) != len(self.z_domains):
+                raise ValueError(f"z has {len(z)} coordinates, expected {len(self.z_domains)}")
+            for i, (zv, dom) in enumerate(zip(z, self._z_sets)):
+                if zv not in dom:
+                    raise ValueError(f"z[{i}] value {zv!r} not in declared domain")
+        except TypeError:
+            # an unhashable value is in no domain; every check before the
+            # failing one passed, so the first unhashable value is the culprit
+            named = [('x', x), ('y', y)] + [(f'z[{i}]', zv) for i, zv in enumerate(z)]
+            for name, value in named:
+                if not _hashable(value):
+                    raise ValueError(f"{name} value {value!r} not in declared domain") from None
+            raise
 
         self.n += 1
         keys = (('xyz', x, y, z), ('xz', x, z), ('xy', x, y),
@@ -139,8 +172,124 @@ class CountTable:
             self.checkpoint_version += 1
 
     def ingest_all(self, stream: Iterable) -> None:
-        for obs in stream:
-            self.ingest(obs)
+        """Add every observation of ``stream``; the table ends up equal to
+        the one that row-by-row :meth:`ingest` builds.
+
+        Rows are pulled lazily and coded as cells in chunks of
+        ``_CHUNK_ROWS``; each full chunk is applied column-wise, so at most
+        one chunk is held.  On an invalid row the rows before it are
+        applied, and :meth:`ingest` raises its usual error for the row.  If
+        the stream itself raises, the rows read before are applied first.
+        """
+        x_index, y_index, z_index = self._x_index, self._y_index, self._z_index
+        ny, nz = len(self.y_domain), len(self.z_values)
+        chunk = _CHUNK_ROWS
+        cells: list[int] = []
+        append = cells.append
+        try:
+            for obs in stream:
+                try:
+                    x, y, z = obs
+                    z = tuple(z) if isinstance(z, (list, tuple)) else (z,)
+                    append((x_index[x] * ny + y_index[y]) * nz + z_index[z])
+                except (KeyError, TypeError, ValueError):
+                    self._add_cells(cells)
+                    cells.clear()
+                    self.ingest(obs)  # raises the error for this row
+                    continue
+                if len(cells) == chunk:
+                    self._add_cells(cells)
+                    cells.clear()
+        finally:
+            self._add_cells(cells)
+
+    def _add_cells(self, cells: list[int]) -> None:
+        """Apply a chunk of rows coded ``(x * |Y| + y) * |Z| + z`` by domain
+        index, exactly as if each row had gone through :meth:`ingest`."""
+        m = len(cells)
+        if not m:
+            return
+        dims = (len(self.x_domain), len(self.y_domain), len(self.z_values))
+        cols = np.unravel_index(np.array(cells, dtype=np.intp), dims)
+        codes = {tag: np.ravel_multi_index([cols[a] for a in axes],
+                                           [dims[a] for a in axes])
+                 for tag, axes in _PATTERNS}
+        get = self._counts.get
+        n0 = self.n
+
+        # checkpoints first: they read the counts as they stood before the chunk
+        crossed = 0
+        for xz, tally in self._crossings(codes['xz'], cols[1], dims[1], 'xz',
+                                         lambda x, z: [get(('xyz', x, yv, z), 0)
+                                                       for yv in self.y_domain]):
+            self._xz_levels.setdefault(xz, []).append(tally)
+            crossed += 1
+        for (x,), tally in self._crossings(cols[0], cols[2], dims[2], 'x',
+                                           lambda x: [get(('xz', x, zv), 0)
+                                                      for zv in self.z_values]):
+            self._x_levels.setdefault(x, []).append(tally)
+            crossed += 1
+        t = 1 << n0.bit_length()  # the first power of two past n0
+        while t <= n0 + m:
+            for levels, col, tag, domain in (
+                    (self._n_levels_x, cols[0], 'x', self.x_domain),
+                    (self._n_levels_z, cols[2], 'z', self.z_values)):
+                tally = np.bincount(col[:t - n0], minlength=len(domain))
+                tally += [get((tag, v), 0) for v in domain]
+                levels.append(tuple(tally.tolist()))
+            crossed += 1
+            t <<= 1
+
+        for tag, axes in _PATTERNS:
+            code = codes[tag]
+            found = np.bincount(code)
+            present = np.flatnonzero(found)
+            keys = [(tag, *self._cell_values(axes, c)) for c in present.tolist()]
+            for key, c in zip(keys, found[present].tolist()):
+                self._counts[key] = get(key, 0) + c
+            if self.track_arrivals:
+                # a stable sort groups each key's rows in stream order
+                positions = (np.argsort(code, kind='stable') + n0 + 1).tolist()
+                ends = np.cumsum(found[present]).tolist()
+                for key, start, end in zip(keys, [0] + ends, ends):
+                    self._arrivals.setdefault(key, []).extend(positions[start:end])
+
+        self.n += m
+        self.checkpoint_version += crossed
+
+    def _crossings(self, cond, outcome, n_outcomes: int, tag: str, tally_before):
+        """(condition value, outcome tally) at each row of a chunk where the
+        condition's running count reaches a power of two.
+
+        ``cond`` and ``outcome`` are per-row codes of the condition pattern
+        ``tag`` and of the outcome coordinate; ``tally_before`` gives the
+        condition's outcome counts as they stood before the chunk.
+        """
+        axes = dict(_PATTERNS)[tag]
+        order = np.argsort(cond, kind='stable')
+        cond, outcome = cond[order], outcome[order]
+        new = np.ones(len(cond), dtype=bool)  # first row of its condition
+        new[1:] = cond[1:] != cond[:-1]
+        group = np.cumsum(new) - 1
+        starts = np.flatnonzero(new)
+        values = [self._cell_values(axes, c) for c in cond[starts].tolist()]
+        before = np.array([self._counts.get((tag, *v), 0) for v in values])
+        start = starts[group]
+        occurrence = before[group] + np.arange(len(cond)) - start + 1
+        for p in np.flatnonzero(occurrence & (occurrence - 1) == 0).tolist():
+            value = values[group[p]]
+            tally = np.bincount(outcome[start[p]:p + 1], minlength=n_outcomes)
+            tally += tally_before(*value)
+            yield value, tuple(tally.tolist())
+
+    def _cell_values(self, axes, code: int) -> tuple:
+        """Domain values of a pattern's cell code (row-major over ``axes``)."""
+        domains = (self.x_domain, self.y_domain, self.z_values)
+        values = []
+        for a in reversed(axes):
+            code, i = divmod(code, len(domains[a]))
+            values.append(domains[a][i])
+        return tuple(reversed(values))
 
     # -- pattern helpers ---------------------------------------------------
 
@@ -285,7 +434,8 @@ class CountTable:
                 and self._xz_levels == other._xz_levels
                 and self._x_levels == other._x_levels
                 and self._n_levels_x == other._n_levels_x
-                and self._n_levels_z == other._n_levels_z)
+                and self._n_levels_z == other._n_levels_z
+                and self.checkpoint_version == other.checkpoint_version)
 
     def __repr__(self) -> str:
         return (f"CountTable(n={self.n}, |X|={len(self.x_domain)}, "
@@ -328,20 +478,26 @@ def read_csv(lines: Iterable[str], columns: dict) -> Iterator[Observation]:
 
     ``columns`` maps 'x' and 'y' to column names and 'z' to a list of
     column names (one per z component).  Cell values are parsed as JSON
-    scalars where possible, otherwise kept as strings.
+    scalars where possible, otherwise kept as strings.  Errors name the
+    physical line on which the offending row ends.
     """
     reader = csv.DictReader(lines)
     zcols = columns['z']
     if isinstance(zcols, str):
         zcols = [zcols]
-    for lineno, row in enumerate(reader, start=2):
+    wanted = [columns['x'], columns['y'], *zcols]
+    for row in reader:
         try:
-            x = _coerce(row[columns['x']])
-            y = _coerce(row[columns['y']])
-            z = tuple(_coerce(row[c]) for c in zcols)
+            cells = [row[c] for c in wanted]
         except KeyError as exc:
-            raise ObservationParseError(lineno, f"missing column {exc.args[0]!r}") from exc
-        yield Observation(x, y, z)
+            raise ObservationParseError(reader.line_num,
+                                        f"missing column {exc.args[0]!r}") from exc
+        if None in cells:  # DictReader pads a short row with None
+            column = wanted[cells.index(None)]
+            raise ObservationParseError(reader.line_num,
+                                        f"short row: no cell for column {column!r}")
+        x, y, *z = map(_coerce, cells)
+        yield Observation(x, y, tuple(z))
 
 
 def _coerce(cell: str):
@@ -351,15 +507,34 @@ def _coerce(cell: str):
         return cell
 
 
-def open_stream(path: str, columns: dict | None = None) -> Iterator[Observation]:
+class ObservationStream:
+    """Observations parsed from text lines, remembering where they are.
+
+    Iterating yields :class:`Observation` rows.  ``line`` is the 1-based
+    number of the last line read, which is the last line of the row most
+    recently yielded, so an error found while handling that row can name
+    its line.
+    """
+
+    def __init__(self, lines: Iterable[str], columns: dict | None = None):
+        self.line = 0
+        self._lines = lines
+        numbered = self._numbered()
+        self._rows = read_csv(numbered, columns) if columns else read_jsonl(numbered)
+
+    def _numbered(self) -> Iterator[str]:
+        for self.line, text in enumerate(self._lines, start=1):
+            yield text
+
+    def __iter__(self) -> Iterator[Observation]:
+        return self._rows
+
+
+def open_stream(path: str, columns: dict | None = None) -> ObservationStream:
     """Read observations from a .jsonl/.csv file path or '-' for stdin."""
     import sys
     if path == '-':
-        text = sys.stdin
-        return read_csv(text, columns) if columns else read_jsonl(text)
-    handle = open(path, 'r', encoding='utf-8')
-    if columns or path.endswith('.csv'):
-        if not columns:
-            raise ValueError("CSV input needs a column mapping")
-        return read_csv(handle, columns)
-    return read_jsonl(handle)
+        return ObservationStream(sys.stdin, columns)
+    if path.endswith('.csv') and not columns:
+        raise ValueError("CSV input needs a column mapping")
+    return ObservationStream(open(path, 'r', encoding='utf-8'), columns)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -84,6 +85,43 @@ def test_analyze_malformed_line_exit_2(tmp_path, capsys):
     assert main(["analyze", "--model", FIG1, "--data", str(stream),
                  "--xtilde", "1", "--y", "1"]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--regime", "iid", "--y", "1"],
+    ["analyze", "--regime", "adaptive-fixed", "--y", "1"],
+    ["analyze", "--regime", "anytime", "--y", "1"],
+    ["predict"],
+])
+@pytest.mark.parametrize("data, columns, line", [
+    ('{"x": 1, "y": 1, "z": [0]}\n\n{"x": 7, "y": 1, "z": [0]}\n', None, 3),
+    ('x,y,z\n1,1,0\n\n7,1,0\n', "x=x,y=y,z=z", 4),
+])
+def test_domain_error_names_its_line(tmp_path, capsys, command, data, columns, line):
+    stream = tmp_path / ("obs.csv" if columns else "obs.jsonl")
+    stream.write_text(data)
+    args = command[:1] + ["--model", FIG1, "--data", str(stream), "--xtilde", "1",
+                          "--output", str(tmp_path / "out.jsonl")] + command[1:]
+    if columns:
+        args += ["--columns", columns]
+    assert main(args) == 2
+    assert capsys.readouterr().err == \
+        f"error: line {line}: x value 7 not in declared domain\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    ('"x": [1], "y": 1, "z": [0]', "x value [1]"),
+    ('"x": 1, "y": 1, "z": [[0]]', "z[0] value [0]"),
+    ('"x": 1, "y": {}, "z": [0]', "y value {}"),
+])
+@pytest.mark.parametrize("regime", ["iid", "anytime"])
+def test_unhashable_value_exit_2(tmp_path, capsys, row, message, regime):
+    stream = tmp_path / "obs.jsonl"
+    stream.write_text('{"x": 1, "y": 1, "z": [0]}\n{' + row + '}\n')
+    assert main(["analyze", "--model", FIG1, "--data", str(stream), "--xtilde", "1",
+                 "--y", "1", "--regime", regime, "--output", "/dev/null"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: line 2: {message} not in declared domain\n"
 
 
 def test_analyze_anytime_changes_only(tmp_path):
@@ -190,6 +228,18 @@ def test_coverage_subcommand(tmp_path, capsys):
     assert "coverage=" in capsys.readouterr().err
 
 
+def test_coverage_criterion_gate(tmp_path, capsys):
+    # {Z} is not a front-door set for fig1, whose P(Y=1 | do(X=1)) is 0.5
+    out = tmp_path / "report.jsonl"
+    args = ["coverage", "--model", FIG1, "--criterion", "frontdoor", "--xtilde", "1",
+            "--y", "1", "--n", "64", "--replications", "3", "--seed", "5",
+            "--output", str(out)]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "criterion violation" in err and "refusing to run coverage" in err
+    assert not out.exists()
+
+
 def test_coverage_prediction_subcommand(tmp_path):
     out = tmp_path / "report.jsonl"
     assert main(["coverage", "--model", FIG1, "--prediction",
@@ -246,3 +296,85 @@ def test_byte_identical_reruns(tmp_path):
     assert main(args + ["--output", str(a)]) == 0
     assert main(args + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# -- golden outputs ----------------------------------------------------------------
+# SHA-256 of the CLI records on simulated fig1 / front-door streams at fixed
+# seeds.  Any change to ingestion, estimation or record formatting that alters a
+# single output byte shows here.  The streams come from `simulate`, so a change
+# to the sampler's random draws changes them too; such a change recomputes these
+# digests on its parent commit, with the parent's records.
+
+FRONTDOOR = str(CONFIGS / "frontdoor.json")
+GOLDEN_STREAMS = {
+    # name: (model, regime, seed); 5000 rows cross a 4096-row boundary
+    "fig1-iid": (FIG1, "iid", 21),
+    "fig1-adaptive": (FIG1, "adaptive", 22),
+    "frontdoor-iid": (FRONTDOOR, "iid", 23),
+    "frontdoor-adaptive": (FRONTDOOR, "adaptive", 24),
+}
+GOLDEN_RUNS = {
+    # name: (stream, extra analyze/predict arguments)
+    "backdoor-iid": ("fig1-iid", ["--criterion", "backdoor", "--regime", "iid"]),
+    "backdoor-adaptive-fixed": ("fig1-adaptive", ["--criterion", "backdoor",
+                                                  "--regime", "adaptive-fixed"]),
+    "backdoor-anytime": ("fig1-adaptive", ["--criterion", "backdoor",
+                                           "--regime", "anytime"]),
+    "frontdoor-iid": ("frontdoor-iid", ["--criterion", "frontdoor", "--regime", "iid"]),
+    "frontdoor-adaptive-fixed": ("frontdoor-adaptive", ["--criterion", "frontdoor",
+                                                        "--regime", "adaptive-fixed"]),
+    "frontdoor-anytime": ("frontdoor-adaptive", ["--criterion", "frontdoor",
+                                                 "--regime", "anytime"]),
+    "backdoor-anytime-changes-only": ("fig1-iid", ["--criterion", "backdoor",
+                                                   "--regime", "anytime",
+                                                   "--changes-only"]),
+    "predict": ("fig1-adaptive", None),
+}
+GOLDEN_SHA256 = {
+    "backdoor-adaptive-fixed":
+        "a646228f8940653a827422c2d2068638e14de911350ad85344bdc8fd8ae80ed5",  # 1 record
+    "backdoor-anytime":
+        "f8cdd99677264973760ffbe39a834469bf1e9197f496d4e3ea67c835decb7044",  # 5000 records
+    "backdoor-anytime-changes-only":
+        "aa70a0c29a47e9bb94a09416cc695a0a95ee108802a53478f469b2eff7f69c00",  # 69 records
+    "backdoor-iid":
+        "a16881e1fdb32c79ee60dac6ae7579904c38b5dde3eace6d4022dd7d7cb8585a",  # 1 record
+    "frontdoor-adaptive-fixed":
+        "a902928fd436bee0d612229d1910379e57b6a8d30299d398635c7bee9562bf76",  # 1 record
+    "frontdoor-anytime":
+        "3b9a4553d1ca3c58be30a8060343b6e4bfb7f9aebbae2a0376f48dad61f9bc32",  # 5000 records
+    "frontdoor-iid":
+        "62265d94ac2140cdd732ac1c4206d8b66498cc6a6e1eb97328700dab6bf83f37",  # 1 record
+    "predict":
+        "c25654e012220b367ae98f742911d6b7bf9e33a268a4917e4818eeb1011bdfe1",  # 1 record
+}
+
+
+@pytest.fixture(scope="module")
+def golden_streams(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for name, (model, regime, seed) in GOLDEN_STREAMS.items():
+        path = root / f"{name}.jsonl"
+        args = ["simulate", "--model", model, "--n", "5000", "--seed", str(seed),
+                "--regime", regime, "--output", str(path)]
+        if regime == "adaptive":
+            args += ["--policy", "adversarial-alternating"]
+        assert main(args) == 0
+        paths[name] = (model, str(path))
+    return paths
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
+def test_golden_output_digest(run, golden_streams, tmp_path):
+    stream, extra = GOLDEN_RUNS[run]
+    model, data = golden_streams[stream]
+    out = tmp_path / "out.jsonl"
+    if extra is None:
+        args = ["predict", "--model", model, "--data", data, "--xtilde", "1",
+                "--delta", "0.1"]
+    else:
+        args = ["analyze", "--model", model, "--data", data, "--xtilde", "1",
+                "--y", "1", "--delta", "0.1"] + extra
+    assert main(args + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[run]

@@ -1,10 +1,15 @@
 import io
 import json
+import re
+from itertools import product
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalci import counts
 from causalci.counts import (CountTable, Observation, ObservationParseError,
                              dyadic_floor, read_csv, read_jsonl)
 from helpers import binary_table, eight_obs_stream, naive_dyadic_estimate, \
@@ -73,6 +78,19 @@ def test_out_of_domain_rejected():
         table.ingest(Observation(2, 0, (0,)))
     with pytest.raises(ValueError):
         table.ingest(Observation(0, 0, (0, 1)))  # wrong arity
+
+
+@pytest.mark.parametrize('obs, message', [
+    (([1], 0, (0,)), "x value [1] not in declared domain"),
+    ((1, {}, (0,)), "y value {} not in declared domain"),
+    ((1, 0, [[0]]), "z[0] value [0] not in declared domain"),
+])
+def test_unhashable_value_is_a_domain_error(obs, message):
+    for add in (CountTable.ingest, lambda table, row: table.ingest_all([row])):
+        table = binary_table()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            add(table, obs)
+        assert table == binary_table()
 
 
 def test_empirical_estimate():
@@ -202,3 +220,110 @@ def test_read_csv_with_mapping():
     text = io.StringIO("treat,out,cov\n1,0,0\n0,1,1\n")
     obs = list(read_csv(text, {'x': 'treat', 'y': 'out', 'z': ['cov']}))
     assert obs == [Observation(1, 0, (0,)), Observation(0, 1, (1,))]
+
+
+# -- batch ingestion equals streaming ingestion ----------------------------------
+
+@st.composite
+def batch_cases(draw):
+    """Random domains (values unlike their indices), a stream of a few
+    thousand skewed rows, a row-by-row prefix length and a chunk size."""
+    x_dom = tuple(10 * i + 1 for i in range(draw(st.integers(1, 3))))
+    y_dom = tuple(f"y{i}" for i in range(draw(st.integers(1, 3))))
+    z_doms = [tuple(range(draw(st.integers(1, 3))))
+              for _ in range(draw(st.integers(1, 2)))]
+    scalar_z = len(z_doms) == 1 and draw(st.booleans())
+    n = draw(st.integers(0, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = list(product(x_dom, y_dom, product(*z_doms)))
+    probs = rng.random(len(cells)) ** 3 + 1e-3
+    draws = rng.choice(len(cells), size=n, p=probs / probs.sum())
+    rows = [Observation(x, y, z[0] if scalar_z else list(z) if i % 2 else z)
+            for i, (x, y, z) in enumerate(cells[c] for c in draws)]
+    prefix = draw(st.integers(0, n))
+    chunk = draw(st.sampled_from([1, 2, 3, 8, 100, counts._CHUNK_ROWS]))
+    return (x_dom, y_dom, z_doms), rows, prefix, chunk
+
+
+def _twin_tables(domains, rows, prefix, track_arrivals):
+    batch = CountTable(*domains, track_arrivals=track_arrivals)
+    stream = CountTable(*domains, track_arrivals=track_arrivals)
+    for obs in rows[:prefix]:
+        batch.ingest(obs)
+        stream.ingest(obs)
+    return batch, stream
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch_cases(), st.booleans())
+def test_ingest_all_equals_row_by_row_ingest(case, track_arrivals):
+    domains, rows, prefix, chunk = case
+    batch, stream = _twin_tables(domains, rows, prefix, track_arrivals)
+    with mock.patch.object(counts, '_CHUNK_ROWS', chunk):
+        batch.ingest_all(iter(rows[prefix:]))
+    for obs in rows[prefix:]:
+        stream.ingest(obs)
+    assert batch == stream
+    assert batch.checkpoint_version == stream.checkpoint_version
+    assert batch.n == len(rows)
+
+
+BAD_ROWS = [Observation(7, 'y0', (0,)), Observation(1, 'nope', (0,)),
+            Observation(1, 'y0', (9,)), Observation(1, 'y0', (0, 0, 0)),
+            Observation([1], 'y0', (0,)), (1, 'y0'), 5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch_cases(), st.booleans(), st.sampled_from(BAD_ROWS), st.data())
+def test_ingest_all_bad_row_matches_row_by_row(case, track_arrivals, bad, data):
+    domains, rows, prefix, chunk = case
+    k = data.draw(st.integers(prefix, len(rows)))
+    rows = rows[:k] + [bad] + rows[k:]
+    batch, stream = _twin_tables(domains, rows, prefix, track_arrivals)
+    with mock.patch.object(counts, '_CHUNK_ROWS', chunk):
+        with pytest.raises(Exception) as batch_error:
+            batch.ingest_all(iter(rows[prefix:]))
+    with pytest.raises(Exception) as stream_error:
+        for obs in rows[prefix:]:
+            stream.ingest(obs)
+    assert type(batch_error.value) is type(stream_error.value)
+    assert str(batch_error.value) == str(stream_error.value)
+    assert batch == stream
+    assert batch.n == k
+
+
+def test_ingest_all_applies_rows_read_before_a_stream_error():
+    def rows():
+        yield from eight_obs_stream()
+        raise ObservationParseError(9, "invalid JSON")
+    table = binary_table()
+    with pytest.raises(ObservationParseError):
+        table.ingest_all(rows())
+    assert table == binary_table(eight_obs_stream())
+
+
+def test_read_csv_line_numbers_count_blank_and_multiline_rows():
+    mapping = {'x': 'a', 'y': 'b', 'z': ['q']}
+    # header, a row, a blank line, a row whose quoted cell spans lines 4-5,
+    # then a row with an empty cell (a value, not a short row) and a short row
+    text = 'a,b,q\n1,0,0\n\n0,"u\nv",1\n1,0,\n1,0\n'
+    rows = read_csv(io.StringIO(text), mapping)
+    assert [next(rows) for _ in range(3)] == [
+        Observation(1, 0, (0,)), Observation(0, 'u\nv', (1,)), Observation(1, 0, ('',))]
+    with pytest.raises(ObservationParseError) as err:
+        next(rows)
+    assert err.value.lineno == 7
+    with pytest.raises(ObservationParseError) as err:
+        list(read_csv(io.StringIO('a,b\n\n1,2\n'), mapping))
+    assert err.value.lineno == 3
+    assert "missing column 'q'" in str(err.value)
+
+
+def test_read_csv_short_row_names_line_and_column():
+    text = io.StringIO("x,y,q\n0,0,0\n\n1,1\n")
+    rows = read_csv(text, {'x': 'x', 'y': 'y', 'z': ['q']})
+    assert next(rows) == Observation(0, 0, (0,))
+    with pytest.raises(ObservationParseError) as err:
+        next(rows)
+    assert err.value.lineno == 4
+    assert "'q'" in str(err.value)
