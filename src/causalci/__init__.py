@@ -14,8 +14,8 @@ from .effects import (DomainSizes, EffectInterval, EffectQuery,
 from .graph import (CriterionReport, Dag, check_backdoor, check_frontdoor,
                     enumerate_paths, format_path, load_dag, parse_dag_text,
                     path_blocked)
-from .intervals import BinOp, Expr, ProbInterval, Var, eval_expr, exact_range, \
-    iv_add, iv_mul, iv_sub
+from .intervals import BinOp, Expr, ProbInterval, Var, eval_expr, iv_add, iv_mul, \
+    iv_sub
 from .prediction import PredictionSet, prediction_set
 from .simulator import (CausalModel, Cpt, Policy, Roles, draw_intervened_outcome,
                         load_model, make_policy, sample_adaptive, sample_iid)

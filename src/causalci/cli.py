@@ -175,8 +175,7 @@ def cmd_analyze(args) -> int:
         return VIOLATION
     table = model.count_table(track_arrivals=False)
     columns = _parse_columns(args.columns)
-    stream = open_stream(args.data, columns)
-    with _open_output(args.output) as out:
+    with open_stream(args.data, columns) as stream, _open_output(args.output) as out:
         if query.regime == 'anytime':
             emitter = backdoor_cs_anytime if query.criterion == 'backdoor' \
                 else frontdoor_cs_anytime
@@ -204,8 +203,8 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     x = _scalar(args.xtilde)
     table = model.count_table(track_arrivals=False)
-    stream = open_stream(args.data, _parse_columns(args.columns))
-    with _at_line(stream):
+    with open_stream(args.data, _parse_columns(args.columns)) as stream, \
+            _at_line(stream):
         table.ingest_all(stream)
     if table.n == 0:
         print("warning: empty input stream", file=sys.stderr)

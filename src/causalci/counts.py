@@ -32,6 +32,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from bisect import bisect_right
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -41,8 +42,7 @@ import numpy as np
 # rows per chunk of CountTable.ingest_all; bounds the memory it holds
 _CHUNK_ROWS = 4096
 # tracked patterns: tag and the axes of (x, y, z) that the pattern fixes
-_PATTERNS = (('xyz', (0, 1, 2)), ('xz', (0, 2)), ('xy', (0, 1)),
-             ('x', (0,)), ('y', (1,)), ('z', (2,)))
+_PATTERNS = (('xyz', (0, 1, 2)), ('xz', (0, 2)), ('x', (0,)), ('z', (2,)))
 
 
 class Observation(NamedTuple):
@@ -83,10 +83,11 @@ def _hashable(value) -> bool:
 class CountTable:
     """Streaming counts for all tracked value patterns of one stream.
 
-    Tracked patterns: (x,y,z), (x,z), (x,y), (x), (y), (z), and the stream
-    length itself.  Dyadic tallies are materialized for the condition
-    patterns that the estimators condition on: (x,z) with outcome y,
-    (x) with outcome z, and the whole stream with outcomes x and z.
+    Tracked patterns, the ones the estimators read: (x,y,z), (x,z), (x),
+    (z), and the stream length itself.  Dyadic tallies are materialized for
+    the condition patterns that the estimators condition on: (x,z) with
+    outcome y, (x) with outcome z, and the whole stream with outcomes x and
+    z.
     """
 
     def __init__(self, x_domain: Sequence, y_domain: Sequence,
@@ -145,8 +146,7 @@ class CountTable:
             raise
 
         self.n += 1
-        keys = (('xyz', x, y, z), ('xz', x, z), ('xy', x, y),
-                ('x', x), ('y', y), ('z', z))
+        keys = (('xyz', x, y, z), ('xz', x, z), ('x', x), ('z', z))
         counts = self._counts
         for key in keys:
             counts[key] = counts.get(key, 0) + 1
@@ -303,17 +303,14 @@ class CountTable:
                 return ('xyz', x, y, z)
             case (True, False, True):
                 return ('xz', x, z)
-            case (True, True, False):
-                return ('xy', x, y)
             case (True, False, False):
                 return ('x', x)
-            case (False, True, False):
-                return ('y', y)
             case (False, False, True):
                 return ('z', z)
             case (False, False, False):
                 return None
-        raise ValueError("pattern (y, z) without x is not tracked")
+        fixed = [name for name, v in (('x', x), ('y', y), ('z', z)) if v is not None]
+        raise ValueError(f"pattern ({', '.join(fixed)}) is not tracked")
 
     def count(self, x=None, y=None, z=None) -> int:
         """Occurrences of the pattern in the whole stream so far."""
@@ -382,13 +379,8 @@ class CountTable:
             return self._n_levels_z[j][self._z_index[self._as_z(event['z'])]]
         if gk == [] and ek == ['x']:
             return self._n_levels_x[j][self._x_index[event['x']]]
-        # untracked combination: fall back to the arrival log
-        if not self.track_arrivals:
-            raise KeyError(f"no dyadic tally for event {ek} given {gk} "
-                           "(enable track_arrivals for arbitrary patterns)")
-        arr = self._arrivals.get(self._key(**given), ())
-        t = arr[(1 << j) - 1]
-        return self.count_at(t, **{**given, **event})
+        raise ValueError(f"dyadic tally of {', '.join(ek)} given "
+                         f"({', '.join(gk)}) is not tracked")
 
     @staticmethod
     def _as_z(z):
@@ -513,7 +505,8 @@ class ObservationStream:
     Iterating yields :class:`Observation` rows.  ``line`` is the 1-based
     number of the last line read, which is the last line of the row most
     recently yielded, so an error found while handling that row can name
-    its line.
+    its line.  Leaving a ``with`` block closes the lines' file, unless it
+    is standard input.
     """
 
     def __init__(self, lines: Iterable[str], columns: dict | None = None):
@@ -529,10 +522,17 @@ class ObservationStream:
     def __iter__(self) -> Iterator[Observation]:
         return self._rows
 
+    def __enter__(self) -> "ObservationStream":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._lines is not sys.stdin:
+            self._lines.close()
+
 
 def open_stream(path: str, columns: dict | None = None) -> ObservationStream:
-    """Read observations from a .jsonl/.csv file path or '-' for stdin."""
-    import sys
+    """Read observations from a .jsonl/.csv file path or '-' for stdin;
+    use the stream in a ``with`` block to close the file."""
     if path == '-':
         return ObservationStream(sys.stdin, columns)
     if path.endswith('.csv') and not columns:

@@ -1,47 +1,65 @@
 """Confidence intervals and sequences for adjustment-identified causal effects.
 
-Every construction returns a midpoint and a half-width.  Midpoints are
-plug-in adjustment formulas evaluated with either the full-sample
-empirical estimates or the dyadic-prefix estimates (the estimate over the
-first ``dyadic_floor(count)`` occurrences of the conditioning pattern).
-Half-widths are sums of per-estimate concentration radii, one radius per
-occurrence of the estimate in the expanded adjustment polynomial, with the
-level split across the distinct estimated probabilities:
+Every construction is an adjustment polynomial over estimated
+probabilities: its midpoint is the polynomial at the estimates, its
+half-width the sum of their concentration radii, each counted once per
+occurrence in the polynomial (its multiplicity).  One table of leaf
+families describes them all (x~ is the intervention value, x' ranges over
+the treatment domain):
 
-* back-door, IID data, fixed n: Hoeffding radii at level delta/(2|Z|);
-  widths do not vanish as delta -> 1, because the split ratio 4|Z|/delta
-  is at least 4|Z|,
-* front-door, IID data, fixed n: Hoeffding radii at level delta/K where
-  K = |X||Z| + |X| + |Z| counts the distinct estimated probabilities,
-* adaptive treatment (each treatment may depend on the whole observed
-  past), fixed horizon: the estimates conditioned on treatment-dependent
-  patterns switch to dyadic-prefix estimates with iterated-logarithm
-  radii; marginals of exogenous variables keep Hoeffding radii,
-* anytime-valid: every estimate is a dyadic-prefix estimate with an
-  iterated-logarithm radius, and the per-time intervals form a confidence
-  sequence (their running intersection retains the coverage level).
+  criterion   family  estimate    cells   multiplicity per cell
+  back-door   marg    p(z)        z       1
+              cond    p(y|x~,z)   z       1
+  front-door  treat   p(x')       x'      |Z|; 1 in the horner-x form
+              med     p(z|x~)     z       |X|; 1 in the horner-z form
+              out     p(y|x',z)   x', z   1
 
-In the fully binary single-covariate case the back-door level split needs
-only three estimated probabilities, which tightens the logarithm
-constants (6 instead of 4|Z| for Hoeffding radii; 10 instead of 6.6|Z|
-for iterated-logarithm radii); ``binary_toy`` selects those constants.
+The back-door polynomial is sum_z p(z) p(y|x~,z); the front-door one,
+sum_z p(z|x~) sum_x' p(y|x',z) p(x'), is expanded into |X||Z| products or
+nested by z (horner-z) or by x' (horner-x).  A family's estimates are
+full-sample empirical ones with Hoeffding radii, or dyadic-prefix ones
+(over the first dyadic_floor(count) occurrences of the condition) with
+iterated-logarithm (LIL) radii:
 
-Conventions: an estimate whose conditioning pattern has count zero
-contributes factor 0 to the midpoint, and its radius is unbounded, so
-the realized interval is [0,1].  Iterated-logarithm radii are unbounded
-until the conditioning count reaches 2.  Half-width terms are summed
-left to right in the order the formulas above list them.
+  regime                       empirical, Hoeffding   dyadic-prefix, LIL
+  iid, fixed n                 every family           -
+  adaptive-fixed               marg, treat            cond, med, out
+  anytime (at each prefix n)   -                      every family
+
+Adaptive treatment (each treatment may depend on the whole observed past)
+switches the estimates conditioned on the treatment; the anytime elements
+form a confidence sequence (their running intersection keeps the level).
+The level is split across the distinct estimated probabilities, which sets
+the ratio inside each radius's logarithm:
+
+  criterion               Hoeffding    LIL
+  back-door               4|Z|/delta   6.6|Z|/delta
+  back-door, binary toy   6/delta      10/delta
+  front-door              2K/delta     3.3K/delta,   K = |X||Z| + |X| + |Z|
+
+Widths do not vanish as delta -> 1, because 4|Z|/delta is at least 4|Z|.
+``binary_toy`` (binary treatment and outcome, one binary covariate) needs
+only three estimated probabilities, hence its tighter constants.
+
+Conventions: an estimate whose condition has count zero contributes factor
+0 to the midpoint and an unbounded radius, so the realized interval is
+[0,1]; LIL radii are unbounded until the count reaches 2.  The half-width
+adds the families in table order: a family whose cells share one condition
+as (cells x multiplicity) x radius, any other cell by cell, x' outer and z
+inner.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import TYPE_CHECKING
+from functools import lru_cache, reduce
+from itertools import product
+from operator import add
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import hoeffding_term, lil_term
-from .counts import CountTable, dyadic_floor
+from .counts import CountTable
 from .intervals import ProbInterval, Var, eval_expr
 
 if TYPE_CHECKING:
@@ -132,231 +150,170 @@ def _require(query: EffectQuery, criterion: str, regime: str) -> None:
                          f"expected {criterion}/{regime}")
 
 
-def _require_binary(table: CountTable) -> None:
-    if (len(table.x_domain), len(table.y_domain)) != (2, 2) \
-            or len(table.z_domains) != 1 or len(table.z_domains[0]) != 2:
+# -- the leaf table -----------------------------------------------------------
+
+# per criterion, its families in summation order and the first regime in
+# which each one's estimates are dyadic-prefix ones
+_FAMILIES = {
+    'backdoor': (('marg', 'anytime'), ('cond', 'adaptive-fixed')),
+    'frontdoor': (('treat', 'anytime'), ('med', 'adaptive-fixed'),
+                  ('out', 'adaptive-fixed')),
+}
+
+
+class _Family(NamedTuple):
+    name: str
+    dyadic: bool    # dyadic-prefix estimates with LIL radii, else empirical/Hoeffding
+    ratio: float    # inside the radius's logarithm
+    label: str      # the ratio's formula
+    mult: int       # occurrences of each cell in the polynomial
+    shared: bool    # every cell has the same condition, hence the same radius
+    cells: tuple    # (event, condition) of each cell
+
+
+@lru_cache(maxsize=64)
+def _plan(query: EffectQuery, xs: tuple, zs: tuple) -> tuple[_Family, ...]:
+    """The leaf table bound to a query and the domains (x', z) it ranges over."""
+    x, y, sizes = query.x, query.y, DomainSizes(len(xs), len(zs))
+    cells = {'marg': [({'z': z}, {}) for z in zs],
+             'cond': [({'y': y}, {'x': x, 'z': z}) for z in zs],
+             'treat': [({'x': v}, {}) for v in xs],
+             'med': [({'z': z}, {'x': x}) for z in zs],
+             'out': [({'y': y}, {'x': v, 'z': z}) for v in xs for z in zs]}
+    mult = {'treat': 1 if query.frontdoor_form == 'horner-x' else sizes.card_z,
+            'med': 1 if query.frontdoor_form == 'horner-z' else sizes.card_x}
+    if query.criterion == 'frontdoor':
+        scale, coefs, labels = sizes.k, (2.0, 3.3), ("2K/delta", "3.3K/delta")
+    elif query.binary_toy:
+        scale, coefs, labels = 1, (6.0, 10.0), ("6/delta", "10/delta")
+    else:
+        scale, coefs, labels = sizes.card_z, (4.0, 6.6), ("4|Z|/delta", "6.6|Z|/delta")
+    families = []
+    for name, first in _FAMILIES[query.criterion]:
+        dyadic = REGIMES.index(query.regime) >= REGIMES.index(first)
+        conditions = [given for _, given in cells[name]]
+        families.append(_Family(name, dyadic, coefs[dyadic] * scale / query.delta,
+                                labels[dyadic], mult.get(name, 1),
+                                conditions.count(conditions[0]) == len(conditions),
+                                tuple(cells[name])))
+    return tuple(families)
+
+
+def _bind(table: CountTable, query: EffectQuery, n: int | None):
+    """The families, the prefix n and every cell's (estimate, radius) at n,
+    family by family; n defaults to the whole stream and differs from it
+    only in the anytime regime."""
+    if n is None or n == table.n:
+        n = table.n
+    elif query.regime != 'anytime':
+        raise ValueError("a prefix index applies only to the anytime regime")
+    if query.binary_toy and (len(table.x_domain), len(table.y_domain),
+                             *map(len, table.z_domains)) != (2, 2, 2):
         raise ValueError("binary_toy needs binary treatment/outcome and a "
                          "single binary covariate")
+    families = _plan(query, table.x_domain, table.z_values)
+    bound = []
+    for fam in families:
+        radius = lil_term if fam.dyadic else hoeffding_term
+        pairs = []
+        for event, given in fam.cells:
+            if not (fam.shared and pairs):
+                count = table.count_at(n, **given) if n else 0
+                r = radius(count, fam.ratio)
+            if not count:
+                est = 0.0
+            elif fam.dyadic:
+                est = table.prefix_dyadic_estimate(event, given, n)
+            else:
+                est = table.count(**given, **event) / count
+            pairs.append((est, r))
+        bound.append(pairs)
+    return families, n, bound
 
 
-def _backdoor_ratios(table: CountTable, query: EffectQuery,
-                     sizes: DomainSizes) -> tuple[float, str, float, str]:
-    """(hoeffding ratio, its label, lil ratio, its label) after the split."""
-    if query.binary_toy:
-        _require_binary(table)
-        return 6.0 / query.delta, "6/delta", 10.0 / query.delta, "10/delta"
-    return (4.0 * sizes.card_z / query.delta, "4|Z|/delta",
-            6.6 * sizes.card_z / query.delta, "6.6|Z|/delta")
+def _interval(table: CountTable, query: EffectQuery,
+              n: int | None = None) -> EffectInterval:
+    """The construction for any query: the polynomial at the bound estimates,
+    its leaf radii summed with multiplicity, and the ratios they used."""
+    families, n, bound = _bind(table, query, n)
+    mid = 0.0
+    if query.criterion == 'backdoor':
+        for (marg, _), (cond, _) in zip(*bound):
+            mid += marg * cond
+    else:
+        treat, med, out = bound
+        for i, (pz, _) in enumerate(med):
+            inner = 0.0
+            for j, (px, _) in enumerate(treat):
+                inner += out[j * len(med) + i][0] * px
+            mid += pz * inner
+    hw = 0.0
+    for fam, pairs in zip(families, bound):
+        if fam.shared:
+            hw += (len(pairs) * fam.mult) * pairs[0][1]
+        else:
+            for _, r in pairs:
+                hw += fam.mult * r
+    constants = {'lil' if fam.dyadic else 'hoeffding': {"form": fam.label, "value": fam.ratio}
+                 for fam in families}
+    if (query.criterion, query.regime) == ('frontdoor', 'iid'):
+        constants["frontdoor_form"] = query.frontdoor_form
+    return EffectInterval.build(n, mid, hw, constants)
 
 
-def _zero(v: float | None) -> float:
-    return 0.0 if v is None else v
-
-
-# -- back-door ----------------------------------------------------------------
+# -- entry points ---------------------------------------------------------------
 
 def backdoor_midpoint_iid(table: CountTable, x, y) -> float:
     """Sum over z of p(y|x,z) * p(z), full-sample estimates; a z-cell that
     never co-occurred with the treatment value contributes 0."""
-    if table.n == 0:
-        return 0.0
-    total = 0.0
-    for z in table.z_values:
-        cond = table.empirical_estimate({'y': y}, given={'x': x, 'z': z})
-        total += _zero(cond) * (table.count(z=z) / table.n)
-    return total
+    return _interval(table, EffectQuery('backdoor', x, y, 0.5)).midpoint  # any delta
 
 
 def backdoor_ci_iid(table: CountTable, query: EffectQuery) -> EffectInterval:
     _require(query, 'backdoor', 'iid')
-    sizes = DomainSizes.from_table(table)
-    ratio, label, _, _ = _backdoor_ratios(table, query, sizes)
-    mid = backdoor_midpoint_iid(table, query.x, query.y)
-    hw = sizes.card_z * hoeffding_term(table.n, ratio)
-    for z in table.z_values:
-        hw += hoeffding_term(table.count(x=query.x, z=z), ratio)
-    return EffectInterval.build(table.n, mid, hw,
-                                {"hoeffding": {"form": label, "value": ratio}})
+    return _interval(table, query)
 
 
 def backdoor_ci_adaptive(table: CountTable, query: EffectQuery) -> EffectInterval:
-    """Fixed horizon, treatments may depend on the whole past: the
-    conditional estimates become dyadic-prefix estimates with
-    iterated-logarithm radii."""
     _require(query, 'backdoor', 'adaptive-fixed')
-    sizes = DomainSizes.from_table(table)
-    h_ratio, h_label, l_ratio, l_label = _backdoor_ratios(table, query, sizes)
-    mid = 0.0
-    if table.n:
-        for z in table.z_values:
-            cond = table.dyadic_estimate({'y': query.y}, given={'x': query.x, 'z': z})
-            mid += (table.count(z=z) / table.n) * _zero(cond)
-    hw = sizes.card_z * hoeffding_term(table.n, h_ratio)
-    for z in table.z_values:
-        hw += lil_term(table.count(x=query.x, z=z), l_ratio)
-    return EffectInterval.build(table.n, mid, hw,
-                                {"hoeffding": {"form": h_label, "value": h_ratio},
-                                 "lil": {"form": l_label, "value": l_ratio}})
+    return _interval(table, query)
 
 
 def backdoor_cs_anytime(table: CountTable, query: EffectQuery,
                         n: int | None = None) -> EffectInterval:
-    """Element of the anytime-valid confidence sequence after n observations
-    (default: the whole stream seen so far)."""
+    """Element of the confidence sequence after n observations (default: all)."""
     _require(query, 'backdoor', 'anytime')
-    n = table.n if n is None else n
-    sizes = DomainSizes.from_table(table)
-    if query.binary_toy:
-        _require_binary(table)
-        ratio, label = 10.0 / query.delta, "10/delta"
-    else:
-        ratio, label = 6.6 * sizes.card_z / query.delta, "6.6|Z|/delta"
-    mid = 0.0
-    hw = sizes.card_z * lil_term(n, ratio)
-    for z in table.z_values:
-        marg = table.prefix_dyadic_estimate({'z': z}, {}, n) if n else None
-        cond = table.prefix_dyadic_estimate({'y': query.y},
-                                            {'x': query.x, 'z': z}, n) if n else None
-        mid += _zero(marg) * _zero(cond)
-        hw += lil_term(table.count_at(n, x=query.x, z=z) if n else 0, ratio)
-    return EffectInterval.build(n, mid, hw, {"lil": {"form": label, "value": ratio}})
-
-
-# -- front-door ---------------------------------------------------------------
-
-def _frontdoor_midpoint(table: CountTable, x, y, dyadic: bool,
-                        anytime_n: int | None = None) -> float:
-    """Sum over z of p(z|x~) * sum over x' of p(y|x',z) * p(x'); the three
-    estimate families follow the regime (full-sample, dyadic, or
-    dyadic-at-prefix)."""
-    n = table.n if anytime_n is None else anytime_n
-    if n == 0:
-        return 0.0
-
-    def d_est(event, given):
-        if anytime_n is not None:
-            return table.prefix_dyadic_estimate(event, given, n)
-        return table.dyadic_estimate(event, given)
-
-    total = 0.0
-    for z in table.z_values:
-        if dyadic:
-            pz = d_est({'z': z}, {'x': x})
-        else:
-            pz = table.empirical_estimate({'z': z}, given={'x': x})
-        inner = 0.0
-        for xv in table.x_domain:
-            if dyadic:
-                py = d_est({'y': y}, {'x': xv, 'z': z})
-            else:
-                py = table.empirical_estimate({'y': y}, given={'x': xv, 'z': z})
-            if anytime_n is not None:
-                px = d_est({'x': xv}, {})
-            else:
-                px = table.count(x=xv) / table.n
-            inner += _zero(py) * _zero(px)
-        total += _zero(pz) * inner
-    return total
-
-
-def _frontdoor_iid_halfwidth(table: CountTable, x, delta: float,
-                             form: str, sizes: DomainSizes) -> float:
-    ratio = 2.0 * sizes.k / delta
-    cxz = sizes.card_x * sizes.card_z
-    if form == 'expanded':
-        hw = cxz * hoeffding_term(table.n, ratio)
-        hw += cxz * hoeffding_term(table.count(x=x), ratio)
-    elif form == 'horner-z':
-        hw = cxz * hoeffding_term(table.n, ratio)
-        hw += sizes.card_z * hoeffding_term(table.count(x=x), ratio)
-    elif form == 'horner-x':
-        hw = sizes.card_x * hoeffding_term(table.n, ratio)
-        hw += cxz * hoeffding_term(table.count(x=x), ratio)
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    for xv in table.x_domain:
-        for z in table.z_values:
-            hw += hoeffding_term(table.count(x=xv, z=z), ratio)
-    return hw
+    return _interval(table, query, n)
 
 
 def frontdoor_ci_iid(table: CountTable, query: EffectQuery) -> EffectInterval:
     _require(query, 'frontdoor', 'iid')
-    sizes = DomainSizes.from_table(table)
-    ratio = 2.0 * sizes.k / query.delta
-    mid = _frontdoor_midpoint(table, query.x, query.y, dyadic=False)
-    hw = _frontdoor_iid_halfwidth(table, query.x, query.delta,
-                                  query.frontdoor_form, sizes)
-    return EffectInterval.build(table.n, mid, hw,
-                                {"hoeffding": {"form": "2K/delta", "value": ratio},
-                                 "frontdoor_form": query.frontdoor_form})
+    return _interval(table, query)
 
 
 def frontdoor_halfwidth_variant(table: CountTable, query: EffectQuery) -> float:
-    """Half-width alone for the requested front-door form (the three forms
-    share their midpoint; their widths differ only in the multiplicities of
-    the first two radius families)."""
-    _require(query, 'frontdoor', 'iid')
-    sizes = DomainSizes.from_table(table)
-    return _frontdoor_iid_halfwidth(table, query.x, query.delta,
-                                    query.frontdoor_form, sizes)
+    """Half-width alone for the requested front-door form (the forms share
+    their midpoint; their widths differ in the multiplicities of treat and med)."""
+    return frontdoor_ci_iid(table, query).halfwidth
 
 
 def frontdoor_ci_adaptive(table: CountTable, query: EffectQuery) -> EffectInterval:
     _require(query, 'frontdoor', 'adaptive-fixed')
-    sizes = DomainSizes.from_table(table)
-    h_ratio = 2.0 * sizes.k / query.delta
-    l_ratio = 3.3 * sizes.k / query.delta
-    cxz = sizes.card_x * sizes.card_z
-    mid = _frontdoor_midpoint(table, query.x, query.y, dyadic=True)
-    hw = cxz * hoeffding_term(table.n, h_ratio)
-    hw += cxz * lil_term(table.count(x=query.x), l_ratio)
-    for xv in table.x_domain:
-        for z in table.z_values:
-            hw += lil_term(table.count(x=xv, z=z), l_ratio)
-    return EffectInterval.build(table.n, mid, hw,
-                                {"hoeffding": {"form": "2K/delta", "value": h_ratio},
-                                 "lil": {"form": "3.3K/delta", "value": l_ratio}})
+    return _interval(table, query)
 
 
 def frontdoor_cs_anytime(table: CountTable, query: EffectQuery,
                          n: int | None = None) -> EffectInterval:
     _require(query, 'frontdoor', 'anytime')
-    n = table.n if n is None else n
-    sizes = DomainSizes.from_table(table)
-    ratio = 3.3 * sizes.k / query.delta
-    cxz = sizes.card_x * sizes.card_z
-    mid = _frontdoor_midpoint(table, query.x, query.y, dyadic=True, anytime_n=n)
-    hw = cxz * lil_term(n, ratio)
-    hw += cxz * lil_term(table.count_at(n, x=query.x) if n else 0, ratio)
-    for xv in table.x_domain:
-        for z in table.z_values:
-            hw += lil_term(table.count_at(n, x=xv, z=z) if n else 0, ratio)
-    return EffectInterval.build(n, mid, hw,
-                                {"lil": {"form": "3.3K/delta", "value": ratio}})
+    return _interval(table, query, n)
 
-
-# -- dispatch -----------------------------------------------------------------
 
 def effect_interval(table: CountTable, query: EffectQuery,
                     n: int | None = None) -> EffectInterval:
-    """Route a query to the construction for its criterion and regime."""
-    if query.regime != 'anytime' and n is not None and n != table.n:
-        raise ValueError("a prefix index applies only to the anytime regime")
-    if query.criterion == 'backdoor':
-        if query.regime == 'iid':
-            return backdoor_ci_iid(table, query)
-        if query.regime == 'adaptive-fixed':
-            return backdoor_ci_adaptive(table, query)
-        return backdoor_cs_anytime(table, query, n)
-    if query.regime == 'iid':
-        return frontdoor_ci_iid(table, query)
-    if query.regime == 'adaptive-fixed':
-        return frontdoor_ci_adaptive(table, query)
-    return frontdoor_cs_anytime(table, query, n)
+    """The interval for a query's criterion and regime; n, a prefix of the
+    stream, applies to the anytime regime only."""
+    return _interval(table, query, n)
 
-
-# -- generic composition route ------------------------------------------------
 
 def interval_via_expression(table: CountTable, query: EffectQuery,
                             n: int | None = None) -> EffectInterval:
@@ -364,116 +321,29 @@ def interval_via_expression(table: CountTable, query: EffectQuery,
     estimated probability to midpoint ± radius, form the adjustment
     polynomial as an expression tree, and propagate.  Agrees with the
     direct construction up to floating-point summation order; used as a
-    structural cross-check."""
+    structural cross-check of the multiplicities."""
+    families, n, bound = _bind(table, query, n)
+    leaves, bindings = [], {}
+    for fam, pairs in zip(families, bound):
+        names = [f"{fam.name}{k}" for k in range(len(pairs))]
+        leaves.append([Var(name) for name in names])
+        bindings.update((name, ProbInterval(*pair)) for name, pair in zip(names, pairs))
     if query.criterion == 'backdoor':
-        expr, bindings = _backdoor_expression(table, query, n)
+        terms = [cond * marg for marg, cond in zip(*leaves)]
     else:
-        expr, bindings = _frontdoor_expression(table, query, n)
-    result = eval_expr(expr, bindings)
-    at = table.n if n is None else n
-    return EffectInterval.build(at, result.midpoint, result.halfwidth)
-
-
-def _backdoor_expression(table: CountTable, query: EffectQuery, n: int | None):
-    sizes = DomainSizes.from_table(table)
-    at = table.n if n is None else n
-    regime = query.regime
-    if regime == 'anytime':
-        if query.binary_toy:
-            _require_binary(table)
-            l_ratio = 10.0 / query.delta
+        treat, med, out = leaves
+        out = [out[j * len(med):(j + 1) * len(med)] for j in range(len(treat))]
+        if query.frontdoor_form == 'horner-z':
+            terms = [pz * reduce(add, [out[j][i] * px for j, px in enumerate(treat)])
+                     for i, pz in enumerate(med)]
+        elif query.frontdoor_form == 'horner-x':
+            terms = [px * reduce(add, [out[j][i] * pz for i, pz in enumerate(med)])
+                     for j, px in enumerate(treat)]
         else:
-            l_ratio = 6.6 * sizes.card_z / query.delta
-        h_ratio = None
-    else:
-        h_ratio, _, l_ratio, _ = _backdoor_ratios(table, query, sizes)
-
-    bindings: dict[str, ProbInterval] = {}
-    terms = []
-    for i, z in enumerate(table.z_values):
-        c_xz = table.count_at(at, x=query.x, z=z) if at else 0
-        if regime == 'iid':
-            cond = table.empirical_estimate({'y': query.y}, given={'x': query.x, 'z': z}) \
-                if at else None
-            cond_radius = hoeffding_term(c_xz, h_ratio)
-            marg = table.count(z=z) / table.n if at else None
-            marg_radius = hoeffding_term(at, h_ratio)
-        elif regime == 'adaptive-fixed':
-            cond = table.dyadic_estimate({'y': query.y}, given={'x': query.x, 'z': z}) \
-                if at else None
-            cond_radius = lil_term(c_xz, l_ratio)
-            marg = table.count(z=z) / table.n if at else None
-            marg_radius = hoeffding_term(at, h_ratio)
-        else:
-            cond = table.prefix_dyadic_estimate({'y': query.y},
-                                                {'x': query.x, 'z': z}, at) if at else None
-            cond_radius = lil_term(c_xz, l_ratio)
-            marg = table.prefix_dyadic_estimate({'z': z}, {}, at) if at else None
-            marg_radius = lil_term(at, l_ratio)
-        bindings[f"cond{i}"] = ProbInterval(_zero(cond), cond_radius)
-        bindings[f"marg{i}"] = ProbInterval(_zero(marg), marg_radius)
-        terms.append(Var(f"cond{i}") * Var(f"marg{i}"))
-    return reduce(lambda a, b: a + b, terms), bindings
-
-
-def _frontdoor_expression(table: CountTable, query: EffectQuery, n: int | None):
-    sizes = DomainSizes.from_table(table)
-    at = table.n if n is None else n
-    regime = query.regime
-    h_ratio = 2.0 * sizes.k / query.delta
-    l_ratio = 3.3 * sizes.k / query.delta
-
-    def prefix_dyadic(event, given):
-        if not at:
-            return None
-        if regime == 'anytime':
-            return table.prefix_dyadic_estimate(event, given, at)
-        return table.dyadic_estimate(event, given)
-
-    bindings: dict[str, ProbInterval] = {}
-    for i, z in enumerate(table.z_values):
-        c = table.count_at(at, x=query.x) if at else 0
-        if regime == 'iid':
-            est = table.empirical_estimate({'z': z}, given={'x': query.x}) if at else None
-            radius = hoeffding_term(c, h_ratio)
-        else:
-            est = prefix_dyadic({'z': z}, {'x': query.x})
-            radius = lil_term(c, l_ratio)
-        bindings[f"med{i}"] = ProbInterval(_zero(est), radius)
-        for j, xv in enumerate(table.x_domain):
-            c_xz = table.count_at(at, x=xv, z=z) if at else 0
-            if regime == 'iid':
-                est = table.empirical_estimate({'y': query.y},
-                                               given={'x': xv, 'z': z}) if at else None
-                radius = hoeffding_term(c_xz, h_ratio)
-            else:
-                est = prefix_dyadic({'y': query.y}, {'x': xv, 'z': z})
-                radius = lil_term(c_xz, l_ratio)
-            bindings[f"out{i}_{j}"] = ProbInterval(_zero(est), radius)
-    for j, xv in enumerate(table.x_domain):
-        if regime == 'anytime':
-            est = prefix_dyadic({'x': xv}, {})
-            radius = lil_term(at, l_ratio)
-        else:
-            est = table.count(x=xv) / table.n if at else None
-            radius = hoeffding_term(at, h_ratio)
-        bindings[f"treat{j}"] = ProbInterval(_zero(est), radius)
-
-    nx, nz = len(table.x_domain), len(table.z_values)
-    if query.frontdoor_form == 'horner-z':
-        terms = [Var(f"med{i}") * reduce(lambda a, b: a + b,
-                                         [Var(f"out{i}_{j}") * Var(f"treat{j}")
-                                          for j in range(nx)])
-                 for i in range(nz)]
-    elif query.frontdoor_form == 'horner-x':
-        terms = [Var(f"treat{j}") * reduce(lambda a, b: a + b,
-                                           [Var(f"out{i}_{j}") * Var(f"med{i}")
-                                            for i in range(nz)])
-                 for j in range(nx)]
-    else:
-        terms = [(Var(f"med{i}") * Var(f"out{i}_{j}")) * Var(f"treat{j}")
-                 for i in range(nz) for j in range(nx)]
-    return reduce(lambda a, b: a + b, terms), bindings
+            terms = [(pz * out[j][i]) * px for i, pz in enumerate(med)
+                     for j, px in enumerate(treat)]
+    result = eval_expr(reduce(add, terms), bindings)
+    return EffectInterval.build(n, result.midpoint, result.halfwidth)
 
 
 # -- ground-truth oracle -------------------------------------------------------
@@ -485,9 +355,7 @@ def true_effect(model: "CausalModel", x, y, criterion: str) -> float:
     probability conditioning event with positive weight means the formula
     is not evaluable and raises."""
     roles = model.roles
-    z_domains = [model.dag.domains[name] for name in roles.z]
-    from itertools import product as _product
-    z_values = list(_product(*z_domains))
+    z_values = list(product(*(model.dag.domains[name] for name in roles.z)))
 
     def z_dict(zv):
         return dict(zip(roles.z, zv))

@@ -2,26 +2,20 @@
 
 For binary treatment/outcome/covariate data collected under adaptive
 treatment assignment, a candidate outcome y belongs to the prediction set
-iff the *right endpoint* of the tightened-constant adaptive back-door
-interval for P(y | do(x)), run at level delta/2, exceeds delta/2:
-
-    sum_z p(z) * p_dyadic(y|x,z)
-      + 2 * sqrt(ln(12/delta) / (2n))
-      + sum_z sqrt((2 ln log2(k_z) + ln(20/delta)) / (2 k_z))  >  delta/2
-
-with k_z = dyadic_floor(#(x,z)).  The constants 12 and 20 are the binary
-constants 6 and 10 at level delta/2.  The test is strict; any z-cell with
-fewer than two treated occurrences makes the endpoint unbounded, so both
-outcomes are then included.
+iff the right endpoint (midpoint + half-width) of the tightened-constant
+adaptive back-door interval for P(y | do(x)), run at level delta/2, exceeds
+delta/2.  At that level the binary constants 6/delta and 10/delta become
+12/delta and 20/delta.  The test is strict; any z-cell with fewer than two
+treated occurrences makes the endpoint unbounded, so both outcomes are
+then included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import hoeffding_term, lil_term
 from .counts import CountTable
-from .effects import _require_binary, _zero
+from .effects import EffectQuery, effect_interval
 
 
 @dataclass(frozen=True)
@@ -36,25 +30,18 @@ class PredictionSet:
 
 def prediction_set(table: CountTable, x, delta: float) -> PredictionSet:
     """Outcomes whose right interval endpoint stays above delta/2."""
-    _require_binary(table)
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     threshold = delta / 2
-    hw = 2 * hoeffding_term(table.n, 12.0 / delta)
-    for z in table.z_values:
-        hw += lil_term(table.count(x=x, z=z), 20.0 / delta)
     members = []
     diagnostics = []
     for y in table.y_domain:
-        mid = 0.0
-        if table.n:
-            for z in table.z_values:
-                cond = table.dyadic_estimate({'y': y}, given={'x': x, 'z': z})
-                mid += (table.count(z=z) / table.n) * _zero(cond)
-        endpoint = mid + hw
+        itv = effect_interval(table, EffectQuery('backdoor', x, y, threshold,
+                                                 'adaptive-fixed', binary_toy=True))
+        endpoint = itv.midpoint + itv.halfwidth
         member = endpoint > threshold
         if member:
             members.append(y)
-        diagnostics.append({"y": y, "midpoint": mid, "endpoint": endpoint,
+        diagnostics.append({"y": y, "midpoint": itv.midpoint, "endpoint": endpoint,
                             "member": member})
     return PredictionSet(tuple(members), threshold, tuple(diagnostics))

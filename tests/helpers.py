@@ -4,11 +4,14 @@ the production code paths."""
 
 import math
 from itertools import permutations, product
+from typing import Mapping
 
 import mpmath as mp
+import numpy as np
 
 from causalci.counts import CountTable, Observation
 from causalci.graph import Dag
+from causalci.intervals import BinOp, Expr, ProbInterval, Var
 from causalci.simulator import CausalModel, Cpt, Roles
 
 mp.mp.dps = 40
@@ -394,3 +397,94 @@ def random_dag(rng, max_vertices=6, p_edge=0.4):
             if rng.random() < p_edge:
                 edges.append((names[order[i]], names[order[j]]))
     return Dag(names, edges)
+
+
+# -- interval-composition oracles -------------------------------------------
+# exact_range samples the pointwise semantics of the interval operations,
+# where each operation's result set is intersected with [0,1]; sampled
+# combinations whose value escapes [0,1] at an intermediate node are
+# infeasible and dropped, so the reported range never overstates the true
+# composed set.  node_midpoints checks the guarantee's domain (see
+# causalci.intervals).
+
+def node_midpoints(expr: Expr, bindings: Mapping[str, ProbInterval]) -> list[float]:
+    """Midpoint evaluation of every node (leaves included), root last.
+
+    The composition guarantee — exact_range inside eval_expr's realized
+    set — holds when all of these lie in [0,1]; see the module docstring.
+    """
+    out: list[float] = []
+
+    def walk(node: Expr) -> float:
+        if isinstance(node, Var):
+            try:
+                value = bindings[node.name].midpoint
+            except KeyError:
+                raise ValueError(f"unbound variable {node.name!r}") from None
+        else:
+            assert isinstance(node, BinOp)
+            left = walk(node.left)
+            right = walk(node.right)
+            value = {'+': left + right, '-': left - right,
+                     '*': left * right}[node.op]
+        out.append(value)
+        return value
+
+    walk(expr)
+    return out
+
+
+MAX_EXACT_LEAVES = 12
+
+
+def exact_range(expr: Expr, bindings: Mapping[str, ProbInterval],
+                grid: int = 4) -> tuple[float, float] | None:
+    """Sampled range of the pointwise interval-composition semantics.
+
+    Every leaf occurrence ranges independently over its binding's realized
+    set (repeats of the same variable are treated as independent, matching
+    the duplicate-counting halfwidth accounting).  Samples are the
+    realized endpoints plus a small grid; each operation's values are
+    restricted to [0,1], combinations escaping it are dropped.  Returns
+    None when the composed set is empty.  Because the tree is multilinear
+    in every leaf occurrence and clipping is monotone, the endpoint
+    samples alone already attain the extrema of the feasible combinations.
+    """
+    occurrences = list(expr.leaves())
+    if len(occurrences) > MAX_EXACT_LEAVES:
+        raise ValueError(f"expression too large ({len(occurrences)} leaves, "
+                         f"max {MAX_EXACT_LEAVES})")
+    axes = []
+    for leaf in occurrences:
+        if leaf.name not in bindings:
+            raise ValueError(f"unbound variable {leaf.name!r}")
+        realized = bindings[leaf.name].realized()
+        if realized is None:
+            return None
+        lo, hi = realized
+        pts = np.unique(np.concatenate([np.linspace(lo, hi, max(grid, 2)), [lo, hi]]))
+        axes.append(pts)
+    total = math.prod(len(a) for a in axes)
+    if total > 300_000:  # corners still attain the extrema
+        axes = [np.unique(np.array([a[0], a[-1]])) for a in axes]
+    mesh = np.meshgrid(*axes, indexing='ij')
+    columns = iter(m.reshape(-1) for m in mesh)
+
+    def walk(node: Expr) -> np.ndarray:
+        if isinstance(node, Var):
+            return next(columns)
+        assert isinstance(node, BinOp)
+        left = walk(node.left)
+        right = walk(node.right)
+        if node.op == '+':
+            vals = left + right
+        elif node.op == '-':
+            vals = left - right
+        else:
+            vals = left * right
+        return np.where((vals < 0.0) | (vals > 1.0), np.nan, vals)
+
+    values = walk(expr)
+    if np.all(np.isnan(values)):
+        return None
+    return float(np.nanmin(values)), float(np.nanmax(values))

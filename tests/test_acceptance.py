@@ -21,9 +21,9 @@ from causalci.effects import (EffectQuery, effect_interval,
                               frontdoor_halfwidth_variant,
                               interval_via_expression)
 from causalci.graph import check_backdoor, check_frontdoor
-from causalci.intervals import eval_expr, exact_range
+from causalci.intervals import eval_expr
 from causalci.simulator import AlternatingAdversaryPolicy
-from helpers import (fig1_dag, fig1_model, frontdoor_model, grid_table,
+from helpers import (exact_range, fig1_dag, fig1_model, frontdoor_model, grid_table,
                      mp_backdoor_adaptive_halfwidth,
                      mp_backdoor_anytime_halfwidth, mp_backdoor_iid_halfwidth,
                      mp_backdoor_iid_midpoint, mp_frontdoor_adaptive_halfwidth,

@@ -124,6 +124,20 @@ def test_unhashable_value_exit_2(tmp_path, capsys, row, message, regime):
         f"error: line 2: {message} not in declared domain\n"
 
 
+def test_anytime_bad_row_keeps_the_records_before_it(tmp_path, capsys):
+    # the anytime regime streams one record per row; each record written before
+    # the bad row is a valid element of the confidence sequence at its own n
+    stream = tmp_path / "obs.jsonl"
+    good = '{"x": 1, "y": 1, "z": [0]}\n'
+    stream.write_text(good * 3 + '\n{"x": 7, "y": 1, "z": [0]}\n' + good)
+    out = tmp_path / "out.jsonl"
+    assert main(["analyze", "--model", FIG1, "--data", str(stream), "--xtilde", "1",
+                 "--y", "1", "--regime", "anytime", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: line 5: x value 7 not in declared domain\n"
+    assert [record["n"] for record in read_records(out)] == [1, 2, 3]
+
+
 def test_analyze_anytime_changes_only(tmp_path):
     stream = tmp_path / "obs.jsonl"
     assert main(["simulate", "--model", FIG1, "--n", "128", "--seed", "3",
@@ -329,22 +343,45 @@ GOLDEN_RUNS = {
                                                    "--regime", "anytime",
                                                    "--changes-only"]),
     "predict": ("fig1-adaptive", None),
+    "backdoor-iid-toy": ("fig1-iid", ["--criterion", "backdoor", "--regime", "iid",
+                                      "--toy"]),
+    "backdoor-adaptive-fixed-toy": ("fig1-adaptive", ["--criterion", "backdoor",
+                                                      "--regime", "adaptive-fixed",
+                                                      "--toy"]),
+    "backdoor-anytime-toy": ("fig1-adaptive", ["--criterion", "backdoor",
+                                               "--regime", "anytime", "--toy"]),
+    "frontdoor-iid-horner-z": ("frontdoor-iid", ["--criterion", "frontdoor",
+                                                 "--regime", "iid",
+                                                 "--frontdoor-form", "horner-z"]),
+    "frontdoor-iid-horner-x": ("frontdoor-iid", ["--criterion", "frontdoor",
+                                                 "--regime", "iid",
+                                                 "--frontdoor-form", "horner-x"]),
 }
 GOLDEN_SHA256 = {
     "backdoor-adaptive-fixed":
         "a646228f8940653a827422c2d2068638e14de911350ad85344bdc8fd8ae80ed5",  # 1 record
+    "backdoor-adaptive-fixed-toy":
+        "ecadbaf8d9b8bbf91d8c9157cec10451c928868b91307561590ac6fed3f8e964",  # 1 record
     "backdoor-anytime":
         "f8cdd99677264973760ffbe39a834469bf1e9197f496d4e3ea67c835decb7044",  # 5000 records
     "backdoor-anytime-changes-only":
         "aa70a0c29a47e9bb94a09416cc695a0a95ee108802a53478f469b2eff7f69c00",  # 69 records
+    "backdoor-anytime-toy":
+        "68bcdc629160d01c23327577dec91616cb0162d33a3b3b34ac52f7eb4490b94c",  # 5000 records
     "backdoor-iid":
         "a16881e1fdb32c79ee60dac6ae7579904c38b5dde3eace6d4022dd7d7cb8585a",  # 1 record
+    "backdoor-iid-toy":
+        "fe7558f022a73b36fd43362459c921564ced6413dc50f07ffd10287d733b32e5",  # 1 record
     "frontdoor-adaptive-fixed":
         "a902928fd436bee0d612229d1910379e57b6a8d30299d398635c7bee9562bf76",  # 1 record
     "frontdoor-anytime":
         "3b9a4553d1ca3c58be30a8060343b6e4bfb7f9aebbae2a0376f48dad61f9bc32",  # 5000 records
     "frontdoor-iid":
         "62265d94ac2140cdd732ac1c4206d8b66498cc6a6e1eb97328700dab6bf83f37",  # 1 record
+    "frontdoor-iid-horner-x":
+        "c1b5423b4a1a424fa506f2f0a26e709efb9615be25d8d0c8a5033963a0f37338",  # 1 record
+    "frontdoor-iid-horner-z":
+        "d3a7a064468cec0955da456260751747e510029f13ff38365d48deef08048e90",  # 1 record
     "predict":
         "c25654e012220b367ae98f742911d6b7bf9e33a268a4917e4818eeb1011bdfe1",  # 1 record
 }

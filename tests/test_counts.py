@@ -93,6 +93,20 @@ def test_unhashable_value_is_a_domain_error(obs, message):
         assert table == binary_table()
 
 
+def test_untracked_patterns_raise():
+    # only the patterns some estimator reads are tracked
+    table = binary_table(eight_obs_stream())
+    for pattern in ({'x': 1, 'y': 1}, {'y': 1}, {'y': 1, 'z': (0,)}):
+        with pytest.raises(ValueError, match="not tracked"):
+            table.count(**pattern)
+        with pytest.raises(ValueError, match="not tracked"):
+            table.count_at(4, **pattern)
+    with pytest.raises(ValueError, match="not tracked"):
+        table.dyadic_estimate({'y': 1}, {'x': 1})
+    with pytest.raises(ValueError, match="not tracked"):
+        table.dyadic_estimate({'x': 1}, {'z': (0,)})
+
+
 def test_empirical_estimate():
     table = binary_table(eight_obs_stream())
     assert table.empirical_estimate({'y': 1}, given={'x': 1, 'z': (0,)}) == 2 / 3

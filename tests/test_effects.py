@@ -1,15 +1,19 @@
+import hashlib
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from causalci.counts import Observation
-from causalci.effects import (DomainSizes, EffectQuery, backdoor_ci_adaptive,
+from causalci.effects import (CRITERIA, FRONTDOOR_FORMS, REGIMES, DomainSizes,
+                              EffectQuery, backdoor_ci_adaptive,
                               backdoor_ci_iid, backdoor_cs_anytime,
                               backdoor_midpoint_iid, effect_interval,
                               frontdoor_ci_adaptive, frontdoor_ci_iid,
                               frontdoor_cs_anytime, frontdoor_halfwidth_variant,
                               interval_via_expression, true_effect)
+from causalci.prediction import prediction_set
 from helpers import (binary_table, eight_obs_stream, fig1_model,
                      frontdoor_model, grid_table, random_table)
 
@@ -328,3 +332,68 @@ def test_midpoints_stay_in_unit_interval():
                                        table.y_domain[-1], 0.1, regime))
                 assert 0.0 <= itv.midpoint <= 1.0
                 assert 0.0 <= itv.lower <= itv.upper <= 1.0
+
+
+# -- byte-identity guard -------------------------------------------------------
+# SHA-256 over repr(midpoint), repr(halfwidth) and the constants record of every
+# construction (criterion x regime x front-door form x tightened constants) on
+# seeded tables: multi-valued ones, some with a composite z, and binary ones for
+# the tightened constants; the anytime regime also at several prefixes.  A
+# change to any estimate, radius, ratio, label or floating-point summation
+# order shows here.
+
+EFFECTS_SHA256 = "70c4e0a65ab869132acac87788c20a7ca2935acfe0156122f48720a2d513edfb"
+PREDICTION_SHA256 = "cdd92e4d41a7d4c54b61e9ad52f75ee5ed6fe4be61a84b66be3cb29cf72c8e33"
+
+
+def _guard_tables():
+    rng = np.random.default_rng(89)
+    tables = [random_table(rng, min_n=2, max_n=700, track_arrivals=True)[0]
+              for _ in range(10)]
+    for n in (0, 1, 3, 9, 40, 333):
+        tables.append(binary_table([Observation(int(rng.integers(2)), int(rng.integers(2)),
+                                                (int(rng.integers(2)),))
+                                    for _ in range(n)]))
+    return tables
+
+
+def _guard_queries(table):
+    binary = len(table.z_domains) == 1 and len(table.x_domain) == len(table.y_domain) \
+        == len(table.z_values) == 2
+    for criterion, regime, x, delta in product(CRITERIA, REGIMES, table.x_domain,
+                                               (0.05, 0.3)):
+        forms = FRONTDOOR_FORMS if (criterion, regime) == ('frontdoor', 'iid') \
+            else ('expanded',)
+        toys = (False, True) if criterion == 'backdoor' and binary else (False,)
+        for form, toy in product(forms, toys):
+            yield EffectQuery(criterion, x, table.y_domain[-1], delta, regime,
+                              binary_toy=toy, frontdoor_form=form)
+
+
+def test_constructions_byte_identical():
+    tables = _guard_tables()
+    assert any(len(table.z_domains) > 1 for table in tables)
+    lines = []
+    for table in tables:
+        prefixes = sorted({n for n in (0, 1, 2, 3, table.n // 3, table.n // 2, table.n)
+                           if n <= table.n})
+        for query in _guard_queries(table):
+            for n in prefixes if query.regime == 'anytime' else (None,):
+                itv = effect_interval(table, query, n)
+                lines.append(f"{itv.n} {itv.midpoint!r} {itv.halfwidth!r} "
+                             f"{itv.constants!r}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (1464, EFFECTS_SHA256)
+
+
+def test_prediction_set_byte_identical():
+    lines = []
+    for table in _guard_tables():
+        if len(table.z_domains) == 1 and len(table.x_domain) == len(table.y_domain) \
+                == len(table.z_values) == 2:
+            for x, delta in product(table.x_domain, (0.02, 0.1, 0.5)):
+                gamma = prediction_set(table, x, delta)
+                lines.append(f"{gamma.members!r} {gamma.threshold!r} "
+                             f"{gamma.diagnostics!r}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (36, PREDICTION_SHA256)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from causalci.intervals import (BinOp, ProbInterval, Var, eval_expr,
-                                exact_range, iv_add, iv_mul, iv_sub,
-                                node_midpoints)
+from causalci.intervals import (BinOp, ProbInterval, Var, eval_expr, iv_add,
+                                iv_mul, iv_sub)
+from helpers import exact_range, node_midpoints
 
 
 def test_iv_add_examples():
