@@ -179,14 +179,21 @@ def cmd_analyze(args) -> int:
         if query.regime == 'anytime':
             emitter = backdoor_cs_anytime if query.criterion == 'backdoor' \
                 else frontdoor_cs_anytime
-            version = -1
+            version, record = -1, None
             with _at_line(stream):
                 for obs in stream:
                     table.ingest(obs)
-                    if args.changes_only and table.checkpoint_version == version:
+                    # every anytime estimate and radius reads dyadic tallies
+                    # and dyadic floors of counts, which move only at a
+                    # checkpoint: between checkpoints only n changes
+                    if table.checkpoint_version != version:
+                        version = table.checkpoint_version
+                        record = _interval_record(emitter(table, query), query)
+                    elif args.changes_only:
                         continue
-                    version = table.checkpoint_version
-                    _emit(out, _interval_record(emitter(table, query), query))
+                    else:
+                        record["n"] = table.n
+                    _emit(out, record)
             if table.n == 0:
                 print("warning: empty input stream", file=sys.stderr)
                 _emit(out, _interval_record(emitter(table, query), query))

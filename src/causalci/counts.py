@@ -9,7 +9,7 @@ estimates restricted to the first ``dyadic_floor(count)`` occurrences of a
 condition, in O(1) per query and O(1) amortized per ingested observation.
 
 :meth:`CountTable.ingest` adds one observation and is the reference path
-(the anytime regime reads the table after every row).
+(the anytime regime ingests row by row and reads the table at checkpoints).
 :meth:`CountTable.ingest_all` adds a whole stream column-wise, in chunks of
 ``_CHUNK_ROWS`` rows: each row becomes one integer cell code, and a chunk
 is applied with ``numpy.bincount`` for the counts and a stable argsort by
@@ -43,6 +43,8 @@ import numpy as np
 _CHUNK_ROWS = 4096
 # tracked patterns: tag and the axes of (x, y, z) that the pattern fixes
 _PATTERNS = (('xyz', (0, 1, 2)), ('xz', (0, 2)), ('x', (0,)), ('z', (2,)))
+# (condition, event) coordinates of the materialized dyadic tallies
+_DYADIC_PAIRS = {(('x', 'z'), ('y',)), (('x',), ('z',)), ((), ('z',)), ((), ('x',))}
 
 
 class Observation(NamedTuple):
@@ -351,6 +353,7 @@ class CountTable:
     def dyadic_estimate(self, event: dict, given: dict) -> float | None:
         """Fraction of the first dyadic_floor(#given) occurrences of the
         condition that also match the event; None if #given == 0."""
+        self._require_tracked(event, given)
         c = self.count(**given)
         if c == 0:
             return None
@@ -362,25 +365,30 @@ class CountTable:
     def dyadic_levels(self, event: dict, given: dict) -> list[int]:
         """Event tallies among the first 2**j condition occurrences, for
         every materialized level j."""
+        self._require_tracked(event, given)
         c = self.count(**given)
         top = dyadic_floor(c).bit_length() - 1 if c else -1
         return [self._dyadic_tally(event, given, j) for j in range(top + 1)]
 
+    @staticmethod
+    def _require_tracked(event: dict, given: dict) -> None:
+        """Refuse an (event, condition) pair without dyadic tallies."""
+        gk, ek = tuple(sorted(given)), tuple(sorted(event))
+        if (gk, ek) not in _DYADIC_PAIRS:
+            raise ValueError(f"dyadic tally of {', '.join(ek)} given "
+                             f"({', '.join(gk)}) is not tracked")
+
     def _dyadic_tally(self, event: dict, given: dict, j: int) -> int:
-        gk = sorted(given)
-        ek = sorted(event)
-        if gk == ['x', 'z'] and ek == ['y']:
+        # the pair is a tracked one, so its coordinates tell it apart
+        if 'y' in event:
             vec = self._xz_levels[(given['x'], self._as_z(given['z']))][j]
             return vec[self._y_index[event['y']]]
-        if gk == ['x'] and ek == ['z']:
+        if given:
             vec = self._x_levels[given['x']][j]
             return vec[self._z_index[self._as_z(event['z'])]]
-        if gk == [] and ek == ['z']:
+        if 'z' in event:
             return self._n_levels_z[j][self._z_index[self._as_z(event['z'])]]
-        if gk == [] and ek == ['x']:
-            return self._n_levels_x[j][self._x_index[event['x']]]
-        raise ValueError(f"dyadic tally of {', '.join(ek)} given "
-                         f"({', '.join(gk)}) is not tracked")
+        return self._n_levels_x[j][self._x_index[event['x']]]
 
     @staticmethod
     def _as_z(z):
@@ -392,6 +400,7 @@ class CountTable:
         """dyadic_estimate as it stood after the first m observations."""
         if m == self.n:
             return self.dyadic_estimate(event, given)
+        self._require_tracked(event, given)
         if not self.track_arrivals:
             raise RuntimeError("prefix queries need track_arrivals=True")
         c = self.count_at(m, **given)

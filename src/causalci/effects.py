@@ -59,7 +59,7 @@ from operator import add
 from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import hoeffding_term, lil_term
-from .counts import CountTable
+from .counts import CountTable, _hashable
 from .intervals import ProbInterval, Var, eval_expr
 
 if TYPE_CHECKING:
@@ -83,6 +83,9 @@ class EffectQuery:
     frontdoor_form: str = 'expanded'
 
     def __post_init__(self):
+        for name, value in (('x', self.x), ('y', self.y)):
+            if not _hashable(value):
+                raise ValueError(f"{name} value {value!r} is unhashable, so in no domain")
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
         if self.regime not in REGIMES:

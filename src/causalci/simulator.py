@@ -35,6 +35,8 @@ from .counts import CountTable, Observation
 from .graph import Dag
 
 _ROW_SUM_TOL = 1e-12
+# steps of sample_adaptive whose mechanism uniforms are drawn at once
+_BLOCK_STEPS = 4096
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -370,13 +372,6 @@ def sample_iid(model: CausalModel, n: int, seed) -> list[Observation]:
     return [Observation(x, y, z) for x, y, z in zip(xs, ys, zs)]
 
 
-def _cumulative_rows(model: CausalModel) -> dict:
-    out = {}
-    for v, cpt in model.cpts.items():
-        out[v] = {config: list(accumulate(row)) for config, row in cpt.rows.items()}
-    return out
-
-
 def _draw_index(row: Sequence[float], rng: np.random.Generator) -> int:
     cum = list(accumulate(row))
     return bisect_right(cum, rng.random() * cum[-1])
@@ -390,6 +385,14 @@ def sample_adaptive(model: CausalModel, policy: Policy, n: int,
     are drawn from their mechanisms; the policy picks the treatment from
     the history and the visible pre-treatment values; the remaining
     vertices follow their mechanisms.
+
+    Only the policy depends on the past, so the mechanisms are drawn
+    column-wise, ``_BLOCK_STEPS`` steps at a time: one uniform per step and
+    non-treatment vertex (pre-treatment vertices first, each in topological
+    order, as a step-by-step sampler consumes them), the pre-treatment
+    columns once, and the treatment's descendants once for every treatment
+    value, of which each step keeps the policy's choice.  The stream is
+    the same as that of scalar draws step by step.
     """
     rng = as_generator(seed)
     policy.reset(model, rng.spawn(1)[0])
@@ -399,32 +402,50 @@ def sample_adaptive(model: CausalModel, policy: Policy, n: int,
     pre = [v for v in dag.topological_order() if v != x_name and v not in desc]
     post = [v for v in dag.topological_order() if v in desc]
     role_vars = {roles.x, roles.y, *roles.z}
-    visible_pre = [v for v in pre if v in role_vars]
-    x_dom = set(dag.domains[x_name])
-    cum = _cumulative_rows(model)
+    shown_names = pre if policy.sees_mechanism else [v for v in pre if v in role_vars]
+    x_dom = dag.domains[x_name]
+    # per vertex: its parents' domain sizes and the cumulative CPT rows,
+    # one per parent configuration in the canonical (row-major) order
+    mechanisms = {v: (tuple(len(dag.domains[p]) for p in cpt.parents),
+                      np.cumsum(list(cpt.rows.values()), axis=1))
+                  for v, cpt in model.cpts.items()}
 
-    def draw(v, assignment):
-        cpt = model.cpts[v]
-        crow = cum[v][tuple(assignment[p] for p in cpt.parents)]
-        return dag.domains[v][bisect_right(crow, rng.random() * crow[-1])]
+    def draw(v, index, u) -> np.ndarray:
+        # bisect_right(cum, u * cum[-1]) at every step at once
+        sizes, cum = mechanisms[v]
+        parents = [index[p] for p in model.cpts[v].parents]
+        cum = cum[np.ravel_multi_index(parents, sizes) if parents else 0]
+        return (cum <= (u * cum[..., -1])[..., None]).sum(axis=-1)
+
+    def values(name, index) -> list:
+        dom = dag.domains[name]
+        return [dom[i] for i in index[name].tolist()]
+
+    def rows(columns, k) -> list[tuple]:
+        return list(zip(*columns)) if columns else [()] * k
 
     history: list[Observation] = []
-    for _ in range(n):
-        assignment = {}
-        for v in pre:
-            assignment[v] = draw(v, assignment)
-        if policy.sees_mechanism:
-            shown = dict(assignment)
-        else:
-            shown = {name: assignment[name] for name in visible_pre}
-        xv = policy.choose(history, shown)
-        if xv not in x_dom:
-            raise ValueError(f"policy returned {xv!r}, not a treatment value")
-        assignment[x_name] = xv
-        for v in post:
-            assignment[v] = draw(v, assignment)
-        history.append(Observation(assignment[x_name], assignment[roles.y],
-                                   tuple(assignment[name] for name in roles.z)))
+    for start in range(0, n, _BLOCK_STEPS):
+        k = min(_BLOCK_STEPS, n - start)
+        u = rng.random((k, len(pre) + len(post)))
+        index: dict[str, np.ndarray] = {}
+        for j, v in enumerate(pre):
+            index[v] = draw(v, index, u[:, j])
+        shown = [dict(zip(shown_names, row))
+                 for row in rows([values(v, index) for v in shown_names], k)]
+        outcome = {}  # treatment value -> (outcomes, covariate tuples)
+        for i, xv in enumerate(x_dom):
+            index[x_name] = np.full(k, i)
+            for j, v in enumerate(post, start=len(pre)):
+                index[v] = draw(v, index, u[:, j])
+            outcome[xv] = (values(roles.y, index),
+                           rows([values(name, index) for name in roles.z], k))
+        for t in range(k):
+            xv = policy.choose(history, shown[t])
+            if xv not in outcome:
+                raise ValueError(f"policy returned {xv!r}, not a treatment value")
+            ys, zs = outcome[xv]
+            history.append(Observation(xv, ys[t], zs[t]))
     return history
 
 

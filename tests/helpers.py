@@ -3,7 +3,8 @@ oracles (naive recounts + high-precision formula evaluation) used to audit
 the production code paths."""
 
 import math
-from itertools import permutations, product
+from bisect import bisect_right
+from itertools import accumulate, permutations, product
 from typing import Mapping
 
 import mpmath as mp
@@ -12,7 +13,7 @@ import numpy as np
 from causalci.counts import CountTable, Observation
 from causalci.graph import Dag
 from causalci.intervals import BinOp, Expr, ProbInterval, Var
-from causalci.simulator import CausalModel, Cpt, Roles
+from causalci.simulator import CausalModel, Cpt, Policy, Roles, as_generator
 
 mp.mp.dps = 40
 
@@ -50,6 +51,30 @@ def frontdoor_model(pu1=0.3, px1_given_u=(0.2, 0.8), pm1_given_x=(0.3, 0.7),
                               for m in (0, 1) for u in (0, 1)}),
     }
     return CausalModel(dag, cpts, Roles("X", "Y", ("M",)))
+
+
+def three_valued_model():
+    """Three-valued treatment and outcome with a hidden pre-treatment
+    confounder U->X, U->Y and a two-component Z: Z1 before the treatment
+    (Z1->X, Z1->Y) and Z2 after it (X->Z2->Y).  Outcome values are strings
+    and some rows hold zero probabilities (repeated cumulative values)."""
+    rng = np.random.default_rng(2026)
+    doms = {"U": (0, 1), "Z1": (0, 1), "X": (0, 1, 2), "Z2": (0, 1, 2),
+            "Y": ("lo", "mid", "hi")}
+    parents = {"U": (), "Z1": (), "X": ("U", "Z1"), "Z2": ("X",),
+               "Y": ("U", "Z1", "Z2")}
+    cpts = {}
+    for v, pa in parents.items():
+        rows = {}
+        for i, config in enumerate(product(*(doms[p] for p in pa))):
+            row = rng.dirichlet(np.ones(len(doms[v])))
+            if len(row) == 3 and i % 3 == 1:
+                row[i % 2] = 0.0  # a zero entry
+                row /= row.sum()
+            rows[config] = tuple(row.tolist())
+        cpts[v] = Cpt(pa, rows)
+    edges = [(p, v) for v, pa in parents.items() for p in pa]
+    return CausalModel(Dag(list(doms), edges, doms), cpts, Roles("X", "Y", ("Z1", "Z2")))
 
 
 def fig1_dag():
@@ -115,6 +140,57 @@ def grid_table(cx, cz, n, treated, track_arrivals=False):
                        track_arrivals=track_arrivals)
     table.ingest_all(obs)
     return table
+
+
+# -- reference sampler (oracle side) ----------------------------------------
+
+def _cumulative_rows(model: CausalModel) -> dict:
+    out = {}
+    for v, cpt in model.cpts.items():
+        out[v] = {config: list(accumulate(row)) for config, row in cpt.rows.items()}
+    return out
+
+
+def reference_sample_adaptive(model: CausalModel, policy: Policy, n: int,
+                              seed) -> list[Observation]:
+    """The step-by-step adaptive sampler: one scalar inverse-CDF draw per
+    vertex per step, in the order pre-treatment vertices, policy, the
+    treatment's descendants.  sample_adaptive must return the same stream."""
+    rng = as_generator(seed)
+    policy.reset(model, rng.spawn(1)[0])
+    dag, roles = model.dag, model.roles
+    x_name = roles.x
+    desc = dag.descendants(x_name)
+    pre = [v for v in dag.topological_order() if v != x_name and v not in desc]
+    post = [v for v in dag.topological_order() if v in desc]
+    role_vars = {roles.x, roles.y, *roles.z}
+    visible_pre = [v for v in pre if v in role_vars]
+    x_dom = set(dag.domains[x_name])
+    cum = _cumulative_rows(model)
+
+    def draw(v, assignment):
+        cpt = model.cpts[v]
+        crow = cum[v][tuple(assignment[p] for p in cpt.parents)]
+        return dag.domains[v][bisect_right(crow, rng.random() * crow[-1])]
+
+    history: list[Observation] = []
+    for _ in range(n):
+        assignment = {}
+        for v in pre:
+            assignment[v] = draw(v, assignment)
+        if policy.sees_mechanism:
+            shown = dict(assignment)
+        else:
+            shown = {name: assignment[name] for name in visible_pre}
+        xv = policy.choose(history, shown)
+        if xv not in x_dom:
+            raise ValueError(f"policy returned {xv!r}, not a treatment value")
+        assignment[x_name] = xv
+        for v in post:
+            assignment[v] = draw(v, assignment)
+        history.append(Observation(assignment[x_name], assignment[roles.y],
+                                   tuple(assignment[name] for name in roles.z)))
+    return history
 
 
 # -- naive recounts (oracle side) -------------------------------------------

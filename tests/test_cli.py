@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from causalci.cli import main
-from causalci.effects import EffectQuery, backdoor_ci_iid
-from helpers import binary_table, eight_obs_stream
+from causalci.cli import _interval_record, main
+from causalci.counts import read_jsonl
+from causalci.effects import EffectQuery, backdoor_ci_iid, effect_interval
+from helpers import binary_table, eight_obs_stream, three_valued_model
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 FIG1 = str(CONFIGS / "fig1.json")
@@ -122,6 +123,51 @@ def test_unhashable_value_exit_2(tmp_path, capsys, row, message, regime):
                  "--y", "1", "--regime", regime, "--output", "/dev/null"]) == 2
     assert capsys.readouterr().err == \
         f"error: line 2: {message} not in declared domain\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    (["analyze", "--xtilde", "[1]", "--y", "1"], "x value [1]"),
+    (["analyze", "--xtilde", "1", "--y", "{}"], "y value {}"),
+    (["predict", "--xtilde", "[1]"], "x value [1]"),
+])
+def test_unhashable_query_value_exit_2(tmp_path, capsys, command, message):
+    stream = write_eight_obs(tmp_path / "obs.jsonl")
+    assert main(command + ["--model", FIG1, "--data", stream,
+                           "--output", "/dev/null"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {message} is unhashable, so in no domain\n"
+
+
+@pytest.mark.parametrize("criterion", ["backdoor", "frontdoor"])
+def test_anytime_records_equal_per_row_intervals(tmp_path, criterion):
+    """Records are rebuilt only at checkpoints; each one must still equal the
+    interval computed afresh after its row, on a three-valued treatment
+    and outcome with a two-component Z."""
+    model = three_valued_model()
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model.to_json()))
+    stream = tmp_path / "obs.jsonl"
+    assert main(["simulate", "--model", str(model_path), "--n", "700", "--seed", "8",
+                 "--output", str(stream)]) == 0
+    query = EffectQuery(criterion, 1, "hi", 0.1, regime="anytime")
+    table = model.count_table(track_arrivals=False)
+    every, changes, version = [], [], -1
+    for obs in read_jsonl(stream.read_text().splitlines()):
+        table.ingest(obs)
+        line = json.dumps(_interval_record(effect_interval(table, query), query)) + "\n"
+        every.append(line)
+        if table.checkpoint_version != version:
+            version = table.checkpoint_version
+            changes.append(line)
+    assert 30 < len(changes) < len(every) == 700
+    base = ["analyze", "--model", str(model_path), "--data", str(stream),
+            "--criterion", criterion, "--xtilde", "1", "--y", "hi", "--delta", "0.1",
+            "--regime", "anytime", "--assume-criterion"]
+    full, sparse = tmp_path / "full.jsonl", tmp_path / "sparse.jsonl"
+    assert main(base + ["--output", str(full)]) == 0
+    assert main(base + ["--changes-only", "--output", str(sparse)]) == 0
+    assert full.read_text().splitlines(keepends=True) == every
+    assert sparse.read_text().splitlines(keepends=True) == changes
 
 
 def test_anytime_bad_row_keeps_the_records_before_it(tmp_path, capsys):

@@ -107,6 +107,22 @@ def test_untracked_patterns_raise():
         table.dyadic_estimate({'x': 1}, {'z': (0,)})
 
 
+@pytest.mark.parametrize("m", [0, 1, 5, 8])
+def test_prefix_dyadic_estimate_refuses_untracked_pairs(m):
+    # at every prefix, m < n and m == n alike, and with or without arrival logs
+    for track in (True, False):
+        table = binary_table(eight_obs_stream(), track_arrivals=track)
+        for event, given in (({'x': 1}, {'z': (0,)}), ({'y': 1}, {'x': 1}),
+                             ({'y': 1}, {})):
+            with pytest.raises(ValueError, match="not tracked"):
+                table.prefix_dyadic_estimate(event, given, m)
+    # a tracked pair still answers at every prefix
+    table = binary_table(eight_obs_stream())
+    assert table.prefix_dyadic_estimate({'x': 1}, {}, m) == \
+        naive_dyadic_estimate(eight_obs_stream(), lambda o: o.x == 1,
+                              lambda o: True, upto=m)
+
+
 def test_empirical_estimate():
     table = binary_table(eight_obs_stream())
     assert table.empirical_estimate({'y': 1}, given={'x': 1, 'z': (0,)}) == 2 / 3

@@ -220,6 +220,12 @@ def test_query_validation():
         backdoor_ci_iid(binary_table(), q(regime='anytime'))
 
 
+@pytest.mark.parametrize("x, y", [([1], 1), (1, {}), ({'a': 1}, [0])])
+def test_query_rejects_unhashable_values(x, y):
+    with pytest.raises(ValueError, match="unhashable, so in no domain"):
+        EffectQuery('backdoor', x, y, 0.1)
+
+
 def test_dispatch_prefix_only_for_anytime():
     table = binary_table(eight_obs_stream())
     with pytest.raises(ValueError):

@@ -4,15 +4,17 @@ import math
 import numpy as np
 import pytest
 
+import causalci.simulator as simulator
 from causalci.counts import Observation
 from causalci.effects import true_effect
 from causalci.graph import Dag
 from causalci.simulator import (AlternatingAdversaryPolicy, CausalModel,
                                 ConstantPolicy, Cpt, CptPolicy,
-                                EpsilonGreedyPolicy, Roles,
+                                EpsilonGreedyPolicy, Policy, Roles,
                                 draw_intervened_outcome, make_policy,
                                 sample_adaptive, sample_iid)
-from helpers import fig1_model, frontdoor_model
+from helpers import (fig1_model, frontdoor_model, reference_sample_adaptive,
+                     three_valued_model)
 
 
 def test_iid_marginal_frequency():
@@ -193,3 +195,68 @@ def test_policy_rejects_bad_value():
 
     with pytest.raises(ValueError, match="treatment value"):
         sample_adaptive(model, Broken(1), 5, seed=1)
+
+
+class Recording(Policy):
+    """Wraps a policy and records what it is shown at every step."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.sees_mechanism = inner.sees_mechanism
+        self.seen = []
+
+    def reset(self, model, rng):
+        self.inner.reset(model, rng)
+
+    def choose(self, history, visible):
+        self.seen.append((len(history), list(visible.items())))
+        return self.inner.choose(history, visible)
+
+
+SAMPLER_MODELS = {"fig1": fig1_model, "frontdoor": frontdoor_model,
+                  "three-valued": three_valued_model}
+SAMPLER_POLICIES = {
+    "constant": lambda model: ConstantPolicy(model.dag.domains[model.roles.x][-1]),
+    "cpt": lambda model: CptPolicy(),  # reads hidden parents (U)
+    "epsilon-greedy": lambda model: EpsilonGreedyPolicy(0.3),
+    "adversarial": lambda model: AlternatingAdversaryPolicy(),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(SAMPLER_POLICIES))
+@pytest.mark.parametrize("model", sorted(SAMPLER_MODELS))
+def test_adaptive_sampler_matches_reference(model, policy, monkeypatch):
+    """Column-wise blocks give the step-by-step stream: the same values of
+    the same types, and the policy is shown the same things."""
+    model = SAMPLER_MODELS[model]()
+    make = SAMPLER_POLICIES[policy]
+    # small blocks on short streams (block edges inside and across
+    # streams), the default block on lengths around it
+    cases = [(block, n) for block in (1, 3, 7) for n in (0, 1, 5, 6, 7, 8, 22)]
+    cases += [(simulator._BLOCK_STEPS, n) for n in (0, 1, 5, 4095, 4096, 4097, 9000)]
+    for block, n in cases:
+        monkeypatch.setattr(simulator, "_BLOCK_STEPS", block)
+        seed = [n, block]
+        want_policy, got_policy = Recording(make(model)), Recording(make(model))
+        want = reference_sample_adaptive(model, want_policy, n, seed)
+        got = sample_adaptive(model, got_policy, n, seed)
+        assert got == want, (block, n)
+        assert [(type(o.x), type(o.y)) for o in got] == \
+            [(type(o.x), type(o.y)) for o in want]
+        assert got_policy.seen == want_policy.seen
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 4096])
+def test_bad_policy_raises_at_the_same_step(block, monkeypatch):
+    monkeypatch.setattr(simulator, "_BLOCK_STEPS", block)
+    model = three_valued_model()
+
+    class BreaksAtTen(Policy):
+        def choose(self, history, visible):
+            return 9 if len(history) == 10 else 1
+
+    for sampler in (reference_sample_adaptive, sample_adaptive):
+        policy = Recording(BreaksAtTen())
+        with pytest.raises(ValueError, match="policy returned 9, not a treatment value"):
+            sampler(model, policy, 20, seed=4)
+        assert len(policy.seen) == 11
