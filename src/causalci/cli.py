@@ -24,13 +24,15 @@ from contextlib import contextmanager, nullcontext
 from .counts import ObservationParseError, open_stream
 from .coverage import run_coverage, run_prediction_coverage
 from .effects import EffectQuery, backdoor_cs_anytime, effect_interval, \
-    frontdoor_cs_anytime
+    frontdoor_cs_anytime, require_in_domain
 from .graph import DagParseError, check_backdoor, check_frontdoor, load_dag
 from .prediction import prediction_set
 from .simulator import load_model, make_policy, sample_adaptive, sample_iid
 
 OK, INPUT_ERROR, VIOLATION = 0, 2, 3
 FORMAT_VERSION = 1
+# an interval record's line up to the value of n, its first variable field
+_INTERVAL_HEAD = f'{{"format_version": {FORMAT_VERSION}, "kind": "effect_interval", "n": '
 
 
 def _default_seed() -> int:
@@ -174,26 +176,27 @@ def cmd_analyze(args) -> int:
               file=sys.stderr)
         return VIOLATION
     table = model.count_table(track_arrivals=False)
+    require_in_domain(table, x=query.x, y=query.y)  # before any row is read
     columns = _parse_columns(args.columns)
     with open_stream(args.data, columns) as stream, _open_output(args.output) as out:
         if query.regime == 'anytime':
             emitter = backdoor_cs_anytime if query.criterion == 'backdoor' \
                 else frontdoor_cs_anytime
-            version, record = -1, None
+            version, tail = -1, ''
             with _at_line(stream):
                 for obs in stream:
                     table.ingest(obs)
                     # every anytime estimate and radius reads dyadic tallies
                     # and dyadic floors of counts, which move only at a
-                    # checkpoint: between checkpoints only n changes
+                    # checkpoint: between checkpoints only n changes, so the
+                    # line is serialized once and n spliced into it
                     if table.checkpoint_version != version:
                         version = table.checkpoint_version
-                        record = _interval_record(emitter(table, query), query)
+                        line = json.dumps(_interval_record(emitter(table, query), query))
+                        tail = line[len(_INTERVAL_HEAD) + len(str(table.n)):] + '\n'
                     elif args.changes_only:
                         continue
-                    else:
-                        record["n"] = table.n
-                    _emit(out, record)
+                    out.write(_INTERVAL_HEAD + str(table.n) + tail)
             if table.n == 0:
                 print("warning: empty input stream", file=sys.stderr)
                 _emit(out, _interval_record(emitter(table, query), query))
@@ -210,6 +213,7 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     x = _scalar(args.xtilde)
     table = model.count_table(track_arrivals=False)
+    require_in_domain(table, x=x)
     with open_stream(args.data, _parse_columns(args.columns)) as stream, \
             _at_line(stream):
         table.ingest_all(stream)

@@ -8,19 +8,25 @@ coordinate.  Those snapshots are exactly what is needed to compute
 estimates restricted to the first ``dyadic_floor(count)`` occurrences of a
 condition, in O(1) per query and O(1) amortized per ingested observation.
 
-:meth:`CountTable.ingest` adds one observation and is the reference path
-(the anytime regime ingests row by row and reads the table at checkpoints).
+Each level is logged next to the stream position at which it was reached,
+so the log also answers dyadic queries at any prefix of the stream by
+bisection (:meth:`CountTable.prefix_dyadic_estimate`), and lists the
+positions at which the anytime estimates can change
+(:meth:`CountTable.checkpoints`).
+
+:meth:`CountTable.ingest` adds one observation and is the reference path.
 :meth:`CountTable.ingest_all` adds a whole stream column-wise, in chunks of
 ``_CHUNK_ROWS`` rows: each row becomes one integer cell code, and a chunk
 is applied with ``numpy.bincount`` for the counts and a stable argsort by
 condition cell for the checkpoints.  The resulting table, checkpoint
-version included, equals the one row-by-row ``ingest`` builds.
+version and log included, equals the one row-by-row ``ingest`` builds.
 
 Arrival positions (the 1-based stream index of every occurrence of every
-pattern) are kept by default so that counts over arbitrary prefixes can be
-queried via :meth:`CountTable.count_at`; pass ``track_arrivals=False`` for
-a lower-memory table that supports only the dyadic queries (the Monte
-Carlo harness does this).
+pattern) are kept by default; they serve only the exact prefix counts of
+:meth:`CountTable.count_at`.  Pass ``track_arrivals=False`` for a table
+whose memory does not grow with the stream; it answers every other query,
+dyadic prefix queries included (the CLI and the Monte Carlo harness do
+this).
 
 Composite z-values are tuples ordered by the declared Z-component order,
 and iteration over z patterns always follows the lexicographic order of
@@ -35,6 +41,7 @@ import json
 import sys
 from bisect import bisect_right
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -45,6 +52,9 @@ _CHUNK_ROWS = 4096
 _PATTERNS = (('xyz', (0, 1, 2)), ('xz', (0, 2)), ('x', (0,)), ('z', (2,)))
 # (condition, event) coordinates of the materialized dyadic tallies
 _DYADIC_PAIRS = {(('x', 'z'), ('y',)), (('x',), ('z',)), ((), ('z',)), ((), ('x',))}
+_DYADIC_CONDITIONS = {given for given, _ in _DYADIC_PAIRS}
+# a logged level is (stream position at which it was reached, outcome tally)
+_position = itemgetter(0)
 
 
 class Observation(NamedTuple):
@@ -107,10 +117,12 @@ class CountTable:
         self.n = 0
         self._counts: dict[tuple, int] = {}
         self._arrivals: dict[tuple, list[int]] = {}
-        # condition key -> list of per-level outcome-count tuples; level j
-        # holds the tallies among the first 2**j occurrences of the condition
-        self._xz_levels: dict[tuple, list[tuple[int, ...]]] = {}
-        self._x_levels: dict[object, list[tuple[int, ...]]] = {}
+        # condition key -> list of per-level (position, outcome-count tuple);
+        # level j holds the tallies among the first 2**j occurrences of the
+        # condition, reached at that stream position.  The whole stream's
+        # level j is reached at position 2**j, so its lists hold the tallies.
+        self._xz_levels: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
+        self._x_levels: dict[object, list[tuple[int, tuple[int, ...]]]] = {}
         self._n_levels_x: list[tuple[int, ...]] = []
         self._n_levels_z: list[tuple[int, ...]] = []
         self.checkpoint_version = 0
@@ -161,12 +173,12 @@ class CountTable:
         c = counts[('xz', x, z)]
         if _is_pow2(c):
             vec = tuple(counts.get(('xyz', x, yv, z), 0) for yv in self.y_domain)
-            self._xz_levels.setdefault((x, z), []).append(vec)
+            self._xz_levels.setdefault((x, z), []).append((self.n, vec))
             self.checkpoint_version += 1
         c = counts[('x', x)]
         if _is_pow2(c):
             vec = tuple(counts.get(('xz', x, zv), 0) for zv in self.z_values)
-            self._x_levels.setdefault(x, []).append(vec)
+            self._x_levels.setdefault(x, []).append((self.n, vec))
             self.checkpoint_version += 1
         if _is_pow2(self.n):
             self._n_levels_x.append(tuple(counts.get(('x', xv), 0) for xv in self.x_domain))
@@ -221,15 +233,15 @@ class CountTable:
 
         # checkpoints first: they read the counts as they stood before the chunk
         crossed = 0
-        for xz, tally in self._crossings(codes['xz'], cols[1], dims[1], 'xz',
+        for xz, level in self._crossings(codes['xz'], cols[1], dims[1], 'xz',
                                          lambda x, z: [get(('xyz', x, yv, z), 0)
                                                        for yv in self.y_domain]):
-            self._xz_levels.setdefault(xz, []).append(tally)
+            self._xz_levels.setdefault(xz, []).append(level)
             crossed += 1
-        for (x,), tally in self._crossings(cols[0], cols[2], dims[2], 'x',
+        for (x,), level in self._crossings(cols[0], cols[2], dims[2], 'x',
                                            lambda x: [get(('xz', x, zv), 0)
                                                       for zv in self.z_values]):
-            self._x_levels.setdefault(x, []).append(tally)
+            self._x_levels.setdefault(x, []).append(level)
             crossed += 1
         t = 1 << n0.bit_length()  # the first power of two past n0
         while t <= n0 + m:
@@ -260,8 +272,8 @@ class CountTable:
         self.checkpoint_version += crossed
 
     def _crossings(self, cond, outcome, n_outcomes: int, tag: str, tally_before):
-        """(condition value, outcome tally) at each row of a chunk where the
-        condition's running count reaches a power of two.
+        """(condition value, (stream position, outcome tally)) at each row of
+        a chunk where the condition's running count reaches a power of two.
 
         ``cond`` and ``outcome`` are per-row codes of the condition pattern
         ``tag`` and of the outcome coordinate; ``tally_before`` gives the
@@ -282,7 +294,7 @@ class CountTable:
             value = values[group[p]]
             tally = np.bincount(outcome[start[p]:p + 1], minlength=n_outcomes)
             tally += tally_before(*value)
-            yield value, tuple(tally.tolist())
+            yield value, (self.n + int(order[p]) + 1, tuple(tally.tolist()))
 
     def _cell_values(self, axes, code: int) -> tuple:
         """Domain values of a pattern's cell code (row-major over ``axes``)."""
@@ -321,12 +333,16 @@ class CountTable:
             return self.n
         return self._counts.get(key, 0)
 
-    def count_at(self, m: int, x=None, y=None, z=None) -> int:
-        """Occurrences of the pattern among the first m observations."""
+    def _check_prefix(self, m: int) -> None:
         if m > self.n:
             raise ValueError(f"prefix length {m} exceeds stream length {self.n}")
         if m < 0:
             raise ValueError("prefix length must be >= 0")
+
+    def count_at(self, m: int, x=None, y=None, z=None) -> int:
+        """Occurrences of the pattern among the first m observations; a
+        prefix shorter than the stream needs the arrival logs."""
+        self._check_prefix(m)
         key = self._key(x, y, z)
         if key is None:
             return m
@@ -353,14 +369,7 @@ class CountTable:
     def dyadic_estimate(self, event: dict, given: dict) -> float | None:
         """Fraction of the first dyadic_floor(#given) occurrences of the
         condition that also match the event; None if #given == 0."""
-        self._require_tracked(event, given)
-        c = self.count(**given)
-        if c == 0:
-            return None
-        k = dyadic_floor(c)
-        j = k.bit_length() - 1
-        tally = self._dyadic_tally(event, given, j)
-        return tally / k
+        return self.prefix_dyadic_estimate(event, given, self.n)
 
     def dyadic_levels(self, event: dict, given: dict) -> list[int]:
         """Event tallies among the first 2**j condition occurrences, for
@@ -381,10 +390,10 @@ class CountTable:
     def _dyadic_tally(self, event: dict, given: dict, j: int) -> int:
         # the pair is a tracked one, so its coordinates tell it apart
         if 'y' in event:
-            vec = self._xz_levels[(given['x'], self._as_z(given['z']))][j]
+            _, vec = self._xz_levels[(given['x'], self._as_z(given['z']))][j]
             return vec[self._y_index[event['y']]]
         if given:
-            vec = self._x_levels[given['x']][j]
+            _, vec = self._x_levels[given['x']][j]
             return vec[self._z_index[self._as_z(event['z'])]]
         if 'z' in event:
             return self._n_levels_z[j][self._z_index[self._as_z(event['z'])]]
@@ -396,20 +405,42 @@ class CountTable:
             return z
         return tuple(z) if isinstance(z, list) else (z,)
 
+    def _levels_at(self, given: dict, m: int) -> int:
+        """How many dyadic levels of the condition the first m observations
+        reached: L levels mean a count in [2**(L-1), 2**L), 0 none."""
+        if not given:
+            return m.bit_length()
+        if 'z' in given:
+            levels = self._xz_levels.get((given['x'], self._as_z(given['z'])), ())
+        else:
+            levels = self._x_levels.get(given['x'], ())
+        return bisect_right(levels, m, key=_position)
+
+    def prefix_dyadic_floor(self, given: dict, m: int) -> int:
+        """dyadic_floor of the condition's count after the first m
+        observations, 0 if the condition has not occurred by then."""
+        if tuple(sorted(given)) not in _DYADIC_CONDITIONS:
+            raise ValueError(f"dyadic levels of ({', '.join(sorted(given))}) "
+                             "are not tracked")
+        self._check_prefix(m)
+        levels = self._levels_at(given, m)
+        return 1 << (levels - 1) if levels else 0
+
     def prefix_dyadic_estimate(self, event: dict, given: dict, m: int) -> float | None:
         """dyadic_estimate as it stood after the first m observations."""
-        if m == self.n:
-            return self.dyadic_estimate(event, given)
         self._require_tracked(event, given)
-        if not self.track_arrivals:
-            raise RuntimeError("prefix queries need track_arrivals=True")
-        c = self.count_at(m, **given)
-        if c == 0:
+        k = self.prefix_dyadic_floor(given, m)
+        if not k:
             return None
-        k = dyadic_floor(c)
-        gkey = self._key(**given)
-        t = k if gkey is None else self._arrivals[gkey][k - 1]
-        return self.count_at(t, **{**given, **event}) / k
+        return self._dyadic_tally(event, given, k.bit_length() - 1) / k
+
+    def checkpoints(self) -> list[int]:
+        """Stream positions, in order, at which some dyadic level was
+        reached: the rows at which ``checkpoint_version`` advanced."""
+        marks = {1 << j for j in range(len(self._n_levels_x))}
+        for levels in (*self._xz_levels.values(), *self._x_levels.values()):
+            marks.update(map(_position, levels))
+        return sorted(marks)
 
     # -- housekeeping ------------------------------------------------------
 

@@ -4,10 +4,14 @@ One replication simulates a stream from a model, builds a count table,
 computes the requested interval and records whether it contains the exact
 adjustment-formula value of the model.  For the anytime regime the
 defining property of a confidence sequence is validated: the *running
-intersection* of the per-time intervals must contain the truth, which is
-checked by evaluating the interval at every time where some dyadic
-checkpoint advanced (the interval is constant in between) and at the final
-time.  Unbounded intervals realize [0,1] and therefore count as covering.
+intersection* of the per-time intervals must contain the truth.  Every
+element of the sequence reads only dyadic tallies and dyadic floors of
+counts, so it changes only where some dyadic level is reached, and the
+count table logs each level with the stream position that reached it.
+So the whole stream is ingested at once, and the interval is evaluated at
+each logged position (:meth:`CountTable.checkpoints`) and at the final
+time, prefix by prefix; it is constant in between.  Unbounded intervals
+realize [0,1] and therefore count as covering.
 
 Replications draw their seeds by spawning one SeedSequence, so results are
 reproducible and independent of scheduling; ``workers > 1`` distributes
@@ -80,22 +84,13 @@ def _replicate(model: CausalModel, query: EffectQuery, n: int,
         stream = sample_adaptive(model, policy or CptPolicy(), n,
                                  np.random.Generator(rng_seed))
     table = model.count_table(track_arrivals=False)
-    if query.regime != 'anytime':
-        table.ingest_all(stream)
-        itv = effect_interval(table, query)
-        return itv.contains(theta), itv.halfwidth
-
-    covered = True
-    version = -1
-    halfwidth = math.inf
-    for i, obs in enumerate(stream, start=1):
-        table.ingest(obs)
-        if table.checkpoint_version != version or i == n:
-            version = table.checkpoint_version
-            itv = effect_interval(table, query)
-            covered = covered and itv.contains(theta)
-            halfwidth = itv.halfwidth
-    return covered, halfwidth
+    table.ingest_all(stream)
+    itv = effect_interval(table, query)
+    covered = itv.contains(theta)
+    if query.regime == 'anytime':
+        covered = covered and all(effect_interval(table, query, p).contains(theta)
+                                  for p in table.checkpoints())
+    return covered, itv.halfwidth
 
 
 def _replicate_args(args):

@@ -84,8 +84,7 @@ class EffectQuery:
 
     def __post_init__(self):
         for name, value in (('x', self.x), ('y', self.y)):
-            if not _hashable(value):
-                raise ValueError(f"{name} value {value!r} is unhashable, so in no domain")
+            _require_hashable(name, value)
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
         if self.regime not in REGIMES:
@@ -147,6 +146,22 @@ class EffectInterval:
         return self.lower <= p <= self.upper
 
 
+def _require_hashable(name: str, value) -> None:
+    if not _hashable(value):
+        raise ValueError(f"{name} value {value!r} is unhashable, so in no domain")
+
+
+def require_in_domain(table: CountTable, **values) -> None:
+    """Refuse a treatment value ``x`` or an outcome value ``y`` outside the
+    table's declared domain: no stream could ever estimate it."""
+    for name, value in values.items():
+        _require_hashable(name, value)
+        domain = table.x_domain if name == 'x' else table.y_domain
+        if value not in domain:
+            raise ValueError(f"query {name} value {value!r} not in declared domain "
+                             f"{list(domain)}")
+
+
 def _require(query: EffectQuery, criterion: str, regime: str) -> None:
     if query.criterion != criterion or query.regime != regime:
         raise ValueError(f"query is for {query.criterion}/{query.regime}, "
@@ -205,11 +220,13 @@ def _plan(query: EffectQuery, xs: tuple, zs: tuple) -> tuple[_Family, ...]:
 def _bind(table: CountTable, query: EffectQuery, n: int | None):
     """The families, the prefix n and every cell's (estimate, radius) at n,
     family by family; n defaults to the whole stream and differs from it
-    only in the anytime regime."""
+    only in the anytime regime, where every family is dyadic and so read
+    from the table's checkpoint log."""
     if n is None or n == table.n:
         n = table.n
     elif query.regime != 'anytime':
         raise ValueError("a prefix index applies only to the anytime regime")
+    require_in_domain(table, x=query.x, y=query.y)
     if query.binary_toy and (len(table.x_domain), len(table.y_domain),
                              *map(len, table.z_domains)) != (2, 2, 2):
         raise ValueError("binary_toy needs binary treatment/outcome and a "
@@ -221,7 +238,9 @@ def _bind(table: CountTable, query: EffectQuery, n: int | None):
         pairs = []
         for event, given in fam.cells:
             if not (fam.shared and pairs):
-                count = table.count_at(n, **given) if n else 0
+                # a LIL radius reads only the dyadic floor of the count
+                count = table.prefix_dyadic_floor(given, n) if fam.dyadic \
+                    else table.count(**given)
                 r = radius(count, fam.ratio)
             if not count:
                 est = 0.0

@@ -138,20 +138,39 @@ def test_unhashable_query_value_exit_2(tmp_path, capsys, command, message):
         f"error: {message} is unhashable, so in no domain\n"
 
 
-@pytest.mark.parametrize("criterion", ["backdoor", "frontdoor"])
-def test_anytime_records_equal_per_row_intervals(tmp_path, criterion):
-    """Records are rebuilt only at checkpoints; each one must still equal the
-    interval computed afresh after its row, on a three-valued treatment
-    and outcome with a two-component Z."""
+@pytest.mark.parametrize("command, message", [
+    *[(["analyze", "--regime", regime, "--xtilde", "7", "--y", "1"],
+       "x value 7 not in declared domain [0, 1]")
+      for regime in ("iid", "adaptive-fixed", "anytime")],
+    *[(["analyze", "--regime", regime, "--xtilde", "1", "--y", "9"],
+       "y value 9 not in declared domain [0, 1]")
+      for regime in ("iid", "adaptive-fixed", "anytime")],
+    (["predict", "--xtilde", "7"], "x value 7 not in declared domain [0, 1]"),
+])
+def test_query_value_outside_the_domain_exit_2(tmp_path, capsys, command, message):
+    # refused before any row is read: no line is named and nothing is written
+    stream = write_eight_obs(tmp_path / "obs.jsonl")
+    out = tmp_path / "out.jsonl"
+    assert main(command + ["--model", FIG1, "--data", stream,
+                           "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: query {message}\n"
+    assert not out.exists()
+
+
+def _anytime_records(tmp_path, criterion, rows, seed):
+    """Run anytime analyze with and without --changes-only on a simulated
+    stream of a three-valued treatment and outcome with a two-component Z;
+    check both outputs against the interval computed afresh after each row,
+    and return the rows at which a checkpoint was reached."""
     model = three_valued_model()
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(model.to_json()))
     stream = tmp_path / "obs.jsonl"
-    assert main(["simulate", "--model", str(model_path), "--n", "700", "--seed", "8",
-                 "--output", str(stream)]) == 0
+    assert main(["simulate", "--model", str(model_path), "--n", str(rows),
+                 "--seed", str(seed), "--output", str(stream)]) == 0
     query = EffectQuery(criterion, 1, "hi", 0.1, regime="anytime")
     table = model.count_table(track_arrivals=False)
-    every, changes, version = [], [], -1
+    every, changes, checkpoints, version = [], [], [], -1
     for obs in read_jsonl(stream.read_text().splitlines()):
         table.ingest(obs)
         line = json.dumps(_interval_record(effect_interval(table, query), query)) + "\n"
@@ -159,7 +178,8 @@ def test_anytime_records_equal_per_row_intervals(tmp_path, criterion):
         if table.checkpoint_version != version:
             version = table.checkpoint_version
             changes.append(line)
-    assert 30 < len(changes) < len(every) == 700
+            checkpoints.append(table.n)
+    assert len(every) == rows
     base = ["analyze", "--model", str(model_path), "--data", str(stream),
             "--criterion", criterion, "--xtilde", "1", "--y", "hi", "--delta", "0.1",
             "--regime", "anytime", "--assume-criterion"]
@@ -168,6 +188,20 @@ def test_anytime_records_equal_per_row_intervals(tmp_path, criterion):
     assert main(base + ["--changes-only", "--output", str(sparse)]) == 0
     assert full.read_text().splitlines(keepends=True) == every
     assert sparse.read_text().splitlines(keepends=True) == changes
+    return checkpoints
+
+
+@pytest.mark.parametrize("criterion", ["backdoor", "frontdoor"])
+def test_anytime_records_equal_per_row_intervals(tmp_path, criterion):
+    """Records are serialized only at checkpoints, with n spliced into the
+    line in between; each one must still equal the interval computed afresh
+    after its row."""
+    checkpoints = _anytime_records(tmp_path, criterion, 700, 8)
+    assert 30 < len(checkpoints) < 700
+    # n gains a digit between two checkpoints: rows 10, 100, 1000 and 10000
+    # repeat a line serialized at a shorter n
+    checkpoints = _anytime_records(tmp_path, criterion, 10_001, 27)
+    assert not {10, 100, 1000, 10_000} & set(checkpoints)
 
 
 def test_anytime_bad_row_keeps_the_records_before_it(tmp_path, capsys):

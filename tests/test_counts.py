@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from causalci import counts
 from causalci.counts import (CountTable, Observation, ObservationParseError,
                              dyadic_floor, read_csv, read_jsonl)
+from causalci.effects import EffectQuery, effect_interval
 from helpers import binary_table, eight_obs_stream, naive_dyadic_estimate, \
     naive_dyadic_floor, random_table
 
@@ -320,6 +321,81 @@ def test_ingest_all_bad_row_matches_row_by_row(case, track_arrivals, bad, data):
     assert str(batch_error.value) == str(stream_error.value)
     assert batch == stream
     assert batch.n == k
+
+
+# -- the checkpoint log ------------------------------------------------------------
+
+@st.composite
+def log_cases(draw):
+    """Random domains (binary ones often enough for the tightened constants)
+    and a stream of up to a few hundred skewed rows."""
+    if draw(st.booleans()):
+        x_dom, y_dom, z_doms = (3, 8), ('no', 'yes'), [(0, 5)]
+    else:
+        x_dom = tuple(10 * i + 1 for i in range(draw(st.integers(1, 3))))
+        y_dom = tuple(f"y{i}" for i in range(draw(st.integers(1, 3))))
+        z_doms = [tuple(range(draw(st.integers(1, 3))))
+                  for _ in range(draw(st.integers(1, 2)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = list(product(x_dom, y_dom, product(*z_doms)))
+    probs = rng.random(len(cells)) ** 3 + 1e-3
+    draws = rng.choice(len(cells), size=draw(st.integers(0, 300)), p=probs / probs.sum())
+    return (x_dom, y_dom, z_doms), [Observation(*cells[c]) for c in draws]
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch_cases())
+def test_checkpoint_log_positions_are_the_checkpoint_rows(case):
+    domains, rows, _, _ = case
+    stream = CountTable(*domains)
+    moved, version = [], 0
+    for obs in rows:
+        stream.ingest(obs)
+        if stream.checkpoint_version != version:
+            version = stream.checkpoint_version
+            moved.append(stream.n)
+    assert stream.checkpoints() == moved
+    for chunk in (1, 3, 4096):
+        batch = CountTable(*domains, track_arrivals=False)
+        with mock.patch.object(counts, '_CHUNK_ROWS', chunk):
+            batch.ingest_all(iter(rows))
+        assert batch.checkpoints() == moved
+
+
+@settings(max_examples=30, deadline=None)
+@given(log_cases(), st.booleans(), st.sampled_from([1, 3, 4096]))
+def test_prefix_intervals_from_the_log_equal_replayed_tables(case, track_arrivals, chunk):
+    """The anytime element at every prefix m, read from the log of a table
+    that holds the whole stream, equals the element of a table that
+    ingested the first m rows one by one."""
+    domains, rows = case
+    full = CountTable(*domains, track_arrivals=track_arrivals)
+    with mock.patch.object(counts, '_CHUNK_ROWS', chunk):
+        full.ingest_all(rows)
+    x_dom, y_dom, z_doms = domains
+    binary = (len(x_dom), len(y_dom), *map(len, z_doms)) == (2, 2, 2)
+    queries = [EffectQuery(criterion, x, y_dom[-1], 0.1, 'anytime', binary_toy=toy)
+               for x in x_dom for criterion, toy in
+               [('backdoor', False), ('frontdoor', False)] + [('backdoor', True)] * binary]
+    replay = CountTable(*domains)
+    for m in range(len(rows) + 1):
+        if m:
+            replay.ingest(rows[m - 1])
+        for query in queries:
+            got, want = effect_interval(full, query, m), effect_interval(replay, query)
+            assert (got, got.constants) == (want, want.constants)
+            assert full.prefix_dyadic_floor({'x': query.x}, m) == \
+                replay.prefix_dyadic_floor({'x': query.x}, m)
+
+
+def test_prefix_dyadic_floor_refuses_an_untracked_condition():
+    table = binary_table(eight_obs_stream())
+    assert [table.prefix_dyadic_floor({'x': 1}, m) for m in range(9)] == \
+        [0, 1, 2, 2, 2, 4, 4, 4, 4]
+    with pytest.raises(ValueError, match="not tracked"):
+        table.prefix_dyadic_floor({'z': (0,)}, 4)
+    with pytest.raises(ValueError, match="exceeds"):
+        table.prefix_dyadic_floor({'x': 1}, 9)
 
 
 def test_ingest_all_applies_rows_read_before_a_stream_error():

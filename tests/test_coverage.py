@@ -1,10 +1,15 @@
+import hashlib
+import json
 import math
 
+import numpy as np
 import pytest
 
+from causalci import coverage
 from causalci.coverage import run_coverage, run_prediction_coverage
-from causalci.effects import EffectQuery
-from causalci.simulator import AlternatingAdversaryPolicy, ConstantPolicy
+from causalci.effects import EffectQuery, effect_interval, true_effect
+from causalci.simulator import AlternatingAdversaryPolicy, ConstantPolicy, \
+    sample_adaptive
 from helpers import fig1_model, frontdoor_model
 
 
@@ -136,3 +141,67 @@ def test_prediction_coverage_smoke():
                                      seed=3, policy=AlternatingAdversaryPolicy())
     assert report["miss_rate"] <= 0.2 + 3 * max(report["mc_se"], 0.06)
     assert 0 <= report["mean_set_size"] <= 2
+
+
+# SHA-256 over the JSON of run_coverage's reports, 4 replications each, at the
+# acceptance seeds 1002-1006 and a benchmark seed, for the benchmark's six
+# configurations (acceptance criteria 1-3) and two anytime horizons that are
+# not a power of two.  A change to any figure of any report shows here.
+COVERAGE_SHA256 = {
+    ('backdoor', 'iid', 500, True):
+        'ae4585ab8531cc1e525eeda0fd7604d074a98704d402871c75aba91a512e9cac',
+    ('backdoor', 'adaptive-fixed', 512, False):
+        '30673927945edba08d12f505930d50ed4b48fda251ec2e9dced6d17fbea99dc9',
+    ('backdoor', 'anytime', 4096, False):
+        'f2ff1b7f1f8690f7fa8a751efc40f39766aaf99735e8a7b52d9a0c9888b63868',
+    ('frontdoor', 'iid', 500, False):
+        'a1ec7923b13d4e869d3e9839d0280d854060964a66095d87324caeea671b0cc2',
+    ('frontdoor', 'adaptive-fixed', 512, False):
+        '62359ac16b79f6abe47a2d94891664301b0961309f098344c6e4b8eeb7429bf6',
+    ('frontdoor', 'anytime', 4096, False):
+        '2794a48c1e05f11b7c487c355069dec0ac9a5ce153e74e13208e38507d0aeaf3',
+    ('backdoor', 'anytime', 1000, False):
+        'fb527d873d5153c7bb6563bc7347dba06b0d1b0ec804c863cd174bd5ebe449c3',
+    ('frontdoor', 'anytime', 1000, False):
+        'd9e572ac374f4fda80013d095fb71a4375a777851b943500ff69f930100bdd03',
+}
+
+
+@pytest.mark.parametrize("config", list(COVERAGE_SHA256),
+                         ids=lambda c: "-".join(map(str, c[:3])))
+def test_coverage_reports_byte_identical(config):
+    criterion, regime, n, toy = config
+    model = fig1_model() if criterion == "backdoor" else frontdoor_model()
+    query = EffectQuery(criterion, 1, 1, 0.1, regime=regime, binary_toy=toy)
+    policy = None if regime == "iid" else AlternatingAdversaryPolicy()
+    digest = hashlib.sha256()
+    for seed in (1002, 1003, 1004, 1005, 1006, [71, 1, 0]):
+        report = run_coverage(model, query, n, 4, seed=seed, policy=policy)
+        digest.update(json.dumps(report.to_json()).encode() + b"\n")
+    assert digest.hexdigest() == COVERAGE_SHA256[config]
+
+
+@pytest.mark.parametrize("criterion", ["backdoor", "frontdoor"])
+def test_anytime_replication_checks_every_checkpoint(monkeypatch, criterion):
+    # the running intersection is checked at exactly the rows at which a
+    # row-by-row table reaches a checkpoint, and at the final row
+    model = fig1_model() if criterion == "backdoor" else frontdoor_model()
+    query = EffectQuery(criterion, 1, 1, 0.1, regime="anytime")
+    policy, n, seed = AlternatingAdversaryPolicy(), 1000, 5
+    table, moved = model.count_table(), {n}
+    for obs in sample_adaptive(model, policy, n, np.random.Generator(np.random.PCG64(seed))):
+        version = table.checkpoint_version
+        table.ingest(obs)
+        if table.checkpoint_version != version:
+            moved.add(table.n)
+    checked = []
+
+    def spy(table, query, n=None):
+        itv = effect_interval(table, query, n)
+        checked.append(itv.n)
+        return itv
+
+    monkeypatch.setattr(coverage, "effect_interval", spy)
+    theta = true_effect(model, 1, 1, criterion)
+    assert coverage._replicate(model, query, n, policy, theta, seed)[0]
+    assert 30 < len(moved) and set(checked) == moved

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -224,6 +225,21 @@ def test_query_validation():
 def test_query_rejects_unhashable_values(x, y):
     with pytest.raises(ValueError, match="unhashable, so in no domain"):
         EffectQuery('backdoor', x, y, 0.1)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_query_value_outside_the_domain_is_refused(criterion, regime):
+    table = binary_table(eight_obs_stream())
+    for x, y, message in ((7, 1, "query x value 7 not in declared domain [0, 1]"),
+                          (1, 9, "query y value 9 not in declared domain [0, 1]"),
+                          ('1', 1, "query x value '1' not in declared domain [0, 1]")):
+        query = q(criterion, x=x, y=y, regime=regime)
+        for build in (effect_interval, interval_via_expression):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(table, query)
+    with pytest.raises(ValueError, match="query x value 7 not in declared domain"):
+        prediction_set(table, 7, 0.1)
 
 
 def test_dispatch_prefix_only_for_anytime():
