@@ -175,7 +175,7 @@ def cmd_analyze(args) -> int:
         print("refusing to analyze (pass --assume-criterion to override)",
               file=sys.stderr)
         return VIOLATION
-    table = model.count_table(track_arrivals=False)
+    table = model.count_table()
     require_in_domain(table, x=query.x, y=query.y)  # before any row is read
     columns = _parse_columns(args.columns)
     with open_stream(args.data, columns) as stream, _open_output(args.output) as out:
@@ -212,7 +212,7 @@ def cmd_analyze(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     x = _scalar(args.xtilde)
-    table = model.count_table(track_arrivals=False)
+    table = model.count_table()
     require_in_domain(table, x=x)
     with open_stream(args.data, _parse_columns(args.columns)) as stream, \
             _at_line(stream):
@@ -265,7 +265,8 @@ def cmd_coverage(args) -> int:
     model = load_model(args.model)
     if args.prediction:
         policy = make_policy(args.policy, model)
-        report = run_prediction_coverage(model, _scalar(args.xtilde), args.delta,
+        delta = 0.05 if args.delta is None else args.delta  # as in predict
+        report = run_prediction_coverage(model, _scalar(args.xtilde), delta,
                                          args.n, args.replications, args.seed,
                                          policy)
         print(f"prediction miss rate {report['miss_rate']:.4f} "

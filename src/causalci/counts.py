@@ -1,18 +1,19 @@
 """Streaming occurrence counts over categorical observation streams.
 
-A :class:`CountTable` ingests observations ``(x, y, z)`` and maintains, for
-every value pattern, the number of occurrences so far plus dyadic
-checkpoint tallies: whenever a pattern's count reaches a power of two
-``2**j``, the table snapshots the joint counts over the pattern's outcome
-coordinate.  Those snapshots are exactly what is needed to compute
-estimates restricted to the first ``dyadic_floor(count)`` occurrences of a
-condition, in O(1) per query and O(1) amortized per ingested observation.
-
-Each level is logged next to the stream position at which it was reached,
-so the log also answers dyadic queries at any prefix of the stream by
-bisection (:meth:`CountTable.prefix_dyadic_estimate`), and lists the
-positions at which the anytime estimates can change
-(:meth:`CountTable.checkpoints`).
+A :class:`CountTable` ingests observations ``(x, y, z)`` and keeps only
+what an estimator reads: for every tracked value pattern, the number of
+occurrences so far, and one log of dyadic levels.  Whenever the count of a
+condition the estimators condition on reaches a power of two ``2**j``,
+the log records the stream position and the joint counts over the
+condition's outcome coordinates.  Those tallies are exactly what is
+needed to compute estimates restricted to the first
+``dyadic_floor(count)`` occurrences of a condition, in O(1) per query and
+O(1) amortized per ingested observation.  The log also answers dyadic
+queries at any prefix of the stream by bisection
+(:meth:`CountTable.prefix_dyadic_estimate`), and lists the positions at
+which the anytime estimates can change (:meth:`CountTable.checkpoints`).
+The table holds O(cells + conditions * log n) entries, however long the
+stream.
 
 :meth:`CountTable.ingest` adds one observation and is the reference path.
 :meth:`CountTable.ingest_all` adds a whole stream column-wise, in chunks of
@@ -20,13 +21,6 @@ positions at which the anytime estimates can change
 is applied with ``numpy.bincount`` for the counts and a stable argsort by
 condition cell for the checkpoints.  The resulting table, checkpoint
 version and log included, equals the one row-by-row ``ingest`` builds.
-
-Arrival positions (the 1-based stream index of every occurrence of every
-pattern) are kept by default; they serve only the exact prefix counts of
-:meth:`CountTable.count_at`.  Pass ``track_arrivals=False`` for a table
-whose memory does not grow with the stream; it answers every other query,
-dyadic prefix queries included (the CLI and the Monte Carlo harness do
-this).
 
 Composite z-values are tuples ordered by the declared Z-component order,
 and iteration over z patterns always follows the lexicographic order of
@@ -41,7 +35,7 @@ import json
 import sys
 from bisect import bisect_right
 from itertools import product
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -103,7 +97,7 @@ class CountTable:
     """
 
     def __init__(self, x_domain: Sequence, y_domain: Sequence,
-                 z_domains: Sequence[Sequence], track_arrivals: bool = True):
+                 z_domains: Sequence[Sequence]):
         if not x_domain or not y_domain:
             raise ValueError("x and y domains must be non-empty")
         if not z_domains or any(not d for d in z_domains):
@@ -112,19 +106,15 @@ class CountTable:
         self.y_domain = tuple(y_domain)
         self.z_domains = tuple(tuple(d) for d in z_domains)
         self.z_values = tuple(product(*self.z_domains))
-        self.track_arrivals = track_arrivals
 
         self.n = 0
         self._counts: dict[tuple, int] = {}
-        self._arrivals: dict[tuple, list[int]] = {}
-        # condition key -> list of per-level (position, outcome-count tuple);
-        # level j holds the tallies among the first 2**j occurrences of the
-        # condition, reached at that stream position.  The whole stream's
-        # level j is reached at position 2**j, so its lists hold the tallies.
-        self._xz_levels: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
-        self._x_levels: dict[object, list[tuple[int, tuple[int, ...]]]] = {}
-        self._n_levels_x: list[tuple[int, ...]] = []
-        self._n_levels_z: list[tuple[int, ...]] = []
+        # condition key ('xz', x, z), ('x', x) or None (the whole stream) ->
+        # per-level (position, outcome tally): level j holds the tallies
+        # among the first 2**j occurrences of the condition, reached at that
+        # stream position.  The outcomes are y given (x, z), z given x, and
+        # z followed by x for the whole stream.
+        self._levels: dict[tuple | None, list[tuple[int, tuple[int, ...]]]] = {}
         self.checkpoint_version = 0
 
         self._x_set = set(self.x_domain)
@@ -160,30 +150,17 @@ class CountTable:
             raise
 
         self.n += 1
-        keys = (('xyz', x, y, z), ('xz', x, z), ('x', x), ('z', z))
+        xz, xk = ('xz', x, z), ('x', x)
         counts = self._counts
-        for key in keys:
+        for key in (('xyz', x, y, z), xz, xk, ('z', z)):
             counts[key] = counts.get(key, 0) + 1
-        if self.track_arrivals:
-            arrivals = self._arrivals
-            for key in keys:
-                arrivals.setdefault(key, []).append(self.n)
 
         # dyadic checkpoints, materialized after the increments
-        c = counts[('xz', x, z)]
-        if _is_pow2(c):
-            vec = tuple(counts.get(('xyz', x, yv, z), 0) for yv in self.y_domain)
-            self._xz_levels.setdefault((x, z), []).append((self.n, vec))
-            self.checkpoint_version += 1
-        c = counts[('x', x)]
-        if _is_pow2(c):
-            vec = tuple(counts.get(('xz', x, zv), 0) for zv in self.z_values)
-            self._x_levels.setdefault(x, []).append((self.n, vec))
-            self.checkpoint_version += 1
-        if _is_pow2(self.n):
-            self._n_levels_x.append(tuple(counts.get(('x', xv), 0) for xv in self.x_domain))
-            self._n_levels_z.append(tuple(counts.get(('z', zv), 0) for zv in self.z_values))
-            self.checkpoint_version += 1
+        for cond, c in ((xz, counts[xz]), (xk, counts[xk]), (None, self.n)):
+            if _is_pow2(c):
+                tally = tuple([counts.get(k, 0) for k in self._outcome_keys(cond)])
+                self._levels.setdefault(cond, []).append((self.n, tally))
+                self.checkpoint_version += 1
 
     def ingest_all(self, stream: Iterable) -> None:
         """Add every observation of ``stream``; the table ends up equal to
@@ -228,73 +205,69 @@ class CountTable:
         codes = {tag: np.ravel_multi_index([cols[a] for a in axes],
                                            [dims[a] for a in axes])
                  for tag, axes in _PATTERNS}
-        get = self._counts.get
-        n0 = self.n
 
         # checkpoints first: they read the counts as they stood before the chunk
         crossed = 0
-        for xz, level in self._crossings(codes['xz'], cols[1], dims[1], 'xz',
-                                         lambda x, z: [get(('xyz', x, yv, z), 0)
-                                                       for yv in self.y_domain]):
-            self._xz_levels.setdefault(xz, []).append(level)
-            crossed += 1
-        for (x,), level in self._crossings(cols[0], cols[2], dims[2], 'x',
-                                           lambda x: [get(('xz', x, zv), 0)
-                                                      for zv in self.z_values]):
-            self._x_levels.setdefault(x, []).append(level)
-            crossed += 1
+        for tag, cond, a in (('xz', codes['xz'], 1), ('x', cols[0], 2)):
+            for key, level in self._crossings(tag, cond, cols[a], dims[a]):
+                self._levels.setdefault(key, []).append(level)
+                crossed += 1
+        # the whole stream reaches level j at position 2**j; its tally is z, then x
+        get = self._counts.get
+        n0 = self.n
         t = 1 << n0.bit_length()  # the first power of two past n0
         while t <= n0 + m:
-            for levels, col, tag, domain in (
-                    (self._n_levels_x, cols[0], 'x', self.x_domain),
-                    (self._n_levels_z, cols[2], 'z', self.z_values)):
-                tally = np.bincount(col[:t - n0], minlength=len(domain))
-                tally += [get((tag, v), 0) for v in domain]
-                levels.append(tuple(tally.tolist()))
+            chunk = [c for a in (2, 0)
+                     for c in np.bincount(cols[a][:t - n0], minlength=dims[a]).tolist()]
+            tally = map(add, chunk, [get(k, 0) for k in self._outcome_keys(None)])
+            self._levels.setdefault(None, []).append((t, tuple(tally)))
             crossed += 1
             t <<= 1
 
         for tag, axes in _PATTERNS:
-            code = codes[tag]
-            found = np.bincount(code)
+            found = np.bincount(codes[tag])
             present = np.flatnonzero(found)
-            keys = [(tag, *self._cell_values(axes, c)) for c in present.tolist()]
-            for key, c in zip(keys, found[present].tolist()):
-                self._counts[key] = get(key, 0) + c
-            if self.track_arrivals:
-                # a stable sort groups each key's rows in stream order
-                positions = (np.argsort(code, kind='stable') + n0 + 1).tolist()
-                ends = np.cumsum(found[present]).tolist()
-                for key, start, end in zip(keys, [0] + ends, ends):
-                    self._arrivals.setdefault(key, []).extend(positions[start:end])
+            for c, k in zip(present.tolist(), found[present].tolist()):
+                key = (tag, *self._cell_values(axes, c))
+                self._counts[key] = get(key, 0) + k
 
         self.n += m
         self.checkpoint_version += crossed
 
-    def _crossings(self, cond, outcome, n_outcomes: int, tag: str, tally_before):
-        """(condition value, (stream position, outcome tally)) at each row of
+    def _crossings(self, tag: str, cond, outcome, n_outcomes: int):
+        """(condition key, (stream position, outcome tally)) at each row of
         a chunk where the condition's running count reaches a power of two.
 
         ``cond`` and ``outcome`` are per-row codes of the condition pattern
-        ``tag`` and of the outcome coordinate; ``tally_before`` gives the
-        condition's outcome counts as they stood before the chunk.
+        ``tag`` and of the outcome coordinate.
         """
-        axes = dict(_PATTERNS)[tag]
         order = np.argsort(cond, kind='stable')
         cond, outcome = cond[order], outcome[order]
         new = np.ones(len(cond), dtype=bool)  # first row of its condition
         new[1:] = cond[1:] != cond[:-1]
         group = np.cumsum(new) - 1
         starts = np.flatnonzero(new)
-        values = [self._cell_values(axes, c) for c in cond[starts].tolist()]
-        before = np.array([self._counts.get((tag, *v), 0) for v in values])
+        axes = dict(_PATTERNS)[tag]
+        keys = [(tag, *self._cell_values(axes, c)) for c in cond[starts].tolist()]
+        get = self._counts.get
+        before = np.array([get(k, 0) for k in keys])
         start = starts[group]
         occurrence = before[group] + np.arange(len(cond)) - start + 1
-        for p in np.flatnonzero(occurrence & (occurrence - 1) == 0).tolist():
-            value = values[group[p]]
-            tally = np.bincount(outcome[start[p]:p + 1], minlength=n_outcomes)
-            tally += tally_before(*value)
-            yield value, (self.n + int(order[p]) + 1, tuple(tally.tolist()))
+        hits = np.flatnonzero(occurrence & (occurrence - 1) == 0).tolist()
+        # each condition cell's outcome tally as it stood before the chunk
+        base = [[get(k, 0) for k in self._outcome_keys(key)] for key in keys] if hits else []
+        for p in hits:
+            g = group[p]
+            chunk = np.bincount(outcome[start[p]:p + 1], minlength=n_outcomes).tolist()
+            yield keys[g], (self.n + int(order[p]) + 1, tuple(map(add, chunk, base[g])))
+
+    def _outcome_keys(self, cond: tuple | None) -> list[tuple]:
+        """Count keys of a logged condition's outcome tally, in tally order."""
+        if cond is None:
+            return [('z', zv) for zv in self.z_values] + [('x', xv) for xv in self.x_domain]
+        if cond[0] == 'xz':
+            return [('xyz', cond[1], yv, cond[2]) for yv in self.y_domain]
+        return [('xz', cond[1], zv) for zv in self.z_values]
 
     def _cell_values(self, axes, code: int) -> tuple:
         """Domain values of a pattern's cell code (row-major over ``axes``)."""
@@ -339,19 +312,6 @@ class CountTable:
         if m < 0:
             raise ValueError("prefix length must be >= 0")
 
-    def count_at(self, m: int, x=None, y=None, z=None) -> int:
-        """Occurrences of the pattern among the first m observations; a
-        prefix shorter than the stream needs the arrival logs."""
-        self._check_prefix(m)
-        key = self._key(x, y, z)
-        if key is None:
-            return m
-        if m == self.n:
-            return self._counts.get(key, 0)
-        if not self.track_arrivals:
-            raise RuntimeError("prefix queries need track_arrivals=True")
-        return bisect_right(self._arrivals.get(key, ()), m)
-
     # -- estimates ---------------------------------------------------------
 
     def empirical_estimate(self, event: dict, given: dict | None = None) -> float | None:
@@ -390,14 +350,15 @@ class CountTable:
     def _dyadic_tally(self, event: dict, given: dict, j: int) -> int:
         # the pair is a tracked one, so its coordinates tell it apart
         if 'y' in event:
-            _, vec = self._xz_levels[(given['x'], self._as_z(given['z']))][j]
-            return vec[self._y_index[event['y']]]
-        if given:
-            _, vec = self._x_levels[given['x']][j]
-            return vec[self._z_index[self._as_z(event['z'])]]
-        if 'z' in event:
-            return self._n_levels_z[j][self._z_index[self._as_z(event['z'])]]
-        return self._n_levels_x[j][self._x_index[event['x']]]
+            key = ('xz', given['x'], self._as_z(given['z']))
+            i = self._y_index[event['y']]
+        elif given:
+            key, i = ('x', given['x']), self._z_index[self._as_z(event['z'])]
+        elif 'z' in event:
+            key, i = None, self._z_index[self._as_z(event['z'])]
+        else:
+            key, i = None, len(self.z_values) + self._x_index[event['x']]
+        return self._levels[key][j][1][i]
 
     @staticmethod
     def _as_z(z):
@@ -410,11 +371,9 @@ class CountTable:
         reached: L levels mean a count in [2**(L-1), 2**L), 0 none."""
         if not given:
             return m.bit_length()
-        if 'z' in given:
-            levels = self._xz_levels.get((given['x'], self._as_z(given['z'])), ())
-        else:
-            levels = self._x_levels.get(given['x'], ())
-        return bisect_right(levels, m, key=_position)
+        key = ('xz', given['x'], self._as_z(given['z'])) if 'z' in given \
+            else ('x', given['x'])
+        return bisect_right(self._levels.get(key, ()), m, key=_position)
 
     def prefix_dyadic_floor(self, given: dict, m: int) -> int:
         """dyadic_floor of the condition's count after the first m
@@ -437,36 +396,15 @@ class CountTable:
     def checkpoints(self) -> list[int]:
         """Stream positions, in order, at which some dyadic level was
         reached: the rows at which ``checkpoint_version`` advanced."""
-        marks = {1 << j for j in range(len(self._n_levels_x))}
-        for levels in (*self._xz_levels.values(), *self._x_levels.values()):
-            marks.update(map(_position, levels))
-        return sorted(marks)
+        return sorted({p for levels in self._levels.values() for p, _ in levels})
 
     # -- housekeeping ------------------------------------------------------
-
-    def snapshot(self) -> "CountTable":
-        """Deep copy safe to hand to a concurrent reader."""
-        other = CountTable(self.x_domain, self.y_domain, self.z_domains,
-                           track_arrivals=self.track_arrivals)
-        other.n = self.n
-        other._counts = dict(self._counts)
-        other._arrivals = {k: list(v) for k, v in self._arrivals.items()}
-        other._xz_levels = {k: list(v) for k, v in self._xz_levels.items()}
-        other._x_levels = {k: list(v) for k, v in self._x_levels.items()}
-        other._n_levels_x = list(self._n_levels_x)
-        other._n_levels_z = list(self._n_levels_z)
-        other.checkpoint_version = self.checkpoint_version
-        return other
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CountTable):
             return NotImplemented
         return (self.n == other.n and self._counts == other._counts
-                and self._arrivals == other._arrivals
-                and self._xz_levels == other._xz_levels
-                and self._x_levels == other._x_levels
-                and self._n_levels_x == other._n_levels_x
-                and self._n_levels_z == other._n_levels_z
+                and self._levels == other._levels
                 and self.checkpoint_version == other.checkpoint_version)
 
     def __repr__(self) -> str:

@@ -83,7 +83,7 @@ def _replicate(model: CausalModel, query: EffectQuery, n: int,
     else:
         stream = sample_adaptive(model, policy or CptPolicy(), n,
                                  np.random.Generator(rng_seed))
-    table = model.count_table(track_arrivals=False)
+    table = model.count_table()
     table.ingest_all(stream)
     itv = effect_interval(table, query)
     covered = itv.contains(theta)
@@ -138,13 +138,15 @@ def run_prediction_coverage(model: CausalModel, x, delta: float, n: int,
                             policy: Policy | None = None) -> dict:
     """Miss frequency of the prediction set against an outcome drawn from
     the intervened model after each adaptive stream."""
+    if replications < 1:
+        raise ValueError("need at least one replication")
     misses = 0
     sizes = []
     for child in np.random.SeedSequence(seed).spawn(replications):
         stream_seed, outcome_seed = child.spawn(2)
         stream = sample_adaptive(model, policy or CptPolicy(), n,
                                  np.random.Generator(np.random.PCG64(stream_seed)))
-        table = model.count_table(track_arrivals=False)
+        table = model.count_table()
         table.ingest_all(stream)
         gamma = prediction_set(table, x, delta)
         y = draw_intervened_outcome(model, x,

@@ -114,10 +114,6 @@ class DomainSizes:
         formula: |X||Z| + |X| + |Z| = (|X|+1)(|Z|+1) - 1."""
         return self.card_x * self.card_z + self.card_x + self.card_z
 
-    @classmethod
-    def from_table(cls, table: CountTable) -> "DomainSizes":
-        return cls(len(table.x_domain), len(table.z_values))
-
 
 @dataclass(frozen=True)
 class EffectInterval:

@@ -56,10 +56,6 @@ class ProbInterval:
     def upper(self) -> float:
         return min(1.0, self.midpoint + self.halfwidth)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.lower > self.upper
-
     def realized(self) -> tuple[float, float] | None:
         """The clipped interval as (lower, upper), or None when empty."""
         lo, hi = self.lower, self.upper
@@ -100,9 +96,6 @@ class Expr:
 
     def leaves(self) -> Iterator["Var"]:
         raise NotImplementedError
-
-    def leaf_count(self) -> int:
-        return sum(1 for _ in self.leaves())
 
 
 @dataclass(frozen=True)

@@ -153,12 +153,11 @@ class CausalModel:
 
     # -- plumbing ----------------------------------------------------------
 
-    def count_table(self, track_arrivals: bool = True) -> CountTable:
+    def count_table(self) -> CountTable:
         """A CountTable matching this model's observation roles."""
         return CountTable(self.dag.domains[self.roles.x],
                           self.dag.domains[self.roles.y],
-                          [self.dag.domains[name] for name in self.roles.z],
-                          track_arrivals=track_arrivals)
+                          [self.dag.domains[name] for name in self.roles.z])
 
     def to_json(self) -> dict:
         return {
@@ -342,6 +341,7 @@ def _parse_scalar(token: str):
 
 def sample_iid(model: CausalModel, n: int, seed) -> list[Observation]:
     """n independent ancestral-sampling draws, projected onto the roles."""
+    _require_length(n)
     rng = as_generator(seed)
     dag = model.dag
     values: dict[str, np.ndarray] = {}
@@ -372,6 +372,11 @@ def sample_iid(model: CausalModel, n: int, seed) -> list[Observation]:
     return [Observation(x, y, z) for x, y, z in zip(xs, ys, zs)]
 
 
+def _require_length(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"stream length n must be >= 0, got {n}")
+
+
 def _draw_index(row: Sequence[float], rng: np.random.Generator) -> int:
     cum = list(accumulate(row))
     return bisect_right(cum, rng.random() * cum[-1])
@@ -394,6 +399,7 @@ def sample_adaptive(model: CausalModel, policy: Policy, n: int,
     value, of which each step keeps the policy's choice.  The stream is
     the same as that of scalar draws step by step.
     """
+    _require_length(n)
     rng = as_generator(seed)
     policy.reset(model, rng.spawn(1)[0])
     dag, roles = model.dag, model.roles

@@ -97,14 +97,14 @@ def eight_obs_stream():
     return [Observation(x, y, (z,)) for z, x, y in rows]
 
 
-def binary_table(stream=(), track_arrivals=True):
-    table = CountTable((0, 1), (0, 1), ((0, 1),), track_arrivals=track_arrivals)
+def binary_table(stream=()):
+    table = CountTable((0, 1), (0, 1), ((0, 1),))
     for obs in stream:
         table.ingest(obs)
     return table
 
 
-def random_table(rng, min_n=5, max_n=1200, track_arrivals=False):
+def random_table(rng, min_n=5, max_n=1200):
     """A CountTable over random finite domains filled with a random
     categorical stream; returns (table, observations)."""
     cx = int(rng.integers(2, 4))
@@ -119,12 +119,12 @@ def random_table(rng, min_n=5, max_n=1200, track_arrivals=False):
     probs /= probs.sum()
     draws = rng.choice(len(cells), size=n, p=probs)
     obs = [Observation(*cells[i]) for i in draws]
-    table = CountTable(x_dom, y_dom, z_doms, track_arrivals=track_arrivals)
+    table = CountTable(x_dom, y_dom, z_doms)
     table.ingest_all(obs)
     return table, obs
 
 
-def grid_table(cx, cz, n, treated, track_arrivals=False):
+def grid_table(cx, cz, n, treated):
     """Deterministic table with exact treated count: `treated` observations
     carry x=0 cycling through z cells, the rest cycle over the other
     (x, z) cells.  All cells are hit when treated >= cz and
@@ -136,8 +136,7 @@ def grid_table(cx, cz, n, treated, track_arrivals=False):
     for i in range(n - treated):
         x, z = others[i % len(others)]
         obs.append(Observation(x, 0, (z,)))
-    table = CountTable(tuple(range(cx)), (0, 1), (tuple(range(cz)),),
-                       track_arrivals=track_arrivals)
+    table = CountTable(tuple(range(cx)), (0, 1), (tuple(range(cz)),))
     table.ingest_all(obs)
     return table
 

@@ -181,7 +181,7 @@ def test_criterion_05():
         base.ingest_all(obs)
         _audit_table(base, obs, 1, 1)
     for _ in range(199):
-        table, obs = random_table(rng, min_n=5, max_n=900, track_arrivals=True)
+        table, obs = random_table(rng, min_n=5, max_n=900)
         _audit_table(table, obs, table.x_domain[0], table.y_domain[-1])
     return "200 tables x 8 constructions, tolerance 1e-12"
 

@@ -169,7 +169,7 @@ def _anytime_records(tmp_path, criterion, rows, seed):
     assert main(["simulate", "--model", str(model_path), "--n", str(rows),
                  "--seed", str(seed), "--output", str(stream)]) == 0
     query = EffectQuery(criterion, 1, "hi", 0.1, regime="anytime")
-    table = model.count_table(track_arrivals=False)
+    table = model.count_table()
     every, changes, checkpoints, version = [], [], [], -1
     for obs in read_jsonl(stream.read_text().splitlines()):
         table.ingest(obs)
@@ -495,3 +495,32 @@ def test_golden_output_digest(run, golden_streams, tmp_path):
                 "--y", "1", "--delta", "0.1"] + extra
     assert main(args + ["--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[run]
+
+
+def test_coverage_prediction_delta_defaults_as_in_predict(tmp_path):
+    args = ["coverage", "--model", FIG1, "--prediction", "--xtilde", "1",
+            "--n", "64", "--replications", "20", "--seed", "6", "--output"]
+    default, explicit = tmp_path / "default.jsonl", tmp_path / "explicit.jsonl"
+    assert main(args + [str(default)]) == 0
+    assert main(args + [str(explicit), "--delta", "0.05"]) == 0
+    assert default.read_bytes() == explicit.read_bytes()
+    assert read_records(default)[0]["delta"] == 0.05
+
+
+@pytest.mark.parametrize("args, message", [
+    (["coverage", "--prediction", "--xtilde", "1", "--n", "64", "-R", "0"],
+     "need at least one replication"),
+    (["coverage", "--prediction", "--xtilde", "1", "--n", "64", "-R", "-3"],
+     "need at least one replication"),
+    (["simulate", "--n", "-2", "--regime", "adaptive"], "stream length n must be >= 0, got -2"),
+    (["simulate", "--n", "-2"], "stream length n must be >= 0, got -2"),
+    (["coverage", "--xtilde", "1", "--y", "1", "--regime", "anytime",
+      "--n", "-5", "-R", "2"], "stream length n must be >= 0, got -5"),
+    (["coverage", "--xtilde", "1", "--y", "1", "--n", "-5", "-R", "2"],
+     "stream length n must be >= 0, got -5"),
+])
+def test_bad_stream_length_or_replications_exit_2(tmp_path, capsys, args, message):
+    out = tmp_path / "out.jsonl"
+    assert main([args[0], "--model", FIG1, *args[1:], "--output", str(out)]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()

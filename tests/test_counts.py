@@ -13,8 +13,9 @@ from causalci import counts
 from causalci.counts import (CountTable, Observation, ObservationParseError,
                              dyadic_floor, read_csv, read_jsonl)
 from causalci.effects import EffectQuery, effect_interval
+from causalci.simulator import sample_iid
 from helpers import binary_table, eight_obs_stream, naive_dyadic_estimate, \
-    naive_dyadic_floor, random_table
+    naive_dyadic_floor, random_table, three_valued_model
 
 
 def test_dyadic_floor_examples():
@@ -58,8 +59,8 @@ def test_eight_obs_tallies():
     assert table.count(x=1, z=(1,)) == 3
     assert table.count(x=1, y=1, z=(0,)) == 2
     assert table.count(x=1, y=1, z=(1,)) == 2
-    # prefix count over the first four observations
-    assert table.count_at(4, x=1, z=(1,)) == 1
+    # count over the first four observations
+    assert binary_table(eight_obs_stream()[:4]).count(x=1, z=(1,)) == 1
 
 
 def test_double_ingest_doubles_counts():
@@ -100,8 +101,6 @@ def test_untracked_patterns_raise():
     for pattern in ({'x': 1, 'y': 1}, {'y': 1}, {'y': 1, 'z': (0,)}):
         with pytest.raises(ValueError, match="not tracked"):
             table.count(**pattern)
-        with pytest.raises(ValueError, match="not tracked"):
-            table.count_at(4, **pattern)
     with pytest.raises(ValueError, match="not tracked"):
         table.dyadic_estimate({'y': 1}, {'x': 1})
     with pytest.raises(ValueError, match="not tracked"):
@@ -110,15 +109,13 @@ def test_untracked_patterns_raise():
 
 @pytest.mark.parametrize("m", [0, 1, 5, 8])
 def test_prefix_dyadic_estimate_refuses_untracked_pairs(m):
-    # at every prefix, m < n and m == n alike, and with or without arrival logs
-    for track in (True, False):
-        table = binary_table(eight_obs_stream(), track_arrivals=track)
-        for event, given in (({'x': 1}, {'z': (0,)}), ({'y': 1}, {'x': 1}),
-                             ({'y': 1}, {})):
-            with pytest.raises(ValueError, match="not tracked"):
-                table.prefix_dyadic_estimate(event, given, m)
-    # a tracked pair still answers at every prefix
+    # at every prefix, m < n and m == n alike
     table = binary_table(eight_obs_stream())
+    for event, given in (({'x': 1}, {'z': (0,)}), ({'y': 1}, {'x': 1}),
+                         ({'y': 1}, {})):
+        with pytest.raises(ValueError, match="not tracked"):
+            table.prefix_dyadic_estimate(event, given, m)
+    # a tracked pair still answers at every prefix
     assert table.prefix_dyadic_estimate({'x': 1}, {}, m) == \
         naive_dyadic_estimate(eight_obs_stream(), lambda o: o.x == 1,
                               lambda o: True, upto=m)
@@ -171,22 +168,9 @@ def test_dyadic_levels_monotone():
             assert levels == sorted(levels)
 
 
-def test_count_at_contract():
-    table = binary_table(eight_obs_stream())
-    assert table.count_at(8, z=(0,)) == table.count(z=(0,))
-    assert table.count_at(0, z=(0,)) == 0
-    with pytest.raises(ValueError):
-        table.count_at(9, z=(0,))
-    prev = 0
-    for m in range(9):
-        c = table.count_at(m, x=1)
-        assert prev <= c <= m
-        prev = c
-
-
-def test_snapshot_matches_arrival_log():
+def test_dyadic_estimates_match_naive_oracle():
     rng = __import__('numpy').random.default_rng(11)
-    table, obs = random_table(rng, min_n=100, max_n=600, track_arrivals=True)
+    table, obs = random_table(rng, min_n=100, max_n=600)
     xt = table.x_domain[0]
     for z in table.z_values:
         for y in table.y_domain:
@@ -214,6 +198,29 @@ def test_replay_determinism():
     assert a == b
     b.ingest(Observation(0, 0, (0,)))
     assert a != b
+
+
+def _entries(value) -> int:
+    """Entries of the dicts and lists in ``value``, nested ones included."""
+    if isinstance(value, dict):
+        return len(value) + sum(map(_entries, value.values()))
+    if isinstance(value, list):
+        return len(value) + sum(map(_entries, value))
+    return 0
+
+
+def test_table_state_is_logarithmic_in_the_stream():
+    # what the table holds: every tracked cell's count, and per condition
+    # pattern (x, z), x and the whole stream one entry plus its levels
+    model = three_valued_model()
+    table = model.count_table()
+    table.ingest_all(sample_iid(model, 20_000, 5))
+    nx, ny, nz = len(table.x_domain), len(table.y_domain), len(table.z_values)
+    cells = nx * ny * nz + nx * nz + nx + nz
+    conditions = nx * nz + nx + 1
+    indexes = nx + ny + nz  # the value -> domain index maps
+    held = sum(_entries(v) for v in vars(table).values())
+    assert held <= cells + conditions * (table.n.bit_length() + 1) + indexes
 
 
 @settings(max_examples=50)
@@ -276,9 +283,9 @@ def batch_cases(draw):
     return (x_dom, y_dom, z_doms), rows, prefix, chunk
 
 
-def _twin_tables(domains, rows, prefix, track_arrivals):
-    batch = CountTable(*domains, track_arrivals=track_arrivals)
-    stream = CountTable(*domains, track_arrivals=track_arrivals)
+def _twin_tables(domains, rows, prefix):
+    batch = CountTable(*domains)
+    stream = CountTable(*domains)
     for obs in rows[:prefix]:
         batch.ingest(obs)
         stream.ingest(obs)
@@ -286,10 +293,10 @@ def _twin_tables(domains, rows, prefix, track_arrivals):
 
 
 @settings(max_examples=60, deadline=None)
-@given(batch_cases(), st.booleans())
-def test_ingest_all_equals_row_by_row_ingest(case, track_arrivals):
+@given(batch_cases())
+def test_ingest_all_equals_row_by_row_ingest(case):
     domains, rows, prefix, chunk = case
-    batch, stream = _twin_tables(domains, rows, prefix, track_arrivals)
+    batch, stream = _twin_tables(domains, rows, prefix)
     with mock.patch.object(counts, '_CHUNK_ROWS', chunk):
         batch.ingest_all(iter(rows[prefix:]))
     for obs in rows[prefix:]:
@@ -305,12 +312,12 @@ BAD_ROWS = [Observation(7, 'y0', (0,)), Observation(1, 'nope', (0,)),
 
 
 @settings(max_examples=40, deadline=None)
-@given(batch_cases(), st.booleans(), st.sampled_from(BAD_ROWS), st.data())
-def test_ingest_all_bad_row_matches_row_by_row(case, track_arrivals, bad, data):
+@given(batch_cases(), st.sampled_from(BAD_ROWS), st.data())
+def test_ingest_all_bad_row_matches_row_by_row(case, bad, data):
     domains, rows, prefix, chunk = case
     k = data.draw(st.integers(prefix, len(rows)))
     rows = rows[:k] + [bad] + rows[k:]
-    batch, stream = _twin_tables(domains, rows, prefix, track_arrivals)
+    batch, stream = _twin_tables(domains, rows, prefix)
     with mock.patch.object(counts, '_CHUNK_ROWS', chunk):
         with pytest.raises(Exception) as batch_error:
             batch.ingest_all(iter(rows[prefix:]))
@@ -356,20 +363,20 @@ def test_checkpoint_log_positions_are_the_checkpoint_rows(case):
             moved.append(stream.n)
     assert stream.checkpoints() == moved
     for chunk in (1, 3, 4096):
-        batch = CountTable(*domains, track_arrivals=False)
+        batch = CountTable(*domains)
         with mock.patch.object(counts, '_CHUNK_ROWS', chunk):
             batch.ingest_all(iter(rows))
         assert batch.checkpoints() == moved
 
 
 @settings(max_examples=30, deadline=None)
-@given(log_cases(), st.booleans(), st.sampled_from([1, 3, 4096]))
-def test_prefix_intervals_from_the_log_equal_replayed_tables(case, track_arrivals, chunk):
+@given(log_cases(), st.sampled_from([1, 3, 4096]))
+def test_prefix_intervals_from_the_log_equal_replayed_tables(case, chunk):
     """The anytime element at every prefix m, read from the log of a table
     that holds the whole stream, equals the element of a table that
     ingested the first m rows one by one."""
     domains, rows = case
-    full = CountTable(*domains, track_arrivals=track_arrivals)
+    full = CountTable(*domains)
     with mock.patch.object(counts, '_CHUNK_ROWS', chunk):
         full.ingest_all(rows)
     x_dom, y_dom, z_doms = domains

@@ -205,3 +205,10 @@ def test_anytime_replication_checks_every_checkpoint(monkeypatch, criterion):
     theta = true_effect(model, 1, 1, criterion)
     assert coverage._replicate(model, query, n, policy, theta, seed)[0]
     assert 30 < len(moved) and set(checked) == moved
+
+
+@pytest.mark.parametrize("replications", [0, -1])
+def test_prediction_coverage_refuses_no_replications(replications):
+    with pytest.raises(ValueError, match="^need at least one replication$"):
+        run_prediction_coverage(fig1_model(), 1, 0.05, n=16,
+                                replications=replications)

@@ -149,7 +149,7 @@ def test_anytime_constant_between_checkpoints():
     rng = np.random.default_rng(3)
     stream = [Observation(int(rng.integers(2)), int(rng.integers(2)),
                           (int(rng.integers(2)),)) for _ in range(64)]
-    table = binary_table([], track_arrivals=False)
+    table = binary_table()
     query = q(regime='anytime')
     previous = None
     version = -1
@@ -331,7 +331,7 @@ def _assert_matches_expression_route(table, query):
 def test_matches_expression_route_quick():
     rng = np.random.default_rng(53)
     for _ in range(25):
-        table, _ = random_table(rng, min_n=10, max_n=400, track_arrivals=True)
+        table, _ = random_table(rng, min_n=10, max_n=400)
         xt, yv = table.x_domain[-1], table.y_domain[0]
         for criterion in ('backdoor', 'frontdoor'):
             for regime in ('iid', 'adaptive-fixed', 'anytime'):
@@ -370,7 +370,7 @@ PREDICTION_SHA256 = "cdd92e4d41a7d4c54b61e9ad52f75ee5ed6fe4be61a84b66be3cb29cf72
 
 def _guard_tables():
     rng = np.random.default_rng(89)
-    tables = [random_table(rng, min_n=2, max_n=700, track_arrivals=True)[0]
+    tables = [random_table(rng, min_n=2, max_n=700)[0]
               for _ in range(10)]
     for n in (0, 1, 3, 9, 40, 333):
         tables.append(binary_table([Observation(int(rng.integers(2)), int(rng.integers(2)),

@@ -260,3 +260,12 @@ def test_bad_policy_raises_at_the_same_step(block, monkeypatch):
         with pytest.raises(ValueError, match="policy returned 9, not a treatment value"):
             sampler(model, policy, 20, seed=4)
         assert len(policy.seen) == 11
+
+
+def test_samplers_refuse_a_negative_length():
+    model = fig1_model()
+    for sample in (lambda n: sample_iid(model, n, 0),
+                   lambda n: sample_adaptive(model, CptPolicy(), n, 0)):
+        with pytest.raises(ValueError, match=r"^stream length n must be >= 0, got -3$"):
+            sample(-3)
+        assert sample(0) == []
