@@ -31,6 +31,9 @@ from .simulator import load_model, make_policy, sample_adaptive, sample_iid
 
 OK, INPUT_ERROR, VIOLATION = 0, 2, 3
 FORMAT_VERSION = 1
+# the error for a query value missing from both the flags and --config
+_MISSING_QUERY_VALUE = ("the intervention value (--xtilde) and outcome value "
+                        "(--y) are required")
 # an interval record's line up to the value of n, its first variable field
 _INTERVAL_HEAD = f'{{"format_version": {FORMAT_VERSION}, "kind": "effect_interval", "n": '
 
@@ -129,8 +132,7 @@ def _build_query(args) -> EffectQuery:
     xtilde = pick(args.xtilde, 'x', None)
     y = pick(args.y, 'y', None)
     if xtilde is None or y is None:
-        raise ValueError("the intervention value (--xtilde) and outcome value "
-                         "(--y) are required")
+        raise ValueError(_MISSING_QUERY_VALUE)
     return EffectQuery(
         criterion=pick(args.criterion, 'criterion', 'backdoor'),
         x=xtilde if not isinstance(xtilde, str) else _scalar(xtilde),
@@ -264,6 +266,8 @@ def cmd_check(args) -> int:
 def cmd_coverage(args) -> int:
     model = load_model(args.model)
     if args.prediction:
+        if args.xtilde is None:
+            raise ValueError(_MISSING_QUERY_VALUE)
         policy = make_policy(args.policy, model)
         delta = 0.05 if args.delta is None else args.delta  # as in predict
         report = run_prediction_coverage(model, _scalar(args.xtilde), delta,

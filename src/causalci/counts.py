@@ -22,6 +22,11 @@ is applied with ``numpy.bincount`` for the counts and a stable argsort by
 condition cell for the checkpoints.  The resulting table, checkpoint
 version and log included, equals the one row-by-row ``ingest`` builds.
 
+:func:`read_jsonl` parses each distinct line once: it keeps the rows of
+up to ``_LINE_CACHE`` distinct lines, so rows from identical lines may be
+the same :class:`Observation` object.  A categorical stream has at most
+|X|·|Y|·|Z| distinct records, so most lines cost one dictionary lookup.
+
 Composite z-values are tuples ordered by the declared Z-component order,
 and iteration over z patterns always follows the lexicographic order of
 the declared domains, so outputs are deterministic.
@@ -42,6 +47,8 @@ import numpy as np
 
 # rows per chunk of CountTable.ingest_all; bounds the memory it holds
 _CHUNK_ROWS = 4096
+# distinct lines whose rows read_jsonl keeps; bounds the memory it holds
+_LINE_CACHE = 4096
 # tracked patterns: tag and the axes of (x, y, z) that the pattern fixes
 _PATTERNS = (('xyz', (0, 1, 2)), ('xz', (0, 2)), ('x', (0,)), ('z', (2,)))
 # (condition, event) coordinates of the materialized dyadic tallies
@@ -420,10 +427,23 @@ def read_jsonl(lines: Iterable[str]) -> Iterator[Observation]:
     Each line is an object with fields x, y, z (z an array).  An optional
     leading header object carrying ``format_version`` is accepted and
     skipped.  Raises :class:`ObservationParseError` with the line number on
-    malformed input.
+    malformed input, including text that is not valid UTF-8.
+
+    Each distinct line is parsed and checked once: the reader keeps the
+    rows of up to ``_LINE_CACHE`` distinct lines whose values are all
+    hashable (so immutable), and yields the same :class:`Observation`
+    object again for an identical line.
     """
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
+    cache: dict[str, Observation] = {}
+    room = _LINE_CACHE
+    for lineno, text in enumerate(lines, start=1):
+        obs = cache.get(text)
+        if obs is not None:
+            yield obs
+            continue
+        if not text.isascii():
+            _require_utf8(lineno, text)
+        line = text.strip()
         if not line:
             continue
         try:
@@ -440,7 +460,34 @@ def read_jsonl(lines: Iterable[str]) -> Iterator[Observation]:
             raise ObservationParseError(lineno, f"missing field {exc.args[0]!r}") from exc
         if not isinstance(z, list):
             raise ObservationParseError(lineno, "field 'z' must be an array")
-        yield Observation(x, y, tuple(z))
+        obs = Observation(x, y, tuple(z))
+        # the row depends only on the text, except the header skipped above
+        if room and _hashable(obs):
+            cache[text] = obs
+            room -= 1
+        yield obs
+
+
+def _require_utf8(lineno: int, text: str) -> None:
+    """Refuse a line holding a byte that is not valid UTF-8.
+
+    Streams are decoded with ``surrogateescape``, which maps each such byte
+    to a lone surrogate, so the bad line is found here, where it is parsed,
+    rather than by the decoder, which reads ahead in blocks.
+    """
+    try:
+        text.encode('utf-8')
+    except UnicodeEncodeError as exc:
+        raise ObservationParseError(
+            lineno, f"not valid UTF-8 (character {exc.start + 1})") from None
+
+
+def _utf8_lines(lines: Iterable[str]) -> Iterator[str]:
+    """The lines, each checked to be valid UTF-8."""
+    for lineno, text in enumerate(lines, start=1):
+        if not text.isascii():
+            _require_utf8(lineno, text)
+        yield text
 
 
 def read_csv(lines: Iterable[str], columns: dict) -> Iterator[Observation]:
@@ -451,7 +498,7 @@ def read_csv(lines: Iterable[str], columns: dict) -> Iterator[Observation]:
     scalars where possible, otherwise kept as strings.  Errors name the
     physical line on which the offending row ends.
     """
-    reader = csv.DictReader(lines)
+    reader = csv.DictReader(_utf8_lines(lines))
     zcols = columns['z']
     if isinstance(zcols, str):
         zcols = [zcols]
@@ -483,8 +530,7 @@ class ObservationStream:
     Iterating yields :class:`Observation` rows.  ``line`` is the 1-based
     number of the last line read, which is the last line of the row most
     recently yielded, so an error found while handling that row can name
-    its line.  Leaving a ``with`` block closes the lines' file, unless it
-    is standard input.
+    its line.  Leaving a ``with`` block closes the lines' file.
     """
 
     def __init__(self, lines: Iterable[str], columns: dict | None = None):
@@ -504,15 +550,20 @@ class ObservationStream:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._lines is not sys.stdin:
-            self._lines.close()
+        self._lines.close()
 
 
 def open_stream(path: str, columns: dict | None = None) -> ObservationStream:
     """Read observations from a .jsonl/.csv file path or '-' for stdin;
-    use the stream in a ``with`` block to close the file."""
-    if path == '-':
-        return ObservationStream(sys.stdin, columns)
+    use the stream in a ``with`` block to close the file (standard input
+    itself stays open).
+
+    Text is decoded as UTF-8 with ``surrogateescape``, so a byte that is
+    not valid UTF-8 reaches the reader, which refuses it naming its line.
+    """
     if path.endswith('.csv') and not columns:
         raise ValueError("CSV input needs a column mapping")
-    return ObservationStream(open(path, 'r', encoding='utf-8'), columns)
+    stdin = path == '-'
+    return ObservationStream(open(sys.stdin.fileno() if stdin else path, 'r',
+                                  encoding='utf-8', errors='surrogateescape',
+                                  closefd=not stdin), columns)

@@ -2,6 +2,7 @@
 oracles (naive recounts + high-precision formula evaluation) used to audit
 the production code paths."""
 
+import json
 import math
 from bisect import bisect_right
 from itertools import accumulate, permutations, product
@@ -10,7 +11,7 @@ from typing import Mapping
 import mpmath as mp
 import numpy as np
 
-from causalci.counts import CountTable, Observation
+from causalci.counts import CountTable, Observation, ObservationParseError
 from causalci.graph import Dag
 from causalci.intervals import BinOp, Expr, ProbInterval, Var
 from causalci.simulator import CausalModel, Cpt, Policy, Roles, as_generator
@@ -190,6 +191,31 @@ def reference_sample_adaptive(model: CausalModel, policy: Policy, n: int,
         history.append(Observation(assignment[x_name], assignment[roles.y],
                                    tuple(assignment[name] for name in roles.z)))
     return history
+
+
+# -- reference JSONL reader (oracle side) -----------------------------------
+
+def reference_read_jsonl(lines):
+    """``read_jsonl`` without its line cache: every line is parsed."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ObservationParseError(lineno, f"invalid JSON ({exc.msg})") from exc
+        if not isinstance(rec, dict):
+            raise ObservationParseError(lineno, "expected a JSON object")
+        if lineno == 1 and 'format_version' in rec and 'x' not in rec:
+            continue
+        try:
+            x, y, z = rec['x'], rec['y'], rec['z']
+        except KeyError as exc:
+            raise ObservationParseError(lineno, f"missing field {exc.args[0]!r}") from exc
+        if not isinstance(z, list):
+            raise ObservationParseError(lineno, "field 'z' must be an array")
+        yield Observation(x, y, tuple(z))
 
 
 # -- naive recounts (oracle side) -------------------------------------------

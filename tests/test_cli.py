@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,40 @@ def test_domain_error_names_its_line(tmp_path, capsys, command, data, columns, l
     assert main(args) == 2
     assert capsys.readouterr().err == \
         f"error: line {line}: x value 7 not in declared domain\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--regime", "iid", "--y", "1"],
+    ["analyze", "--regime", "anytime", "--y", "1"],
+    ["predict"],
+])
+@pytest.mark.parametrize("data, columns, error", [
+    (b'{"x": 1, "y": 0, "z": [1]}\n' * 2 + b'\xff\n', None,
+     "line 3: not valid UTF-8 (character 1)"),
+    # a bad byte in a field no estimator reads is refused too
+    (b'{"x": 1, "y": 0, "z": [1]}\n{"x": 1, "y": 0, "z": [1], "note": "a\xffb"}\n',
+     None, "line 2: not valid UTF-8 (character 38)"),
+    (b'x,y,z\n1,0,1\n1,0,1\n\xff\n', "x=x,y=y,z=z",
+     "line 4: not valid UTF-8 (character 1)"),
+    (b'x,y,z,note\n1,0,1,a\n1,0,1,\xff\n', "x=x,y=y,z=z",
+     "line 3: not valid UTF-8 (character 7)"),
+])
+@pytest.mark.parametrize("stdin", [False, True])
+def test_invalid_utf8_names_its_line(tmp_path, capsys, monkeypatch, command, data,
+                                     columns, error, stdin):
+    stream = tmp_path / ("obs.csv" if columns else "obs.jsonl")
+    stream.write_bytes(data)
+    args = command[:1] + ["--model", FIG1, "--xtilde", "1",
+                          "--output", str(tmp_path / "out.jsonl")] + command[1:]
+    if columns:
+        args += ["--columns", columns]
+    with open(stream, 'rb') as handle:
+        if stdin:
+            monkeypatch.setattr(sys, 'stdin', handle)
+        else:
+            args += ["--data", str(stream)]
+        assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("row, message", [
@@ -436,6 +471,10 @@ GOLDEN_RUNS = {
     "frontdoor-iid-horner-x": ("frontdoor-iid", ["--criterion", "frontdoor",
                                                  "--regime", "iid",
                                                  "--frontdoor-form", "horner-x"]),
+    # the same rows as backdoor-anytime, written with blank lines and
+    # whitespace and key-order variants of each record
+    "backdoor-anytime-variants": ("fig1-adaptive-variants",
+                                  ["--criterion", "backdoor", "--regime", "anytime"]),
 }
 GOLDEN_SHA256 = {
     "backdoor-adaptive-fixed":
@@ -443,6 +482,8 @@ GOLDEN_SHA256 = {
     "backdoor-adaptive-fixed-toy":
         "ecadbaf8d9b8bbf91d8c9157cec10451c928868b91307561590ac6fed3f8e964",  # 1 record
     "backdoor-anytime":
+        "f8cdd99677264973760ffbe39a834469bf1e9197f496d4e3ea67c835decb7044",  # 5000 records
+    "backdoor-anytime-variants":
         "f8cdd99677264973760ffbe39a834469bf1e9197f496d4e3ea67c835decb7044",  # 5000 records
     "backdoor-anytime-changes-only":
         "aa70a0c29a47e9bb94a09416cc695a0a95ee108802a53478f469b2eff7f69c00",  # 69 records
@@ -479,7 +520,27 @@ def golden_streams(tmp_path_factory):
             args += ["--policy", "adversarial-alternating"]
         assert main(args) == 0
         paths[name] = (model, str(path))
+    model, path = paths["fig1-adaptive"]
+    varied = root / "fig1-adaptive-variants.jsonl"
+    varied.write_text(_vary_lines(Path(path).read_text()))
+    paths["fig1-adaptive-variants"] = (model, str(varied))
     return paths
+
+
+def _vary_lines(text):
+    """The stream's header and records, each record written in one of five
+    ways: as is, compact, padded with spaces and a tab, with its keys
+    reversed, or followed by a blank line."""
+    header, *lines = text.splitlines()
+    out = [header]
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        out.append([line,
+                    json.dumps(record, separators=(",", ":")),
+                    "  " + line + " \t",
+                    json.dumps(dict(reversed(record.items()))),
+                    line + "\n   "][i % 5])
+    return "\n".join(out) + "\n"
 
 
 @pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
@@ -495,6 +556,15 @@ def test_golden_output_digest(run, golden_streams, tmp_path):
                 "--y", "1", "--delta", "0.1"] + extra
     assert main(args + ["--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[run]
+
+
+def test_coverage_prediction_needs_xtilde(tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    assert main(["coverage", "--model", FIG1, "--prediction", "--n", "8", "-R", "2",
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: the intervention value (--xtilde) "
+                                       "and outcome value (--y) are required\n")
+    assert not out.exists()
 
 
 def test_coverage_prediction_delta_defaults_as_in_predict(tmp_path):

@@ -15,7 +15,7 @@ from causalci.counts import (CountTable, Observation, ObservationParseError,
 from causalci.effects import EffectQuery, effect_interval
 from causalci.simulator import sample_iid
 from helpers import binary_table, eight_obs_stream, naive_dyadic_estimate, \
-    naive_dyadic_floor, random_table, three_valued_model
+    naive_dyadic_floor, random_table, reference_read_jsonl, three_valued_model
 
 
 def test_dyadic_floor_examples():
@@ -252,6 +252,91 @@ def test_read_jsonl_reports_line_number():
     assert err.value.lineno == 2
     with pytest.raises(ObservationParseError):
         list(read_jsonl(['{"x": 0, "y": 1, "z": 0}']))  # z must be an array
+
+
+HEADER = '{"format_version": 1, "kind": "observations"}'
+# lines that yield a row, or are skipped: repeats, whitespace and key-order
+# variants, true/1/1.0 for one value, and unhashable values, which the
+# reader yields but never shares between rows
+ROW_LINES = [
+    '{"x": 1, "y": 0, "z": [1]}', '{"x":1,"y":0,"z":[1]}',
+    '  {"x": 1, "y": 0, "z": [1]}\t', '{"z": [1], "y": 0, "x": 1}',
+    '{"x": true, "y": 0, "z": [1]}', '{"x": 1.0, "y": 0, "z": [1]}',
+    '{"x": 0, "y": "a", "z": [0, null]}', '{"x": 0, "y": 1, "z": [], "t": 2}',
+    '{"x": 1, "y": 0, "z": [1], "format_version": 1}',
+    '{"x": [1], "y": 0, "z": [1]}', '{"x": 1, "y": 0, "z": [[0]]}',
+    '{"x": 1, "y": {}, "z": [0]}', '', '   ',
+]
+# lines the reader refuses; a header is one after line 1
+BAD_LINES = ['[1, 2]', '3', '"text"', 'null', '{oops', '{"x": 1, "y": 0}',
+             '{"x": 1, "y": 0, "z": 1}', '{"x": 1, "y": 0, "z": {}}', HEADER]
+
+
+@st.composite
+def jsonl_streams(draw):
+    lines = draw(st.lists(st.sampled_from(ROW_LINES), max_size=40))
+    if draw(st.booleans()):
+        lines.insert(0, HEADER)
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
+    ends = draw(st.lists(st.sampled_from(['', '\n']), min_size=len(lines),
+                         max_size=len(lines)))
+    return [line + end for line, end in zip(lines, ends)]
+
+
+def _read_all(reader, lines):
+    rows = []
+    try:
+        for obs in reader(lines):
+            rows.append(obs)
+    except ObservationParseError as exc:
+        return rows, (type(exc), str(exc), exc.lineno)
+    return rows, None
+
+
+def _types(obs):
+    return type(obs.x), type(obs.y), tuple(map(type, obs.z))
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 4096])
+@settings(max_examples=150, deadline=None)
+@given(jsonl_streams())
+def test_read_jsonl_equals_the_reader_without_a_cache(cap, lines):
+    with mock.patch.object(counts, '_LINE_CACHE', cap):
+        rows, error = _read_all(read_jsonl, lines)
+    want_rows, want_error = _read_all(reference_read_jsonl, lines)
+    assert rows == want_rows
+    assert list(map(_types, rows)) == list(map(_types, want_rows))
+    assert error == want_error
+    # only rows of immutable values are shared between identical lines
+    for i, obs in enumerate(rows):
+        if any(obs is other for other in rows[:i]):
+            assert counts._hashable(obs)
+
+
+@pytest.mark.parametrize("cap", [0, 2, counts._LINE_CACHE])
+def test_read_jsonl_caches_at_most_its_cap(cap):
+    lines = [json.dumps({"x": 1, "y": 0, "z": [i]}) for i in range(cap + 5)]
+    with mock.patch.object(counts, '_LINE_CACHE', cap):
+        rows = list(read_jsonl(lines + lines))
+    first, again = rows[:len(lines)], rows[len(lines):]
+    assert first == again
+    # a repeated line yields its cached row: only the first cap lines are kept
+    assert [a is b for a, b in zip(first, again)] == [True] * cap + [False] * 5
+
+
+def test_readers_refuse_invalid_utf8_naming_the_line():
+    # streams are decoded with surrogateescape: byte 0xff arrives as U+DCFF
+    good = '{"x": 1, "y": 0, "z": [1]}\n'
+    for bad, character in (('\udcff\n', 1),
+                           ('{"x": 1, "y": 0, "z": [1], "s": "\udcff"}', 34)):
+        with pytest.raises(ObservationParseError) as err:
+            list(read_jsonl([good, good, bad]))
+        assert str(err.value) == f"line 3: not valid UTF-8 (character {character})"
+    with pytest.raises(ObservationParseError) as err:
+        list(read_csv(['x,y,z,s\n', '1,0,1,a\n', '1,0,1,\udcff\n'],
+                      {'x': 'x', 'y': 'y', 'z': ['z']}))
+    assert str(err.value) == "line 3: not valid UTF-8 (character 7)"
 
 
 def test_read_csv_with_mapping():
