@@ -21,7 +21,7 @@ import os
 import sys
 from contextlib import contextmanager, nullcontext
 
-from .counts import ObservationParseError, open_stream
+from .counts import ObservationParseError, open_stream, parse_scalar
 from .coverage import run_coverage, run_prediction_coverage
 from .effects import EffectQuery, backdoor_cs_anytime, effect_interval, \
     frontdoor_cs_anytime, require_in_domain
@@ -40,13 +40,6 @@ _INTERVAL_HEAD = f'{{"format_version": {FORMAT_VERSION}, "kind": "effect_interva
 
 def _default_seed() -> int:
     return int(os.environ.get('CAUSALCI_SEED', '0'))
-
-
-def _scalar(token: str):
-    try:
-        return json.loads(token)
-    except json.JSONDecodeError:
-        return token
 
 
 def _open_output(path: str | None):
@@ -135,8 +128,8 @@ def _build_query(args) -> EffectQuery:
         raise ValueError(_MISSING_QUERY_VALUE)
     return EffectQuery(
         criterion=pick(args.criterion, 'criterion', 'backdoor'),
-        x=xtilde if not isinstance(xtilde, str) else _scalar(xtilde),
-        y=y if not isinstance(y, str) else _scalar(y),
+        x=xtilde if not isinstance(xtilde, str) else parse_scalar(xtilde),
+        y=y if not isinstance(y, str) else parse_scalar(y),
         delta=float(pick(args.delta, 'delta', 0.05)),
         regime=pick(args.regime, 'regime', 'iid'),
         binary_toy=bool(pick(args.toy or None, 'binary_toy', False)),
@@ -213,7 +206,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    x = _scalar(args.xtilde)
+    x = parse_scalar(args.xtilde)
     table = model.count_table()
     require_in_domain(table, x=x)
     with open_stream(args.data, _parse_columns(args.columns)) as stream, \
@@ -270,9 +263,9 @@ def cmd_coverage(args) -> int:
             raise ValueError(_MISSING_QUERY_VALUE)
         policy = make_policy(args.policy, model)
         delta = 0.05 if args.delta is None else args.delta  # as in predict
-        report = run_prediction_coverage(model, _scalar(args.xtilde), delta,
-                                         args.n, args.replications, args.seed,
-                                         policy)
+        report = run_prediction_coverage(model, parse_scalar(args.xtilde),
+                                         delta, args.n, args.replications,
+                                         args.seed, policy)
         print(f"prediction miss rate {report['miss_rate']:.4f} "
               f"(se={report['mc_se']:.4f})", file=sys.stderr)
         with _open_output(args.output) as out:

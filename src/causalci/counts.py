@@ -513,15 +513,17 @@ def read_csv(lines: Iterable[str], columns: dict) -> Iterator[Observation]:
             column = wanted[cells.index(None)]
             raise ObservationParseError(reader.line_num,
                                         f"short row: no cell for column {column!r}")
-        x, y, *z = map(_coerce, cells)
+        x, y, *z = map(parse_scalar, cells)
         yield Observation(x, y, tuple(z))
 
 
-def _coerce(cell: str):
+def parse_scalar(token: str):
+    """A CSV cell or a command-line value: the JSON value it spells, or
+    the string itself when it is not JSON."""
     try:
-        return json.loads(cell)
-    except (json.JSONDecodeError, TypeError):
-        return cell
+        return json.loads(token)
+    except json.JSONDecodeError:
+        return token
 
 
 class ObservationStream:
@@ -560,10 +562,12 @@ def open_stream(path: str, columns: dict | None = None) -> ObservationStream:
 
     Text is decoded as UTF-8 with ``surrogateescape``, so a byte that is
     not valid UTF-8 reaches the reader, which refuses it naming its line.
+    A byte-order mark as the first bytes is dropped; one anywhere else is
+    refused like any other text that does not parse.
     """
     if path.endswith('.csv') and not columns:
         raise ValueError("CSV input needs a column mapping")
     stdin = path == '-'
     return ObservationStream(open(sys.stdin.fileno() if stdin else path, 'r',
-                                  encoding='utf-8', errors='surrogateescape',
+                                  encoding='utf-8-sig', errors='surrogateescape',
                                   closefd=not stdin), columns)

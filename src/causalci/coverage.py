@@ -27,7 +27,7 @@ from statistics import median
 
 import numpy as np
 
-from .effects import EffectQuery, effect_interval, true_effect
+from .effects import EffectQuery, effect_interval, require_in_domain, true_effect
 from .prediction import prediction_set
 from .simulator import CausalModel, CptPolicy, Policy, draw_intervened_outcome, \
     sample_adaptive, sample_iid
@@ -105,6 +105,8 @@ def run_coverage(model: CausalModel, query: EffectQuery, n: int,
         raise ValueError("need at least one replication")
     if query.regime == 'iid' and policy is not None:
         raise ValueError("a policy only applies to the adaptive regimes")
+    # refused as analyze refuses it, before the truth is evaluated at it
+    require_in_domain(model.count_table(), x=query.x, y=query.y)
     theta = true_effect(model, query.x, query.y, query.criterion)
     seeds = np.random.SeedSequence(seed).spawn(replications)
     jobs = [(model, query, n, policy, theta, s) for s in seeds]

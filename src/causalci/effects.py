@@ -53,14 +53,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
-from operator import add
 from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import hoeffding_term, lil_term
 from .counts import CountTable, _hashable
-from .intervals import ProbInterval, Var, eval_expr
 
 if TYPE_CHECKING:
     from .simulator import CausalModel
@@ -101,18 +99,6 @@ class EffectQuery:
         if self.frontdoor_form != 'expanded' and self.regime != 'iid':
             raise ValueError("the Horner width variants exist only for the "
                              "fixed-n IID construction")
-
-
-@dataclass(frozen=True)
-class DomainSizes:
-    card_x: int
-    card_z: int
-
-    @property
-    def k(self) -> int:
-        """Number of distinct estimated probabilities in the front-door
-        formula: |X||Z| + |X| + |Z| = (|X|+1)(|Z|+1) - 1."""
-        return self.card_x * self.card_z + self.card_x + self.card_z
 
 
 @dataclass(frozen=True)
@@ -188,20 +174,21 @@ class _Family(NamedTuple):
 @lru_cache(maxsize=64)
 def _plan(query: EffectQuery, xs: tuple, zs: tuple) -> tuple[_Family, ...]:
     """The leaf table bound to a query and the domains (x', z) it ranges over."""
-    x, y, sizes = query.x, query.y, DomainSizes(len(xs), len(zs))
+    x, y = query.x, query.y
     cells = {'marg': [({'z': z}, {}) for z in zs],
              'cond': [({'y': y}, {'x': x, 'z': z}) for z in zs],
              'treat': [({'x': v}, {}) for v in xs],
              'med': [({'z': z}, {'x': x}) for z in zs],
              'out': [({'y': y}, {'x': v, 'z': z}) for v in xs for z in zs]}
-    mult = {'treat': 1 if query.frontdoor_form == 'horner-x' else sizes.card_z,
-            'med': 1 if query.frontdoor_form == 'horner-z' else sizes.card_x}
+    mult = {'treat': 1 if query.frontdoor_form == 'horner-x' else len(zs),
+            'med': 1 if query.frontdoor_form == 'horner-z' else len(xs)}
     if query.criterion == 'frontdoor':
-        scale, coefs, labels = sizes.k, (2.0, 3.3), ("2K/delta", "3.3K/delta")
+        k = len(xs) * len(zs) + len(xs) + len(zs)  # distinct estimated probabilities
+        scale, coefs, labels = k, (2.0, 3.3), ("2K/delta", "3.3K/delta")
     elif query.binary_toy:
         scale, coefs, labels = 1, (6.0, 10.0), ("6/delta", "10/delta")
     else:
-        scale, coefs, labels = sizes.card_z, (4.0, 6.6), ("4|Z|/delta", "6.6|Z|/delta")
+        scale, coefs, labels = len(zs), (4.0, 6.6), ("4|Z|/delta", "6.6|Z|/delta")
     families = []
     for name, first in _FAMILIES[query.criterion]:
         dyadic = REGIMES.index(query.regime) >= REGIMES.index(first)
@@ -281,43 +268,11 @@ def _interval(table: CountTable, query: EffectQuery,
 
 # -- entry points ---------------------------------------------------------------
 
-def backdoor_midpoint_iid(table: CountTable, x, y) -> float:
-    """Sum over z of p(y|x,z) * p(z), full-sample estimates; a z-cell that
-    never co-occurred with the treatment value contributes 0."""
-    return _interval(table, EffectQuery('backdoor', x, y, 0.5)).midpoint  # any delta
-
-
-def backdoor_ci_iid(table: CountTable, query: EffectQuery) -> EffectInterval:
-    _require(query, 'backdoor', 'iid')
-    return _interval(table, query)
-
-
-def backdoor_ci_adaptive(table: CountTable, query: EffectQuery) -> EffectInterval:
-    _require(query, 'backdoor', 'adaptive-fixed')
-    return _interval(table, query)
-
-
 def backdoor_cs_anytime(table: CountTable, query: EffectQuery,
                         n: int | None = None) -> EffectInterval:
     """Element of the confidence sequence after n observations (default: all)."""
     _require(query, 'backdoor', 'anytime')
     return _interval(table, query, n)
-
-
-def frontdoor_ci_iid(table: CountTable, query: EffectQuery) -> EffectInterval:
-    _require(query, 'frontdoor', 'iid')
-    return _interval(table, query)
-
-
-def frontdoor_halfwidth_variant(table: CountTable, query: EffectQuery) -> float:
-    """Half-width alone for the requested front-door form (the forms share
-    their midpoint; their widths differ in the multiplicities of treat and med)."""
-    return frontdoor_ci_iid(table, query).halfwidth
-
-
-def frontdoor_ci_adaptive(table: CountTable, query: EffectQuery) -> EffectInterval:
-    _require(query, 'frontdoor', 'adaptive-fixed')
-    return _interval(table, query)
 
 
 def frontdoor_cs_anytime(table: CountTable, query: EffectQuery,
@@ -331,37 +286,6 @@ def effect_interval(table: CountTable, query: EffectQuery,
     """The interval for a query's criterion and regime; n, a prefix of the
     stream, applies to the anytime regime only."""
     return _interval(table, query, n)
-
-
-def interval_via_expression(table: CountTable, query: EffectQuery,
-                            n: int | None = None) -> EffectInterval:
-    """Rebuild the same interval through the generic machinery: bind every
-    estimated probability to midpoint ± radius, form the adjustment
-    polynomial as an expression tree, and propagate.  Agrees with the
-    direct construction up to floating-point summation order; used as a
-    structural cross-check of the multiplicities."""
-    families, n, bound = _bind(table, query, n)
-    leaves, bindings = [], {}
-    for fam, pairs in zip(families, bound):
-        names = [f"{fam.name}{k}" for k in range(len(pairs))]
-        leaves.append([Var(name) for name in names])
-        bindings.update((name, ProbInterval(*pair)) for name, pair in zip(names, pairs))
-    if query.criterion == 'backdoor':
-        terms = [cond * marg for marg, cond in zip(*leaves)]
-    else:
-        treat, med, out = leaves
-        out = [out[j * len(med):(j + 1) * len(med)] for j in range(len(treat))]
-        if query.frontdoor_form == 'horner-z':
-            terms = [pz * reduce(add, [out[j][i] * px for j, px in enumerate(treat)])
-                     for i, pz in enumerate(med)]
-        elif query.frontdoor_form == 'horner-x':
-            terms = [px * reduce(add, [out[j][i] * pz for i, pz in enumerate(med)])
-                     for j, px in enumerate(treat)]
-        else:
-            terms = [(pz * out[j][i]) * px for i, pz in enumerate(med)
-                     for j, px in enumerate(treat)]
-    result = eval_expr(reduce(add, terms), bindings)
-    return EffectInterval.build(n, result.midpoint, result.halfwidth)
 
 
 # -- ground-truth oracle -------------------------------------------------------

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counts import CountTable, Observation
+from .counts import CountTable, Observation, parse_scalar
 from .graph import Dag
 
 _ROW_SUM_TOL = 1e-12
@@ -235,32 +235,45 @@ class CptPolicy(Policy):
         return dom[_draw_index(row, self.rng)]
 
 
-class EpsilonGreedyPolicy(Policy):
+class _SuccessRatePolicy(Policy):
+    """A policy that keeps, per treatment value, how often the target
+    outcome followed it; the target defaults to the last outcome value of
+    the model the policy is reset for."""
+
+    def __init__(self, target_y=None):
+        self.target_y = target_y
+
+    def reset(self, model, rng):
+        super().reset(model, rng)
+        self._target = model.dag.domains[model.roles.y][-1] \
+            if self.target_y is None else self.target_y
+        self._dom = model.dag.domains[model.roles.x]
+        self._stats = {xv: [0, 0] for xv in self._dom}  # [hits, total]
+        self._seen = 0
+
+    def _absorb(self, history):
+        """Count the observations appended to the history since last time."""
+        stats, target = self._stats, self._target
+        for obs in history[self._seen:]:
+            tally = stats[obs.x]
+            tally[0] += obs.y == target
+            tally[1] += 1
+        self._seen = len(history)
+
+
+class EpsilonGreedyPolicy(_SuccessRatePolicy):
     """Mostly picks the treatment with the best running success frequency
     for the target outcome, exploring uniformly with probability epsilon."""
 
     def __init__(self, epsilon: float, target_y=None):
         if not 0 <= epsilon <= 1:
             raise ValueError("epsilon must be in [0, 1]")
+        super().__init__(target_y)
         self.epsilon = epsilon
-        self.target_y = target_y
-
-    def reset(self, model, rng):
-        super().reset(model, rng)
-        self._seen = 0
-        self._stats = {xv: [0, 0] for xv in model.dag.domains[model.roles.x]}
-        if self.target_y is None:
-            self.target_y = model.dag.domains[model.roles.y][-1]
-
-    def _absorb(self, history):
-        for obs in history[self._seen:]:
-            hits, total = self._stats[obs.x]
-            self._stats[obs.x] = [hits + (obs.y == self.target_y), total + 1]
-        self._seen = len(history)
 
     def choose(self, history, visible):
         self._absorb(history)
-        dom = self.model.dag.domains[self.model.roles.x]
+        dom = self._dom
         if self.rng.random() < self.epsilon:
             return dom[self.rng.integers(len(dom))]
         def score(xv):
@@ -270,30 +283,20 @@ class EpsilonGreedyPolicy(Policy):
         return best
 
 
-class AlternatingAdversaryPolicy(Policy):
+class AlternatingAdversaryPolicy(_SuccessRatePolicy):
     """Stress policy for the adaptive-regime guarantees: switches to the
     next treatment value whenever the sign of the running success-frequency
     gap between the first two treatment values flips.  Deterministic given
     the history."""
 
-    def __init__(self, target_y=None):
-        self.target_y = target_y
-
     def reset(self, model, rng):
         super().reset(model, rng)
-        self._seen = 0
-        self._stats = {xv: [0, 0] for xv in model.dag.domains[model.roles.x]}
         self._last_sign = 0
         self._index = 0
-        if self.target_y is None:
-            self.target_y = model.dag.domains[model.roles.y][-1]
 
     def choose(self, history, visible):
-        dom = self.model.dag.domains[self.model.roles.x]
-        for obs in history[self._seen:]:
-            hits, total = self._stats[obs.x]
-            self._stats[obs.x] = [hits + (obs.y == self.target_y), total + 1]
-        self._seen = len(history)
+        self._absorb(history)
+        dom = self._dom
         if len(dom) >= 2:
             rates = []
             for xv in dom[:2]:
@@ -317,7 +320,7 @@ def make_policy(spec: str, model: CausalModel) -> Policy:
     name, _, arg = spec.partition(':')
     if name == 'constant':
         dom = model.dag.domains[model.roles.x]
-        value = _parse_scalar(arg)
+        value = parse_scalar(arg)
         if value not in dom:
             raise ValueError(f"constant policy value {value!r} not in treatment domain")
         return ConstantPolicy(value)
@@ -328,13 +331,6 @@ def make_policy(spec: str, model: CausalModel) -> Policy:
     if name == 'adversarial-alternating':
         return AlternatingAdversaryPolicy()
     raise ValueError(f"unknown policy {spec!r}")
-
-
-def _parse_scalar(token: str):
-    try:
-        return json.loads(token)
-    except json.JSONDecodeError:
-        return token
 
 
 # -- sampling -----------------------------------------------------------------

@@ -5,15 +5,18 @@ the production code paths."""
 import json
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, permutations, product
-from typing import Mapping
+from operator import add
+from typing import Iterator, Mapping
 
 import mpmath as mp
 import numpy as np
 
 from causalci.counts import CountTable, Observation, ObservationParseError
+from causalci.effects import EffectInterval, EffectQuery, _bind
 from causalci.graph import Dag
-from causalci.intervals import BinOp, Expr, ProbInterval, Var
 from causalci.simulator import CausalModel, Cpt, Policy, Roles, as_generator
 
 mp.mp.dps = 40
@@ -500,19 +503,189 @@ def random_dag(rng, max_vertices=6, p_edge=0.4):
     return Dag(names, edges)
 
 
+# -- interval arithmetic and the expression route (oracle side) --------------
+# Clipped interval arithmetic on [0,1] and radius propagation.
+#
+# A ProbInterval is ``midpoint ± halfwidth`` realized as the subset
+# ``[mid-hw, mid+hw] ∩ [0,1]``; an infinite halfwidth realizes exactly
+# [0,1].  The binary operations return the *sound superset* forms
+#
+#     (a ± Δa) + (b ± Δb)  ⊆  (a+b) ± (Δa+Δb)
+#     (a ± Δa) × (b ± Δb)  ⊆  (a·b) ± (Δa+Δb)
+#
+# rather than the tight products, because the effect half-widths are defined
+# in terms of these forms.  Evaluating an expression tree of +, −, × over
+# bound intervals therefore yields midpoint = expression at the midpoints
+# and halfwidth = sum of the leaf halfwidths counted with multiplicity
+# (every occurrence of a variable contributes once).
+#
+# Midpoints may leave [0,1] transiently (after a subtraction); only realized
+# sets are clipped.
+#
+# Guarantee domain: the superset property (pointwise composed set inside
+# midpoint ± summed radii) is proved by induction over the operations, and
+# the product step needs both operand midpoints in [0,1].  It therefore
+# holds whenever every node of the tree evaluates, at the bound midpoints,
+# to a value in [0,1] — true for every probability-adjustment polynomial,
+# whose partial sums are estimate-weighted averages.  Outside that domain
+# (an intermediate midpoint above 1 whose clipped set is still non-empty)
+# the product rule can genuinely under-cover.  The oracles below sample the
+# pointwise semantics (``exact_range``) and check the condition
+# (``node_midpoints``); interval_via_expression rebuilds every effect
+# interval through this calculus.
+
+@dataclass(frozen=True)
+class ProbInterval:
+    midpoint: float
+    halfwidth: float
+
+    def __post_init__(self):
+        if not (self.halfwidth >= 0):
+            raise ValueError("halfwidth must be non-negative")
+
+    @property
+    def unbounded(self) -> bool:
+        return math.isinf(self.halfwidth)
+
+    @property
+    def lower(self) -> float:
+        return max(0.0, self.midpoint - self.halfwidth)
+
+    @property
+    def upper(self) -> float:
+        return min(1.0, self.midpoint + self.halfwidth)
+
+    def realized(self) -> tuple[float, float] | None:
+        """The clipped interval as (lower, upper), or None when empty."""
+        lo, hi = self.lower, self.upper
+        return None if lo > hi else (lo, hi)
+
+    def contains(self, p: float) -> bool:
+        lo, hi = self.lower, self.upper
+        return lo <= p <= hi
+
+
+def iv_add(a: ProbInterval, b: ProbInterval) -> ProbInterval:
+    return ProbInterval(a.midpoint + b.midpoint, a.halfwidth + b.halfwidth)
+
+
+def iv_sub(a: ProbInterval, b: ProbInterval) -> ProbInterval:
+    return ProbInterval(a.midpoint - b.midpoint, a.halfwidth + b.halfwidth)
+
+
+def iv_mul(a: ProbInterval, b: ProbInterval) -> ProbInterval:
+    return ProbInterval(a.midpoint * b.midpoint, a.halfwidth + b.halfwidth)
+
+
+# -- expression trees ---------------------------------------------------------
+
+class Expr:
+    """A formal arithmetic expression over named variables (+, −, ×)."""
+
+    __slots__ = ()
+
+    def __add__(self, other: "Expr") -> "Expr":
+        return BinOp('+', self, other)
+
+    def __sub__(self, other: "Expr") -> "Expr":
+        return BinOp('-', self, other)
+
+    def __mul__(self, other: "Expr") -> "Expr":
+        return BinOp('*', self, other)
+
+    def leaves(self) -> Iterator["Var"]:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class Var(Expr):
+    __slots__ = ('name',)
+    name: str
+
+    def leaves(self) -> Iterator["Var"]:
+        yield self
+
+
+@dataclass(frozen=True)
+class BinOp(Expr):
+    __slots__ = ('op', 'left', 'right')
+    op: str
+    left: Expr
+    right: Expr
+
+    def __post_init__(self):
+        if self.op not in ('+', '-', '*'):
+            raise ValueError(f"unsupported operation {self.op!r}")
+
+    def leaves(self) -> Iterator[Var]:
+        yield from self.left.leaves()
+        yield from self.right.leaves()
+
+
+def eval_expr(expr: Expr, bindings: Mapping[str, ProbInterval]) -> ProbInterval:
+    """Fold the superset operations over the tree.
+
+    The result has midpoint = the expression evaluated at the bound
+    midpoints and halfwidth = the sum of the bound halfwidths over leaf
+    occurrences (duplicates counted).
+    """
+    if isinstance(expr, Var):
+        try:
+            return bindings[expr.name]
+        except KeyError:
+            raise ValueError(f"unbound variable {expr.name!r}") from None
+    assert isinstance(expr, BinOp)
+    left = eval_expr(expr.left, bindings)
+    right = eval_expr(expr.right, bindings)
+    op = {'+': iv_add, '-': iv_sub, '*': iv_mul}[expr.op]
+    return op(left, right)
+
+
+def interval_via_expression(table: CountTable, query: EffectQuery,
+                            n: int | None = None) -> EffectInterval:
+    """Rebuild the same interval through the generic machinery: bind every
+    estimated probability to midpoint ± radius, form the adjustment
+    polynomial as an expression tree, and propagate.  Agrees with the
+    direct construction up to floating-point summation order; used as a
+    structural cross-check of the multiplicities."""
+    families, n, bound = _bind(table, query, n)
+    leaves, bindings = [], {}
+    for fam, pairs in zip(families, bound):
+        names = [f"{fam.name}{k}" for k in range(len(pairs))]
+        leaves.append([Var(name) for name in names])
+        bindings.update((name, ProbInterval(*pair)) for name, pair in zip(names, pairs))
+    if query.criterion == 'backdoor':
+        terms = [cond * marg for marg, cond in zip(*leaves)]
+    else:
+        treat, med, out = leaves
+        out = [out[j * len(med):(j + 1) * len(med)] for j in range(len(treat))]
+        if query.frontdoor_form == 'horner-z':
+            terms = [pz * reduce(add, [out[j][i] * px for j, px in enumerate(treat)])
+                     for i, pz in enumerate(med)]
+        elif query.frontdoor_form == 'horner-x':
+            terms = [px * reduce(add, [out[j][i] * pz for i, pz in enumerate(med)])
+                     for j, px in enumerate(treat)]
+        else:
+            terms = [(pz * out[j][i]) * px for i, pz in enumerate(med)
+                     for j, px in enumerate(treat)]
+    result = eval_expr(reduce(add, terms), bindings)
+    return EffectInterval.build(n, result.midpoint, result.halfwidth)
+
+
 # -- interval-composition oracles -------------------------------------------
 # exact_range samples the pointwise semantics of the interval operations,
 # where each operation's result set is intersected with [0,1]; sampled
 # combinations whose value escapes [0,1] at an intermediate node are
 # infeasible and dropped, so the reported range never overstates the true
-# composed set.  node_midpoints checks the guarantee's domain (see
-# causalci.intervals).
+# composed set.  node_midpoints checks the guarantee's domain (see the
+# interval-arithmetic section above).
 
 def node_midpoints(expr: Expr, bindings: Mapping[str, ProbInterval]) -> list[float]:
     """Midpoint evaluation of every node (leaves included), root last.
 
     The composition guarantee — exact_range inside eval_expr's realized
-    set — holds when all of these lie in [0,1]; see the module docstring.
+    set — holds when all of these lie in [0,1]; see the interval-arithmetic
+    section above.
     """
     out: list[float] = []
 

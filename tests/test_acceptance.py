@@ -17,13 +17,11 @@ import pytest
 
 from causalci.bounds import lil_halfwidth
 from causalci.coverage import run_coverage, run_prediction_coverage
-from causalci.effects import (EffectQuery, effect_interval,
-                              frontdoor_halfwidth_variant,
-                              interval_via_expression)
+from causalci.effects import EffectQuery, effect_interval
 from causalci.graph import check_backdoor, check_frontdoor
-from causalci.intervals import eval_expr
 from causalci.simulator import AlternatingAdversaryPolicy
-from helpers import (exact_range, fig1_dag, fig1_model, frontdoor_model, grid_table,
+from helpers import (eval_expr, exact_range, fig1_dag, fig1_model, frontdoor_model,
+                     grid_table, interval_via_expression,
                      mp_backdoor_adaptive_halfwidth,
                      mp_backdoor_anytime_halfwidth, mp_backdoor_iid_halfwidth,
                      mp_backdoor_iid_midpoint, mp_frontdoor_adaptive_halfwidth,
@@ -159,7 +157,7 @@ def _audit_table(table, obs, xt, yv):
             assert abs(itv.halfwidth - via.halfwidth) <= TOL, query
     for form in ('horner-z', 'horner-x'):
         query = EffectQuery('frontdoor', xt, yv, 0.07, frontdoor_form=form)
-        got = frontdoor_halfwidth_variant(table, query)
+        got = effect_interval(table, query).halfwidth
         want = mp_frontdoor_iid_halfwidth(table, obs, xt, 0.07, form=form)
         if math.isinf(got):
             assert want == math.inf
@@ -216,12 +214,12 @@ def test_criterion_07():
             if abs(treated / n - threshold) < 1e-9:
                 continue  # exact boundary excluded
             table = grid_table(cx, cz, n=n, treated=treated)
-            v1 = frontdoor_halfwidth_variant(
+            v1 = effect_interval(
                 table, EffectQuery('frontdoor', 0, 1, 0.1,
-                                   frontdoor_form='horner-z'))
-            v2 = frontdoor_halfwidth_variant(
+                                   frontdoor_form='horner-z')).halfwidth
+            v2 = effect_interval(
                 table, EffectQuery('frontdoor', 0, 1, 0.1,
-                                   frontdoor_form='horner-x'))
+                                   frontdoor_form='horner-x')).halfwidth
             assert math.isfinite(v1) and math.isfinite(v2), (cx, cz, share)
             assert (v1 < v2) == (treated / n < threshold), (cx, cz, share)
             points += 1

@@ -7,11 +7,12 @@ import pytest
 
 from causalci.cli import _interval_record, main
 from causalci.counts import read_jsonl
-from causalci.effects import EffectQuery, backdoor_ci_iid, effect_interval
+from causalci.effects import EffectQuery, effect_interval
 from helpers import binary_table, eight_obs_stream, three_valued_model
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 FIG1 = str(CONFIGS / "fig1.json")
+FRONTDOOR = str(CONFIGS / "frontdoor.json")
 FIG1_DAG = str(CONFIGS / "fig1.dag")
 NAPKIN_DAG = str(CONFIGS / "napkin.dag")
 
@@ -62,7 +63,7 @@ def test_analyze_eight_obs_midpoint(tmp_path):
     (record,) = read_records(out)
     assert record["midpoint"] == pytest.approx(2 / 3, abs=1e-15)
     table = binary_table(eight_obs_stream())
-    want = backdoor_ci_iid(table, EffectQuery('backdoor', 1, 1, 0.1,
+    want = effect_interval(table, EffectQuery('backdoor', 1, 1, 0.1,
                                               binary_toy=True))
     assert record["halfwidth"] == pytest.approx(want.halfwidth, abs=0)
     assert record["constants"]["hoeffding"]["form"] == "6/delta"
@@ -130,6 +131,13 @@ def test_domain_error_names_its_line(tmp_path, capsys, command, data, columns, l
 @pytest.mark.parametrize("stdin", [False, True])
 def test_invalid_utf8_names_its_line(tmp_path, capsys, monkeypatch, command, data,
                                      columns, error, stdin):
+    assert _run_on_bytes(tmp_path, monkeypatch, command, data, columns, stdin) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def _run_on_bytes(tmp_path, monkeypatch, command, data, columns, stdin):
+    """Run a data-reading command on a stream holding ``data``, given as a
+    file or on standard input; returns the exit code."""
     stream = tmp_path / ("obs.csv" if columns else "obs.jsonl")
     stream.write_bytes(data)
     args = command[:1] + ["--model", FIG1, "--xtilde", "1",
@@ -141,7 +149,51 @@ def test_invalid_utf8_names_its_line(tmp_path, capsys, monkeypatch, command, dat
             monkeypatch.setattr(sys, 'stdin', handle)
         else:
             args += ["--data", str(stream)]
-        assert main(args) == 2
+        return main(args)
+
+
+BOM = b'\xef\xbb\xbf'
+BOM_COMMANDS = [
+    ["analyze", "--regime", "iid", "--y", "1"],
+    ["analyze", "--regime", "anytime", "--y", "1"],
+    ["predict"],
+]
+
+
+@pytest.mark.parametrize("command", BOM_COMMANDS)
+@pytest.mark.parametrize("data, columns", [
+    (b'{"format_version": 1, "kind": "observations"}\n'
+     + b''.join(json.dumps({"x": o.x, "y": o.y, "z": list(o.z)}).encode() + b'\n'
+                for o in eight_obs_stream()), None),
+    (b'x,y,z\n' + b''.join(f"{o.x},{o.y},{o.z[0]}\n".encode()
+                           for o in eight_obs_stream()), "x=x,y=y,z=z"),
+], ids=["jsonl", "csv"])
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+def test_leading_byte_order_mark_is_dropped(tmp_path, monkeypatch, command, data,
+                                            columns, stdin):
+    outputs = []
+    for prefix in (b'', BOM):
+        assert _run_on_bytes(tmp_path, monkeypatch, command, prefix + data,
+                             columns, stdin) == 0
+        outputs.append((tmp_path / "out.jsonl").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1].splitlines()[-1])["n"] == 8
+
+
+@pytest.mark.parametrize("command", BOM_COMMANDS)
+@pytest.mark.parametrize("data, columns, error", [
+    (b'{"x": 1, "y": 0, "z": [1]}\n' + BOM + b'{"x": 1, "y": 0, "z": [1]}\n', None,
+     "line 2: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    (BOM + BOM + b'{"x": 1, "y": 0, "z": [1]}\n', None,
+     "line 1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    (b'x,y,z\n1,0,1\n' + BOM + b'1,0,1\n', "x=x,y=y,z=z",
+     "line 3: x value '\\ufeff1' not in declared domain"),
+], ids=["jsonl-line-2", "jsonl-two-marks", "csv-line-3"])
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+def test_byte_order_mark_elsewhere_names_its_line(tmp_path, capsys, monkeypatch,
+                                                  command, data, columns, error,
+                                                  stdin):
+    assert _run_on_bytes(tmp_path, monkeypatch, command, data, columns, stdin) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
@@ -366,6 +418,21 @@ def test_coverage_criterion_gate(tmp_path, capsys):
     assert main(args) == 3
     err = capsys.readouterr().err
     assert "criterion violation" in err and "refusing to run coverage" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, criterion", [(FIG1, "backdoor"),
+                                              (FRONTDOOR, "frontdoor")])
+@pytest.mark.parametrize("flags, message", [
+    (["--xtilde", "7", "--y", "1"], "x value 7 not in declared domain [0, 1]"),
+    (["--xtilde", "1", "--y", "9"], "y value 9 not in declared domain [0, 1]"),
+])
+def test_coverage_query_value_outside_the_domain_exit_2(tmp_path, capsys, model,
+                                                        criterion, flags, message):
+    out = tmp_path / "report.jsonl"
+    assert main(["coverage", "--model", model, "--criterion", criterion, *flags,
+                 "--n", "50", "-R", "2", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: query {message}\n"
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,20 @@ def test_workers_agree_with_sequential():
     seq = run_coverage(model, query, n=120, replications=16, seed=42, workers=1)
     par = run_coverage(model, query, n=120, replications=16, seed=42, workers=2)
     assert seq == par
+
+
+@pytest.mark.parametrize("make_model, criterion", [(fig1_model, 'backdoor'),
+                                                   (frontdoor_model, 'frontdoor')])
+@pytest.mark.parametrize("x, y, message", [
+    (7, 1, "query x value 7 not in declared domain [0, 1]"),
+    (1, 9, "query y value 9 not in declared domain [0, 1]"),
+])
+def test_query_value_outside_the_domain_is_refused(make_model, criterion, x, y,
+                                                   message):
+    # named as analyze names it, not as the truth's evaluation fails on it
+    query = EffectQuery(criterion, x, y, 0.1)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_coverage(make_model(), query, n=50, replications=2)
 
 
 def test_policy_rejected_for_iid_regime():

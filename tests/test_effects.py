@@ -7,16 +7,13 @@ import numpy as np
 import pytest
 
 from causalci.counts import Observation
-from causalci.effects import (CRITERIA, FRONTDOOR_FORMS, REGIMES, DomainSizes,
-                              EffectQuery, backdoor_ci_adaptive,
-                              backdoor_ci_iid, backdoor_cs_anytime,
-                              backdoor_midpoint_iid, effect_interval,
-                              frontdoor_ci_adaptive, frontdoor_ci_iid,
-                              frontdoor_cs_anytime, frontdoor_halfwidth_variant,
-                              interval_via_expression, true_effect)
+from causalci.effects import (CRITERIA, FRONTDOOR_FORMS, REGIMES, EffectQuery,
+                              backdoor_cs_anytime, effect_interval,
+                              frontdoor_cs_anytime, true_effect)
 from causalci.prediction import prediction_set
 from helpers import (binary_table, eight_obs_stream, fig1_model,
-                     frontdoor_model, grid_table, random_table)
+                     frontdoor_model, grid_table, interval_via_expression,
+                     random_table)
 
 TOY_HW_8OBS = 2.663863269432442  # 40-digit evaluation of the binary-constant
                                  # formula on the eight-observation stream
@@ -28,12 +25,12 @@ def q(criterion='backdoor', x=1, y=1, delta=0.1, regime='iid', **kw):
 
 def test_backdoor_midpoint_eight_obs():
     table = binary_table(eight_obs_stream())
-    assert backdoor_midpoint_iid(table, 1, 1) == pytest.approx(2 / 3, abs=1e-15)
+    assert effect_interval(table, q()).midpoint == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_backdoor_iid_toy_eight_obs():
     table = binary_table(eight_obs_stream())
-    itv = backdoor_ci_iid(table, q(binary_toy=True))
+    itv = effect_interval(table, q(binary_toy=True))
     assert itv.midpoint == pytest.approx(2 / 3, abs=1e-15)
     assert itv.halfwidth == pytest.approx(TOY_HW_8OBS, abs=1e-13)
     # half-width above 1: the realized interval clips to [0,1]
@@ -43,12 +40,12 @@ def test_backdoor_iid_toy_eight_obs():
 
 def test_backdoor_saturated_midpoint():
     table = binary_table([Observation(1, 1, (0,))] * 20)
-    assert backdoor_midpoint_iid(table, 1, 1) == 1.0
+    assert effect_interval(table, q()).midpoint == 1.0
 
 
 def test_backdoor_unbounded_without_treated_observations():
     table = binary_table([Observation(0, 1, (0,)), Observation(0, 0, (1,))])
-    itv = backdoor_ci_iid(table, q())
+    itv = effect_interval(table, q())
     assert itv.midpoint == 0.0
     assert itv.unbounded
     assert (itv.lower, itv.upper) == (0.0, 1.0)
@@ -58,11 +55,11 @@ def test_backdoor_unbounded_with_one_empty_cell():
     # the treated value occurs with z=0 only
     table = binary_table([Observation(1, 1, (0,))] * 4
                          + [Observation(0, 0, (1,))] * 4)
-    assert backdoor_ci_iid(table, q()).unbounded
+    assert effect_interval(table, q()).unbounded
 
 
 def test_empty_table_interval():
-    itv = backdoor_ci_iid(binary_table(), q())
+    itv = effect_interval(binary_table(), q())
     assert itv.n == 0
     assert itv.midpoint == 0.0
     assert itv.unbounded
@@ -70,27 +67,21 @@ def test_empty_table_interval():
 
 def test_delta_monotonicity():
     table = binary_table(eight_obs_stream())
-    wide = backdoor_ci_iid(table, q(delta=0.01))
-    narrow = backdoor_ci_iid(table, q(delta=0.2))
+    wide = effect_interval(table, q(delta=0.01))
+    narrow = effect_interval(table, q(delta=0.2))
     assert wide.halfwidth > narrow.halfwidth
     doubled = binary_table(eight_obs_stream() * 2)  # every cell count >= 2
-    f_wide = frontdoor_ci_adaptive(doubled, q('frontdoor', delta=0.01,
-                                              regime='adaptive-fixed'))
-    f_narrow = frontdoor_ci_adaptive(doubled, q('frontdoor', delta=0.2,
-                                                regime='adaptive-fixed'))
+    f_wide = effect_interval(doubled, q('frontdoor', delta=0.01,
+                                        regime='adaptive-fixed'))
+    f_narrow = effect_interval(doubled, q('frontdoor', delta=0.2,
+                                          regime='adaptive-fixed'))
     assert math.isfinite(f_narrow.halfwidth)
     assert f_wide.halfwidth > f_narrow.halfwidth
 
 
-def test_domain_size_k():
-    assert DomainSizes(2, 2).k == 8
-    assert DomainSizes(2, 4).k == 14
-    assert DomainSizes(3, 5).k == (3 + 1) * (5 + 1) - 1
-
-
 def test_frontdoor_saturated_midpoint():
     table = binary_table([Observation(1, 1, (0,))] * 16)
-    itv = frontdoor_ci_iid(table, q('frontdoor'))
+    itv = effect_interval(table, q('frontdoor'))
     assert itv.midpoint == 1.0
     assert itv.unbounded  # the other x never occurs with any z
 
@@ -98,7 +89,7 @@ def test_frontdoor_saturated_midpoint():
 def test_frontdoor_unbounded_cases():
     # no treated observation at all
     table = binary_table([Observation(0, 1, (0,)), Observation(0, 0, (1,))])
-    assert frontdoor_ci_iid(table, q('frontdoor')).unbounded
+    assert effect_interval(table, q('frontdoor')).unbounded
 
 
 def test_adaptive_dyadic_midpoint_trace():
@@ -110,7 +101,7 @@ def test_adaptive_dyadic_midpoint_trace():
     stream += [Observation(1, 1, (1,))] * 4
     stream += [Observation(0, 0, (0,))] * 3
     table = binary_table(stream)
-    itv = backdoor_ci_adaptive(table, q(regime='adaptive-fixed'))
+    itv = effect_interval(table, q(regime='adaptive-fixed'))
     pz0, pz1 = 8 / 12, 4 / 12
     assert itv.midpoint == pytest.approx(pz0 * 0.75 + pz1 * 1.0, abs=1e-15)
     assert not itv.unbounded
@@ -119,7 +110,7 @@ def test_adaptive_dyadic_midpoint_trace():
 def test_adaptive_unbounded_below_two_occurrences():
     stream = [Observation(1, 1, (0,))] * 4 + [Observation(1, 1, (1,))]
     table = binary_table(stream)  # z=1 треated count is 1
-    assert backdoor_ci_adaptive(table, q(regime='adaptive-fixed')).unbounded
+    assert effect_interval(table, q(regime='adaptive-fixed')).unbounded
 
 
 def test_anytime_small_n_unbounded():
@@ -200,7 +191,7 @@ def test_toy_requires_binary_domains():
     while len(table.z_values) == 2 and len(table.x_domain) == 2:
         table, _ = random_table(rng, min_n=30, max_n=60)
     with pytest.raises(ValueError):
-        backdoor_ci_iid(table, EffectQuery('backdoor', table.x_domain[0],
+        effect_interval(table, EffectQuery('backdoor', table.x_domain[0],
                                            table.y_domain[0], 0.1,
                                            binary_toy=True))
 
@@ -218,7 +209,7 @@ def test_query_validation():
         EffectQuery('frontdoor', 1, 1, 0.1, regime='anytime',
                     frontdoor_form='horner-z')
     with pytest.raises(ValueError):
-        backdoor_ci_iid(binary_table(), q(regime='anytime'))
+        backdoor_cs_anytime(binary_table(), q())
 
 
 @pytest.mark.parametrize("x, y", [([1], 1), (1, {}), ({'a': 1}, [0])])
@@ -251,29 +242,23 @@ def test_dispatch_prefix_only_for_anytime():
 
 def test_frontdoor_forms_share_midpoint():
     table = binary_table(eight_obs_stream())
-    intervals = [frontdoor_ci_iid(table, q('frontdoor', frontdoor_form=f))
+    intervals = [effect_interval(table, q('frontdoor', frontdoor_form=f))
                  for f in ('expanded', 'horner-z', 'horner-x')]
     assert intervals[0].midpoint == intervals[1].midpoint == intervals[2].midpoint
     assert intervals[0].halfwidth >= intervals[1].halfwidth  # expanded is loosest
     assert intervals[0].halfwidth >= intervals[2].halfwidth
 
 
-def test_frontdoor_variant_matches_interval():
-    table = grid_table(cx=3, cz=2, n=120, treated=40)
-    for form in ('expanded', 'horner-z', 'horner-x'):
-        query = EffectQuery('frontdoor', 0, 1, 0.1, frontdoor_form=form)
-        assert frontdoor_halfwidth_variant(table, query) \
-            == frontdoor_ci_iid(table, query).halfwidth
-
-
 def test_horner_crossover_low_treated_share():
     # treated share 1/4 or less: the mediator-first nesting is narrower
     for cx, cz in ((2, 3), (3, 2), (2, 5), (4, 4)):
         table = grid_table(cx, cz, n=400, treated=100)
-        v1 = frontdoor_halfwidth_variant(
-            table, EffectQuery('frontdoor', 0, 1, 0.1, frontdoor_form='horner-z'))
-        v2 = frontdoor_halfwidth_variant(
-            table, EffectQuery('frontdoor', 0, 1, 0.1, frontdoor_form='horner-x'))
+        v1 = effect_interval(
+            table, EffectQuery('frontdoor', 0, 1, 0.1, frontdoor_form='horner-z')
+        ).halfwidth
+        v2 = effect_interval(
+            table, EffectQuery('frontdoor', 0, 1, 0.1, frontdoor_form='horner-x')
+        ).halfwidth
         assert v1 < v2
 
 
@@ -281,10 +266,12 @@ def test_horner_crossover_matches_threshold():
     for cx, cz, treated, n in ((2, 5, 350, 400), (2, 6, 380, 400),
                                (5, 2, 100, 400), (3, 3, 390, 400)):
         table = grid_table(cx, cz, n=n, treated=treated)
-        v1 = frontdoor_halfwidth_variant(
-            table, EffectQuery('frontdoor', 0, 1, 0.1, frontdoor_form='horner-z'))
-        v2 = frontdoor_halfwidth_variant(
-            table, EffectQuery('frontdoor', 0, 1, 0.1, frontdoor_form='horner-x'))
+        v1 = effect_interval(
+            table, EffectQuery('frontdoor', 0, 1, 0.1, frontdoor_form='horner-z')
+        ).halfwidth
+        v2 = effect_interval(
+            table, EffectQuery('frontdoor', 0, 1, 0.1, frontdoor_form='horner-x')
+        ).halfwidth
         threshold = ((1 - 1 / cx) / (1 - 1 / cz)) ** 2
         assert (v1 < v2) == (treated / n < threshold)
 

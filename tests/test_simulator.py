@@ -269,3 +269,17 @@ def test_samplers_refuse_a_negative_length():
         with pytest.raises(ValueError, match=r"^stream length n must be >= 0, got -3$"):
             sample(-3)
         assert sample(0) == []
+
+
+@pytest.mark.parametrize("make", [lambda: EpsilonGreedyPolicy(0.1),
+                                  AlternatingAdversaryPolicy])
+def test_reused_policy_tracks_the_new_models_outcome(make):
+    # fig1's outcomes are 0/1, the three-valued model's 'lo'/'mid'/'hi': a
+    # policy used on fig1 first must still track 'hi' on the second model
+    model = three_valued_model()
+    for seed in (1, 3):
+        reused = make()
+        sample_adaptive(fig1_model(), reused, 200, seed=0)
+        got = sample_adaptive(model, reused, 2000, seed)
+        assert got == sample_adaptive(model, make(), 2000, seed)
+        assert {obs.x for obs in got} == {0, 1, 2}
