@@ -116,6 +116,8 @@ def _build_query(args) -> EffectQuery:
     if getattr(args, 'config', None):
         with open(args.config, 'r', encoding='utf-8') as handle:
             config = json.load(handle)
+        if not isinstance(config, dict):
+            raise ValueError(f"--config must hold a JSON object, not {type(config).__name__}")
 
     def pick(flag, key, default):
         if flag is not None:
@@ -126,13 +128,16 @@ def _build_query(args) -> EffectQuery:
     y = pick(args.y, 'y', None)
     if xtilde is None or y is None:
         raise ValueError(_MISSING_QUERY_VALUE)
+    toy = pick(args.toy or None, 'binary_toy', False)
+    if not isinstance(toy, bool):
+        raise ValueError(f"--config: binary_toy must be a JSON boolean, not {toy!r}")
     return EffectQuery(
         criterion=pick(args.criterion, 'criterion', 'backdoor'),
         x=xtilde if not isinstance(xtilde, str) else parse_scalar(xtilde),
         y=y if not isinstance(y, str) else parse_scalar(y),
         delta=float(pick(args.delta, 'delta', 0.05)),
         regime=pick(args.regime, 'regime', 'iid'),
-        binary_toy=bool(pick(args.toy or None, 'binary_toy', False)),
+        binary_toy=toy,
         frontdoor_form=pick(args.frontdoor_form, 'frontdoor_form', 'expanded'),
     )
 

@@ -5,15 +5,15 @@ what an estimator reads: for every tracked value pattern, the number of
 occurrences so far, and one log of dyadic levels.  Whenever the count of a
 condition the estimators condition on reaches a power of two ``2**j``,
 the log records the stream position and the joint counts over the
-condition's outcome coordinates.  Those tallies are exactly what is
-needed to compute estimates restricted to the first
-``dyadic_floor(count)`` occurrences of a condition, in O(1) per query and
-O(1) amortized per ingested observation.  The log also answers dyadic
-queries at any prefix of the stream by bisection
-(:meth:`CountTable.prefix_dyadic_estimate`), and lists the positions at
-which the anytime estimates can change (:meth:`CountTable.checkpoints`).
-The table holds O(cells + conditions * log n) entries, however long the
-stream.
+condition's outcome coordinates.
+
+Every estimated probability is a frequency ``hits / count``, and
+:meth:`CountTable.leaf` is the one read that answers it: over the whole
+stream, or over the first ``dyadic_floor(count)`` occurrences of the
+condition after any prefix of the stream, found in the log by bisection.
+:meth:`CountTable.checkpoints` lists the positions at which the dyadic
+reads can change.  The table holds O(cells + conditions * log n) entries,
+however long the stream.
 
 :meth:`CountTable.ingest` adds one observation and is the reference path.
 :meth:`CountTable.ingest_all` adds a whole stream column-wise, in chunks of
@@ -37,6 +37,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import sys
 from bisect import bisect_right
 from itertools import product
@@ -51,9 +52,6 @@ _CHUNK_ROWS = 4096
 _LINE_CACHE = 4096
 # tracked patterns: tag and the axes of (x, y, z) that the pattern fixes
 _PATTERNS = (('xyz', (0, 1, 2)), ('xz', (0, 2)), ('x', (0,)), ('z', (2,)))
-# (condition, event) coordinates of the materialized dyadic tallies
-_DYADIC_PAIRS = {(('x', 'z'), ('y',)), (('x',), ('z',)), ((), ('z',)), ((), ('x',))}
-_DYADIC_CONDITIONS = {given for given, _ in _DYADIC_PAIRS}
 # a logged level is (stream position at which it was reached, outcome tally)
 _position = itemgetter(0)
 
@@ -81,6 +79,24 @@ def dyadic_floor(n: int) -> int:
     return 1 << (n.bit_length() - 1)
 
 
+def _prefix_length(m, n: int) -> int:
+    """``m``, of any integral type, as the length of a prefix of an n-row stream."""
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise ValueError(f"prefix length {m!r} is not an integer") from None
+    if not 0 <= m <= n:
+        raise ValueError(f"prefix length {m} is not in [0, {n}]")
+    return m
+
+
+def _as_z(z) -> tuple:
+    """A z-value as the table keys it: a list as a tuple, a scalar as a 1-tuple."""
+    if isinstance(z, tuple):
+        return z
+    return tuple(z) if isinstance(z, list) else (z,)
+
+
 def _is_pow2(n: int) -> bool:
     return n & (n - 1) == 0
 
@@ -97,10 +113,8 @@ class CountTable:
     """Streaming counts for all tracked value patterns of one stream.
 
     Tracked patterns, the ones the estimators read: (x,y,z), (x,z), (x),
-    (z), and the stream length itself.  Dyadic tallies are materialized for
-    the condition patterns that the estimators condition on: (x,z) with
-    outcome y, (x) with outcome z, and the whole stream with outcomes x and
-    z.
+    (z), and the stream length itself, with dyadic tallies for the
+    conditions of the pairs that :meth:`leaf` reads.
     """
 
     def __init__(self, x_domain: Sequence, y_domain: Sequence,
@@ -165,8 +179,7 @@ class CountTable:
         # dyadic checkpoints, materialized after the increments
         for cond, c in ((xz, counts[xz]), (xk, counts[xk]), (None, self.n)):
             if _is_pow2(c):
-                tally = tuple([counts.get(k, 0) for k in self._outcome_keys(cond)])
-                self._levels.setdefault(cond, []).append((self.n, tally))
+                self._levels.setdefault(cond, []).append((self.n, tuple(self._tally(cond))))
                 self.checkpoint_version += 1
 
     def ingest_all(self, stream: Iterable) -> None:
@@ -226,7 +239,7 @@ class CountTable:
         while t <= n0 + m:
             chunk = [c for a in (2, 0)
                      for c in np.bincount(cols[a][:t - n0], minlength=dims[a]).tolist()]
-            tally = map(add, chunk, [get(k, 0) for k in self._outcome_keys(None)])
+            tally = map(add, chunk, self._tally(None))
             self._levels.setdefault(None, []).append((t, tuple(tally)))
             crossed += 1
             t <<= 1
@@ -262,19 +275,22 @@ class CountTable:
         occurrence = before[group] + np.arange(len(cond)) - start + 1
         hits = np.flatnonzero(occurrence & (occurrence - 1) == 0).tolist()
         # each condition cell's outcome tally as it stood before the chunk
-        base = [[get(k, 0) for k in self._outcome_keys(key)] for key in keys] if hits else []
+        base = [self._tally(key) for key in keys] if hits else []
         for p in hits:
             g = group[p]
             chunk = np.bincount(outcome[start[p]:p + 1], minlength=n_outcomes).tolist()
             yield keys[g], (self.n + int(order[p]) + 1, tuple(map(add, chunk, base[g])))
 
-    def _outcome_keys(self, cond: tuple | None) -> list[tuple]:
-        """Count keys of a logged condition's outcome tally, in tally order."""
+    def _tally(self, cond: tuple | None) -> list[int]:
+        """A logged condition's outcome counts so far, in tally order."""
         if cond is None:
-            return [('z', zv) for zv in self.z_values] + [('x', xv) for xv in self.x_domain]
-        if cond[0] == 'xz':
-            return [('xyz', cond[1], yv, cond[2]) for yv in self.y_domain]
-        return [('xz', cond[1], zv) for zv in self.z_values]
+            keys = [('z', zv) for zv in self.z_values] + [('x', xv) for xv in self.x_domain]
+        elif cond[0] == 'xz':
+            keys = [('xyz', cond[1], yv, cond[2]) for yv in self.y_domain]
+        else:
+            keys = [('xz', cond[1], zv) for zv in self.z_values]
+        get = self._counts.get
+        return [get(k, 0) for k in keys]
 
     def _cell_values(self, axes, code: int) -> tuple:
         """Domain values of a pattern's cell code (row-major over ``axes``)."""
@@ -285,120 +301,58 @@ class CountTable:
             values.append(domains[a][i])
         return tuple(reversed(values))
 
-    # -- pattern helpers ---------------------------------------------------
-
-    @staticmethod
-    def _key(x=None, y=None, z=None) -> tuple | None:
-        """Internal key for a (possibly partial) pattern; None = full stream."""
-        if z is not None and not isinstance(z, tuple):
-            z = tuple(z) if isinstance(z, list) else (z,)
-        match (x is not None, y is not None, z is not None):
-            case (True, True, True):
-                return ('xyz', x, y, z)
-            case (True, False, True):
-                return ('xz', x, z)
-            case (True, False, False):
-                return ('x', x)
-            case (False, False, True):
-                return ('z', z)
-            case (False, False, False):
-                return None
-        fixed = [name for name, v in (('x', x), ('y', y), ('z', z)) if v is not None]
-        raise ValueError(f"pattern ({', '.join(fixed)}) is not tracked")
+    # -- reads ---------------------------------------------------------------
 
     def count(self, x=None, y=None, z=None) -> int:
-        """Occurrences of the pattern in the whole stream so far."""
-        key = self._key(x, y, z)
-        if key is None:
-            return self.n
+        """Occurrences of a tracked pattern in the whole stream so far."""
+        z = None if z is None else _as_z(z)
+        match (x is not None, y is not None, z is not None):
+            case (True, True, True):
+                key = ('xyz', x, y, z)
+            case (True, False, True):
+                key = ('xz', x, z)
+            case (True, False, False):
+                key = ('x', x)
+            case (False, False, True):
+                key = ('z', z)
+            case (False, False, False):
+                return self.n
+            case _:
+                fixed = [name for name, v in (('x', x), ('y', y), ('z', z)) if v is not None]
+                raise ValueError(f"pattern ({', '.join(fixed)}) is not tracked")
         return self._counts.get(key, 0)
 
-    def _check_prefix(self, m: int) -> None:
-        if m > self.n:
-            raise ValueError(f"prefix length {m} exceeds stream length {self.n}")
-        if m < 0:
-            raise ValueError("prefix length must be >= 0")
+    def leaf(self, event: dict, given: dict, m=None) -> tuple[int, int]:
+        """(count, hits) of one estimated probability, P(event | given):
+        y given (x, z), z given x, or z or x given nothing.
 
-    # -- estimates ---------------------------------------------------------
-
-    def empirical_estimate(self, event: dict, given: dict | None = None) -> float | None:
-        """Joint count of event+given over the count of given; None if the
-        condition has not occurred (callers decide what that means)."""
-        given = given or {}
-        overlap = set(event) & set(given)
-        if overlap:
-            raise ValueError(f"event and condition overlap on {sorted(overlap)}")
-        denom = self.count(**given)
-        if denom == 0:
-            return None
-        return self.count(**{**given, **event}) / denom
-
-    def dyadic_estimate(self, event: dict, given: dict) -> float | None:
-        """Fraction of the first dyadic_floor(#given) occurrences of the
-        condition that also match the event; None if #given == 0."""
-        return self.prefix_dyadic_estimate(event, given, self.n)
-
-    def dyadic_levels(self, event: dict, given: dict) -> list[int]:
-        """Event tallies among the first 2**j condition occurrences, for
-        every materialized level j."""
-        self._require_tracked(event, given)
-        c = self.count(**given)
-        top = dyadic_floor(c).bit_length() - 1 if c else -1
-        return [self._dyadic_tally(event, given, j) for j in range(top + 1)]
-
-    @staticmethod
-    def _require_tracked(event: dict, given: dict) -> None:
-        """Refuse an (event, condition) pair without dyadic tallies."""
-        gk, ek = tuple(sorted(given)), tuple(sorted(event))
-        if (gk, ek) not in _DYADIC_PAIRS:
-            raise ValueError(f"dyadic tally of {', '.join(ek)} given "
-                             f"({', '.join(gk)}) is not tracked")
-
-    def _dyadic_tally(self, event: dict, given: dict, j: int) -> int:
-        # the pair is a tracked one, so its coordinates tell it apart
-        if 'y' in event:
-            key = ('xz', given['x'], self._as_z(given['z']))
-            i = self._y_index[event['y']]
-        elif given:
-            key, i = ('x', given['x']), self._z_index[self._as_z(event['z'])]
-        elif 'z' in event:
-            key, i = None, self._z_index[self._as_z(event['z'])]
-        else:
-            key, i = None, len(self.z_values) + self._x_index[event['x']]
-        return self._levels[key][j][1][i]
-
-    @staticmethod
-    def _as_z(z):
-        if isinstance(z, tuple):
-            return z
-        return tuple(z) if isinstance(z, list) else (z,)
-
-    def _levels_at(self, given: dict, m: int) -> int:
-        """How many dyadic levels of the condition the first m observations
-        reached: L levels mean a count in [2**(L-1), 2**L), 0 none."""
-        if not given:
-            return m.bit_length()
-        key = ('xz', given['x'], self._as_z(given['z'])) if 'z' in given \
-            else ('x', given['x'])
-        return bisect_right(self._levels.get(key, ()), m, key=_position)
-
-    def prefix_dyadic_floor(self, given: dict, m: int) -> int:
-        """dyadic_floor of the condition's count after the first m
-        observations, 0 if the condition has not occurred by then."""
-        if tuple(sorted(given)) not in _DYADIC_CONDITIONS:
-            raise ValueError(f"dyadic levels of ({', '.join(sorted(given))}) "
-                             "are not tracked")
-        self._check_prefix(m)
-        levels = self._levels_at(given, m)
-        return 1 << (levels - 1) if levels else 0
-
-    def prefix_dyadic_estimate(self, event: dict, given: dict, m: int) -> float | None:
-        """dyadic_estimate as it stood after the first m observations."""
-        self._require_tracked(event, given)
-        k = self.prefix_dyadic_floor(given, m)
-        if not k:
-            return None
-        return self._dyadic_tally(event, given, k.bit_length() - 1) / k
+        With ``m`` None: the condition's count in the whole stream, and how
+        many of those occurrences also match the event.  With an integer
+        ``m`` in [0, n]: dyadic_floor of the condition's count after the
+        first m observations, and the hits among that many first
+        occurrences; (0, 0) if the condition has not occurred by then.
+        """
+        try:
+            match sorted(given), sorted(event):
+                case ['x', 'z'], ['y']:
+                    cond, i = ('xz', given['x'], _as_z(given['z'])), self._y_index[event['y']]
+                case ['x'], ['z']:
+                    cond, i = ('x', given['x']), self._z_index[_as_z(event['z'])]
+                case [], ['z']:
+                    cond, i = None, self._z_index[_as_z(event['z'])]
+                case [], ['x']:
+                    cond, i = None, len(self.z_values) + self._x_index[event['x']]
+                case _:
+                    raise ValueError(f"leaf {', '.join(sorted(event))} given "
+                                     f"({', '.join(sorted(given))}) is not tracked")
+        except KeyError as exc:  # an event value with no place in the tallies
+            raise ValueError(f"leaf value {exc.args[0]!r} not in declared domain") from None
+        if m is None:
+            return self.n if cond is None else self._counts.get(cond, 0), self._tally(cond)[i]
+        m = _prefix_length(m, self.n)
+        log = self._levels.get(cond, ())
+        levels = bisect_right(log, m, key=_position)  # a count in [2**(levels-1), 2**levels)
+        return (1 << (levels - 1), log[levels - 1][1][i]) if levels else (0, 0)
 
     def checkpoints(self) -> list[int]:
         """Stream positions, in order, at which some dyadic level was

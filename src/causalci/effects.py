@@ -58,7 +58,7 @@ from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import hoeffding_term, lil_term
-from .counts import CountTable, _hashable
+from .counts import CountTable, _hashable, _prefix_length
 
 if TYPE_CHECKING:
     from .simulator import CausalModel
@@ -205,9 +205,8 @@ def _bind(table: CountTable, query: EffectQuery, n: int | None):
     family by family; n defaults to the whole stream and differs from it
     only in the anytime regime, where every family is dyadic and so read
     from the table's checkpoint log."""
-    if n is None or n == table.n:
-        n = table.n
-    elif query.regime != 'anytime':
+    n = table.n if n is None else _prefix_length(n, table.n)
+    if n != table.n and query.regime != 'anytime':
         raise ValueError("a prefix index applies only to the anytime regime")
     require_in_domain(table, x=query.x, y=query.y)
     if query.binary_toy and (len(table.x_domain), len(table.y_domain),
@@ -218,20 +217,13 @@ def _bind(table: CountTable, query: EffectQuery, n: int | None):
     bound = []
     for fam in families:
         radius = lil_term if fam.dyadic else hoeffding_term
+        m = n if fam.dyadic else None
         pairs = []
         for event, given in fam.cells:
+            count, hits = table.leaf(event, given, m)
             if not (fam.shared and pairs):
-                # a LIL radius reads only the dyadic floor of the count
-                count = table.prefix_dyadic_floor(given, n) if fam.dyadic \
-                    else table.count(**given)
                 r = radius(count, fam.ratio)
-            if not count:
-                est = 0.0
-            elif fam.dyadic:
-                est = table.prefix_dyadic_estimate(event, given, n)
-            else:
-                est = table.count(**given, **event) / count
-            pairs.append((est, r))
+            pairs.append((hits / count if count else 0.0, r))
         bound.append(pairs)
     return families, n, bound
 

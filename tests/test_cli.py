@@ -462,6 +462,28 @@ def test_inconsistent_config_exit_2(tmp_path):
                  "--frontdoor-form", "horner-z"]) == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "coverage"])
+@pytest.mark.parametrize("config, message", [
+    ([1], "--config must hold a JSON object, not list"),
+    ({"x": 1, "y": 1, "binary_toy": "false"},
+     "--config: binary_toy must be a JSON boolean, not 'false'"),
+    ({"x": 1, "y": 1, "binary_toy": 1},
+     "--config: binary_toy must be a JSON boolean, not 1"),
+])
+def test_malformed_config_exit_2(tmp_path, capsys, command, config, message):
+    path = tmp_path / "query.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out.jsonl"
+    if command == "analyze":
+        args = ["--data", write_eight_obs(tmp_path / "obs.jsonl")]
+    else:
+        args = ["--n", "16", "-R", "2"]
+    assert main([command, "--model", FIG1, "--config", str(path),
+                 "--output", str(out), *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_env_var_default_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("CAUSALCI_SEED", "77")
     from_env = tmp_path / "env.jsonl"

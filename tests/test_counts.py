@@ -14,7 +14,7 @@ from causalci.counts import (CountTable, Observation, ObservationParseError,
                              dyadic_floor, read_csv, read_jsonl)
 from causalci.effects import EffectQuery, effect_interval
 from causalci.simulator import sample_iid
-from helpers import binary_table, eight_obs_stream, naive_dyadic_estimate, \
+from helpers import binary_table, eight_obs_stream, naive_count, naive_dyadic_estimate, \
     naive_dyadic_floor, random_table, reference_read_jsonl, three_valued_model
 
 
@@ -95,16 +95,30 @@ def test_unhashable_value_is_a_domain_error(obs, message):
         assert table == binary_table()
 
 
+def _estimate(leaf):
+    """A leaf's (count, hits) as the frequency it stands for; None with no
+    occurrences, as the naive oracle has it."""
+    count, hits = leaf
+    return hits / count if count else None
+
+
 def test_untracked_patterns_raise():
     # only the patterns some estimator reads are tracked
     table = binary_table(eight_obs_stream())
     for pattern in ({'x': 1, 'y': 1}, {'y': 1}, {'y': 1, 'z': (0,)}):
         with pytest.raises(ValueError, match="not tracked"):
             table.count(**pattern)
-    with pytest.raises(ValueError, match="not tracked"):
-        table.dyadic_estimate({'y': 1}, {'x': 1})
-    with pytest.raises(ValueError, match="not tracked"):
-        table.dyadic_estimate({'x': 1}, {'z': (0,)})
+    for m in (None, table.n):
+        with pytest.raises(ValueError, match="not tracked"):
+            table.leaf({'y': 1}, {'x': 1}, m)
+        with pytest.raises(ValueError, match="not tracked"):
+            table.leaf({'x': 1}, {'z': (0,)}, m)
+        for event in ({'y': 7}, {'z': (7,)}, {'x': 7}):
+            given = {'x': 1, 'z': (0,)} if 'y' in event else {}
+            with pytest.raises(ValueError, match="^leaf value .* not in declared domain$"):
+                table.leaf(event, given, m)
+        # a condition outside the domains has never occurred
+        assert table.leaf({'y': 1}, {'x': 7, 'z': (0,)}, m) == (0, 0)
 
 
 @pytest.mark.parametrize("m", [0, 1, 5, 8])
@@ -114,26 +128,33 @@ def test_prefix_dyadic_estimate_refuses_untracked_pairs(m):
     for event, given in (({'x': 1}, {'z': (0,)}), ({'y': 1}, {'x': 1}),
                          ({'y': 1}, {})):
         with pytest.raises(ValueError, match="not tracked"):
-            table.prefix_dyadic_estimate(event, given, m)
+            table.leaf(event, given, m)
     # a tracked pair still answers at every prefix
-    assert table.prefix_dyadic_estimate({'x': 1}, {}, m) == \
+    assert _estimate(table.leaf({'x': 1}, {}, m)) == \
         naive_dyadic_estimate(eight_obs_stream(), lambda o: o.x == 1,
                               lambda o: True, upto=m)
 
 
 def test_empirical_estimate():
     table = binary_table(eight_obs_stream())
-    assert table.empirical_estimate({'y': 1}, given={'x': 1, 'z': (0,)}) == 2 / 3
-    assert table.empirical_estimate({'z': (0,)}) == 0.5
-    # the treated value never co-occurs with this pattern in an empty table
-    assert binary_table().empirical_estimate({'y': 1}, given={'x': 1}) is None
+    assert table.leaf({'y': 1}, {'x': 1, 'z': (0,)}) == (3, 2)  # 2/3
+    assert table.leaf({'z': (0,)}, {}) == (8, 4)  # 0.5
+    # no condition has occurred in an empty table
+    empty = binary_table()
+    for event, given in (({'y': 1}, {'x': 1, 'z': (0,)}), ({'z': (0,)}, {'x': 1}),
+                         ({'z': (0,)}, {}), ({'x': 1}, {})):
+        assert empty.leaf(event, given) == (0, 0)
 
 
 def test_empirical_estimate_sums_to_one():
     table = binary_table(eight_obs_stream())
     for z in table.z_values:
-        total = sum(table.empirical_estimate({'y': y}, given={'x': 1, 'z': z})
+        total = sum(_estimate(table.leaf({'y': y}, {'x': 1, 'z': z}))
                     for y in table.y_domain)
+        assert total == pytest.approx(1.0)
+    for event, given in (('z', {'x': 1}), ('z', {}), ('x', {})):
+        values = table.z_values if event == 'z' else table.x_domain
+        total = sum(_estimate(table.leaf({event: v}, given)) for v in values)
         assert total == pytest.approx(1.0)
 
 
@@ -146,15 +167,15 @@ def test_dyadic_estimate_prefix_trace():
         stream.append(Observation(1, y, (0,)))
         stream.append(Observation(0, 0, (1,)))  # filler
     table = binary_table(stream)
-    assert table.dyadic_estimate({'y': 1}, {'x': 1, 'z': (0,)}) == 3 / 4
+    assert table.leaf({'y': 1}, {'x': 1, 'z': (0,)}, table.n) == (4, 3)  # 3/4
 
 
 def test_dyadic_estimate_saturated_and_single():
     table = binary_table([Observation(1, 1, (0,))] * 4)
-    assert table.dyadic_estimate({'y': 1}, {'x': 1, 'z': (0,)}) == 1.0
+    assert table.leaf({'y': 1}, {'x': 1, 'z': (0,)}, 4) == (4, 4)  # 1.0
     single = binary_table([Observation(1, 1, (1,))])
-    assert single.dyadic_estimate({'y': 1}, {'x': 1, 'z': (1,)}) == 1.0
-    assert single.dyadic_estimate({'y': 1}, {'x': 0, 'z': (1,)}) is None
+    assert single.leaf({'y': 1}, {'x': 1, 'z': (1,)}, 1) == (1, 1)  # 1.0
+    assert single.leaf({'y': 1}, {'x': 0, 'z': (1,)}, 1) == (0, 0)  # no estimate
 
 
 def test_dyadic_levels_monotone():
@@ -162,7 +183,13 @@ def test_dyadic_levels_monotone():
     table, _ = random_table(rng, min_n=200, max_n=400)
     for z in table.z_values:
         for y in table.y_domain:
-            levels = table.dyadic_levels({'y': y}, {'x': table.x_domain[0], 'z': z})
+            given = {'x': table.x_domain[0], 'z': z}
+            # the event tally at each level j: where the count reaches 2**j
+            trace = [table.leaf({'y': y}, given, m) for m in range(table.n + 1)]
+            levels = [hits for (count, hits), (before, _) in zip(trace[1:], trace)
+                      if count != before]
+            assert list(dict.fromkeys(count for count, _ in trace)) == \
+                [0] + [2 ** j for j in range(len(levels))]
             for j, tally in enumerate(levels):
                 assert 0 <= tally <= 2 ** j
             assert levels == sorted(levels)
@@ -174,17 +201,17 @@ def test_dyadic_estimates_match_naive_oracle():
     xt = table.x_domain[0]
     for z in table.z_values:
         for y in table.y_domain:
-            got = table.dyadic_estimate({'y': y}, {'x': xt, 'z': z})
+            got = _estimate(table.leaf({'y': y}, {'x': xt, 'z': z}, table.n))
             want = naive_dyadic_estimate(obs, lambda o: o.y == y,
                                          lambda o: o.x == xt and o.z == z)
             assert got == want
     for m in (1, 7, len(obs) // 2, len(obs)):
-        got = table.prefix_dyadic_estimate({'z': table.z_values[0]}, {}, m)
+        got = _estimate(table.leaf({'z': table.z_values[0]}, {}, m))
         want = naive_dyadic_estimate(obs, lambda o: o.z == table.z_values[0],
                                      lambda o: True, upto=m)
         assert got == want
-        got = table.prefix_dyadic_estimate({'y': table.y_domain[0]},
-                                           {'x': xt, 'z': table.z_values[0]}, m)
+        got = _estimate(table.leaf({'y': table.y_domain[0]},
+                                   {'x': xt, 'z': table.z_values[0]}, m))
         want = naive_dyadic_estimate(obs, lambda o: o.y == table.y_domain[0],
                                      lambda o: o.x == xt and o.z == table.z_values[0],
                                      upto=m)
@@ -418,9 +445,9 @@ def test_ingest_all_bad_row_matches_row_by_row(case, bad, data):
 # -- the checkpoint log ------------------------------------------------------------
 
 @st.composite
-def log_cases(draw):
+def log_cases(draw, max_rows=300):
     """Random domains (binary ones often enough for the tightened constants)
-    and a stream of up to a few hundred skewed rows."""
+    and a stream of up to ``max_rows`` skewed rows."""
     if draw(st.booleans()):
         x_dom, y_dom, z_doms = (3, 8), ('no', 'yes'), [(0, 5)]
     else:
@@ -431,7 +458,8 @@ def log_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cells = list(product(x_dom, y_dom, product(*z_doms)))
     probs = rng.random(len(cells)) ** 3 + 1e-3
-    draws = rng.choice(len(cells), size=draw(st.integers(0, 300)), p=probs / probs.sum())
+    draws = rng.choice(len(cells), size=draw(st.integers(0, max_rows)),
+                       p=probs / probs.sum())
     return (x_dom, y_dom, z_doms), [Observation(*cells[c]) for c in draws]
 
 
@@ -476,18 +504,61 @@ def test_prefix_intervals_from_the_log_equal_replayed_tables(case, chunk):
         for query in queries:
             got, want = effect_interval(full, query, m), effect_interval(replay, query)
             assert (got, got.constants) == (want, want.constants)
-            assert full.prefix_dyadic_floor({'x': query.x}, m) == \
-                replay.prefix_dyadic_floor({'x': query.x}, m)
+            z = replay.z_values[0]
+            assert full.leaf({'z': z}, {'x': query.x}, m) == \
+                replay.leaf({'z': z}, {'x': query.x}, m)
 
 
 def test_prefix_dyadic_floor_refuses_an_untracked_condition():
     table = binary_table(eight_obs_stream())
-    assert [table.prefix_dyadic_floor({'x': 1}, m) for m in range(9)] == \
+    assert [table.leaf({'z': (0,)}, {'x': 1}, m)[0] for m in range(9)] == \
         [0, 1, 2, 2, 2, 4, 4, 4, 4]
     with pytest.raises(ValueError, match="not tracked"):
-        table.prefix_dyadic_floor({'z': (0,)}, 4)
-    with pytest.raises(ValueError, match="exceeds"):
-        table.prefix_dyadic_floor({'x': 1}, 9)
+        table.leaf({'x': 1}, {'z': (0,)}, 4)
+    for m in (9, -1):
+        with pytest.raises(ValueError, match=r"^prefix length -?\d is not in \[0, 8\]$"):
+            table.leaf({'z': (0,)}, {'x': 1}, m)
+
+
+def _tracked_leaves(table):
+    """Every tracked (event, condition) pair of the table's domains."""
+    xs, ys, zs = table.x_domain, table.y_domain, table.z_values
+    return ([({'y': y}, {'x': x, 'z': z}) for x in xs for z in zs for y in ys]
+            + [({'z': z}, {'x': x}) for x in xs for z in zs]
+            + [({'z': z}, {}) for z in zs] + [({'x': x}, {}) for x in xs])
+
+
+def _matches(pattern):
+    return lambda o: all(getattr(o, k) == v for k, v in pattern.items())
+
+
+@settings(max_examples=25, deadline=None)
+@given(log_cases(max_rows=64))
+def test_leaf_equals_the_naive_recount_at_every_prefix(case):
+    """Over every tracked pair and every prefix m, each table's leaf is the
+    naive recount, whether the table was built row by row or in chunks."""
+    domains, rows = case
+    tables = [CountTable(*domains)]
+    for obs in rows:
+        tables[0].ingest(obs)
+    for chunk in (1, 3, 4096):
+        tables.append(CountTable(*domains))
+        with mock.patch.object(counts, '_CHUNK_ROWS', chunk):
+            tables[-1].ingest_all(rows)
+    for event, given in _tracked_leaves(tables[0]):
+        whole = (naive_count(rows, **given), naive_count(rows, **given, **event))
+        assert all(table.leaf(event, given) == whole for table in tables)
+        before = (0, 0)
+        for m in range(len(rows) + 1):
+            seen = naive_count(rows, **given, upto=m)
+            count = naive_dyadic_floor(seen) if seen else 0
+            estimate = naive_dyadic_estimate(rows, _matches(event), _matches(given), upto=m)
+            for table in tables:
+                assert table.leaf(event, given, m) == \
+                    (count, 0 if estimate is None else round(estimate * count))
+            hits = tables[0].leaf(event, given, m)[1]
+            assert before[1] <= hits <= count and before[0] <= count
+            before = (count, hits)
 
 
 def test_ingest_all_applies_rows_read_before_a_stream_error():

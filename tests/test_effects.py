@@ -240,6 +240,26 @@ def test_dispatch_prefix_only_for_anytime():
     assert effect_interval(table, q(regime='anytime'), n=4).n == 4
 
 
+@pytest.mark.parametrize('criterion', CRITERIA)
+def test_prefix_of_any_integral_type(criterion):
+    table = binary_table(eight_obs_stream() * 8)
+    query = q(criterion, regime='anytime')
+    for m in (0, 5, 50, 64):
+        want = effect_interval(table, query, m)
+        for same in (np.int64(m), np.int32(m), np.uint16(m)):
+            got = effect_interval(table, query, same)
+            assert (got, got.constants) == (want, want.constants)
+            assert type(got.n) is int
+    # a float is no prefix length, even one equal to the stream length
+    for m in (50.0, 64.0, np.float64(50), 2.5):
+        with pytest.raises(ValueError, match=f"^prefix length {re.escape(repr(m))} "
+                                             "is not an integer$"):
+            effect_interval(table, query, m)
+    for m in (-1, 65, np.int64(65)):
+        with pytest.raises(ValueError, match=r"^prefix length -?\d+ is not in \[0, 64\]$"):
+            effect_interval(table, query, m)
+
+
 def test_frontdoor_forms_share_midpoint():
     table = binary_table(eight_obs_stream())
     intervals = [effect_interval(table, q('frontdoor', frontdoor_form=f))
