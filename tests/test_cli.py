@@ -448,6 +448,17 @@ def test_coverage_prediction_subcommand(tmp_path):
     assert 0 <= report["miss_rate"] <= 1
 
 
+@pytest.mark.parametrize("prediction", [[], ["--prediction"]])
+def test_coverage_malformed_policy_spec_exit_2(tmp_path, capsys, prediction):
+    out = tmp_path / "report.jsonl"
+    assert main(["coverage", "--model", FIG1, *prediction, "--regime", "anytime",
+                 "--xtilde", "1", "--y", "1", "--policy", "epsilon-greedy:abc",
+                 "--n", "16", "-R", "2", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: policy 'epsilon-greedy:abc': "
+                                       "epsilon must be a number in [0, 1]\n")
+    assert not out.exists()
+
+
 def test_missing_query_values_exit_2(tmp_path, capsys):
     stream = write_eight_obs(tmp_path / "obs.jsonl")
     assert main(["analyze", "--model", FIG1, "--data", stream]) == 2
@@ -469,6 +480,12 @@ def test_inconsistent_config_exit_2(tmp_path):
      "--config: binary_toy must be a JSON boolean, not 'false'"),
     ({"x": 1, "y": 1, "binary_toy": 1},
      "--config: binary_toy must be a JSON boolean, not 1"),
+    ({"x": 1, "y": 1, "delta": "abc"},
+     "--config: delta must be a JSON number, not 'abc'"),
+    ({"x": 1, "y": 1, "delta": "0.1"},
+     "--config: delta must be a JSON number, not '0.1'"),
+    ({"x": 1, "y": 1, "delta": True},
+     "--config: delta must be a JSON number, not True"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, command, config, message):
     path = tmp_path / "query.json"

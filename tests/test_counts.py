@@ -442,6 +442,67 @@ def test_ingest_all_bad_row_matches_row_by_row(case, bad, data):
     assert batch.n == k
 
 
+# -- cell codes -------------------------------------------------------------------
+
+@st.composite
+def code_cases(draw, n):
+    """Random domains, a skewed stream of n cell codes and where to split
+    it into two calls."""
+    x_dom = tuple(10 * i + 1 for i in range(draw(st.integers(1, 3))))
+    y_dom = tuple(f"y{i}" for i in range(draw(st.integers(1, 3))))
+    z_doms = [tuple(range(draw(st.integers(1, 3))))
+              for _ in range(draw(st.integers(1, 2)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = len(x_dom) * len(y_dom) * len(list(product(*z_doms)))
+    probs = rng.random(cells) ** 3 + 1e-3
+    codes = rng.choice(cells, size=n, p=probs / probs.sum())
+    return (x_dom, y_dom, z_doms), codes, draw(st.integers(0, n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 9000])  # around the chunk size
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_ingest_codes_equals_ingest_all_and_row_by_row_ingest(n, data):
+    domains, codes, split = data.draw(code_cases(n))
+    x_dom, y_dom, z_doms = domains
+    cells = list(product(x_dom, y_dom, product(*z_doms)))
+    rows = [Observation(*cells[c]) for c in codes.tolist()]
+    coded, batch, stream = (CountTable(*domains) for _ in range(3))
+    coded.ingest_codes(codes[:split])
+    coded.ingest_codes(codes[split:])
+    batch.ingest_all(rows)
+    for obs in rows:
+        stream.ingest(obs)
+    assert coded == batch == stream
+    assert coded.checkpoints() == stream.checkpoints()
+
+
+@pytest.mark.parametrize("codes, message", [
+    ([0, 7, -1, 3], r"^cell code -1 at row 2 is not in \[0, 8\)$"),
+    ([8], r"^cell code 8 at row 0 is not in \[0, 8\)$"),
+    (np.array([2**40], dtype=np.uint64), r"^cell code 1099511627776 at row 0 is not in"),
+    ([0.0, 1.0], r"^cell codes must be a one-dimensional array of integers$"),
+    ([[0, 1]], r"^cell codes must be a one-dimensional array of integers$"),
+])
+def test_ingest_codes_refuses_what_is_not_a_cell(codes, message):
+    table = binary_table(eight_obs_stream())
+    with pytest.raises(ValueError, match=message):
+        table.ingest_codes(codes)
+    assert table == binary_table(eight_obs_stream())  # nothing applied
+
+
+@pytest.mark.parametrize("domains, name", [
+    (((0, 0), (0, 1), [(0, 1)]), "x"),
+    (((0, 1), (1, True), [(0, 1)]), "y"),
+    (((0, 1), (0, 1), [(0, 1), ('a', 'b', 'a')]), "z[1]"),
+])
+def test_table_refuses_a_domain_with_a_repeated_value(domains, name):
+    # a cell code names one value per coordinate
+    message = rf"^duplicate values in the {re.escape(name)} domain"
+    with pytest.raises(ValueError, match=message):
+        CountTable(*domains)
+
+
 # -- the checkpoint log ------------------------------------------------------------
 
 @st.composite

@@ -186,6 +186,26 @@ def test_make_policy_specs():
         make_policy("thompson", model)
 
 
+@pytest.mark.parametrize("spec", ["epsilon-greedy:abc", "epsilon-greedy:2",
+                                  "epsilon-greedy:nan"])
+def test_make_policy_names_the_spec_it_refuses(spec):
+    message = rf"^policy '{spec}': epsilon must be a number in \[0, 1\]$"
+    with pytest.raises(ValueError, match=message):
+        make_policy(spec, fig1_model())
+
+
+@pytest.mark.parametrize("make", [lambda t: EpsilonGreedyPolicy(0.1, target_y=t),
+                                  lambda t: AlternatingAdversaryPolicy(target_y=t)])
+def test_policy_refuses_a_target_outside_the_outcome_domain(make):
+    model = fig1_model()
+    message = r"^target outcome 7 is not in the outcome domain \(0, 1\)$"
+    with pytest.raises(ValueError, match=message):
+        sample_adaptive(model, make(7), 10, seed=1)
+    # an explicit target in the domain is tracked like the default one
+    assert sample_adaptive(model, make(1), 500, seed=1) == \
+        sample_adaptive(model, make(None), 500, seed=1)
+
+
 def test_policy_rejects_bad_value():
     model = fig1_model()
 
@@ -195,6 +215,13 @@ def test_policy_rejects_bad_value():
 
     with pytest.raises(ValueError, match="treatment value"):
         sample_adaptive(model, Broken(1), 5, seed=1)
+
+
+def test_constant_policy_outside_the_domain_raises_at_the_first_step():
+    model = fig1_model()
+    assert sample_adaptive(model, ConstantPolicy(9), 0, seed=1) == []
+    with pytest.raises(ValueError, match="^policy returned 9, not a treatment value$"):
+        sample_adaptive(model, ConstantPolicy(9), 1, seed=1)
 
 
 class Recording(Policy):
@@ -244,6 +271,57 @@ def test_adaptive_sampler_matches_reference(model, policy, monkeypatch):
         assert [(type(o.x), type(o.y)) for o in got] == \
             [(type(o.x), type(o.y)) for o in want]
         assert got_policy.seen == want_policy.seen
+
+
+def _never_asked(self, history, visible):
+    raise AssertionError("a built-in policy was asked through choose")
+
+
+@pytest.mark.parametrize("policy", sorted(SAMPLER_POLICIES))
+@pytest.mark.parametrize("model", sorted(SAMPLER_MODELS))
+def test_built_in_policies_on_cell_codes_match_reference(model, policy, monkeypatch):
+    """Unwrapped, the built-in policies choose on domain indices, never
+    through choose; the decoded code stream is still the step-by-step one."""
+    model = SAMPLER_MODELS[model]()
+    make = SAMPLER_POLICIES[policy]
+    assert type(make(model))._steps is not None
+    cases = [(block, n) for block in (1, 3, 7) for n in (0, 1, 5, 6, 7, 8, 22)]
+    cases += [(simulator._BLOCK_STEPS, n) for n in (0, 1, 5, 4095, 4096, 4097, 9000)]
+    for block, n in cases:
+        monkeypatch.setattr(simulator, "_BLOCK_STEPS", block)
+        seed = [n, block]
+        want = reference_sample_adaptive(model, make(model), n, seed)
+        with monkeypatch.context() as patched:
+            for cls in (Policy, ConstantPolicy, CptPolicy, simulator._SuccessRatePolicy,
+                        AlternatingAdversaryPolicy):  # every choose they have
+                patched.setattr(cls, "choose", _never_asked)
+            codes = simulator._adaptive_codes(model, make(model), n, seed)
+        got = model.count_table().decode(codes)
+        assert got == want, (block, n)
+        assert [(type(o.x), type(o.y)) for o in got] == \
+            [(type(o.x), type(o.y)) for o in want]
+        assert sample_adaptive(model, make(model), n, seed) == want
+
+
+def test_overriding_choose_keeps_asking_choose():
+    model = three_valued_model()
+    asked = []
+
+    class BreaksAtTen(ConstantPolicy):
+        def choose(self, history, visible):
+            asked.append((len(history), dict(visible)))
+            return 9 if len(history) == 10 else super().choose(history, visible)
+
+    def asked_by(sampler):
+        asked.clear()
+        with pytest.raises(ValueError, match="^policy returned 9, not a treatment value$"):
+            sampler(model, BreaksAtTen(1), 20, seed=4)
+        return list(asked)
+
+    assert BreaksAtTen._steps is None and ConstantPolicy._steps is not None
+    want = asked_by(reference_sample_adaptive)
+    assert asked_by(sample_adaptive) == want
+    assert [steps for steps, _ in want] == list(range(11))
 
 
 @pytest.mark.parametrize("block", [1, 3, 7, 4096])
