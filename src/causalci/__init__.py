@@ -2,7 +2,6 @@
 effects identified by the back-door or front-door criterion, from IID or
 adaptively collected categorical observation streams."""
 
-from .bounds import Radius, hoeffding_halfwidth, lil_halfwidth
 from .counts import CountTable, Observation, dyadic_floor
 from .effects import (EffectInterval, EffectQuery, backdoor_cs_anytime,
                       effect_interval, frontdoor_cs_anytime, true_effect)

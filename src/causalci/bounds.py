@@ -13,44 +13,17 @@ Two primitives:
   radius is unbounded until the second observation.
 
 Splitting delta across several estimated probabilities is the caller's
-job; both functions take a single delta.  The ``*_term`` variants take the
-ratio inside the logarithm directly, for callers that carry pre-split
-constants.  All rounding is upward-safe: radii are never rounded below
-their real value by more than one ulp, and unboundedness is explicit.
+job: both functions take the ratio inside the logarithm (``2/delta`` and
+``3.3/delta`` for a single delta), so callers carry pre-split constants.
+Unboundedness is explicit.  Each single term is within one ulp of its real
+value, possibly below it; a sum of terms is not rounded upward either.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .counts import dyadic_floor
-
-
-@dataclass(frozen=True)
-class Radius:
-    """A non-negative half-width; ``unbounded`` means "no information"."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (self.value >= 0):
-            raise ValueError("radius must be non-negative")
-
-    @property
-    def unbounded(self) -> bool:
-        return math.isinf(self.value)
-
-    def __float__(self) -> float:
-        return self.value
-
-
-UNBOUNDED = Radius(math.inf)
-
-
-def _check_delta(delta: float) -> None:
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
 
 
 def hoeffding_term(n: int, ratio: float) -> float:
@@ -68,18 +41,3 @@ def lil_term(count: int, ratio: float) -> float:
         return math.inf
     j = k.bit_length() - 1
     return math.sqrt((2 * math.log(j) + math.log(ratio)) / (2 * k))
-
-
-def hoeffding_halfwidth(n: int, delta: float) -> Radius:
-    """Fixed-n radius of a (1-delta) confidence interval for a Bernoulli
-    mean estimated from n observations."""
-    _check_delta(delta)
-    return Radius(hoeffding_term(n, 2 / delta))
-
-
-def lil_halfwidth(n: int, delta: float) -> Radius:
-    """Radius of a (1-delta) confidence sequence at time n, paired with the
-    mean of the first dyadic_floor(n) observations.  Constant on each
-    dyadic block [2**k, 2**(k+1)); unbounded for n < 2."""
-    _check_delta(delta)
-    return Radius(lil_term(n, 3.3 / delta))

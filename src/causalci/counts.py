@@ -1,30 +1,31 @@
 """Streaming occurrence counts over categorical observation streams.
 
-A :class:`CountTable` ingests observations ``(x, y, z)`` and keeps only
-what an estimator reads: for every tracked value pattern, the number of
-occurrences so far, and one log of dyadic levels.  Whenever the count of a
-condition the estimators condition on reaches a power of two ``2**j``,
-the log records the stream position and the joint counts over the
-condition's outcome coordinates.
+A :class:`CountTable` names every cell by domain index: x and y index
+their declared domains, z indexes ``z_values`` (the product of the
+z-component domains in lexicographic order), and a row's cell code is
+``(x * |Y| + y) * |Z| + z``.  ``CountTable._indices`` holds the one domain
+check of an observation (``ingest_all`` codes rows inline and calls it only
+for a row it cannot code), and the reads code their arguments alike, so
+equal values (``1``, ``1.0``, ``True``; z as a scalar, list or tuple) name
+one cell.
 
-Every estimated probability is a frequency ``hits / count``, and
-:meth:`CountTable.leaf` is the one read that answers it: over the whole
-stream, or over the first ``dyadic_floor(count)`` occurrences of the
-condition after any prefix of the stream, found in the log by bisection.
-:meth:`CountTable.checkpoints` lists the positions at which the dyadic
-reads can change.  The table holds O(cells + conditions * log n) entries,
-however long the stream.
+Each tracked pattern, (x, y, z), (x, z), x and z, keeps a list of counts
+indexed by its own cell code, row-major over its axes.  When the count of
+a condition the estimators read reaches a power of two ``2**j``, a log
+keyed by the condition's pattern and code records the stream position
+and the condition's outcome tally, a slice of the next finer pattern's
+counts.  :meth:`CountTable.leaf` answers every estimated probability as
+``(count, hits)``: over the whole stream, or over the first
+``dyadic_floor(count)`` occurrences of the condition after any prefix,
+found in the log by bisection.  The table holds O(cells + conditions *
+log n) entries, however long the stream.
 
 :meth:`CountTable.ingest` adds one observation and is the reference path.
-:meth:`CountTable.ingest_codes` adds rows given as integer cell codes
-``(x * |Y| + y) * |Z| + z`` by domain index, column-wise, in chunks of
-``_CHUNK_ROWS`` rows: a chunk is applied with ``numpy.bincount`` for the
-counts and a stable argsort by condition cell for the checkpoints.
-:meth:`CountTable.ingest_all` adds a stream of observations by coding
-each row as its cell and handing the codes over a chunk at a time; the
-samplers of the coverage harness hand over their codes directly.  Either
-way the resulting table, checkpoint version and log included, equals the
-one row-by-row ``ingest`` builds.
+:meth:`CountTable.ingest_codes` adds cell codes in chunks of
+``_CHUNK_ROWS`` (``numpy.bincount`` for the counts, a stable argsort by
+condition cell for the checkpoints); :meth:`CountTable.ingest_all` codes a
+stream's rows inline and hands their codes over a chunk at a time.  Every
+path builds the table that row-by-row ``ingest`` builds.
 
 :func:`read_jsonl` parses each distinct line once: it keeps the rows of
 up to ``_LINE_CACHE`` distinct lines, so rows from identical lines may be
@@ -41,6 +42,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import operator
 import sys
 from bisect import bisect_right
@@ -54,8 +56,8 @@ import numpy as np
 _CHUNK_ROWS = 4096
 # distinct lines whose rows read_jsonl keeps; bounds the memory it holds
 _LINE_CACHE = 4096
-# tracked patterns: tag and the axes of (x, y, z) that the pattern fixes
-_PATTERNS = (('xyz', (0, 1, 2)), ('xz', (0, 2)), ('x', (0,)), ('z', (2,)))
+# tracked patterns, each named by the axes of (x, y, z) that it fixes
+_PATTERNS = ('xyz', 'xz', 'x', 'z')
 # a logged level is (stream position at which it was reached, outcome tally)
 _position = itemgetter(0)
 
@@ -95,7 +97,7 @@ def _prefix_length(m, n: int) -> int:
 
 
 def _as_z(z) -> tuple:
-    """A z-value as the table keys it: a list as a tuple, a scalar as a 1-tuple."""
+    """A z-value as the table codes it: a list as a tuple, a scalar as a 1-tuple."""
     if isinstance(z, tuple):
         return z
     return tuple(z) if isinstance(z, list) else (z,)
@@ -131,62 +133,60 @@ class CountTable:
         self.y_domain = tuple(y_domain)
         self.z_domains = tuple(tuple(d) for d in z_domains)
         self.z_values = tuple(product(*self.z_domains))
-
-        self.n = 0
-        self._counts: dict[tuple, int] = {}
-        # condition key ('xz', x, z), ('x', x) or None (the whole stream) ->
-        # per-level (position, outcome tally): level j holds the tallies
-        # among the first 2**j occurrences of the condition, reached at that
-        # stream position.  The outcomes are y given (x, z), z given x, and
-        # z followed by x for the whole stream.
-        self._levels: dict[tuple | None, list[tuple[int, tuple[int, ...]]]] = {}
-        self.checkpoint_version = 0
-
-        self._x_set = set(self.x_domain)
-        self._y_set = set(self.y_domain)
-        self._z_sets = tuple(set(d) for d in self.z_domains)
-        self._y_index = {v: i for i, v in enumerate(self.y_domain)}
-        self._z_index = {v: i for i, v in enumerate(self.z_values)}
-        self._x_index = {v: i for i, v in enumerate(self.x_domain)}
         # a cell code names one value per coordinate
         for name, dom in (('x', self.x_domain), ('y', self.y_domain),
                           *((f'z[{i}]', d) for i, d in enumerate(self.z_domains))):
             if len(set(dom)) != len(dom):
                 raise ValueError(f"duplicate values in the {name} domain {dom!r}")
+        # axis -> value -> domain index
+        self._index = {axis: {v: i for i, v in enumerate(dom)} for axis, dom
+                       in zip('xyz', (self.x_domain, self.y_domain, self.z_values))}
+
+        self.n = 0
+        # pattern -> occurrences of each of its cells, by the pattern's cell code
+        self._counts = {tag: [0] * math.prod(len(self._index[a]) for a in tag)
+                        for tag in _PATTERNS}
+        # condition ('xz' or 'x', cell code), or None for the whole stream ->
+        # per-level (position, outcome tally): level j holds the tallies among
+        # the first 2**j occurrences of the condition, reached at that stream
+        # position.  The outcomes are y given (x, z), z given x, and z then x.
+        self._levels: dict[tuple | None, list[tuple[int, tuple[int, ...]]]] = {}
+        self.checkpoint_version = 0
 
     # -- ingestion ---------------------------------------------------------
 
+    def _indices(self, obs) -> tuple[int, int, int]:
+        """The (x, y, z) domain indices of an observation; a ValueError names
+        the first of x, y, z[0], ... outside its domain (an unhashable value
+        is in none)."""
+        x, y, z = obs
+        z = _as_z(z)
+        try:
+            return self._index['x'][x], self._index['y'][y], self._index['z'][z]
+        except (KeyError, TypeError):
+            pass
+        named = [('x', x, self.x_domain), ('y', y, self.y_domain)]
+        if len(z) == len(self.z_domains):
+            named += [(f'z[{i}]', v, d) for i, (v, d) in enumerate(zip(z, self.z_domains))]
+        for name, value, domain in named:
+            if not _hashable(value) or value not in set(domain):
+                raise ValueError(f"{name} value {value!r} not in declared domain")
+        # every value is in its domain, so z has too few or too many coordinates
+        raise ValueError(f"z has {len(z)} coordinates, expected {len(self.z_domains)}")
+
     def ingest(self, obs) -> None:
         """Add one observation to the stream; validates every coordinate."""
-        x, y, z = obs
-        z = tuple(z) if isinstance(z, (list, tuple)) else (z,)
-        try:
-            if x not in self._x_set:
-                raise ValueError(f"x value {x!r} not in declared domain")
-            if y not in self._y_set:
-                raise ValueError(f"y value {y!r} not in declared domain")
-            if len(z) != len(self.z_domains):
-                raise ValueError(f"z has {len(z)} coordinates, expected {len(self.z_domains)}")
-            for i, (zv, dom) in enumerate(zip(z, self._z_sets)):
-                if zv not in dom:
-                    raise ValueError(f"z[{i}] value {zv!r} not in declared domain")
-        except TypeError:
-            # an unhashable value is in no domain; every check before the
-            # failing one passed, so the first unhashable value is the culprit
-            named = [('x', x), ('y', y)] + [(f'z[{i}]', zv) for i, zv in enumerate(z)]
-            for name, value in named:
-                if not _hashable(value):
-                    raise ValueError(f"{name} value {value!r} not in declared domain") from None
-            raise
-
-        self.n += 1
-        xz, xk = ('xz', x, z), ('x', x)
+        x, y, z = self._indices(obs)
+        nz = len(self.z_values)
+        xz = x * nz + z
         counts = self._counts
-        for key in (('xyz', x, y, z), xz, xk, ('z', z)):
-            counts[key] = counts.get(key, 0) + 1
+        for tag, code in zip(_PATTERNS, ((x * len(self.y_domain) + y) * nz + z, xz, x, z)):
+            counts[tag][code] += 1
+        self.n += 1
 
         # dyadic checkpoints, materialized after the increments
-        for cond, c in ((xz, counts[xz]), (xk, counts[xk]), (None, self.n)):
+        for cond, c in ((('xz', xz), counts['xz'][xz]), (('x', x), counts['x'][x]),
+                        (None, self.n)):
             if _is_pow2(c):
                 self._levels.setdefault(cond, []).append((self.n, tuple(self._tally(cond))))
                 self.checkpoint_version += 1
@@ -198,19 +198,14 @@ class CountTable:
         Rows are pulled lazily and coded as cells in chunks of
         ``_CHUNK_ROWS``; each full chunk goes to :meth:`ingest_codes`, so at
         most one chunk is held.  On an invalid row the rows before it are
-        applied, and :meth:`ingest` raises its usual error for the row.  If
-        the stream itself raises, the rows read before are applied first.
+        applied and the error :meth:`ingest` raises for the row is raised.
+        If the stream itself raises, the rows read before are applied first.
         """
-        x_index, y_index, z_index = self._x_index, self._y_index, self._z_index
+        x_index, y_index, z_index = self._index.values()
         ny, nz = len(self.y_domain), len(self.z_values)
         chunk = _CHUNK_ROWS
         cells: list[int] = []
         append = cells.append
-
-        def flush():
-            self.ingest_codes(np.array(cells, dtype=np.intp))
-            cells.clear()
-
         try:
             for obs in stream:
                 try:
@@ -218,13 +213,13 @@ class CountTable:
                     z = tuple(z) if isinstance(z, (list, tuple)) else (z,)
                     append((x_index[x] * ny + y_index[y]) * nz + z_index[z])
                 except (KeyError, TypeError, ValueError):
-                    flush()
-                    self.ingest(obs)  # raises the error for this row
-                    continue
+                    x, y, z = self._indices(obs)  # raises the error for this row
+                    append((x * ny + y) * nz + z)
                 if len(cells) == chunk:
-                    flush()
+                    self.ingest_codes(np.array(cells, dtype=np.intp))
+                    cells.clear()
         finally:
-            flush()
+            self.ingest_codes(np.array(cells, dtype=np.intp))
 
     def ingest_codes(self, codes) -> None:
         """Add rows given as cell codes ``(x * |Y| + y) * |Z| + z``, where x
@@ -234,7 +229,7 @@ class CountTable:
         integer in [0, |X|·|Y|·|Z|); else applies it ``_CHUNK_ROWS`` rows
         at a time."""
         codes = np.asarray(codes)
-        cells = len(self.x_domain) * len(self.y_domain) * len(self.z_values)
+        cells = len(self._counts['xyz'])
         if codes.ndim != 1 or (codes.size and codes.dtype.kind not in 'iu'):
             raise ValueError("cell codes must be a one-dimensional array of integers")
         if codes.size and (codes.min() < 0 or codes.max() >= cells):
@@ -262,43 +257,42 @@ class CountTable:
         m = len(cells)
         if not m:
             return
-        dims = (len(self.x_domain), len(self.y_domain), len(self.z_values))
-        cols = np.unravel_index(cells, dims)
-        codes = {tag: np.ravel_multi_index([cols[a] for a in axes],
-                                           [dims[a] for a in axes])
-                 for tag, axes in _PATTERNS}
+        size = {axis: len(index) for axis, index in self._index.items()}
+        cols = dict(zip('xyz', np.unravel_index(cells, tuple(size.values()))))
+        codes = {tag: np.ravel_multi_index([cols[a] for a in tag], [size[a] for a in tag])
+                 for tag in _PATTERNS}
 
         # checkpoints first: they read the counts as they stood before the chunk
         crossed = 0
-        for tag, cond, a in (('xz', codes['xz'], 1), ('x', cols[0], 2)):
-            for key, level in self._crossings(tag, cond, cols[a], dims[a]):
+        for tag, outcome in (('xz', 'y'), ('x', 'z')):
+            for key, level in self._crossings(tag, codes[tag], cols[outcome], size[outcome]):
                 self._levels.setdefault(key, []).append(level)
                 crossed += 1
         # the whole stream reaches level j at position 2**j; its tally is z, then x
-        get = self._counts.get
         n0 = self.n
         t = 1 << n0.bit_length()  # the first power of two past n0
         while t <= n0 + m:
-            chunk = [c for a in (2, 0)
-                     for c in np.bincount(cols[a][:t - n0], minlength=dims[a]).tolist()]
+            chunk = [c for a in 'zx'
+                     for c in np.bincount(cols[a][:t - n0], minlength=size[a]).tolist()]
             tally = map(add, chunk, self._tally(None))
             self._levels.setdefault(None, []).append((t, tuple(tally)))
             crossed += 1
             t <<= 1
 
-        for tag, axes in _PATTERNS:
+        for tag in _PATTERNS:
+            store = self._counts[tag]
             found = np.bincount(codes[tag])
             present = np.flatnonzero(found)
             for c, k in zip(present.tolist(), found[present].tolist()):
-                key = (tag, *self._cell_values(axes, c))
-                self._counts[key] = get(key, 0) + k
+                store[c] += k
 
         self.n += m
         self.checkpoint_version += crossed
 
     def _crossings(self, tag: str, cond, outcome, n_outcomes: int):
-        """(condition key, (stream position, outcome tally)) at each row of
-        a chunk where the condition's running count reaches a power of two.
+        """((pattern, cell code), (stream position, outcome tally)) at each
+        row of a chunk where a condition's running count reaches a power of
+        two.
 
         ``cond`` and ``outcome`` are per-row codes of the condition pattern
         ``tag`` and of the outcome coordinate.
@@ -309,10 +303,8 @@ class CountTable:
         new[1:] = cond[1:] != cond[:-1]
         group = np.cumsum(new) - 1
         starts = np.flatnonzero(new)
-        axes = dict(_PATTERNS)[tag]
-        keys = [(tag, *self._cell_values(axes, c)) for c in cond[starts].tolist()]
-        get = self._counts.get
-        before = np.array([get(k, 0) for k in keys])
+        keys = [(tag, c) for c in cond[starts].tolist()]
+        before = np.array([self._counts[tag][c] for _, c in keys])
         start = starts[group]
         occurrence = before[group] + np.arange(len(cond)) - start + 1
         hits = np.flatnonzero(occurrence & (occurrence - 1) == 0).tolist()
@@ -324,45 +316,42 @@ class CountTable:
             yield keys[g], (self.n + int(order[p]) + 1, tuple(map(add, chunk, base[g])))
 
     def _tally(self, cond: tuple | None) -> list[int]:
-        """A logged condition's outcome counts so far, in tally order."""
+        """A logged condition's outcome counts so far, in tally order, read
+        off the counts of the patterns one axis finer."""
         if cond is None:
-            keys = [('z', zv) for zv in self.z_values] + [('x', xv) for xv in self.x_domain]
-        elif cond[0] == 'xz':
-            keys = [('xyz', cond[1], yv, cond[2]) for yv in self.y_domain]
-        else:
-            keys = [('xz', cond[1], zv) for zv in self.z_values]
-        get = self._counts.get
-        return [get(k, 0) for k in keys]
-
-    def _cell_values(self, axes, code: int) -> tuple:
-        """Domain values of a pattern's cell code (row-major over ``axes``)."""
-        domains = (self.x_domain, self.y_domain, self.z_values)
-        values = []
-        for a in reversed(axes):
-            code, i = divmod(code, len(domains[a]))
-            values.append(domains[a][i])
-        return tuple(reversed(values))
+            return self._counts['z'] + self._counts['x']
+        tag, code = cond
+        nz = len(self.z_values)
+        if tag == 'x':  # the cells (x, z) for every z
+            return self._counts['xz'][code * nz:(code + 1) * nz]
+        x, z = divmod(code, nz)  # the cells (x, y, z) for every y, |Z| apart
+        block = len(self.y_domain) * nz
+        return self._counts['xyz'][x * block + z:(x + 1) * block:nz]
 
     # -- reads ---------------------------------------------------------------
 
+    def _code(self, tag: str, values: dict) -> int | None:
+        """The cell code of a pattern's values, row-major over its axes;
+        None if a value is outside its domain, a cell that never occurs."""
+        code = 0
+        for axis in tag:
+            index = self._index[axis]
+            i = index.get(_as_z(values[axis]) if axis == 'z' else values[axis])
+            if i is None:
+                return None
+            code = code * len(index) + i
+        return code
+
     def count(self, x=None, y=None, z=None) -> int:
         """Occurrences of a tracked pattern in the whole stream so far."""
-        z = None if z is None else _as_z(z)
-        match (x is not None, y is not None, z is not None):
-            case (True, True, True):
-                key = ('xyz', x, y, z)
-            case (True, False, True):
-                key = ('xz', x, z)
-            case (True, False, False):
-                key = ('x', x)
-            case (False, False, True):
-                key = ('z', z)
-            case (False, False, False):
-                return self.n
-            case _:
-                fixed = [name for name, v in (('x', x), ('y', y), ('z', z)) if v is not None]
-                raise ValueError(f"pattern ({', '.join(fixed)}) is not tracked")
-        return self._counts.get(key, 0)
+        values = {'x': x, 'y': y, 'z': z}
+        tag = ''.join(axis for axis, v in values.items() if v is not None)
+        if not tag:
+            return self.n
+        if tag not in self._counts:
+            raise ValueError(f"pattern ({', '.join(tag)}) is not tracked")
+        code = self._code(tag, values)
+        return 0 if code is None else self._counts[tag][code]
 
     def leaf(self, event: dict, given: dict, m=None) -> tuple[int, int]:
         """(count, hits) of one estimated probability, P(event | given):
@@ -374,24 +363,31 @@ class CountTable:
         first m observations, and the hits among that many first
         occurrences; (0, 0) if the condition has not occurred by then.
         """
+        match sorted(given), sorted(event):
+            case ['x', 'z'], ['y']:
+                tag, axis = 'xz', 'y'
+            case ['x'], ['z']:
+                tag, axis = 'x', 'z'
+            case [], [('x' | 'z') as axis]:
+                tag = ''
+            case _:
+                raise ValueError(f"leaf {', '.join(sorted(event))} given "
+                                 f"({', '.join(sorted(given))}) is not tracked")
+        value = _as_z(event[axis]) if axis == 'z' else event[axis]
         try:
-            match sorted(given), sorted(event):
-                case ['x', 'z'], ['y']:
-                    cond, i = ('xz', given['x'], _as_z(given['z'])), self._y_index[event['y']]
-                case ['x'], ['z']:
-                    cond, i = ('x', given['x']), self._z_index[_as_z(event['z'])]
-                case [], ['z']:
-                    cond, i = None, self._z_index[_as_z(event['z'])]
-                case [], ['x']:
-                    cond, i = None, len(self.z_values) + self._x_index[event['x']]
-                case _:
-                    raise ValueError(f"leaf {', '.join(sorted(event))} given "
-                                     f"({', '.join(sorted(given))}) is not tracked")
-        except KeyError as exc:  # an event value with no place in the tallies
-            raise ValueError(f"leaf value {exc.args[0]!r} not in declared domain") from None
+            i = self._index[axis][value]
+        except KeyError:  # an event value with no place in the tallies
+            raise ValueError(f"leaf value {value!r} not in declared domain") from None
+        if axis == 'x':
+            i += len(self.z_values)  # the whole stream's tally is z, then x
+        if m is not None:
+            m = _prefix_length(m, self.n)
+        code = self._code(tag, given)
+        if code is None:  # a condition outside the domains never occurs
+            return 0, 0
+        cond = (tag, code) if tag else None
         if m is None:
-            return self.n if cond is None else self._counts.get(cond, 0), self._tally(cond)[i]
-        m = _prefix_length(m, self.n)
+            return self._counts[tag][code] if tag else self.n, self._tally(cond)[i]
         log = self._levels.get(cond, ())
         levels = bisect_right(log, m, key=_position)  # a count in [2**(levels-1), 2**levels)
         return (1 << (levels - 1), log[levels - 1][1][i]) if levels else (0, 0)

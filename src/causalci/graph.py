@@ -61,6 +61,8 @@ class Dag:
         for v, dom in self.domains.items():
             if not dom:
                 raise ValueError(f"empty domain for {v}")
+            if len(set(dom)) != len(dom):
+                raise ValueError(f"duplicate values in the domain of {v!r}: {dom!r}")
 
         self._children = {v: [] for v in self.vertices}
         self._parents = {v: [] for v in self.vertices}

@@ -14,6 +14,7 @@ from typing import Iterator, Mapping
 import mpmath as mp
 import numpy as np
 
+from causalci.bounds import hoeffding_term, lil_term
 from causalci.counts import CountTable, Observation, ObservationParseError
 from causalci.effects import EffectInterval, EffectQuery, _bind
 from causalci.graph import Dag
@@ -255,6 +256,49 @@ def naive_dyadic_estimate(obs, event, cond, upto=None):
         return None
     k = naive_dyadic_floor(len(occ))
     return sum(1 for o in occ[:k] if event(o)) / k
+
+
+# -- single-delta radii ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class Radius:
+    """A non-negative half-width; ``unbounded`` means "no information"."""
+
+    value: float
+
+    def __post_init__(self):
+        if not (self.value >= 0):
+            raise ValueError("radius must be non-negative")
+
+    @property
+    def unbounded(self) -> bool:
+        return math.isinf(self.value)
+
+    def __float__(self) -> float:
+        return self.value
+
+
+UNBOUNDED = Radius(math.inf)
+
+
+def _check_delta(delta: float) -> None:
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+
+
+def hoeffding_halfwidth(n: int, delta: float) -> Radius:
+    """Fixed-n radius of a (1-delta) confidence interval for a Bernoulli
+    mean estimated from n observations."""
+    _check_delta(delta)
+    return Radius(hoeffding_term(n, 2 / delta))
+
+
+def lil_halfwidth(n: int, delta: float) -> Radius:
+    """Radius of a (1-delta) confidence sequence at time n, paired with the
+    mean of the first dyadic_floor(n) observations.  Constant on each
+    dyadic block [2**k, 2**(k+1)); unbounded for n < 2."""
+    _check_delta(delta)
+    return Radius(lil_term(n, 3.3 / delta))
 
 
 # -- high-precision half-width formulas --------------------------------------

@@ -15,13 +15,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from causalci.bounds import lil_halfwidth
 from causalci.coverage import run_coverage, run_prediction_coverage
 from causalci.effects import EffectQuery, effect_interval
 from causalci.graph import check_backdoor, check_frontdoor
 from causalci.simulator import AlternatingAdversaryPolicy
 from helpers import (eval_expr, exact_range, fig1_dag, fig1_model, frontdoor_model,
-                     grid_table, interval_via_expression,
+                     grid_table, interval_via_expression, lil_halfwidth,
                      mp_backdoor_adaptive_halfwidth,
                      mp_backdoor_anytime_halfwidth, mp_backdoor_iid_halfwidth,
                      mp_backdoor_iid_midpoint, mp_frontdoor_adaptive_halfwidth,

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from causalci.bounds import (Radius, UNBOUNDED, hoeffding_halfwidth,
-                             hoeffding_term, lil_halfwidth, lil_term)
+from causalci.bounds import hoeffding_term, lil_term
 from causalci.counts import dyadic_floor
+from helpers import UNBOUNDED, Radius, hoeffding_halfwidth, lil_halfwidth
 
 # frozen against a 40-digit evaluation of the defining formulas
 HOEFFDING_200_005 = 0.09603227913199208

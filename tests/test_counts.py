@@ -228,7 +228,9 @@ def test_replay_determinism():
 
 
 def _entries(value) -> int:
-    """Entries of the dicts and lists in ``value``, nested ones included."""
+    """Entries of the dicts, lists and arrays in ``value``, nested ones included."""
+    if isinstance(value, np.ndarray):
+        return value.size
     if isinstance(value, dict):
         return len(value) + sum(map(_entries, value.values()))
     if isinstance(value, list):
@@ -459,22 +461,52 @@ def code_cases(draw, n):
     return (x_dom, y_dom, z_doms), codes, draw(st.integers(0, n))
 
 
+def _alike(value, k):
+    """``value``, or for k > 0 possibly an equal value of another type:
+    a float for an int, a bool for 0 or 1."""
+    forms = [value]
+    if isinstance(value, int):
+        forms += [float(value)] + [bool(value)] * (value in (0, 1))
+    return forms[k % len(forms)]
+
+
+def _alike_z(z, k):
+    """A z-value with equal coordinates, as a tuple, a list or a scalar."""
+    z = tuple(_alike(v, k + i) for i, v in enumerate(z))
+    forms = [z, list(z)] + [z[0]] * (len(z) == 1)
+    return forms[k // 3 % len(forms)]
+
+
+def _alike_values(values, k):
+    return {a: _alike_z(v, k) if a == 'z' else _alike(v, k) for a, v in values.items()}
+
+
 @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 9000])  # around the chunk size
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_ingest_codes_equals_ingest_all_and_row_by_row_ingest(n, data):
+    # rows carry values equal to the domain's but not identical (1.0 and
+    # True for 1, z as a list or a scalar), which must name the same cells
     domains, codes, split = data.draw(code_cases(n))
     x_dom, y_dom, z_doms = domains
     cells = list(product(x_dom, y_dom, product(*z_doms)))
-    rows = [Observation(*cells[c]) for c in codes.tolist()]
+    rows = [Observation(_alike(x, i), y, _alike_z(z, i))
+            for i, (x, y, z) in enumerate(cells[c] for c in codes.tolist())]
     coded, batch, stream = (CountTable(*domains) for _ in range(3))
-    coded.ingest_codes(codes[:split])
-    coded.ingest_codes(codes[split:])
+    x, y, *z = np.unravel_index(codes, (len(x_dom), len(y_dom), *map(len, z_doms)))
+    coded.ingest_codes(coded.cell_codes(x, y, z)[:split])
+    coded.ingest_codes(coded.cell_codes(x, y, z)[split:])
     batch.ingest_all(rows)
     for obs in rows:
         stream.ingest(obs)
     assert coded == batch == stream
     assert coded.checkpoints() == stream.checkpoints()
+    for k, (event, given) in enumerate(_tracked_leaves(stream)):
+        pattern = {**given, **event}
+        assert stream.count(**_alike_values(pattern, k)) == stream.count(**pattern)
+        for m in (None, split):
+            assert stream.leaf(_alike_values(event, k), _alike_values(given, k + 1), m) \
+                == stream.leaf(event, given, m)
 
 
 @pytest.mark.parametrize("codes, message", [

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from causalci.graph import Dag
 from causalci.simulator import (AlternatingAdversaryPolicy, CausalModel,
                                 ConstantPolicy, Cpt, CptPolicy,
                                 EpsilonGreedyPolicy, Policy, Roles,
-                                draw_intervened_outcome, make_policy,
+                                draw_intervened_outcome, load_model, make_policy,
                                 sample_adaptive, sample_iid)
 from helpers import (fig1_model, frontdoor_model, reference_sample_adaptive,
                      three_valued_model)
@@ -170,6 +171,19 @@ def test_json_roundtrip():
     clone = CausalModel.from_json(doc)
     assert clone.to_json() == model.to_json()
     assert sample_iid(clone, 50, seed=5) == sample_iid(model, 50, seed=5)
+
+
+def test_model_with_a_repeated_domain_value_is_refused_at_load(tmp_path):
+    config = Path(__file__).resolve().parent.parent / "configs" / "fig1.json"
+    doc = json.loads(config.read_text())
+    next(v for v in doc["variables"] if v["name"] == "Y")["domain"] = [0, 0]
+    message = r"^duplicate values in the domain of 'Y': \(0, 0\)$"
+    with pytest.raises(ValueError, match=message):
+        CausalModel.from_json(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_model(str(path))
 
 
 def test_make_policy_specs():
