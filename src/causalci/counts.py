@@ -336,10 +336,11 @@ class CountTable:
         code = 0
         for axis in tag:
             index = self._index[axis]
-            i = index.get(_as_z(values[axis]) if axis == 'z' else values[axis])
-            if i is None:
+            value = _as_z(values[axis]) if axis == 'z' else values[axis]
+            try:  # an unhashable value is outside the domain too
+                code = code * len(index) + index[value]
+            except (KeyError, TypeError):
                 return None
-            code = code * len(index) + i
         return code
 
     def count(self, x=None, y=None, z=None) -> int:
@@ -376,7 +377,7 @@ class CountTable:
         value = _as_z(event[axis]) if axis == 'z' else event[axis]
         try:
             i = self._index[axis][value]
-        except KeyError:  # an event value with no place in the tallies
+        except (KeyError, TypeError):  # an event value with no place in the tallies
             raise ValueError(f"leaf value {value!r} not in declared domain") from None
         if axis == 'x':
             i += len(self.z_values)  # the whole stream's tally is z, then x

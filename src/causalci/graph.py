@@ -18,6 +18,12 @@ from x to y passes through Z, (ii) no backdoor path from x to a Z-vertex
 is unblocked given the empty set, and (iii) every backdoor path from a
 Z-vertex to y is blocked by {x}.
 
+One depth-first walker lists paths for ``enumerate_paths`` and for every
+clause of both checks.  In a check it drops a partial path at its first
+blocking vertex (by the one rule that ``path_blocked`` applies too), so a
+check reports the open paths in the order of ``enumerate_paths`` without
+listing the blocked ones.
+
 Criterion checks are advisory: the effect estimators accept user overrides
 for situations where graph knowledge (e.g. about unobserved confounders
 kept out of the adjustment formula) justifies skipping the structural
@@ -29,8 +35,7 @@ Dags are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class DagParseError(ValueError):
@@ -137,6 +142,45 @@ class CriterionReport:
         return cls(satisfied=not vs, violations=vs)
 
 
+def _walk(dag: Dag, a: str, b: str,
+          step: Callable[[list[str], str], bool]) -> Iterator[tuple[str, ...]]:
+    """Simple paths from a to b ignoring edge direction, depth first over
+    neighbours in declaration order, extending a partial path to w only where
+    ``step(path, w)`` allows.  The search keeps its own stack, so no
+    recursion limit bounds the path length."""
+    order = {v: i for i, v in enumerate(dag.vertices)}
+    neighbours = {v: sorted(dag.children(v) + dag.parents(v), key=order.get)
+                  for v in dag.vertices}
+    path, on_path, todo = [a], {a}, [iter(neighbours[a])]
+    while todo:
+        for w in todo[-1]:
+            if w in on_path or not step(path, w):
+                continue
+            if w == b:
+                yield (*path, b)
+            else:
+                path.append(w)
+                on_path.add(w)
+                todo.append(iter(neighbours[w]))
+                break
+        else:
+            todo.pop()
+            on_path.discard(path.pop())
+
+
+def _passes(dag: Dag, conditioning: Iterable[str]) -> Callable[[str, str, str], bool]:
+    """The blocking rule: ``passes(u, v, w)`` is whether a path through u, v,
+    w stays open at its interior vertex v given the conditioning set."""
+    cond = set(conditioning)
+
+    def passes(u: str, v: str, w: str) -> bool:
+        if dag.has_edge(u, v) and dag.has_edge(w, v):  # a collider
+            return v in cond or not cond.isdisjoint(dag.descendants(v))
+        return v not in cond
+
+    return passes
+
+
 def enumerate_paths(dag: Dag, a: str, b: str) -> list[tuple[str, ...]]:
     """All simple paths between a and b ignoring edge direction.
 
@@ -147,25 +191,7 @@ def enumerate_paths(dag: Dag, a: str, b: str) -> list[tuple[str, ...]]:
     dag.require(a, b)
     if a == b:
         raise ValueError("endpoints must differ")
-    neighbors = {v: dag.children(v) + dag.parents(v) for v in dag.vertices}
-    order = {v: i for i, v in enumerate(dag.vertices)}
-    paths: list[tuple[str, ...]] = []
-    stack = [a]
-    on_path = {a}
-
-    def walk(v: str) -> None:
-        for w in sorted(neighbors[v], key=order.get):
-            if w == b:
-                paths.append(tuple(stack) + (b,))
-            elif w not in on_path:
-                stack.append(w)
-                on_path.add(w)
-                walk(w)
-                on_path.discard(w)
-                stack.pop()
-
-    walk(a)
-    return paths
+    return list(_walk(dag, a, b, lambda path, w: True))
 
 
 def format_path(dag: Dag, path: Sequence[str]) -> str:
@@ -179,20 +205,16 @@ def format_path(dag: Dag, path: Sequence[str]) -> str:
 
 def path_blocked(path: Sequence[str], conditioning: Iterable[str], dag: Dag) -> bool:
     """d-separation blocking test for one path (see module docstring)."""
-    cond = set(conditioning)
-    for i in range(1, len(path) - 1):
-        v = path[i]
-        collider = dag.has_edge(path[i - 1], v) and dag.has_edge(path[i + 1], v)
-        if collider:
-            if not cond & ({v} | dag.descendants(v)):
-                return True
-        elif v in cond:
-            return True
-    return False
+    passes = _passes(dag, conditioning)
+    return not all(passes(*triple) for triple in zip(path, path[1:], path[2:]))
 
 
-def _backdoor_paths(dag: Dag, a: str, b: str) -> list[tuple[str, ...]]:
-    return [p for p in enumerate_paths(dag, a, b) if dag.has_edge(p[1], p[0])]
+def _open_backdoor(dag: Dag, a: str, b: str,
+                   conditioning: Iterable[str]) -> Iterator[tuple[str, ...]]:
+    """The backdoor paths from a to b that the conditioning set leaves open."""
+    passes = _passes(dag, conditioning)
+    return _walk(dag, a, b, lambda path, w: passes(path[-2], path[-1], w)
+                 if len(path) > 1 else dag.has_edge(w, a))
 
 
 def check_backdoor(dag: Dag, x_set: Iterable[str], y_set: Iterable[str],
@@ -208,31 +230,9 @@ def check_backdoor(dag: Dag, x_set: Iterable[str], y_set: Iterable[str],
                 violations.append(f"{zv} is a descendant of {xv}")
     for xv in sorted(xs, key=order.get):
         for yv in sorted(ys, key=order.get):
-            for path in _backdoor_paths(dag, xv, yv):
-                if not path_blocked(path, zs, dag):
-                    violations.append(f"unblocked backdoor path {format_path(dag, path)}")
+            for path in _open_backdoor(dag, xv, yv, zs):
+                violations.append(f"unblocked backdoor path {format_path(dag, path)}")
     return CriterionReport.from_violations(violations)
-
-
-def _directed_paths(dag: Dag, a: str, b: str) -> list[tuple[str, ...]]:
-    order = {v: i for i, v in enumerate(dag.vertices)}
-    out: list[tuple[str, ...]] = []
-    stack = [a]
-    on_path = {a}
-
-    def walk(v: str) -> None:
-        for w in sorted(dag.children(v), key=order.get):
-            if w == b:
-                out.append(tuple(stack) + (b,))
-            elif w not in on_path:
-                stack.append(w)
-                on_path.add(w)
-                walk(w)
-                on_path.discard(w)
-                stack.pop()
-
-    walk(a)
-    return out
 
 
 def check_frontdoor(dag: Dag, x: str, y: str, z_set: Iterable[str]) -> CriterionReport:
@@ -241,18 +241,15 @@ def check_frontdoor(dag: Dag, x: str, y: str, z_set: Iterable[str]) -> Criterion
     _check_disjoint(dag, {x}, {y}, zs)
     order = {v: i for i, v in enumerate(dag.vertices)}
     violations = []
-    for path in _directed_paths(dag, x, y):
-        if not zs & set(path[1:-1]):
-            violations.append(f"directed path {format_path(dag, path)} avoids the set")
+    for path in _walk(dag, x, y, lambda path, w: dag.has_edge(path[-1], w) and w not in zs):
+        violations.append(f"directed path {format_path(dag, path)} avoids the set")
     for zv in sorted(zs, key=order.get):
-        for path in _backdoor_paths(dag, x, zv):
-            if not path_blocked(path, (), dag):
-                violations.append(
-                    f"unblocked backdoor path {format_path(dag, path)} into the set")
-        for path in _backdoor_paths(dag, zv, y):
-            if not path_blocked(path, {x}, dag):
-                violations.append(
-                    f"backdoor path {format_path(dag, path)} not blocked by {x}")
+        for path in _open_backdoor(dag, x, zv, ()):
+            violations.append(
+                f"unblocked backdoor path {format_path(dag, path)} into the set")
+        for path in _open_backdoor(dag, zv, y, {x}):
+            violations.append(
+                f"backdoor path {format_path(dag, path)} not blocked by {x}")
     return CriterionReport.from_violations(violations)
 
 

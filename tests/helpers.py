@@ -17,7 +17,7 @@ import numpy as np
 from causalci.bounds import hoeffding_term, lil_term
 from causalci.counts import CountTable, Observation, ObservationParseError
 from causalci.effects import EffectInterval, EffectQuery, _bind
-from causalci.graph import Dag
+from causalci.graph import Dag, format_path
 from causalci.simulator import CausalModel, Cpt, Policy, Roles, as_generator
 
 mp.mp.dps = 40
@@ -534,9 +534,9 @@ def oracle_frontdoor(vertices, edges, x, y, zs):
     return True
 
 
-def random_dag(rng, max_vertices=6, p_edge=0.4):
+def random_dag(rng, max_vertices=6, p_edge=0.4, min_vertices=3):
     """Random DAG over a random topological order."""
-    k = int(rng.integers(3, max_vertices + 1))
+    k = int(rng.integers(min_vertices, max_vertices + 1))
     names = [f"V{i}" for i in range(k)]
     order = list(rng.permutation(k))
     edges = []
@@ -545,6 +545,58 @@ def random_dag(rng, max_vertices=6, p_edge=0.4):
             if rng.random() < p_edge:
                 edges.append((names[order[i]], names[order[j]]))
     return Dag(names, edges)
+
+
+# -- the criterion checks by listing every path, then filtering it -----------
+
+def reference_paths(dag, a, b, directed=False):
+    """Simple paths from a to b, by recursion depth first over neighbours
+    (children only if directed) in declaration order: the order in which
+    the checks report their witnesses."""
+    order = {v: i for i, v in enumerate(dag.vertices)}
+    near = {v: sorted(dag.children(v) + (() if directed else dag.parents(v)),
+                      key=order.get) for v in dag.vertices}
+    paths, stack = [], [a]
+
+    def walk(v):
+        for w in near[v]:
+            if w == b:
+                paths.append((*stack, b))
+            elif w not in stack:
+                stack.append(w)
+                walk(w)
+                stack.pop()
+
+    walk(a)
+    return paths
+
+
+def _open_backdoor_paths(dag, a, b, cond):
+    return [format_path(dag, p) for p in reference_paths(dag, a, b)
+            if (p[1], a) in dag.edges and not oracle_blocked(p, cond, dag.edges)]
+
+
+def reference_check_backdoor(dag, xs, ys, zs):
+    """The violations of check_backdoor, listed path by path."""
+    xs, ys, zs = (sorted(s, key=dag.vertices.index) for s in (xs, ys, zs))
+    return tuple([f"{zv} is a descendant of {xv}" for xv in xs for zv in zs
+                  if zv in oracle_descendants(dag.edges, xv)]
+                 + [f"unblocked backdoor path {p}" for xv in xs for yv in ys
+                    for p in _open_backdoor_paths(dag, xv, yv, zs)])
+
+
+def reference_check_frontdoor(dag, x, y, zs):
+    """The violations of check_frontdoor, listed path by path."""
+    zs = sorted(zs, key=dag.vertices.index)
+    violations = [f"directed path {format_path(dag, p)} avoids the set"
+                  for p in reference_paths(dag, x, y, directed=True)
+                  if not set(zs) & set(p[1:-1])]
+    for zv in zs:
+        violations += [f"unblocked backdoor path {p} into the set"
+                       for p in _open_backdoor_paths(dag, x, zv, ())]
+        violations += [f"backdoor path {p} not blocked by {x}"
+                       for p in _open_backdoor_paths(dag, zv, y, {x})]
+    return tuple(violations)
 
 
 # -- interval arithmetic and the expression route (oracle side) --------------

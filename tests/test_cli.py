@@ -384,6 +384,19 @@ def test_check_napkin_violations(tmp_path):
     assert any("X→Y" in v for v in report["violations"])
 
 
+def test_check_walks_a_long_chain(tmp_path):
+    dag = tmp_path / "chain.dag"
+    names = [f"V{i}" for i in range(1500)]
+    dag.write_text("".join(f"var {v}\n" for v in names)
+                   + "".join(f"{a} -> {b}\n" for a, b in zip(names, names[1:])))
+    out = tmp_path / "report.jsonl"
+    assert main(["check", "--dag", str(dag), "--criterion", "frontdoor",
+                 "--x", "V0", "--y", "V1499", "--z", "V700",
+                 "--output", str(out)]) == 0
+    (report,) = read_records(out)
+    assert report["kind"] == "criterion_report" and report["satisfied"] is True
+
+
 def test_predict_sparse_full_set(tmp_path):
     stream = tmp_path / "obs.jsonl"
     rows = [{"x": 1, "y": 1, "z": [0]}] * 4 + [{"x": 1, "y": 1, "z": [1]}]

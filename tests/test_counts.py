@@ -113,12 +113,14 @@ def test_untracked_patterns_raise():
             table.leaf({'y': 1}, {'x': 1}, m)
         with pytest.raises(ValueError, match="not tracked"):
             table.leaf({'x': 1}, {'z': (0,)}, m)
-        for event in ({'y': 7}, {'z': (7,)}, {'x': 7}):
+        for event in ({'y': 7}, {'z': (7,)}, {'x': 7}, {'y': [1]}, {'x': {}}):
             given = {'x': 1, 'z': (0,)} if 'y' in event else {}
             with pytest.raises(ValueError, match="^leaf value .* not in declared domain$"):
                 table.leaf(event, given, m)
-        # a condition outside the domains has never occurred
-        assert table.leaf({'y': 1}, {'x': 7, 'z': (0,)}, m) == (0, 0)
+        # a condition outside the domains, unhashable ones too, has never occurred
+        for given in ({'x': 7, 'z': (0,)}, {'x': [1], 'z': (0,)}, {'x': 1, 'z': [[0]]}):
+            assert table.leaf({'y': 1}, given, m) == (0, 0)
+    assert table.count(x=7) == table.count(x=[1]) == table.count(x=1, z=[[0]]) == 0
 
 
 @pytest.mark.parametrize("m", [0, 1, 5, 8])

@@ -1,3 +1,5 @@
+import time
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from causalci.graph import (CriterionReport, Dag, DagParseError, check_backdoor,
                             check_frontdoor, enumerate_paths, format_path,
                             parse_dag_text, path_blocked)
 from helpers import fig1_dag, napkin_dag, oracle_backdoor, oracle_blocked, \
-    oracle_frontdoor, oracle_paths, random_dag
+    oracle_frontdoor, oracle_paths, random_dag, reference_check_backdoor, \
+    reference_check_frontdoor
 
 
 def test_fig1_paths():
@@ -187,6 +190,51 @@ def test_path_enumeration_matches_bruteforce():
         a, b = dag.vertices[0], dag.vertices[-1]
         assert sorted(enumerate_paths(dag, a, b)) \
             == sorted(oracle_paths(dag.vertices, dag.edges, a, b))
+
+
+def test_reports_match_the_path_by_path_reference():
+    """Whole reports, witnesses and their order included, against the checks
+    that list every path and then filter it."""
+    rng = np.random.default_rng(31)
+    violated = 0
+    for _ in range(500):
+        dag = random_dag(rng, max_vertices=10, p_edge=float(rng.uniform(0.2, 0.7)),
+                         min_vertices=5)
+        names = list(dag.vertices)
+        rng.shuffle(names)
+        nx_count = int(rng.integers(1, 3))
+        xs, ys = set(names[:nx_count]), {names[nx_count]}
+        zs = set(names[nx_count + 1:nx_count + 1 + int(rng.integers(1, 4))])
+        report = check_backdoor(dag, xs, ys, zs)
+        assert report.violations == reference_check_backdoor(dag, xs, ys, zs)
+        x, y, zs = names[0], names[1], set(names[2:2 + int(rng.integers(1, 3))])
+        front = check_frontdoor(dag, x, y, zs)
+        assert front.violations == reference_check_frontdoor(dag, x, y, zs)
+        violated += len(report.violations) > 1 and len(front.violations) > 1
+    assert violated > 100  # many reports list several witnesses
+
+
+def test_long_paths_need_no_recursion():
+    names = [f"V{i}" for i in range(1500)]
+    dag = Dag(names, zip(names, names[1:]))
+    assert enumerate_paths(dag, "V0", "V1499") == [dag.vertices]
+    assert check_frontdoor(dag, "V0", "V1499", {"V700"}).satisfied
+    # the walk from V1498 runs back through every vertex to V0
+    assert check_backdoor(dag, {"V1498"}, {"V1499"}, {"V0"}).satisfied
+
+
+def test_backdoor_check_on_a_dense_dag():
+    """Conditioning on the parents of X blocks every backdoor path at its
+    first interior vertex, however many paths the graph holds."""
+    rng = np.random.default_rng(37)
+    names = [f"V{i}" for i in range(200)]
+    dag = Dag(names, [(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+                      if rng.random() < 0.5])
+    zs = set(dag.parents("V100")) - {"V199"}
+    start = time.perf_counter()
+    report = check_backdoor(dag, {"V100"}, {"V199"}, zs)
+    assert time.perf_counter() - start < 2.0
+    assert report.satisfied
 
 
 DAG_TEXT = """
