@@ -228,10 +228,14 @@ def _bind(table: CountTable, query: EffectQuery, n: int | None):
     return families, n, bound
 
 
-def _interval(table: CountTable, query: EffectQuery,
-              n: int | None = None) -> EffectInterval:
-    """The construction for any query: the polynomial at the bound estimates,
-    its leaf radii summed with multiplicity, and the ratios they used."""
+# -- entry points ---------------------------------------------------------------
+
+def effect_interval(table: CountTable, query: EffectQuery,
+                    n: int | None = None) -> EffectInterval:
+    """The interval for a query's criterion and regime; n, a prefix of the
+    stream, applies to the anytime regime only.  It is the polynomial at the
+    bound estimates, its leaf radii summed with multiplicity, and the ratios
+    they used."""
     families, n, bound = _bind(table, query, n)
     mid = 0.0
     if query.criterion == 'backdoor':
@@ -258,26 +262,17 @@ def _interval(table: CountTable, query: EffectQuery,
     return EffectInterval.build(n, mid, hw, constants)
 
 
-# -- entry points ---------------------------------------------------------------
-
 def backdoor_cs_anytime(table: CountTable, query: EffectQuery,
                         n: int | None = None) -> EffectInterval:
     """Element of the confidence sequence after n observations (default: all)."""
     _require(query, 'backdoor', 'anytime')
-    return _interval(table, query, n)
+    return effect_interval(table, query, n)
 
 
 def frontdoor_cs_anytime(table: CountTable, query: EffectQuery,
                          n: int | None = None) -> EffectInterval:
     _require(query, 'frontdoor', 'anytime')
-    return _interval(table, query, n)
-
-
-def effect_interval(table: CountTable, query: EffectQuery,
-                    n: int | None = None) -> EffectInterval:
-    """The interval for a query's criterion and regime; n, a prefix of the
-    stream, applies to the anytime regime only."""
-    return _interval(table, query, n)
+    return effect_interval(table, query, n)
 
 
 # -- ground-truth oracle -------------------------------------------------------

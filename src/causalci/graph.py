@@ -6,8 +6,8 @@ vertex v such that either
 
 * v is a non-collider on the path (at least one of its two path edges
   points away from v) and v is in S, or
-* v is a collider on the path (both path edges point into v) and neither v
-  nor any descendant of v is in S.
+* v is a collider on the path (both path edges point into v) and v is
+  neither in S nor an ancestor of a vertex of S.
 
 A *backdoor path* from a to b is a path whose first edge points into a.
 The back-door criterion for disjoint vertex sets X, Y, Z requires that no
@@ -22,7 +22,9 @@ One depth-first walker lists paths for ``enumerate_paths`` and for every
 clause of both checks.  In a check it drops a partial path at its first
 blocking vertex (by the one rule that ``path_blocked`` applies too), so a
 check reports the open paths in the order of ``enumerate_paths`` without
-listing the blocked ones.
+listing the blocked ones.  A Dag holds only its adjacency: the collider
+rule reads S's ancestors, one reverse traversal from S per clause (the
+Bayes-Ball view of d-separation; Shachter 1998).
 
 Criterion checks are advisory: the effect estimators accept user overrides
 for situations where graph knowledge (e.g. about unobserved confounders
@@ -71,13 +73,13 @@ class Dag:
 
         self._children = {v: [] for v in self.vertices}
         self._parents = {v: [] for v in self.vertices}
-        order = {v: i for i, v in enumerate(self.vertices)}
+        self._order = order = {v: i for i, v in enumerate(self.vertices)}
         for a, b in sorted(self.edges, key=lambda e: (order[e[0]], order[e[1]])):
             self._children[a].append(b)
             self._parents[b].append(a)
-
+        self._neighbours = {v: sorted(self._children[v] + self._parents[v], key=order.get)
+                            for v in self.vertices}
         self._topo = self._topological_sort()
-        self._descendants = self._close_descendants()
 
     def _topological_sort(self) -> tuple[str, ...]:
         indeg = {v: len(self._parents[v]) for v in self.vertices}
@@ -95,13 +97,16 @@ class Dag:
             raise ValueError(f"graph has a cycle through {cyclic}")
         return tuple(out)
 
-    def _close_descendants(self) -> dict[str, frozenset]:
-        desc: dict[str, set] = {v: set() for v in self.vertices}
-        for v in reversed(self._topo):
-            for c in self._children[v]:
-                desc[v].add(c)
-                desc[v] |= desc[c]
-        return {v: frozenset(s) for v, s in desc.items()}
+    def _reach(self, starts: Iterable[str], step: dict[str, list[str]]) -> frozenset:
+        """Vertices reached from starts in one or more steps along step."""
+        seen: set[str] = set()
+        todo = list(starts)
+        while todo:
+            for w in step[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return frozenset(seen)
 
     def parents(self, v: str) -> tuple[str, ...]:
         return tuple(self._parents[v])
@@ -111,7 +116,7 @@ class Dag:
 
     def descendants(self, v: str) -> frozenset:
         """All vertices reachable from v by directed edges (v excluded)."""
-        return self._descendants[v]
+        return self._reach((v,), self._children)
 
     def topological_order(self) -> tuple[str, ...]:
         return self._topo
@@ -148,10 +153,7 @@ def _walk(dag: Dag, a: str, b: str,
     neighbours in declaration order, extending a partial path to w only where
     ``step(path, w)`` allows.  The search keeps its own stack, so no
     recursion limit bounds the path length."""
-    order = {v: i for i, v in enumerate(dag.vertices)}
-    neighbours = {v: sorted(dag.children(v) + dag.parents(v), key=order.get)
-                  for v in dag.vertices}
-    path, on_path, todo = [a], {a}, [iter(neighbours[a])]
+    path, on_path, todo = [a], {a}, [iter(dag._neighbours[a])]
     while todo:
         for w in todo[-1]:
             if w in on_path or not step(path, w):
@@ -161,7 +163,7 @@ def _walk(dag: Dag, a: str, b: str,
             else:
                 path.append(w)
                 on_path.add(w)
-                todo.append(iter(neighbours[w]))
+                todo.append(iter(dag._neighbours[w]))
                 break
         else:
             todo.pop()
@@ -172,22 +174,21 @@ def _passes(dag: Dag, conditioning: Iterable[str]) -> Callable[[str, str, str], 
     """The blocking rule: ``passes(u, v, w)`` is whether a path through u, v,
     w stays open at its interior vertex v given the conditioning set."""
     cond = set(conditioning)
+    dag.require(*cond)
+    opens = cond | dag._reach(cond, dag._parents)
 
     def passes(u: str, v: str, w: str) -> bool:
         if dag.has_edge(u, v) and dag.has_edge(w, v):  # a collider
-            return v in cond or not cond.isdisjoint(dag.descendants(v))
+            return v in opens
         return v not in cond
 
     return passes
 
 
 def enumerate_paths(dag: Dag, a: str, b: str) -> list[tuple[str, ...]]:
-    """All simple paths between a and b ignoring edge direction.
-
-    Each path is the tuple of visited vertices; per-edge orientation is
-    recoverable from the dag.  Deterministic order (DFS over neighbors in
-    declaration order).
-    """
+    """All simple paths between a and b ignoring edge direction, depth first
+    over neighbours in declaration order.  Each path is the tuple of visited
+    vertices; per-edge orientation is recoverable from the dag."""
     dag.require(a, b)
     if a == b:
         raise ValueError("endpoints must differ")
@@ -222,14 +223,14 @@ def check_backdoor(dag: Dag, x_set: Iterable[str], y_set: Iterable[str],
     """Does z_set satisfy the back-door criterion relative to (x_set, y_set)?"""
     xs, ys, zs = set(x_set), set(y_set), set(z_set)
     _check_disjoint(dag, xs, ys, zs)
-    order = {v: i for i, v in enumerate(dag.vertices)}
+    order = dag._order.get
     violations = []
-    for xv in sorted(xs, key=order.get):
-        for zv in sorted(zs, key=order.get):
-            if zv in dag.descendants(xv):
-                violations.append(f"{zv} is a descendant of {xv}")
-    for xv in sorted(xs, key=order.get):
-        for yv in sorted(ys, key=order.get):
+    for xv in sorted(xs, key=order):
+        desc = dag.descendants(xv)
+        violations += [f"{zv} is a descendant of {xv}" for zv in sorted(zs, key=order)
+                       if zv in desc]
+    for xv in sorted(xs, key=order):
+        for yv in sorted(ys, key=order):
             for path in _open_backdoor(dag, xv, yv, zs):
                 violations.append(f"unblocked backdoor path {format_path(dag, path)}")
     return CriterionReport.from_violations(violations)
@@ -239,11 +240,10 @@ def check_frontdoor(dag: Dag, x: str, y: str, z_set: Iterable[str]) -> Criterion
     """Does z_set satisfy the front-door criterion relative to (x, y)?"""
     zs = set(z_set)
     _check_disjoint(dag, {x}, {y}, zs)
-    order = {v: i for i, v in enumerate(dag.vertices)}
     violations = []
     for path in _walk(dag, x, y, lambda path, w: dag.has_edge(path[-1], w) and w not in zs):
         violations.append(f"directed path {format_path(dag, path)} avoids the set")
-    for zv in sorted(zs, key=order.get):
+    for zv in sorted(zs, key=dag._order.get):
         for path in _open_backdoor(dag, x, zv, ()):
             violations.append(
                 f"unblocked backdoor path {format_path(dag, path)} into the set")

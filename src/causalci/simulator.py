@@ -38,7 +38,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, product
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,19 +122,24 @@ class CausalModel:
 
     # -- exact law -------------------------------------------------------
 
+    def _law(self, skip: str | None = None) -> Iterator[tuple[tuple, float]]:
+        """Every assignment of the vertices with the product of its CPT
+        entries, leaving out the factor of the vertex skip."""
+        verts = self.dag.vertices
+        for assignment in product(*(self.dag.domains[v] for v in verts)):
+            values = dict(zip(verts, assignment))
+            p = 1.0
+            for v in verts:
+                if v == skip:
+                    continue
+                cpt = self.cpts[v]
+                row = cpt.rows[tuple(values[q] for q in cpt.parents)]
+                p *= row[self.dag.domains[v].index(values[v])]
+            yield assignment, p
+
     def _joint(self) -> list[tuple[tuple, float]]:
         if self._joint_cache is None:
-            verts = self.dag.vertices
-            out = []
-            for assignment in product(*(self.dag.domains[v] for v in verts)):
-                values = dict(zip(verts, assignment))
-                p = 1.0
-                for v in verts:
-                    cpt = self.cpts[v]
-                    row = cpt.rows[tuple(values[q] for q in cpt.parents)]
-                    p *= row[self.dag.domains[v].index(values[v])]
-                out.append((assignment, p))
-            self._joint_cache = out
+            self._joint_cache = list(self._law())
         return self._joint_cache
 
     def probability(self, partial: dict) -> float:
@@ -153,18 +158,9 @@ class CausalModel:
             raise ValueError(f"{x_value!r} not in the treatment domain")
         y_i, x_i = verts.index(roles.y), verts.index(roles.x)
         total = 0.0
-        for assignment in product(*(self.dag.domains[v] for v in verts)):
-            if assignment[x_i] != x_value or assignment[y_i] != y_value:
-                continue
-            values = dict(zip(verts, assignment))
-            p = 1.0
-            for v in verts:
-                if v == roles.x:
-                    continue
-                cpt = self.cpts[v]
-                row = cpt.rows[tuple(values[q] for q in cpt.parents)]
-                p *= row[self.dag.domains[v].index(values[v])]
-            total += p
+        for assignment, p in self._law(skip=roles.x):
+            if assignment[x_i] == x_value and assignment[y_i] == y_value:
+                total += p
         return total
 
     # -- plumbing ----------------------------------------------------------
@@ -427,12 +423,11 @@ def _iid_codes(model: CausalModel, n: int, seed) -> np.ndarray:
             index[v] = rng.choice(len(dom), size=n, p=cpt.rows[()])
             continue
         idx = np.empty(n, dtype=np.int64)
-        parent_idx = [index[p] for p in cpt.parents]
-        parent_doms = [dag.domains[p] for p in cpt.parents]
-        for config, row in cpt.rows.items():
-            mask = np.ones(n, dtype=bool)
-            for arr, dom_p, val in zip(parent_idx, parent_doms, config):
-                mask &= arr == dom_p.index(val)
+        # each step's parent configuration, coded as _draw codes it
+        config = np.ravel_multi_index([index[p] for p in cpt.parents],
+                                      model._mechanisms[v][0])
+        for c, row in enumerate(cpt.rows.values()):
+            mask = config == c
             k = int(mask.sum())
             if k:
                 idx[mask] = rng.choice(len(dom), size=k, p=row)

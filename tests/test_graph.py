@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -8,7 +9,7 @@ from causalci.graph import (CriterionReport, Dag, DagParseError, check_backdoor,
                             check_frontdoor, enumerate_paths, format_path,
                             parse_dag_text, path_blocked)
 from helpers import fig1_dag, napkin_dag, oracle_backdoor, oracle_blocked, \
-    oracle_frontdoor, oracle_paths, random_dag, reference_check_backdoor, \
+    oracle_descendants, oracle_frontdoor, oracle_paths, random_dag, reference_check_backdoor, \
     reference_check_frontdoor
 
 
@@ -46,6 +47,11 @@ def test_napkin_blocking():
     # W is a collider there, and its descendant Z is conditioned on
     assert not path_blocked(fork, {"Z"}, dag)
     assert path_blocked(fork, set(), dag)  # unconditioned collider blocks
+
+
+def test_blocking_refuses_an_unknown_conditioning_vertex():
+    with pytest.raises(ValueError, match="unknown variable 'Q'"):
+        path_blocked(("X", "V", "W", "U", "Y"), {"Z", "Q"}, napkin_dag())
 
 
 def test_all_noncolliders_always_block():
@@ -221,6 +227,28 @@ def test_long_paths_need_no_recursion():
     assert check_frontdoor(dag, "V0", "V1499", {"V700"}).satisfied
     # the walk from V1498 runs back through every vertex to V0
     assert check_backdoor(dag, {"V1498"}, {"V1499"}, {"V0"}).satisfied
+
+
+def test_descendants_match_the_oracle():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        dag = random_dag(rng, max_vertices=9, p_edge=float(rng.uniform(0.1, 0.8)))
+        for v in dag.vertices:
+            assert dag.descendants(v) == oracle_descendants(dag.edges, v)
+
+
+def test_a_deep_dag_holds_its_adjacency_only():
+    """No per-vertex descendant set: memory grows with the edges, not with
+    the square of the depth."""
+    names = [f"V{i}" for i in range(3000)]
+    tracemalloc.start()
+    try:
+        dag = Dag(names, zip(names, names[1:]))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 16 * 2**20
+    assert len(dag.descendants("V0")) == 2999
 
 
 def test_backdoor_check_on_a_dense_dag():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -51,6 +52,21 @@ def test_seed_determinism():
     b = sample_adaptive(model, AlternatingAdversaryPolicy(), 200, seed=7)
     assert a == b
     assert sample_iid(model, 500, seed=99) != sample_iid(model, 500, seed=100)
+
+
+# SHA-256 of repr(sample_iid(three_valued_model(), 5000, seed)): a three-valued
+# treatment whose parents (U, Z1) and a composite z pick each step's CPT row.
+IID_THREE_VALUED_SHA256 = {
+    0: 'ba51f2ebaa21c38c1fc9501af36aa47cad738ba7cf6c4872b06f1687ebe01719',
+    7: 'b96fdb419f3224c834350a884bf475dfa2c14d61d59060fe9ea5f7820b3548f6',
+    2026: '4869c13235ae4dfe86b745f86cb04774aedd2682ce3627ac5647be1a520535fa',
+}
+
+
+@pytest.mark.parametrize("seed", list(IID_THREE_VALUED_SHA256))
+def test_iid_stream_of_the_three_valued_model_is_pinned(seed):
+    rows = sample_iid(three_valued_model(), 5000, seed)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == IID_THREE_VALUED_SHA256[seed]
 
 
 def test_cpt_policy_reproduces_iid_distribution():
@@ -132,6 +148,32 @@ def test_interventional_probability_constant_rows():
     model = fig1_model(py1_given_xz={(0, 0): 0.25, (0, 1): 0.25,
                                      (1, 0): 0.25, (1, 1): 0.25})
     assert model.interventional_probability(1, 1) == pytest.approx(0.25)
+
+
+# repr of interventional_probability(x, y) over the treatment and outcome
+# domains, row by row, and of probability({Y: y}) over the outcome domain:
+# exact laws that must keep every bit.
+EXACT_LAW_REPRS = {
+    fig1_model: (['0.6799999999999999', '0.32', '0.5', '0.5'],
+                 ['0.59', '0.41000000000000003']),
+    frontdoor_model: (['0.59', '0.41', '0.43', '0.57'],
+                      ['0.5292000000000001', '0.4708']),
+    three_valued_model: (['0.29500390714581565', '0.35600577303942693',
+                          '0.34899031981475737', '0.3916307290556625',
+                          '0.372815846200117', '0.2355534247442203',
+                          '0.2983358970886449', '0.4450128843145942',
+                          '0.2566512185967608'],
+                         ['0.3096996947438474', '0.3951234132780916',
+                          '0.29517689197806085']),
+}
+
+
+@pytest.mark.parametrize("make", list(EXACT_LAW_REPRS), ids=lambda m: m.__name__)
+def test_exact_law_is_pinned(make):
+    model = make()
+    xs, ys = model.dag.domains[model.roles.x], model.dag.domains[model.roles.y]
+    assert ([repr(model.interventional_probability(x, y)) for x in xs for y in ys],
+            [repr(model.probability({model.roles.y: y})) for y in ys]) == EXACT_LAW_REPRS[make]
 
 
 def test_model_validation_errors():
