@@ -4,7 +4,8 @@ adaptively collected categorical observation streams."""
 
 from .counts import CountTable, Observation, dyadic_floor
 from .effects import (EffectInterval, EffectQuery, backdoor_cs_anytime,
-                      effect_interval, frontdoor_cs_anytime, true_effect)
+                      confidence_sequence, effect_interval, frontdoor_cs_anytime,
+                      true_effect)
 from .graph import (CriterionReport, Dag, check_backdoor, check_frontdoor,
                     enumerate_paths, format_path, load_dag, parse_dag_text,
                     path_blocked)

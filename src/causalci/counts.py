@@ -364,6 +364,29 @@ class CountTable:
         first m observations, and the hits among that many first
         occurrences; (0, 0) if the condition has not occurred by then.
         """
+        cond, i = self._locate(event, given)
+        if m is not None:
+            log = self._levels.get(cond, ())
+            levels = bisect_right(log, _prefix_length(m, self.n), key=_position)
+            # a count in [2**(levels-1), 2**levels)
+            return (1 << (levels - 1), log[levels - 1][1][i]) if levels else (0, 0)
+        if cond is None:
+            return self.n, self._tally(None)[i]
+        tag, code = cond
+        return (0, 0) if code is None else (self._counts[tag][code], self._tally(cond)[i])
+
+    def _leaf_log(self, event: dict, given: dict) -> tuple[list, int]:
+        """The dyadic log that :meth:`leaf` bisects for a prefix, as
+        (position, tally) levels in order, and the event's index in the
+        tallies."""
+        cond, i = self._locate(event, given)
+        return self._levels.get(cond, ()), i
+
+    def _locate(self, event: dict, given: dict) -> tuple[tuple | None, int]:
+        """A leaf's condition, as ``(pattern, cell code)`` or None for the
+        whole stream, and the event's index in the condition's tally; the
+        code is None for a condition outside the domains, which never
+        occurs."""
         match sorted(given), sorted(event):
             case ['x', 'z'], ['y']:
                 tag, axis = 'xz', 'y'
@@ -381,17 +404,7 @@ class CountTable:
             raise ValueError(f"leaf value {value!r} not in declared domain") from None
         if axis == 'x':
             i += len(self.z_values)  # the whole stream's tally is z, then x
-        if m is not None:
-            m = _prefix_length(m, self.n)
-        code = self._code(tag, given)
-        if code is None:  # a condition outside the domains never occurs
-            return 0, 0
-        cond = (tag, code) if tag else None
-        if m is None:
-            return self._counts[tag][code] if tag else self.n, self._tally(cond)[i]
-        log = self._levels.get(cond, ())
-        levels = bisect_right(log, m, key=_position)  # a count in [2**(levels-1), 2**levels)
-        return (1 << (levels - 1), log[levels - 1][1][i]) if levels else (0, 0)
+        return ((tag, self._code(tag, given)) if tag else None), i
 
     def checkpoints(self) -> list[int]:
         """Stream positions, in order, at which some dyadic level was

@@ -13,10 +13,10 @@ contain the truth.  Every element of the sequence reads only dyadic
 tallies and dyadic floors of counts, so it changes only where some dyadic
 level is reached, and the count table logs each level with the stream
 position that reached it.  So the whole stream is ingested at once, and
-the interval is evaluated at each logged position
-(:meth:`CountTable.checkpoints`) and at the final time, prefix by prefix;
-it is constant in between.  Unbounded intervals
-realize [0,1] and therefore count as covering.
+:func:`confidence_sequence` sweeps that log once, yielding one element per
+run of positions between checkpoints (:meth:`CountTable.checkpoints`) up
+to the final time; the replication stops at the first element that misses.
+Unbounded intervals realize [0,1] and therefore count as covering.
 
 Replications draw their seeds by spawning one SeedSequence, so results are
 reproducible and independent of scheduling; ``workers > 1`` distributes
@@ -32,7 +32,8 @@ from statistics import median
 
 import numpy as np
 
-from .effects import EffectQuery, effect_interval, require_in_domain, true_effect
+from .effects import EffectQuery, confidence_sequence, effect_interval, require_in_domain, \
+    true_effect
 from .prediction import prediction_set
 # sample_iid and sample_adaptive are unused here, and kept: the benchmark's tracer wraps them
 from .simulator import CausalModel, CptPolicy, Policy, _adaptive_codes, _iid_codes, \
@@ -92,8 +93,8 @@ def _replicate(model: CausalModel, query: EffectQuery, n: int,
     itv = effect_interval(table, query)
     covered = itv.contains(theta)
     if query.regime == 'anytime':
-        covered = covered and all(effect_interval(table, query, p).contains(theta)
-                                  for p in table.checkpoints())
+        covered = covered and all(element.contains(theta)
+                                  for _, _, element in confidence_sequence(table, query))
     return covered, itv.halfwidth
 
 

@@ -28,7 +28,9 @@ iterated-logarithm (LIL) radii:
 
 Adaptive treatment (each treatment may depend on the whole observed past)
 switches the estimates conditioned on the treatment; the anytime elements
-form a confidence sequence (their running intersection keeps the level).
+form a confidence sequence (their running intersection keeps the level),
+which ``confidence_sequence`` yields whole, one segment per run of prefixes
+between checkpoints, with the same arithmetic as ``effect_interval``.
 The level is split across the distinct estimated probabilities, which sets
 the ratio inside each radius's logarithm:
 
@@ -55,7 +57,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .bounds import hoeffding_term, lil_term
 from .counts import CountTable, _hashable, _prefix_length
@@ -200,6 +202,17 @@ def _plan(query: EffectQuery, xs: tuple, zs: tuple) -> tuple[_Family, ...]:
     return tuple(families)
 
 
+def _families(table: CountTable, query: EffectQuery) -> tuple[_Family, ...]:
+    """The leaf table bound to a query and a table's domains, once the
+    query is known to fit the table."""
+    require_in_domain(table, x=query.x, y=query.y)
+    if query.binary_toy and (len(table.x_domain), len(table.y_domain),
+                             *map(len, table.z_domains)) != (2, 2, 2):
+        raise ValueError("binary_toy needs binary treatment/outcome and a "
+                         "single binary covariate")
+    return _plan(query, table.x_domain, table.z_values)
+
+
 def _bind(table: CountTable, query: EffectQuery, n: int | None):
     """The families, the prefix n and every cell's (estimate, radius) at n,
     family by family; n defaults to the whole stream and differs from it
@@ -208,12 +221,7 @@ def _bind(table: CountTable, query: EffectQuery, n: int | None):
     n = table.n if n is None else _prefix_length(n, table.n)
     if n != table.n and query.regime != 'anytime':
         raise ValueError("a prefix index applies only to the anytime regime")
-    require_in_domain(table, x=query.x, y=query.y)
-    if query.binary_toy and (len(table.x_domain), len(table.y_domain),
-                             *map(len, table.z_domains)) != (2, 2, 2):
-        raise ValueError("binary_toy needs binary treatment/outcome and a "
-                         "single binary covariate")
-    families = _plan(query, table.x_domain, table.z_values)
+    families = _families(table, query)
     bound = []
     for fam in families:
         radius = lil_term if fam.dyadic else hoeffding_term
@@ -228,15 +236,10 @@ def _bind(table: CountTable, query: EffectQuery, n: int | None):
     return families, n, bound
 
 
-# -- entry points ---------------------------------------------------------------
-
-def effect_interval(table: CountTable, query: EffectQuery,
-                    n: int | None = None) -> EffectInterval:
-    """The interval for a query's criterion and regime; n, a prefix of the
-    stream, applies to the anytime regime only.  It is the polynomial at the
-    bound estimates, its leaf radii summed with multiplicity, and the ratios
-    they used."""
-    families, n, bound = _bind(table, query, n)
+def _interval(query: EffectQuery, families: tuple[_Family, ...], n: int,
+              bound: list) -> EffectInterval:
+    """The polynomial at the bound estimates, its leaf radii summed with
+    multiplicity, and the ratios they used."""
     mid = 0.0
     if query.criterion == 'backdoor':
         for (marg, _), (cond, _) in zip(*bound):
@@ -260,6 +263,76 @@ def effect_interval(table: CountTable, query: EffectQuery,
     if (query.criterion, query.regime) == ('frontdoor', 'iid'):
         constants["frontdoor_form"] = query.frontdoor_form
     return EffectInterval.build(n, mid, hw, constants)
+
+
+# -- entry points ---------------------------------------------------------------
+
+def effect_interval(table: CountTable, query: EffectQuery,
+                    n: int | None = None) -> EffectInterval:
+    """The interval for a query's criterion and regime; n, a prefix of the
+    stream, applies to the anytime regime only.  It is the polynomial at the
+    bound estimates, its leaf radii summed with multiplicity, and the ratios
+    they used."""
+    return _interval(query, *_bind(table, query, n))
+
+
+def confidence_sequence(table: CountTable,
+                        query: EffectQuery) -> Iterator[tuple[int, int, EffectInterval]]:
+    """The anytime confidence sequence of the table's stream, as segments
+    ``(first_n, last_n, interval)`` in order: one per checkpoint run (the
+    positions from one of :meth:`CountTable.checkpoints` to the next), the
+    last one up to ``table.n``, and for an empty table the one element at
+    n = 0.  Each interval is ``effect_interval(table, query, first_n)``;
+    the elements at the later positions of its segment differ from it in
+    ``n`` alone.
+
+    The leaf table is bound once and each leaf resolved once to its
+    condition's log, in which one position per condition advances as the
+    prefix grows.  The sequence is the table's as of this call.
+    """
+    if query.regime != 'anytime':
+        raise ValueError("a confidence sequence is the anytime regime's, "
+                         f"not the {query.regime} regime's")
+    families = _families(table, query)
+    starts = table.checkpoints() or [0]
+    ends = [p - 1 for p in starts[1:]] + [table.n]
+    logs, slots = [], {}  # each condition's log, and by identity its slot
+    cells = []  # per family, per cell: (slot of its log, index in the tallies)
+    for fam in families:
+        row = []
+        for event, given in fam.cells:
+            log, i = table._leaf_log(event, given)
+            if id(log) not in slots:
+                slots[id(log)] = len(logs)
+                logs.append(log)
+            row.append((slots[id(log)], i))
+        cells.append(row)
+    return _sweep(query, families, logs, cells, zip(starts, ends))
+
+
+def _sweep(query: EffectQuery, families: tuple[_Family, ...], logs: list, cells: list,
+           segments) -> Iterator[tuple[int, int, EffectInterval]]:
+    """confidence_sequence's segments, each log read up to the segment's
+    first position."""
+    levels = [0] * len(logs)  # per log, the levels reached by the prefix
+    radius = lru_cache(maxsize=None)(lil_term)  # dyadic counts repeat
+    for first, last in segments:
+        for s, log in enumerate(logs):
+            level = levels[s]
+            while level < len(log) and log[level][0] <= first:
+                level += 1
+            levels[s] = level
+        bound = []
+        for fam, row in zip(families, cells):
+            pairs = []
+            for s, i in row:  # each cell bound as _bind binds it at prefix first
+                level = levels[s]
+                count, hits = (1 << (level - 1), logs[s][level - 1][1][i]) if level else (0, 0)
+                if not (fam.shared and pairs):
+                    r = radius(count, fam.ratio)
+                pairs.append((hits / count if count else 0.0, r))
+            bound.append(pairs)
+        yield first, last, _interval(query, families, first, bound)
 
 
 def backdoor_cs_anytime(table: CountTable, query: EffectQuery,

@@ -116,6 +116,7 @@ class Dag:
 
     def descendants(self, v: str) -> frozenset:
         """All vertices reachable from v by directed edges (v excluded)."""
+        self.require(v)
         return self._reach((v,), self._children)
 
     def topological_order(self) -> tuple[str, ...]:
@@ -205,7 +206,15 @@ def format_path(dag: Dag, path: Sequence[str]) -> str:
 
 
 def path_blocked(path: Sequence[str], conditioning: Iterable[str], dag: Dag) -> bool:
-    """d-separation blocking test for one path (see module docstring)."""
+    """d-separation blocking test for one path (see module docstring); a
+    sequence of vertices that is not a simple path of the dag is refused."""
+    dag.require(*path)
+    for u, v in zip(path, path[1:]):
+        if not (dag.has_edge(u, v) or dag.has_edge(v, u)):
+            raise ValueError(f"{u!r} and {v!r} are not adjacent")
+    if len(set(path)) != len(path):
+        repeated = next(v for i, v in enumerate(path) if v in path[:i])
+        raise ValueError(f"vertex {repeated!r} repeats on the path")
     passes = _passes(dag, conditioning)
     return not all(passes(*triple) for triple in zip(path, path[1:], path[2:]))
 

@@ -28,7 +28,9 @@ stand for.  The coverage harness hands the codes to
 :meth:`CountTable.ingest_codes` and never builds an observation.  The
 built-in policies choose on domain indices too (``Policy._steps``); a
 policy that overrides ``choose`` is asked through it at every step, with
-the history as observations.
+the history as observations.  The alternating adversary finds each run of
+equal choices up to its next switch at once, from running sums of the
+outcomes, since only the played arm's success rate moves within a run.
 """
 
 from __future__ import annotations
@@ -229,7 +231,9 @@ class Policy:
     the ones ``choose`` would return step by step.  A subclass that
     overrides ``choose``, and not ``_steps`` (or ``_pick``, the rule of the
     success-rate policies) with it, is asked through ``choose`` at every
-    step.
+    step.  One that overrides ``_pick`` and not ``_steps`` is asked through
+    ``_pick`` at every step (``_SuccessRatePolicy._steps``), even where it
+    inherits a ``_steps`` that states some other rule a run at a time.
     """
 
     #: set by mechanism-replaying policies that may read hidden parents
@@ -238,8 +242,12 @@ class Policy:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # a choose of its own, without the rule on indices that matches it
-        if 'choose' in vars(cls) and not {'_steps', '_pick'} & vars(cls).keys():
+        own = vars(cls).keys()
+        if '_steps' in own:
+            return
+        if '_pick' in own:  # a rule of its own, which an inherited _steps may not state
+            cls._steps = _SuccessRatePolicy._steps
+        elif 'choose' in own:  # a choose without the rule on indices that matches it
             cls._steps = None
 
     def reset(self, model: CausalModel, rng: np.random.Generator) -> None:
@@ -288,7 +296,10 @@ class _SuccessRatePolicy(Policy):
     """A policy that keeps, per treatment index, how often the target
     outcome followed it; the target defaults to the last outcome value of
     the model the policy is reset for.  Subclasses state their rule as
-    ``_pick()``, the treatment index for the next step."""
+    ``_pick()``, the treatment index for the next step, and ``_steps`` asks
+    it step by step: :class:`EpsilonGreedyPolicy` draws from its own stream
+    at every step, so it keeps this path.  :class:`AlternatingAdversaryPolicy`
+    applies its rule one run of equal choices at a time."""
 
     def __init__(self, target_y=None):
         self.target_y = target_y
@@ -368,18 +379,85 @@ class AlternatingAdversaryPolicy(_SuccessRatePolicy):
         self._absorb(history)
         return self._dom[self._pick()]
 
+    def _rate(self, i: int) -> float:
+        return self._hits[i] / self._totals[i] if self._totals[i] else 0.5
+
+    def _sign(self) -> int:
+        """The sign of the gap between the first two arms' success rates."""
+        gap = self._rate(0) - self._rate(1)
+        return (gap > 0) - (gap < 0)
+
     def _pick(self) -> int:
-        hits, totals = self._hits, self._totals
-        if len(totals) >= 2:
-            rate0 = hits[0] / totals[0] if totals[0] else 0.5
-            rate1 = hits[1] / totals[1] if totals[1] else 0.5
-            gap = rate0 - rate1
-            sign = (gap > 0) - (gap < 0)
+        if len(self._totals) >= 2:
+            sign = self._sign()
             if sign and self._last_sign and sign != self._last_sign:
-                self._index = (self._index + 1) % len(totals)
+                self._index = (self._index + 1) % len(self._totals)
             if sign:
                 self._last_sign = sign
         return self._index
+
+    def _steps(self, block):
+        """``_pick``'s rule one run of equal choices at a time: the picks up
+        to the next switch at once, the switching pick by ``_pick``."""
+        hit = block.y == self._target_index
+        hits, totals = self._hits, self._totals
+        k = hit.shape[1]
+        chosen = np.empty(k, dtype=np.intp)
+        t = 0
+        while t < k:
+            i = self._index
+            end = self._run_end(hit[i], t)
+            chosen[t:end] = i
+            hits[i] += int(np.count_nonzero(hit[i, t:end]))
+            totals[i] += end - t
+            if end < k:
+                i = chosen[end] = self._pick()
+                hits[i] += int(hit[i, end])
+                totals[i] += 1
+                end += 1
+            t = end
+        return chosen
+
+    def _run_end(self, hit: np.ndarray, t: int) -> int:
+        """The first step from t on whose pick switches away from the
+        current arm, or the block's length; ``_last_sign`` becomes the last
+        nonzero sign of the picks before it.  hit holds the current arm's
+        target outcomes in the block."""
+        k, i = len(hit), self._index
+        if len(self._totals) < 2:
+            return k
+        if i >= 2:  # arms 0 and 1 stand still, so every pick sees the first one's gap
+            sign = self._sign()
+            if sign * self._last_sign < 0:
+                return t
+            self._last_sign = sign or self._last_sign
+            return k
+        # only arm i's rate moves; windows from 16 steps on, doubling, so a
+        # run costs in proportion to its length
+        other, h, n, last = self._rate(1 - i), self._hits[i], self._totals[i], self._last_sign
+        width = 16
+        while t < k:
+            seen = hit[t:t + width]
+            # arm i's rate at each pick, from its hits and plays before it
+            count = n + np.arange(len(seen))
+            rate = np.divide(h + np.cumsum(seen) - seen, count,
+                             out=np.full(len(seen), 0.5), where=count > 0)
+            sign = np.sign(rate - other if i == 0 else other - rate)
+            at = np.flatnonzero(sign)
+            signs = sign[at]
+            before = np.concatenate(([last], signs[:-1]))  # the last nonzero sign before each
+            flips = np.flatnonzero(signs * before < 0)
+            if flips.size:
+                self._last_sign = int(before[flips[0]])
+                return t + int(at[flips[0]])
+            if signs.size:
+                last = int(signs[-1])
+            h += int(np.count_nonzero(seen))
+            n += len(seen)
+            t += len(seen)
+            width *= 2
+        self._last_sign = last
+        return k
 
 
 def make_policy(spec: str, model: CausalModel) -> Policy:

@@ -8,7 +8,7 @@ import pytest
 
 from causalci import coverage
 from causalci.coverage import run_coverage, run_prediction_coverage
-from causalci.effects import EffectQuery, effect_interval, true_effect
+from causalci.effects import EffectQuery, confidence_sequence, true_effect
 from causalci.simulator import AlternatingAdversaryPolicy, ConstantPolicy, \
     sample_adaptive
 from helpers import fig1_model, frontdoor_model
@@ -211,15 +211,18 @@ def test_anytime_replication_checks_every_checkpoint(monkeypatch, criterion):
             moved.add(table.n)
     checked = []
 
-    def spy(table, query, n=None):
-        itv = effect_interval(table, query, n)
-        checked.append(itv.n)
-        return itv
+    def spy(table, query):
+        for segment in confidence_sequence(table, query):
+            checked.append(segment)
+            yield segment
 
-    monkeypatch.setattr(coverage, "effect_interval", spy)
+    monkeypatch.setattr(coverage, "confidence_sequence", spy)
     theta = true_effect(model, 1, 1, criterion)
     assert coverage._replicate(model, query, n, policy, theta, seed)[0]
-    assert 30 < len(moved) and set(checked) == moved
+    starts = [first for first, _, _ in checked]
+    assert [last + 1 for _, last, _ in checked[:-1]] == starts[1:]
+    assert 30 < len(moved) and {*starts, checked[-1][1]} == moved
+    assert [itv.n for _, _, itv in checked] == starts
 
 
 @pytest.mark.parametrize("replications", [0, -1])

@@ -1,19 +1,23 @@
 import hashlib
 import math
 import re
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalci.counts import Observation
 from causalci.effects import (CRITERIA, FRONTDOOR_FORMS, REGIMES, EffectQuery,
-                              backdoor_cs_anytime, effect_interval,
+                              backdoor_cs_anytime, confidence_sequence, effect_interval,
                               frontdoor_cs_anytime, true_effect)
 from causalci.prediction import prediction_set
+from causalci.simulator import AlternatingAdversaryPolicy, sample_adaptive, sample_iid
 from helpers import (binary_table, eight_obs_stream, fig1_model,
                      frontdoor_model, grid_table, interval_via_expression,
-                     random_table)
+                     random_table, three_valued_model)
 
 TOY_HW_8OBS = 2.663863269432442  # 40-digit evaluation of the binary-constant
                                  # formula on the eight-observation stream
@@ -151,6 +155,45 @@ def test_anytime_constant_between_checkpoints():
             assert itv.midpoint == previous.midpoint
             assert itv.halfwidth == previous.halfwidth
         previous, version = itv, table.checkpoint_version
+
+
+SEQUENCE_MODELS = {"fig1": fig1_model, "frontdoor": frontdoor_model,
+                   "three-valued": three_valued_model}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SEQUENCE_MODELS)), st.sampled_from(CRITERIA),
+       st.sampled_from([0, 1, 2, 5, 64, 300]), st.booleans(), st.data())
+def test_confidence_sequence_holds_every_element(model, criterion, n, adaptive, data):
+    """Each segment's interval is the element at every prefix of its range,
+    but for n; the segments tile the prefixes from the first checkpoint (0
+    for an empty stream) to the whole stream."""
+    model = SEQUENCE_MODELS[model]()
+    x = data.draw(st.sampled_from(model.dag.domains[model.roles.x]))
+    y = data.draw(st.sampled_from(model.dag.domains[model.roles.y]))
+    toy = criterion == 'backdoor' and model.roles.z == ('Z',) and data.draw(st.booleans())
+    query = q(criterion, x, y, data.draw(st.sampled_from([0.05, 0.5])), 'anytime',
+              binary_toy=toy)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    table = model.count_table()
+    table.ingest_all(sample_adaptive(model, AlternatingAdversaryPolicy(), n, seed)
+                     if adaptive else sample_iid(model, n, seed))
+    segments = list(confidence_sequence(table, query))
+    assert segments[0][0] == min(n, 1) and segments[-1][1] == n
+    assert [first for first, _, _ in segments[1:]] == [last + 1 for _, last, _ in segments[:-1]]
+    assert [first for first, _, _ in segments] == (table.checkpoints() or [0])
+    for first, last, itv in segments:
+        for p in range(first, last + 1):
+            assert repr(replace(itv, n=p)) == repr(effect_interval(table, query, p))
+
+
+def test_confidence_sequence_refuses_a_query_when_called():
+    table = binary_table(eight_obs_stream())
+    with pytest.raises(ValueError, match="^a confidence sequence is the anytime "
+                                         "regime's, not the iid regime's$"):
+        confidence_sequence(table, q())
+    with pytest.raises(ValueError, match=r"^query x value 7 not in declared domain \[0, 1\]$"):
+        confidence_sequence(table, q(x=7, regime='anytime'))
 
 
 def test_regime_ordering_on_random_tables():

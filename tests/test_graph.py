@@ -54,6 +54,22 @@ def test_blocking_refuses_an_unknown_conditioning_vertex():
         path_blocked(("X", "V", "W", "U", "Y"), {"Z", "Q"}, napkin_dag())
 
 
+@pytest.mark.parametrize("make, path, message", [
+    (fig1_dag, ("X", "Q", "Y"), "unknown variable 'Q'"),
+    (napkin_dag, ("X", "W", "U", "Y"), "'X' and 'W' are not adjacent"),
+    (fig1_dag, ("X", "Y", "Z", "X"), "vertex 'X' repeats on the path"),
+    (napkin_dag, ("X", "V", "W", "Z", "X", "Y"), "vertex 'X' repeats on the path"),
+])
+def test_blocking_refuses_a_sequence_that_is_not_a_path(make, path, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        path_blocked(path, set(), make())
+
+
+def test_descendants_of_an_unknown_vertex_are_refused():
+    with pytest.raises(ValueError, match="^unknown variable 'Q'$"):
+        fig1_dag().descendants("Q")
+
+
 def test_all_noncolliders_always_block():
     dag = napkin_dag()
     for path in enumerate_paths(dag, "X", "Y"):

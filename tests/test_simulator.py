@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import causalci.simulator as simulator
 from causalci.counts import Observation
@@ -417,3 +419,90 @@ def test_reused_policy_tracks_the_new_models_outcome(make):
         got = sample_adaptive(model, reused, 2000, seed)
         assert got == sample_adaptive(model, make(), 2000, seed)
         assert {obs.x for obs in got} == {0, 1, 2}
+
+
+def _treatment_outcome_model(nx, ny):
+    """X -> Y with |X| = nx and |Y| = ny, uniform rows."""
+    dag = Dag(["X", "Y"], [("X", "Y")], {"X": tuple(range(nx)), "Y": tuple(range(ny))})
+    cpts = {"X": Cpt((), {(): (1 / nx,) * nx}),
+            "Y": Cpt(("X",), {(x,): (1 / ny,) * ny for x in range(nx)})}
+    return CausalModel(dag, cpts, Roles("X", "Y", ()))
+
+
+@st.composite
+def adversary_cases(draw):
+    """|X|, |Y|, a policy state to start from (hits, plays, arm, last sign)
+    and consecutive blocks of outcome indices of shape (|X|, k)."""
+    nx, ny = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([2, 3]))
+    totals = draw(st.lists(st.sampled_from([0, 1, 2, 3, 50, 999, 1000]),
+                           min_size=nx, max_size=nx))
+    hits = [draw(st.integers(0, n)) for n in totals]
+    start = hits, totals, draw(st.integers(0, nx - 1)), draw(st.sampled_from([-1, 0, 1]))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, 300))
+        if draw(st.booleans()):
+            # each arm repeats a short pattern, such as misses only
+            patterns = [draw(st.lists(st.integers(0, ny - 1), min_size=1, max_size=6))
+                        for _ in range(nx)]
+            y = np.array([np.resize(pattern, k) for pattern in patterns]).reshape(nx, k)
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            y = rng.integers(ny, size=(nx, k))
+        blocks.append(y)
+    return nx, ny, start, blocks
+
+
+def _adversaries(nx, ny, start=None):
+    """Two adversaries reset for an X -> Y model, in the same state."""
+    model = _treatment_outcome_model(nx, ny)
+    policies = AlternatingAdversaryPolicy(), AlternatingAdversaryPolicy()
+    for policy in policies:
+        policy.reset(model, np.random.default_rng(0))
+        if start is not None:
+            hits, totals, policy._index, policy._last_sign = start
+            policy._hits, policy._totals = list(hits), list(totals)
+    return policies
+
+
+def _state(policy):
+    return repr((policy._hits, policy._totals, policy._index, policy._last_sign))
+
+
+@settings(max_examples=300, deadline=None)
+@given(adversary_cases(), st.booleans())
+# on arm 2 with a last sign opposite to the gap, the first pick switches
+@example((3, 2, ([5, 1, 0], [10, 10, 0], 2, -1), [np.zeros((3, 10), dtype=np.intp)]), False)
+def test_run_wise_adversary_matches_the_per_step_rule(case, fresh):
+    nx, ny, start, blocks = case
+    run_wise, per_step = _adversaries(nx, ny, None if fresh else start)
+    for y in blocks:
+        block = simulator._Block({}, y, y)
+        want = simulator._SuccessRatePolicy._steps(per_step, block)
+        assert run_wise._steps(block).tolist() == want
+        assert _state(run_wise) == _state(per_step)
+
+
+def test_run_wise_adversary_switches_every_few_steps():
+    # rates 500/1000 and 500/1001, then misses only: each arm's next miss
+    # takes its rate below the other's, so the rule switches every few steps
+    run_wise, per_step = _adversaries(2, 2, ([500, 500], [1000, 1001], 0, 1))
+    misses = np.zeros((2, 4096), dtype=np.intp)
+    block = simulator._Block({}, misses, misses)
+    want = simulator._SuccessRatePolicy._steps(per_step, block)
+    assert run_wise._steps(block).tolist() == want
+    assert _state(run_wise) == _state(per_step)
+    assert sum(a != b for a, b in zip(want, want[1:])) > 1000
+
+
+def test_overriding_pick_alone_keeps_the_per_step_rule():
+    class FirstArm(AlternatingAdversaryPolicy):
+        def _pick(self):
+            return 0
+
+    model = three_valued_model()
+    assert FirstArm._steps is simulator._SuccessRatePolicy._steps
+    assert AlternatingAdversaryPolicy._steps is not FirstArm._steps
+    assert {obs.x for obs in sample_adaptive(model, FirstArm(), 500, seed=2)} == {0}
+    assert sample_adaptive(model, FirstArm(), 500, seed=2) == \
+        reference_sample_adaptive(model, FirstArm(), 500, seed=2)
