@@ -9,16 +9,17 @@ for a row it cannot code), and the reads code their arguments alike, so
 equal values (``1``, ``1.0``, ``True``; z as a scalar, list or tuple) name
 one cell.
 
-Each tracked pattern, (x, y, z), (x, z), x and z, keeps a list of counts
-indexed by its own cell code, row-major over its axes.  When the count of
-a condition the estimators read reaches a power of two ``2**j``, a log
-keyed by the condition's pattern and code records the stream position
-and the condition's outcome tally, a slice of the next finer pattern's
-counts.  :meth:`CountTable.leaf` answers every estimated probability as
-``(count, hits)``: over the whole stream, or over the first
-``dyadic_floor(count)`` occurrences of the condition after any prefix,
-found in the log by bisection.  The table holds O(cells + conditions *
-log n) entries, however long the stream.
+The table stores only the (x, y, z) counts, by cell code, and sums the
+(x, z), x and z counts from them on read, so a row-by-row ingest costs
+O(|Y|·|Z|).  When the count of a condition the estimators read reaches a
+power of two ``2**j``, a log keyed by the condition's pattern and code
+records the stream position and the condition's outcome tally.  Only
+this module reads the log: :meth:`CountTable.leaf` answers an estimated
+probability as ``(count, hits)``, over the whole stream or over the
+first ``dyadic_floor(count)`` occurrences of the condition after any
+prefix, and :meth:`CountTable.leaf_runs` answers many leaves for every
+run of prefixes between checkpoints.  The table holds O(cells +
+conditions * log n) entries, however long the stream.
 
 :meth:`CountTable.ingest` adds one observation and is the reference path.
 :meth:`CountTable.ingest_codes` adds cell codes in chunks of
@@ -86,7 +87,9 @@ def dyadic_floor(n: int) -> int:
 
 
 def _prefix_length(m, n: int) -> int:
-    """``m``, of any integral type, as the length of a prefix of an n-row stream."""
+    """``m``, of any integral type but bool, as a prefix length of an n-row stream."""
+    if isinstance(m, (bool, np.bool_)):  # Python counts True as 1; a prefix does not
+        raise ValueError(f"prefix length {bool(m)} is not an integer")
     try:
         m = operator.index(m)
     except TypeError:
@@ -96,15 +99,16 @@ def _prefix_length(m, n: int) -> int:
     return m
 
 
+def _dyadic(log: Sequence, levels: int, i: int) -> tuple[int, int]:
+    """(count, hits) of tally ``i`` once a condition's log has ``levels`` levels."""
+    return (1 << (levels - 1), log[levels - 1][1][i]) if levels else (0, 0)
+
+
 def _as_z(z) -> tuple:
     """A z-value as the table codes it: a list as a tuple, a scalar as a 1-tuple."""
     if isinstance(z, tuple):
         return z
     return tuple(z) if isinstance(z, list) else (z,)
-
-
-def _is_pow2(n: int) -> bool:
-    return n & (n - 1) == 0
 
 
 def _hashable(value) -> bool:
@@ -120,7 +124,8 @@ class CountTable:
 
     Tracked patterns, the ones the estimators read: (x,y,z), (x,z), (x),
     (z), and the stream length itself, with dyadic tallies for the
-    conditions of the pairs that :meth:`leaf` reads.
+    conditions of the pairs that :meth:`leaf` reads.  Only the (x,y,z)
+    counts are stored; the other patterns' counts are summed from them.
     """
 
     def __init__(self, x_domain: Sequence, y_domain: Sequence,
@@ -143,9 +148,8 @@ class CountTable:
                        in zip('xyz', (self.x_domain, self.y_domain, self.z_values))}
 
         self.n = 0
-        # pattern -> occurrences of each of its cells, by the pattern's cell code
-        self._counts = {tag: [0] * math.prod(len(self._index[a]) for a in tag)
-                        for tag in _PATTERNS}
+        # occurrences of each (x, y, z) cell, by cell code
+        self._counts = [0] * math.prod(map(len, self._index.values()))
         # condition ('xz' or 'x', cell code), or None for the whole stream ->
         # per-level (position, outcome tally): level j holds the tallies among
         # the first 2**j occurrences of the condition, reached at that stream
@@ -178,16 +182,16 @@ class CountTable:
         """Add one observation to the stream; validates every coordinate."""
         x, y, z = self._indices(obs)
         nz = len(self.z_values)
-        xz = x * nz + z
+        block = len(self.y_domain) * nz  # the cells of one x
         counts = self._counts
-        for tag, code in zip(_PATTERNS, ((x * len(self.y_domain) + y) * nz + z, xz, x, z)):
-            counts[tag][code] += 1
+        counts[x * block + y * nz + z] += 1
         self.n += 1
 
-        # dyadic checkpoints, materialized after the increments
-        for cond, c in ((('xz', xz), counts['xz'][xz]), (('x', x), counts['x'][x]),
-                        (None, self.n)):
-            if _is_pow2(c):
+        # dyadic checkpoints, materialized after the increment
+        base = x * block
+        for cond, c in ((('xz', x * nz + z), sum(counts[base + z:base + block:nz])),
+                        (('x', x), sum(counts[base:base + block])), (None, self.n)):
+            if c & (c - 1) == 0:  # a power of two
                 self._levels.setdefault(cond, []).append((self.n, tuple(self._tally(cond))))
                 self.checkpoint_version += 1
 
@@ -229,7 +233,7 @@ class CountTable:
         integer in [0, |X|·|Y|·|Z|); else applies it ``_CHUNK_ROWS`` rows
         at a time."""
         codes = np.asarray(codes)
-        cells = len(self._counts['xyz'])
+        cells = len(self._counts)
         if codes.ndim != 1 or (codes.size and codes.dtype.kind not in 'iu'):
             raise ValueError("cell codes must be a one-dimensional array of integers")
         if codes.size and (codes.min() < 0 or codes.max() >= cells):
@@ -257,46 +261,40 @@ class CountTable:
         m = len(cells)
         if not m:
             return
-        size = {axis: len(index) for axis, index in self._index.items()}
-        cols = dict(zip('xyz', np.unravel_index(cells, tuple(size.values()))))
-        codes = {tag: np.ravel_multi_index([cols[a] for a in tag], [size[a] for a in tag])
-                 for tag in _PATTERNS}
+        nx, ny, nz = map(len, self._index.values())
+        x, y, z = np.unravel_index(cells, (nx, ny, nz))
 
         # checkpoints first: they read the counts as they stood before the chunk
         crossed = 0
-        for tag, outcome in (('xz', 'y'), ('x', 'z')):
-            for key, level in self._crossings(tag, codes[tag], cols[outcome], size[outcome]):
+        for tag, cond, outcome, n_outcomes in (('xz', x * nz + z, y, ny), ('x', x, z, nz)):
+            for key, level in self._crossings(tag, cond, outcome, n_outcomes):
                 self._levels.setdefault(key, []).append(level)
                 crossed += 1
         # the whole stream reaches level j at position 2**j; its tally is z, then x
         n0 = self.n
         t = 1 << n0.bit_length()  # the first power of two past n0
         while t <= n0 + m:
-            chunk = [c for a in 'zx'
-                     for c in np.bincount(cols[a][:t - n0], minlength=size[a]).tolist()]
+            chunk = [c for col, size in ((z, nz), (x, nx))
+                     for c in np.bincount(col[:t - n0], minlength=size).tolist()]
             tally = map(add, chunk, self._tally(None))
             self._levels.setdefault(None, []).append((t, tuple(tally)))
             crossed += 1
             t <<= 1
 
-        for tag in _PATTERNS:
-            store = self._counts[tag]
-            found = np.bincount(codes[tag])
-            present = np.flatnonzero(found)
-            for c, k in zip(present.tolist(), found[present].tolist()):
-                store[c] += k
+        store = self._counts
+        found = np.bincount(cells)
+        present = np.flatnonzero(found)
+        for c, k in zip(present.tolist(), found[present].tolist()):
+            store[c] += k
 
         self.n += m
         self.checkpoint_version += crossed
 
     def _crossings(self, tag: str, cond, outcome, n_outcomes: int):
         """((pattern, cell code), (stream position, outcome tally)) at each
-        row of a chunk where a condition's running count reaches a power of
-        two.
-
-        ``cond`` and ``outcome`` are per-row codes of the condition pattern
-        ``tag`` and of the outcome coordinate.
-        """
+        row of a chunk where the running count of a condition of pattern
+        ``tag`` reaches a power of two; ``cond`` and ``outcome`` hold the
+        rows' condition and outcome codes."""
         order = np.argsort(cond, kind='stable')
         cond, outcome = cond[order], outcome[order]
         new = np.ones(len(cond), dtype=bool)  # first row of its condition
@@ -304,29 +302,29 @@ class CountTable:
         group = np.cumsum(new) - 1
         starts = np.flatnonzero(new)
         keys = [(tag, c) for c in cond[starts].tolist()]
-        before = np.array([self._counts[tag][c] for _, c in keys])
+        base = [self._tally(key) for key in keys]  # each outcome tally before the chunk
         start = starts[group]
-        occurrence = before[group] + np.arange(len(cond)) - start + 1
+        occurrence = np.array(list(map(sum, base)))[group] + np.arange(len(cond)) - start + 1
         hits = np.flatnonzero(occurrence & (occurrence - 1) == 0).tolist()
-        # each condition cell's outcome tally as it stood before the chunk
-        base = [self._tally(key) for key in keys] if hits else []
         for p in hits:
             g = group[p]
             chunk = np.bincount(outcome[start[p]:p + 1], minlength=n_outcomes).tolist()
             yield keys[g], (self.n + int(order[p]) + 1, tuple(map(add, chunk, base[g])))
 
     def _tally(self, cond: tuple | None) -> list[int]:
-        """A logged condition's outcome counts so far, in tally order, read
-        off the counts of the patterns one axis finer."""
-        if cond is None:
-            return self._counts['z'] + self._counts['x']
+        """A condition's outcome counts so far, in tally order, summed from the
+        (x, y, z) counts; an (x, z) or x condition's own count is their sum."""
+        counts, nz = self._counts, len(self.z_values)
+        block = len(self.y_domain) * nz  # the cells of one x
+        if cond is None:  # the z counts, then the x counts
+            return ([sum(counts[z::nz]) for z in range(nz)]
+                    + [sum(counts[b:b + block]) for b in range(0, len(counts), block)])
         tag, code = cond
-        nz = len(self.z_values)
-        if tag == 'x':  # the cells (x, z) for every z
-            return self._counts['xz'][code * nz:(code + 1) * nz]
+        if tag == 'x':  # the (x, z) counts for every z
+            b = code * block
+            return [sum(counts[b + z:b + block:nz]) for z in range(nz)]
         x, z = divmod(code, nz)  # the cells (x, y, z) for every y, |Z| apart
-        block = len(self.y_domain) * nz
-        return self._counts['xyz'][x * block + z:(x + 1) * block:nz]
+        return counts[x * block + z:(x + 1) * block:nz]
 
     # -- reads ---------------------------------------------------------------
 
@@ -349,10 +347,12 @@ class CountTable:
         tag = ''.join(axis for axis, v in values.items() if v is not None)
         if not tag:
             return self.n
-        if tag not in self._counts:
+        if tag not in _PATTERNS:
             raise ValueError(f"pattern ({', '.join(tag)}) is not tracked")
         code = self._code(tag, values)
-        return 0 if code is None else self._counts[tag][code]
+        if code is None or tag == 'xyz':
+            return 0 if code is None else self._counts[code]
+        return self._tally(None)[code] if tag == 'z' else sum(self._tally((tag, code)))
 
     def leaf(self, event: dict, given: dict, m=None) -> tuple[int, int]:
         """(count, hits) of one estimated probability, P(event | given):
@@ -367,20 +367,37 @@ class CountTable:
         cond, i = self._locate(event, given)
         if m is not None:
             log = self._levels.get(cond, ())
-            levels = bisect_right(log, _prefix_length(m, self.n), key=_position)
-            # a count in [2**(levels-1), 2**levels)
-            return (1 << (levels - 1), log[levels - 1][1][i]) if levels else (0, 0)
-        if cond is None:
-            return self.n, self._tally(None)[i]
-        tag, code = cond
-        return (0, 0) if code is None else (self._counts[tag][code], self._tally(cond)[i])
+            return _dyadic(log, bisect_right(log, _prefix_length(m, self.n), key=_position), i)
+        if cond is not None and cond[1] is None:  # a condition that never occurs
+            return 0, 0
+        tally = self._tally(cond)
+        return (self.n if cond is None else sum(tally)), tally[i]
 
-    def _leaf_log(self, event: dict, given: dict) -> tuple[list, int]:
-        """The dyadic log that :meth:`leaf` bisects for a prefix, as
-        (position, tally) levels in order, and the event's index in the
-        tallies."""
-        cond, i = self._locate(event, given)
-        return self._levels.get(cond, ()), i
+    def leaf_runs(self, leaves: Sequence[tuple[dict, dict]]
+                  ) -> Iterator[tuple[int, int, tuple[tuple[int, int], ...]]]:
+        """``(first_n, last_n, pairs)`` per run from one of :meth:`checkpoints`
+        to the next (the last up to ``n``, and one run at 0 if there is none):
+        ``pairs`` holds ``leaf(event, given, m)`` of the leaves at every m in
+        the run, and repeats while no read log gains a level.  The runs are
+        the table's as of this call; each log is walked once."""
+        located = [self._locate(event, given) for event, given in leaves]
+        slot = {cond: s for s, cond in enumerate(dict.fromkeys(c for c, _ in located))}
+        logs = [self._levels.get(cond, ()) for cond in slot]
+        cells = [(slot[cond], i) for cond, i in located]
+        starts = self.checkpoints() or [0]
+        bounds = list(zip(starts, [p - 1 for p in starts[1:]] + [self.n]))
+
+        def runs():
+            levels, pairs = [0] * len(logs), None  # per log, the levels reached
+            for first, last in bounds:
+                moved = pairs is None
+                for s, log in enumerate(logs):
+                    while levels[s] < len(log) and log[levels[s]][0] <= first:
+                        levels[s], moved = levels[s] + 1, True
+                if moved:
+                    pairs = tuple([_dyadic(logs[s], levels[s], i) for s, i in cells])
+                yield first, last, pairs
+        return runs()
 
     def _locate(self, event: dict, given: dict) -> tuple[tuple | None, int]:
         """A leaf's condition, as ``(pattern, cell code)`` or None for the

@@ -13,7 +13,7 @@ contain the truth.  Every element of the sequence reads only dyadic
 tallies and dyadic floors of counts, so it changes only where some dyadic
 level is reached, and the count table logs each level with the stream
 position that reached it.  So the whole stream is ingested at once, and
-:func:`confidence_sequence` sweeps that log once, yielding one element per
+:func:`confidence_sequence` reads that log once, yielding one element per
 run of positions between checkpoints (:meth:`CountTable.checkpoints`) up
 to the final time; the replication stops at the first element that misses.
 Unbounded intervals realize [0,1] and therefore count as covering.

@@ -31,6 +31,9 @@ switches the estimates conditioned on the treatment; the anytime elements
 form a confidence sequence (their running intersection keeps the level),
 which ``confidence_sequence`` yields whole, one segment per run of prefixes
 between checkpoints, with the same arithmetic as ``effect_interval``.
+Both read each leaf as ``(count, hits)`` from the count table, at one
+prefix (``CountTable.leaf``) or run by run (``CountTable.leaf_runs``),
+and one binder turns the pairs into estimates and radii.
 The level is split across the distinct estimated probabilities, which sets
 the ratio inside each radius's logarithm:
 
@@ -54,7 +57,7 @@ inner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, Iterator, NamedTuple
@@ -222,18 +225,25 @@ def _bind(table: CountTable, query: EffectQuery, n: int | None):
     if n != table.n and query.regime != 'anytime':
         raise ValueError("a prefix index applies only to the anytime regime")
     families = _families(table, query)
-    bound = []
+    pairs = [table.leaf(event, given, n if fam.dyadic else None)
+             for fam in families for event, given in fam.cells]
+    return families, n, _bind_pairs(families, pairs, lil_term)
+
+
+def _bind_pairs(families: tuple[_Family, ...], pairs: list, lil) -> list:
+    """Every cell's (estimate, radius), family by family, from the cells'
+    (count, hits) in family order: hits / count (0 with no count), and the
+    radius ``lil`` or Hoeffding's of the count, once for a shared condition."""
+    bound, pairs = [], iter(pairs)
     for fam in families:
-        radius = lil_term if fam.dyadic else hoeffding_term
-        m = n if fam.dyadic else None
-        pairs = []
-        for event, given in fam.cells:
-            count, hits = table.leaf(event, given, m)
-            if not (fam.shared and pairs):
+        radius = lil if fam.dyadic else hoeffding_term
+        row = []
+        for _, (count, hits) in zip(fam.cells, pairs):  # this family's pairs
+            if not (fam.shared and row):
                 r = radius(count, fam.ratio)
-            pairs.append((hits / count if count else 0.0, r))
-        bound.append(pairs)
-    return families, n, bound
+            row.append((hits / count if count else 0.0, r))
+        bound.append(row)
+    return bound
 
 
 def _interval(query: EffectQuery, families: tuple[_Family, ...], n: int,
@@ -278,61 +288,28 @@ def effect_interval(table: CountTable, query: EffectQuery,
 
 def confidence_sequence(table: CountTable,
                         query: EffectQuery) -> Iterator[tuple[int, int, EffectInterval]]:
-    """The anytime confidence sequence of the table's stream, as segments
-    ``(first_n, last_n, interval)`` in order: one per checkpoint run (the
-    positions from one of :meth:`CountTable.checkpoints` to the next), the
-    last one up to ``table.n``, and for an empty table the one element at
-    n = 0.  Each interval is ``effect_interval(table, query, first_n)``;
-    the elements at the later positions of its segment differ from it in
-    ``n`` alone.
-
-    The leaf table is bound once and each leaf resolved once to its
-    condition's log, in which one position per condition advances as the
-    prefix grows.  The sequence is the table's as of this call.
-    """
+    """The anytime confidence sequence of the table's stream as it is at
+    this call, as segments ``(first_n, last_n, interval)``, one per run of
+    :meth:`CountTable.leaf_runs`.  Each interval is ``effect_interval(table,
+    query, first_n)``, and so, but for ``n``, every element of its segment;
+    a run whose leaves read as the previous run's repeats its interval."""
     if query.regime != 'anytime':
         raise ValueError("a confidence sequence is the anytime regime's, "
                          f"not the {query.regime} regime's")
     families = _families(table, query)
-    starts = table.checkpoints() or [0]
-    ends = [p - 1 for p in starts[1:]] + [table.n]
-    logs, slots = [], {}  # each condition's log, and by identity its slot
-    cells = []  # per family, per cell: (slot of its log, index in the tallies)
-    for fam in families:
-        row = []
-        for event, given in fam.cells:
-            log, i = table._leaf_log(event, given)
-            if id(log) not in slots:
-                slots[id(log)] = len(logs)
-                logs.append(log)
-            row.append((slots[id(log)], i))
-        cells.append(row)
-    return _sweep(query, families, logs, cells, zip(starts, ends))
+    runs = table.leaf_runs([cell for fam in families for cell in fam.cells])
 
-
-def _sweep(query: EffectQuery, families: tuple[_Family, ...], logs: list, cells: list,
-           segments) -> Iterator[tuple[int, int, EffectInterval]]:
-    """confidence_sequence's segments, each log read up to the segment's
-    first position."""
-    levels = [0] * len(logs)  # per log, the levels reached by the prefix
-    radius = lru_cache(maxsize=None)(lil_term)  # dyadic counts repeat
-    for first, last in segments:
-        for s, log in enumerate(logs):
-            level = levels[s]
-            while level < len(log) and log[level][0] <= first:
-                level += 1
-            levels[s] = level
-        bound = []
-        for fam, row in zip(families, cells):
-            pairs = []
-            for s, i in row:  # each cell bound as _bind binds it at prefix first
-                level = levels[s]
-                count, hits = (1 << (level - 1), logs[s][level - 1][1][i]) if level else (0, 0)
-                if not (fam.shared and pairs):
-                    r = radius(count, fam.ratio)
-                pairs.append((hits / count if count else 0.0, r))
-            bound.append(pairs)
-        yield first, last, _interval(query, families, first, bound)
+    def segments():
+        radius = lru_cache(maxsize=None)(lil_term)  # dyadic counts repeat
+        previous = itv = None
+        for first, last, pairs in runs:
+            if pairs == previous:
+                itv = replace(itv, n=first)
+            else:
+                itv = _interval(query, families, first, _bind_pairs(families, pairs, radius))
+                previous = pairs
+            yield first, last, itv
+    return segments()
 
 
 def backdoor_cs_anytime(table: CountTable, query: EffectQuery,
@@ -355,7 +332,8 @@ def true_effect(model: "CausalModel", x, y, criterion: str) -> float:
 
     Terms whose marginal weight is exactly zero are dropped; a zero-
     probability conditioning event with positive weight means the formula
-    is not evaluable and raises."""
+    is not evaluable and raises, and so does a value outside its domain."""
+    require_in_domain(model.count_table(), x=x, y=y)
     roles = model.roles
     z_values = list(product(*(model.dag.domains[name] for name in roles.z)))
 

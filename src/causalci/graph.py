@@ -54,6 +54,9 @@ class Dag:
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]],
                  domains: dict | None = None):
         self.vertices = tuple(vertices)
+        for v in self.vertices:
+            if not isinstance(v, str):
+                raise ValueError(f"vertex name {v!r} is not a string")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex names")
         vset = set(self.vertices)

@@ -45,6 +45,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .counts import CountTable, Observation, parse_scalar
+from .effects import require_in_domain
 from .graph import Dag
 
 _ROW_SUM_TOL = 1e-12
@@ -155,9 +156,8 @@ class CausalModel:
     def interventional_probability(self, x_value, y_value) -> float:
         """P(outcome = y) in the mutilated model where the treatment vertex
         is severed from its parents and pinned to x_value."""
+        require_in_domain(self.count_table(), x=x_value, y=y_value)
         roles, verts = self.roles, self.dag.vertices
-        if x_value not in self.dag.domains[roles.x]:
-            raise ValueError(f"{x_value!r} not in the treatment domain")
         y_i, x_i = verts.index(roles.y), verts.index(roles.x)
         total = 0.0
         for assignment, p in self._law(skip=roles.x):

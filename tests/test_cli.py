@@ -696,6 +696,20 @@ def test_coverage_prediction_delta_defaults_as_in_predict(tmp_path):
     assert read_records(default)[0]["delta"] == 0.05
 
 
+def test_model_with_integer_vertex_names_exit_2(tmp_path, capsys):
+    with open(FIG1) as handle:
+        doc = json.load(handle)
+    number = {v["name"]: i for i, v in enumerate(doc["variables"])}
+    for v in doc["variables"]:
+        v["name"] = number[v["name"]]
+    doc["edges"] = [[number[a], number[b]] for a, b in doc["edges"]]
+    model, out = tmp_path / "model.json", tmp_path / "out.jsonl"
+    model.write_text(json.dumps(doc))
+    assert main(["simulate", "--model", str(model), "--n", "8", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.endswith("vertex name 0 is not a string\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["coverage", "--prediction", "--xtilde", "1", "--n", "64", "-R", "0"],
      "need at least one replication"),

@@ -613,6 +613,9 @@ def test_prefix_dyadic_floor_refuses_an_untracked_condition():
     for m in (9, -1):
         with pytest.raises(ValueError, match=r"^prefix length -?\d is not in \[0, 8\]$"):
             table.leaf({'z': (0,)}, {'x': 1}, m)
+    for m in (True, np.True_, False):
+        with pytest.raises(ValueError, match=f"^prefix length {bool(m)} is not an integer$"):
+            table.leaf({'z': (0,)}, {'x': 1}, m)
 
 
 def _tracked_leaves(table):
@@ -640,7 +643,8 @@ def test_leaf_equals_the_naive_recount_at_every_prefix(case):
         tables.append(CountTable(*domains))
         with mock.patch.object(counts, '_CHUNK_ROWS', chunk):
             tables[-1].ingest_all(rows)
-    for event, given in _tracked_leaves(tables[0]):
+    leaves = _tracked_leaves(tables[0])
+    for event, given in leaves:
         whole = (naive_count(rows, **given), naive_count(rows, **given, **event))
         assert all(table.leaf(event, given) == whole for table in tables)
         before = (0, 0)
@@ -654,6 +658,22 @@ def test_leaf_equals_the_naive_recount_at_every_prefix(case):
             hits = tables[0].leaf(event, given, m)[1]
             assert before[1] <= hits <= count and before[0] <= count
             before = (count, hits)
+    # every tracked pattern's count is the naive recount
+    table = tables[0]
+    xs, ys, zs = table.x_domain, table.y_domain, table.z_values
+    for pattern in ([{'x': x, 'y': y, 'z': z} for x in xs for y in ys for z in zs]
+                    + [{'x': x, 'z': z} for x in xs for z in zs]
+                    + [{'x': x} for x in xs] + [{'z': z} for z in zs] + [{}]):
+        want = naive_count(rows, **pattern)
+        assert all(t.count(**pattern) == want for t in tables)
+    # the run reader agrees with leaf at every prefix of every run
+    for table in tables:
+        runs = list(table.leaf_runs(leaves))
+        assert [first for first, _, _ in runs] == (table.checkpoints() or [0])
+        assert runs[-1][1] == len(rows)
+        for first, last, pairs in runs:
+            for m in {first, last}:
+                assert pairs == tuple(table.leaf(event, given, m) for event, given in leaves)
 
 
 def test_ingest_all_applies_rows_read_before_a_stream_error():

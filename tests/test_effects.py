@@ -187,6 +187,25 @@ def test_confidence_sequence_holds_every_element(model, criterion, n, adaptive, 
             assert repr(replace(itv, n=p)) == repr(effect_interval(table, query, p))
 
 
+@pytest.mark.parametrize('criterion', CRITERIA)
+def test_confidence_sequence_is_the_table_as_of_the_call(criterion):
+    """Rows ingested after the call and before the first segment is read
+    change no segment: the sequence still ends at the old n."""
+    model = fig1_model() if criterion == 'backdoor' else frontdoor_model()
+    rows = list(sample_iid(model, 600, 12))
+    table = model.count_table()
+    table.ingest_all(rows[:300])
+    query = q(criterion, regime='anytime')
+    sequence = confidence_sequence(table, query)
+    table.ingest_all(rows[300:])
+    segments = list(sequence)
+    assert segments[-1][1] == 300
+    old = model.count_table()
+    old.ingest_all(rows[:300])
+    assert [(a, b, repr(itv)) for a, b, itv in segments] == \
+        [(a, b, repr(itv)) for a, b, itv in confidence_sequence(old, query)]
+
+
 def test_confidence_sequence_refuses_a_query_when_called():
     table = binary_table(eight_obs_stream())
     with pytest.raises(ValueError, match="^a confidence sequence is the anytime "
@@ -301,6 +320,11 @@ def test_prefix_of_any_integral_type(criterion):
     for m in (-1, 65, np.int64(65)):
         with pytest.raises(ValueError, match=r"^prefix length -?\d+ is not in \[0, 64\]$"):
             effect_interval(table, query, m)
+    # a truth value is no prefix length either, on any table
+    for t in (table, binary_table()):
+        for m in (True, np.True_):
+            with pytest.raises(ValueError, match="^prefix length True is not an integer$"):
+                effect_interval(t, query, m)
 
 
 def test_frontdoor_forms_share_midpoint():
@@ -357,6 +381,20 @@ def test_true_effect_deterministic_model():
                        py1_given_xz={(0, 0): 0.0, (0, 1): 0.0,
                                      (1, 0): 1.0, (1, 1): 1.0})
     assert true_effect(model, 1, 1, 'backdoor') in (0.0, 1.0)
+
+
+def test_truth_values_refuse_a_value_outside_the_domain():
+    model = fig1_model()
+    for call, message in (
+            (lambda: model.interventional_probability(1, 7), "query y value 7"),
+            (lambda: model.interventional_probability(7, 1), "query x value 7"),
+            (lambda: true_effect(model, 1, 7, 'backdoor'), "query y value 7"),
+            (lambda: true_effect(model, 1, 7, 'frontdoor'), "query y value 7"),
+            (lambda: true_effect(model, 7, 1, 'frontdoor'), "query x value 7")):
+        with pytest.raises(ValueError, match=re.escape(message + " not in declared domain [0, 1]")):
+            call()
+    with pytest.raises(ValueError, match=re.escape("x value [1] is unhashable, so in no domain")):
+        true_effect(model, [1], 1, 'backdoor')
 
 
 def test_true_effect_matches_interventional_frontdoor():

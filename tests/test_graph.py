@@ -164,6 +164,13 @@ def test_acyclicity_enforced():
         Dag(["A", "B"], [("A", "B"), ("B", "A")])
 
 
+@pytest.mark.parametrize("vertices, name", [([1, 2], "1"), (["A", None], "None"),
+                                            (["A", ("B",)], r"\('B',\)")])
+def test_vertex_names_must_be_strings(vertices, name):
+    with pytest.raises(ValueError, match=f"^vertex name {name} is not a string$"):
+        Dag(vertices, [])
+
+
 def test_blocking_agrees_with_networkx():
     """All-paths-blocked must coincide with d-separation, checked against
     networkx's reachability-based implementation."""
