@@ -136,8 +136,9 @@ def _build_query(args) -> EffectQuery:
         raise ValueError(f"--config: delta must be a JSON number, not {delta!r}")
     return EffectQuery(
         criterion=pick(args.criterion, 'criterion', 'backdoor'),
-        x=xtilde if not isinstance(xtilde, str) else parse_scalar(xtilde),
-        y=y if not isinstance(y, str) else parse_scalar(y),
+        # a flag is text to parse; a --config value is a JSON value already
+        x=xtilde if args.xtilde is None else parse_scalar(xtilde),
+        y=y if args.y is None else parse_scalar(y),
         delta=float(delta),
         regime=pick(args.regime, 'regime', 'iid'),
         binary_toy=toy,

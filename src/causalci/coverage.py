@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import median
 
 import numpy as np
 
-from .effects import EffectQuery, confidence_sequence, effect_interval, require_in_domain, \
-    true_effect
+from .effects import EffectQuery, confidence_sequence, effect_interval, true_effect
 from .prediction import prediction_set
 # sample_iid and sample_adaptive are unused here, and kept: the benchmark's tracer wraps them
 from .simulator import CausalModel, CptPolicy, Policy, _adaptive_codes, _iid_codes, \
@@ -55,23 +54,12 @@ class CoverageReport:
     unbounded_fraction: float
 
     def to_json(self) -> dict:
-        def num(v):
-            return None if math.isinf(v) or math.isnan(v) else v
-        return {
-            "format_version": 1,
-            "kind": "coverage_report",
-            "criterion": self.criterion,
-            "regime": self.regime,
-            "replications": self.replications,
-            "n": self.n,
-            "delta": self.delta,
-            "true_value": self.true_value,
-            "coverage": self.coverage,
-            "mc_se": self.mc_se,
-            "mean_halfwidth": num(self.mean_halfwidth),
-            "median_halfwidth": num(self.median_halfwidth),
-            "unbounded_fraction": self.unbounded_fraction,
-        }
+        """The fields in declaration order; an unbounded half-width is null."""
+        record = {"format_version": 1, "kind": "coverage_report", **asdict(self)}
+        for key in ("mean_halfwidth", "median_halfwidth"):
+            if not math.isfinite(record[key]):
+                record[key] = None
+        return record
 
     def summary(self) -> str:
         hw = "inf" if math.isinf(self.mean_halfwidth) else f"{self.mean_halfwidth:.4f}"
@@ -108,10 +96,10 @@ def run_coverage(model: CausalModel, query: EffectQuery, n: int,
     """Empirical coverage of the queried construction over replications."""
     if replications < 1:
         raise ValueError("need at least one replication")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     if query.regime == 'iid' and policy is not None:
         raise ValueError("a policy only applies to the adaptive regimes")
-    # refused as analyze refuses it, before the truth is evaluated at it
-    require_in_domain(model.count_table(), x=query.x, y=query.y)
     theta = true_effect(model, query.x, query.y, query.criterion)
     seeds = np.random.SeedSequence(seed).spawn(replications)
     jobs = [(model, query, n, policy, theta, s) for s in seeds]

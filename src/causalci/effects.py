@@ -14,9 +14,15 @@ the treatment domain):
               med     p(z|x~)     z       |X|; 1 in the horner-z form
               out     p(y|x',z)   x', z   1
 
-The back-door polynomial is sum_z p(z) p(y|x~,z); the front-door one,
-sum_z p(z|x~) sum_x' p(y|x',z) p(x'), is expanded into |X||Z| products or
-nested by z (horner-z) or by x' (horner-x).  A family's estimates are
+Both polynomials are sum_z w_z sum_j a_zj b_zj, evaluated by one function
+that skips a term whose w or b is exactly 0: back-door w = p(z),
+a = p(y|x~,z) and b = 1; front-door w = p(z|x~), a = p(y|x',z) and
+b = p(x') over j = x'.  The front-door widths count it expanded into |X||Z|
+products or nested by z (horner-z) or by x' (horner-x).  ``true_effect`` is
+the same polynomial at the model's exact leaf probabilities, where a leaf
+whose condition has probability 0 is undefined and raises unless its term
+is skipped; ``CausalModel.interventional_probability`` is the independent
+check.  A family's estimates are
 full-sample empirical ones with Hoeffding radii, or dyadic-prefix ones
 (over the first dyadic_floor(count) occurrences of the condition) with
 iterated-logarithm (LIL) radii:
@@ -59,7 +65,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import product
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .bounds import hoeffding_term, lil_term
@@ -176,15 +181,20 @@ class _Family(NamedTuple):
     cells: tuple    # (event, condition) of each cell
 
 
-@lru_cache(maxsize=64)
-def _plan(query: EffectQuery, xs: tuple, zs: tuple) -> tuple[_Family, ...]:
-    """The leaf table bound to a query and the domains (x', z) it ranges over."""
-    x, y = query.x, query.y
+def _cells(criterion: str, x, y, xs: tuple, zs: tuple) -> tuple[tuple, ...]:
+    """Each family's (event, condition) cells, family by family, for the
+    intervention value x, the outcome y and the domains (x', z) they range over."""
     cells = {'marg': [({'z': z}, {}) for z in zs],
              'cond': [({'y': y}, {'x': x, 'z': z}) for z in zs],
              'treat': [({'x': v}, {}) for v in xs],
              'med': [({'z': z}, {'x': x}) for z in zs],
              'out': [({'y': y}, {'x': v, 'z': z}) for v in xs for z in zs]}
+    return tuple(tuple(cells[name]) for name, _ in _FAMILIES[criterion])
+
+
+@lru_cache(maxsize=64)
+def _plan(query: EffectQuery, xs: tuple, zs: tuple) -> tuple[_Family, ...]:
+    """The leaf table bound to a query and the domains (x', z) it ranges over."""
     mult = {'treat': 1 if query.frontdoor_form == 'horner-x' else len(zs),
             'med': 1 if query.frontdoor_form == 'horner-z' else len(xs)}
     if query.criterion == 'frontdoor':
@@ -195,13 +205,14 @@ def _plan(query: EffectQuery, xs: tuple, zs: tuple) -> tuple[_Family, ...]:
     else:
         scale, coefs, labels = len(zs), (4.0, 6.6), ("4|Z|/delta", "6.6|Z|/delta")
     families = []
-    for name, first in _FAMILIES[query.criterion]:
+    for (name, first), cells in zip(_FAMILIES[query.criterion],
+                                    _cells(query.criterion, query.x, query.y, xs, zs)):
         dyadic = REGIMES.index(query.regime) >= REGIMES.index(first)
-        conditions = [given for _, given in cells[name]]
+        conditions = [given for _, given in cells]
         families.append(_Family(name, dyadic, coefs[dyadic] * scale / query.delta,
                                 labels[dyadic], mult.get(name, 1),
                                 conditions.count(conditions[0]) == len(conditions),
-                                tuple(cells[name])))
+                                cells))
     return tuple(families)
 
 
@@ -246,21 +257,40 @@ def _bind_pairs(families: tuple[_Family, ...], pairs: list, lil) -> list:
     return bound
 
 
+def _polynomial(criterion: str, cells, bound: list) -> float:
+    """The adjustment polynomial at the leaves' values, each the first item
+    of its (value, radius) binding, family by family in cell order.  A term
+    whose w or b is exactly 0 is skipped; a NaN value (a leaf whose condition
+    has probability zero) in any other term raises, naming the leaf."""
+    # the positions of the w, a and b families; the back-door b is the constant 1
+    iw, ia, ib = (0, 1, None) if criterion == 'backdoor' else (1, 2, 0)
+    w, a = bound[iw], bound[ia]
+    b = ((1.0, 0.0),) if ib is None else bound[ib]
+    nz, total = len(w), 0.0
+    for i, (wz, _) in enumerate(w):
+        if wz == 0.0:
+            continue
+        inner = 0.0
+        for j, (bj, _) in enumerate(b):
+            if bj != 0.0:
+                inner += a[j * nz + i][0] * bj
+        term = wz * inner
+        if term != term:  # name the first NaN leaf the term reads
+            reads = [(iw, i)] + [(ia, j * nz + i) for j, (bj, _) in enumerate(b) if bj != 0.0]
+            f, k = next((f, k) for f, k in reads if bound[f][k][0] != bound[f][k][0])
+            event, given = (', '.join(f"{key}={value!r}" for key, value in part.items())
+                            for part in cells[f][k])
+            raise ValueError(f"p({event} | {given}) is undefined: its condition has "
+                             "probability zero (positivity violated)")
+        total += term
+    return total
+
+
 def _interval(query: EffectQuery, families: tuple[_Family, ...], n: int,
               bound: list) -> EffectInterval:
     """The polynomial at the bound estimates, its leaf radii summed with
     multiplicity, and the ratios they used."""
-    mid = 0.0
-    if query.criterion == 'backdoor':
-        for (marg, _), (cond, _) in zip(*bound):
-            mid += marg * cond
-    else:
-        treat, med, out = bound
-        for i, (pz, _) in enumerate(med):
-            inner = 0.0
-            for j, (px, _) in enumerate(treat):
-                inner += out[j * len(med) + i][0] * px
-            mid += pz * inner
+    mid = _polynomial(query.criterion, [fam.cells for fam in families], bound)
     hw = 0.0
     for fam, pairs in zip(families, bound):
         if fam.shared:
@@ -325,54 +355,29 @@ def frontdoor_cs_anytime(table: CountTable, query: EffectQuery,
     return effect_interval(table, query, n)
 
 
-# -- ground-truth oracle -------------------------------------------------------
+# -- ground truth -------------------------------------------------------------
 
 def true_effect(model: "CausalModel", x, y, criterion: str) -> float:
-    """Evaluate the adjustment formula on the model's exact joint law.
+    """The adjustment polynomial at the model's exact leaf probabilities,
+    P(event, condition) / P(condition), or P(event) with no condition.
 
-    Terms whose marginal weight is exactly zero are dropped; a zero-
-    probability conditioning event with positive weight means the formula
-    is not evaluable and raises, and so does a value outside its domain."""
-    require_in_domain(model.count_table(), x=x, y=y)
-    roles = model.roles
-    z_values = list(product(*(model.dag.domains[name] for name in roles.z)))
+    A leaf whose condition has probability zero is undefined: a term whose
+    weight or p(x') factor is exactly zero drops it, any other term raises,
+    and so does a value outside its domain."""
+    table, roles = model.count_table(), model.roles
+    require_in_domain(table, x=x, y=y)
+    if criterion not in CRITERIA:
+        raise ValueError(f"criterion must be one of {CRITERIA}")
 
-    def z_dict(zv):
-        return dict(zip(roles.z, zv))
+    def p(part: dict) -> float:  # a cell's event or condition, by the model's names
+        named = {getattr(roles, key): value for key, value in part.items() if key != 'z'}
+        return model.probability({**named, **dict(zip(roles.z, part.get('z', ())))})
 
-    if criterion == 'backdoor':
-        total = 0.0
-        for zv in z_values:
-            pz = model.probability(z_dict(zv))
-            if pz == 0.0:
-                continue
-            pxz = model.probability({roles.x: x, **z_dict(zv)})
-            if pxz == 0.0:
-                raise ValueError(f"P(y|x,z) undefined at z={zv}: the treatment "
-                                 "value never occurs there (positivity violated)")
-            pyxz = model.probability({roles.x: x, roles.y: y, **z_dict(zv)})
-            total += (pyxz / pxz) * pz
-        return total
-    if criterion == 'frontdoor':
-        px_t = model.probability({roles.x: x})
-        if px_t == 0.0:
-            raise ValueError("the treatment value has probability zero")
-        total = 0.0
-        for zv in z_values:
-            w = model.probability({roles.x: x, **z_dict(zv)}) / px_t
-            if w == 0.0:
-                continue
-            inner = 0.0
-            for xv in model.dag.domains[roles.x]:
-                px = model.probability({roles.x: xv})
-                if px == 0.0:
-                    continue
-                pxz = model.probability({roles.x: xv, **z_dict(zv)})
-                if pxz == 0.0:
-                    raise ValueError(f"P(y|x,z) undefined at x={xv}, z={zv} "
-                                     "(positivity violated)")
-                pyxz = model.probability({roles.x: xv, roles.y: y, **z_dict(zv)})
-                inner += (pyxz / pxz) * px
-            total += w * inner
-        return total
-    raise ValueError(f"criterion must be one of {CRITERIA}")
+    def leaf(event: dict, given: dict) -> float:
+        if not given:
+            return p(event)
+        condition = p(given)
+        return p({**event, **given}) / condition if condition else math.nan
+
+    cells = _cells(criterion, x, y, table.x_domain, table.z_values)  # bound exactly, radius 0
+    return _polynomial(criterion, cells, [[(leaf(*cell), 0.0) for cell in fam] for fam in cells])

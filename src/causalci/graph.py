@@ -54,13 +54,16 @@ class Dag:
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]],
                  domains: dict | None = None):
         self.vertices = tuple(vertices)
-        for v in self.vertices:
-            if not isinstance(v, str):
-                raise ValueError(f"vertex name {v!r} is not a string")
+        edges = [(a, b) for a, b in edges]
+        endpoints = [v for edge in edges for v in edge]
+        for kind, names in (("vertex name", self.vertices), ("edge endpoint", endpoints)):
+            for v in names:
+                if not isinstance(v, str):
+                    raise ValueError(f"{kind} {v!r} is not a string")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex names")
         vset = set(self.vertices)
-        self.edges = frozenset((str(a), str(b)) for a, b in edges)
+        self.edges = frozenset(edges)
         for a, b in self.edges:
             if a not in vset or b not in vset:
                 raise ValueError(f"edge ({a}, {b}) uses an undeclared vertex")

@@ -8,6 +8,8 @@ import pytest
 from causalci.cli import _interval_record, main
 from causalci.counts import read_jsonl
 from causalci.effects import EffectQuery, effect_interval
+from causalci.graph import Dag
+from causalci.simulator import CausalModel, Cpt, Roles
 from helpers import binary_table, eight_obs_stream, three_valued_model
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -472,6 +474,15 @@ def test_coverage_malformed_policy_spec_exit_2(tmp_path, capsys, prediction):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_coverage_fewer_than_one_worker_exit_2(tmp_path, capsys, workers):
+    out = tmp_path / "out.jsonl"
+    assert main(["coverage", "--model", FIG1, "--xtilde", "1", "--y", "1", "--n", "16",
+                 "-R", "2", "--workers", workers, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: need at least one worker, got {workers}\n"
+    assert not out.exists()
+
+
 def test_missing_query_values_exit_2(tmp_path, capsys):
     stream = write_eight_obs(tmp_path / "obs.jsonl")
     assert main(["analyze", "--model", FIG1, "--data", stream]) == 2
@@ -708,6 +719,50 @@ def test_model_with_integer_vertex_names_exit_2(tmp_path, capsys):
     assert main(["simulate", "--model", str(model), "--n", "8", "--output", str(out)]) == 2
     assert capsys.readouterr().err.endswith("vertex name 0 is not a string\n")
     assert not out.exists()
+
+
+def test_model_with_integer_edge_endpoints_exit_2(tmp_path, capsys):
+    with open(FIG1) as handle:
+        doc = json.load(handle)
+    number = {v["name"]: i for i, v in enumerate(doc["variables"])}
+    for v in doc["variables"]:
+        v["name"] = str(number[v["name"]])
+    for spec in doc["cpts"].values():
+        spec["parents"] = [str(number[p]) for p in spec["parents"]]
+    doc["cpts"] = {str(number[name]): spec for name, spec in doc["cpts"].items()}
+    doc["roles"] = {"x": str(number["X"]), "y": str(number["Y"]), "z": [str(number["Z"])]}
+    doc["edges"] = [[number[a], number[b]] for a, b in doc["edges"]]
+    model, out = tmp_path / "model.json", tmp_path / "out.jsonl"
+    model.write_text(json.dumps(doc))
+    assert main(["simulate", "--model", str(model), "--n", "8", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.endswith("edge endpoint 1 is not a string\n")
+    assert not out.exists()
+    doc["edges"] = [[str(a), str(b)] for a, b in doc["edges"]]  # the same model, spelled right
+    model.write_text(json.dumps(doc))
+    assert main(["simulate", "--model", str(model), "--n", "8", "--output", str(out)]) == 0
+
+
+def test_config_value_is_a_json_value_not_text(tmp_path):
+    # treatment values are the strings "0" and "1": a --config value is the
+    # JSON value it holds, a flag is text that spells one
+    dag = Dag(["Z", "X", "Y"], [("Z", "X"), ("Z", "Y"), ("X", "Y")],
+              {"Z": (0, 1), "X": ("0", "1"), "Y": (0, 1)})
+    cpts = {"Z": Cpt((), {(): (0.6, 0.4)}),
+            "X": Cpt(("Z",), {(0,): (0.5, 0.5), (1,): (0.5, 0.5)}),
+            "Y": Cpt(("X", "Z"), {(x, z): (0.5, 0.5) for x in ("0", "1") for z in (0, 1)})}
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(CausalModel(dag, cpts, Roles("X", "Y", ("Z",))).to_json()))
+    stream = tmp_path / "obs.jsonl"
+    stream.write_text('{"x": "1", "y": 1, "z": [0]}\n{"x": "0", "y": 0, "z": [1]}\n')
+    config = tmp_path / "query.json"
+    config.write_text(json.dumps({"x": "1", "y": 1}))
+    by_config, by_flag = tmp_path / "config.jsonl", tmp_path / "flag.jsonl"
+    assert main(["analyze", "--model", str(model), "--data", str(stream),
+                 "--config", str(config), "--output", str(by_config)]) == 0
+    assert main(["analyze", "--model", str(model), "--data", str(stream),
+                 "--xtilde", '"1"', "--y", "1", "--output", str(by_flag)]) == 0
+    assert read_records(by_config)[0]["x"] == "1"
+    assert by_config.read_bytes() == by_flag.read_bytes()
 
 
 @pytest.mark.parametrize("args, message", [

@@ -83,6 +83,13 @@ def test_anytime_intersection_run():
     assert report.coverage >= 0.90 - 3 * max(report.mc_se, 0.04)
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_fewer_than_one_worker_is_refused(workers):
+    query = EffectQuery('backdoor', 1, 1, 0.1)
+    with pytest.raises(ValueError, match=f"^need at least one worker, got {workers}$"):
+        run_coverage(fig1_model(), query, n=16, replications=2, workers=workers)
+
+
 def test_workers_agree_with_sequential():
     model = frontdoor_model()
     query = EffectQuery('frontdoor', 1, 1, 0.1)

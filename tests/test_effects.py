@@ -13,8 +13,10 @@ from causalci.counts import Observation
 from causalci.effects import (CRITERIA, FRONTDOOR_FORMS, REGIMES, EffectQuery,
                               backdoor_cs_anytime, confidence_sequence, effect_interval,
                               frontdoor_cs_anytime, true_effect)
+from causalci.graph import Dag
 from causalci.prediction import prediction_set
-from causalci.simulator import AlternatingAdversaryPolicy, sample_adaptive, sample_iid
+from causalci.simulator import (AlternatingAdversaryPolicy, CausalModel, Cpt, Roles,
+                                sample_adaptive, sample_iid)
 from helpers import (binary_table, eight_obs_stream, fig1_model,
                      frontdoor_model, grid_table, interval_via_expression,
                      random_table, three_valued_model)
@@ -404,6 +406,82 @@ def test_true_effect_matches_interventional_frontdoor():
     model2 = fig1_model()
     assert true_effect(model2, 1, 1, 'backdoor') \
         == pytest.approx(model2.interventional_probability(1, 1), abs=1e-12)
+
+
+def _random_cpts(model, rng):
+    """The model's graph and roles with random CPT rows, about one entry in
+    five of them zero."""
+    cpts = {}
+    for v, cpt in model.cpts.items():
+        rows = {}
+        for config in cpt.rows:
+            row = rng.dirichlet(np.ones(len(model.dag.domains[v])))
+            row[rng.random(len(row)) < 0.2] = 0.0
+            if not row.any():
+                row[rng.integers(len(row))] = 1.0
+            rows[config] = tuple((row / row.sum()).tolist())
+        cpts[v] = Cpt(cpt.parents, rows)
+    return CausalModel(model.dag, cpts, model.roles)
+
+
+def _wide_frontdoor_model():
+    """The front-door graph with a three-valued treatment and a two-valued
+    mediator, so |X| != |Z|."""
+    doms = {"U": (0, 1), "X": (0, 1, 2), "M": (0, 1), "Y": (0, 1)}
+    dag = Dag(["U", "X", "M", "Y"], [("U", "X"), ("U", "Y"), ("X", "M"), ("M", "Y")], doms)
+    parents = {"U": (), "X": ("U",), "M": ("X",), "Y": ("M", "U")}
+    cpts = {v: Cpt(pa, {config: (1 / len(doms[v]),) * len(doms[v])
+                        for config in product(*(doms[p] for p in pa))})
+            for v, pa in parents.items()}
+    return CausalModel(dag, cpts, Roles("X", "Y", ("M",)))
+
+
+def _models_and_criteria():
+    rng = np.random.default_rng(1717)
+    yield fig1_model(), 'backdoor'
+    yield frontdoor_model(), 'frontdoor'
+    for _ in range(50):
+        yield _random_cpts(fig1_model(), rng), 'backdoor'
+        yield _random_cpts(_wide_frontdoor_model(), rng), 'frontdoor'
+
+
+def test_true_effect_is_the_interventional_probability():
+    # the truth shares the estimators' polynomial; the mutilated model's law
+    # is the check that does not
+    evaluated = 0
+    for model, criterion in _models_and_criteria():
+        for x, y in product(model.dag.domains["X"], model.dag.domains["Y"]):
+            try:
+                formula = true_effect(model, x, y, criterion)
+            except ValueError as exc:
+                assert "(positivity violated)" in str(exc)
+                continue
+            assert formula == pytest.approx(model.interventional_probability(x, y), abs=1e-12)
+            evaluated += 1
+    assert evaluated > 300
+
+
+@pytest.mark.parametrize("model, x, criterion, leaf", [
+    (fig1_model(px1_given_z=(0.0, 0.5)), 1, 'backdoor', "p(y=1 | x=1, z=(0,))"),
+    (frontdoor_model(pm1_given_x=(0.0, 0.7)), 1, 'frontdoor', "p(y=1 | x=0, z=(1,))"),
+    (frontdoor_model(px1_given_u=(1.0, 1.0)), 0, 'frontdoor', "p(z=(0,) | x=0)"),
+])
+def test_undefined_leaf_under_a_positive_weight_is_named(model, x, criterion, leaf):
+    message = f"{leaf} is undefined: its condition has probability zero (positivity violated)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        true_effect(model, x, 1, criterion)
+
+
+@pytest.mark.parametrize("model, x, criterion", [
+    (fig1_model(pz1=0.0), 0, 'backdoor'),  # p(z=1) = 0 drops p(y|x,z=1)
+    (fig1_model(pz1=0.0), 1, 'backdoor'),
+    (frontdoor_model(pm1_given_x=(0.0, 0.7)), 0, 'frontdoor'),  # p(z=1|x=0) = 0
+    (frontdoor_model(px1_given_u=(1.0, 1.0)), 1, 'frontdoor'),  # p(x'=0) = 0
+])
+def test_undefined_leaves_under_zero_weights_are_dropped(model, x, criterion):
+    for y in (0, 1):
+        assert true_effect(model, x, y, criterion) \
+            == pytest.approx(model.interventional_probability(x, y), abs=1e-15)
 
 
 def _assert_matches_expression_route(table, query):

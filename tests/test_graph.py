@@ -171,6 +171,15 @@ def test_vertex_names_must_be_strings(vertices, name):
         Dag(vertices, [])
 
 
+@pytest.mark.parametrize("edges, name", [([(1, 2)], "1"), ([("1", 2)], "2"),
+                                         ([("1", "2"), (None, "1")], "None"),
+                                         ([("1", ["2"])], r"\['2'\]")])
+def test_edge_endpoints_must_be_strings(edges, name):
+    # an endpoint that only spells a vertex name, as 1 spells '1', names none
+    with pytest.raises(ValueError, match=f"^edge endpoint {name} is not a string$"):
+        Dag(["1", "2"], edges)
+
+
 def test_blocking_agrees_with_networkx():
     """All-paths-blocked must coincide with d-separation, checked against
     networkx's reachability-based implementation."""
