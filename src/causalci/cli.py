@@ -24,8 +24,8 @@ from contextlib import contextmanager, nullcontext
 from .counts import ObservationParseError, open_stream, parse_scalar
 from .coverage import run_coverage, run_prediction_coverage
 from .effects import EffectQuery, backdoor_cs_anytime, effect_interval, \
-    frontdoor_cs_anytime, require_in_domain
-from .graph import DagParseError, check_backdoor, check_frontdoor, load_dag
+    frontdoor_cs_anytime
+from .graph import check_backdoor, check_frontdoor, load_dag
 from .prediction import prediction_set
 from .simulator import load_model, make_policy, sample_adaptive, sample_iid
 
@@ -180,7 +180,7 @@ def cmd_analyze(args) -> int:
               file=sys.stderr)
         return VIOLATION
     table = model.count_table()
-    require_in_domain(table, x=query.x, y=query.y)  # before any row is read
+    empty = effect_interval(table, query)  # refuses the query before any row is read
     columns = _parse_columns(args.columns)
     with open_stream(args.data, columns) as stream, _open_output(args.output) as out:
         if query.regime == 'anytime':
@@ -203,13 +203,14 @@ def cmd_analyze(args) -> int:
                     out.write(_INTERVAL_HEAD + str(table.n) + tail)
             if table.n == 0:
                 print("warning: empty input stream", file=sys.stderr)
-                _emit(out, _interval_record(emitter(table, query), query))
+                _emit(out, _interval_record(empty, query))
         else:
             with _at_line(stream):
                 table.ingest_all(stream)
             if table.n == 0:
                 print("warning: empty input stream", file=sys.stderr)
-            _emit(out, _interval_record(effect_interval(table, query), query))
+            itv = effect_interval(table, query) if table.n else empty
+            _emit(out, _interval_record(itv, query))
     return OK
 
 
@@ -217,13 +218,13 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     x = parse_scalar(args.xtilde)
     table = model.count_table()
-    require_in_domain(table, x=x)
+    empty = prediction_set(table, x, args.delta)  # refuses the query before any row is read
     with open_stream(args.data, _parse_columns(args.columns)) as stream, \
             _at_line(stream):
         table.ingest_all(stream)
     if table.n == 0:
         print("warning: empty input stream", file=sys.stderr)
-    gamma = prediction_set(table, x, args.delta)
+    gamma = prediction_set(table, x, args.delta) if table.n else empty
     with _open_output(args.output) as out:
         _emit(out, {
             "format_version": FORMAT_VERSION,
@@ -383,10 +384,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ObservationParseError, DagParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # parse errors are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

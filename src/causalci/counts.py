@@ -11,22 +11,23 @@ one cell.
 
 The table stores only the (x, y, z) counts, by cell code, and sums the
 (x, z), x and z counts from them on read, so a row-by-row ingest costs
-O(|Y|·|Z|).  When the count of a condition the estimators read reaches a
-power of two ``2**j``, a log keyed by the condition's pattern and code
-records the stream position and the condition's outcome tally.  Only
-this module reads the log: :meth:`CountTable.leaf` answers an estimated
-probability as ``(count, hits)``, over the whole stream or over the
-first ``dyadic_floor(count)`` occurrences of the condition after any
-prefix, and :meth:`CountTable.leaf_runs` answers many leaves for every
-run of prefixes between checkpoints.  The table holds O(cells +
-conditions * log n) entries, however long the stream.
+O(|Y|·|Z|).  When the count of a condition the estimators read ((x, z),
+x, or the whole stream as the empty pattern's one condition ``('', 0)``)
+reaches a power of two ``2**j``, a log keyed by the condition's pattern
+and code records the stream position and the condition's outcome tally.
+Only this module reads the log: :meth:`CountTable.leaf` answers an
+estimated probability as ``(count, hits)``, over the whole stream or over
+the first ``dyadic_floor(count)`` occurrences of the condition after any
+prefix, and :meth:`CountTable.leaf_runs` answers many leaves for every run
+of prefixes between checkpoints.  A table holds O(cells + conditions *
+log n) entries, however long the stream.
 
 :meth:`CountTable.ingest` adds one observation and is the reference path.
-:meth:`CountTable.ingest_codes` adds cell codes in chunks of
-``_CHUNK_ROWS`` (``numpy.bincount`` for the counts, a stable argsort by
-condition cell for the checkpoints); :meth:`CountTable.ingest_all` codes a
-stream's rows inline and hands their codes over a chunk at a time.  Every
-path builds the table that row-by-row ``ingest`` builds.
+:meth:`CountTable.ingest_codes` adds cell codes ``_CHUNK_ROWS`` at a time:
+one ``numpy.bincount`` for the counts, and one loop over the runs of equal
+condition code after a stable argsort logs every condition's levels.
+:meth:`CountTable.ingest_all` codes a stream's rows and hands their codes
+over a chunk at a time.  Every path builds the table that ``ingest`` builds.
 
 :func:`read_jsonl` parses each distinct line once: it keeps the rows of
 up to ``_LINE_CACHE`` distinct lines, so rows from identical lines may be
@@ -150,11 +151,11 @@ class CountTable:
         self.n = 0
         # occurrences of each (x, y, z) cell, by cell code
         self._counts = [0] * math.prod(map(len, self._index.values()))
-        # condition ('xz' or 'x', cell code), or None for the whole stream ->
+        # condition (pattern, cell code), the whole stream being ('', 0) ->
         # per-level (position, outcome tally): level j holds the tallies among
         # the first 2**j occurrences of the condition, reached at that stream
         # position.  The outcomes are y given (x, z), z given x, and z then x.
-        self._levels: dict[tuple | None, list[tuple[int, tuple[int, ...]]]] = {}
+        self._levels: dict[tuple[str, int], list[tuple[int, tuple[int, ...]]]] = {}
         self.checkpoint_version = 0
 
     # -- ingestion ---------------------------------------------------------
@@ -190,7 +191,7 @@ class CountTable:
         # dyadic checkpoints, materialized after the increment
         base = x * block
         for cond, c in ((('xz', x * nz + z), sum(counts[base + z:base + block:nz])),
-                        (('x', x), sum(counts[base:base + block])), (None, self.n)):
+                        (('x', x), sum(counts[base:base + block])), (('', 0), self.n)):
             if c & (c - 1) == 0:  # a power of two
                 self._levels.setdefault(cond, []).append((self.n, tuple(self._tally(cond))))
                 self.checkpoint_version += 1
@@ -265,21 +266,9 @@ class CountTable:
         x, y, z = np.unravel_index(cells, (nx, ny, nz))
 
         # checkpoints first: they read the counts as they stood before the chunk
-        crossed = 0
-        for tag, cond, outcome, n_outcomes in (('xz', x * nz + z, y, ny), ('x', x, z, nz)):
-            for key, level in self._crossings(tag, cond, outcome, n_outcomes):
-                self._levels.setdefault(key, []).append(level)
-                crossed += 1
-        # the whole stream reaches level j at position 2**j; its tally is z, then x
-        n0 = self.n
-        t = 1 << n0.bit_length()  # the first power of two past n0
-        while t <= n0 + m:
-            chunk = [c for col, size in ((z, nz), (x, nx))
-                     for c in np.bincount(col[:t - n0], minlength=size).tolist()]
-            tally = map(add, chunk, self._tally(None))
-            self._levels.setdefault(None, []).append((t, tuple(tally)))
-            crossed += 1
-            t <<= 1
+        for tag, cond, outcomes in (('xz', x * nz + z, ((y, ny),)), ('x', x, ((z, nz),)),
+                                    ('', np.zeros_like(x), ((z, nz), (x, nx)))):
+            self._crossings(tag, cond, outcomes)
 
         store = self._counts
         found = np.bincount(cells)
@@ -288,38 +277,42 @@ class CountTable:
             store[c] += k
 
         self.n += m
-        self.checkpoint_version += crossed
 
-    def _crossings(self, tag: str, cond, outcome, n_outcomes: int):
-        """((pattern, cell code), (stream position, outcome tally)) at each
-        row of a chunk where the running count of a condition of pattern
-        ``tag`` reaches a power of two; ``cond`` and ``outcome`` hold the
-        rows' condition and outcome codes."""
+    def _crossings(self, tag: str, cond: np.ndarray, outcomes: tuple) -> None:
+        """Log a level at each row of a chunk where the count of a condition of
+        pattern ``tag`` reaches a power of two, as :meth:`ingest` does for one
+        row.  ``cond`` holds the rows' condition codes, ``outcomes`` the tally's
+        parts as (rows' codes, size); the first part sums to the count."""
         order = np.argsort(cond, kind='stable')
-        cond, outcome = cond[order], outcome[order]
-        new = np.ones(len(cond), dtype=bool)  # first row of its condition
-        new[1:] = cond[1:] != cond[:-1]
-        group = np.cumsum(new) - 1
-        starts = np.flatnonzero(new)
-        keys = [(tag, c) for c in cond[starts].tolist()]
-        base = [self._tally(key) for key in keys]  # each outcome tally before the chunk
-        start = starts[group]
-        occurrence = np.array(list(map(sum, base)))[group] + np.arange(len(cond)) - start + 1
-        hits = np.flatnonzero(occurrence & (occurrence - 1) == 0).tolist()
-        for p in hits:
-            g = group[p]
-            chunk = np.bincount(outcome[start[p]:p + 1], minlength=n_outcomes).tolist()
-            yield keys[g], (self.n + int(order[p]) + 1, tuple(map(add, chunk, base[g])))
+        cond = cond[order]
+        starts = [0, *(np.flatnonzero(cond[1:] != cond[:-1]) + 1).tolist()]
+        # each row's outcome codes side by side, offset into one tally
+        k, sizes = len(outcomes), [size for _, size in outcomes]
+        codes = np.stack([col[order] + sum(sizes[:j]) for j, (col, _) in enumerate(outcomes)],
+                         axis=1).ravel()
+        first, width, tally, levels = sizes[0], sum(sizes), self._tally, self._levels
+        for a, b, code in zip(starts, [*starts[1:], len(cond)], cond[starts].tolist()):
+            key = (tag, code)
+            base = tally(key)  # the outcome tally before the chunk
+            count = sum(base[:first])
+            t = 1 << count.bit_length()  # the first power of two past count
+            while t <= count + b - a:
+                p = a + t - count  # the run's rows up to the one reaching t
+                chunk = np.bincount(codes[a * k:p * k], minlength=width).tolist()
+                levels.setdefault(key, []).append(
+                    (self.n + int(order[p - 1]) + 1, tuple(map(add, chunk, base))))
+                self.checkpoint_version += 1
+                t <<= 1
 
-    def _tally(self, cond: tuple | None) -> list[int]:
-        """A condition's outcome counts so far, in tally order, summed from the
-        (x, y, z) counts; an (x, z) or x condition's own count is their sum."""
+    def _tally(self, cond: tuple[str, int]) -> list[int]:
+        """A condition's outcome tally so far, summed from the (x, y, z)
+        counts: y given (x, z), z given x, or the whole stream's z then x."""
         counts, nz = self._counts, len(self.z_values)
         block = len(self.y_domain) * nz  # the cells of one x
-        if cond is None:  # the z counts, then the x counts
+        tag, code = cond
+        if not tag:  # the whole stream: the z counts, then the x counts
             return ([sum(counts[z::nz]) for z in range(nz)]
                     + [sum(counts[b:b + block]) for b in range(0, len(counts), block)])
-        tag, code = cond
         if tag == 'x':  # the (x, z) counts for every z
             b = code * block
             return [sum(counts[b + z:b + block:nz]) for z in range(nz)]
@@ -352,7 +345,7 @@ class CountTable:
         code = self._code(tag, values)
         if code is None or tag == 'xyz':
             return 0 if code is None else self._counts[code]
-        return self._tally(None)[code] if tag == 'z' else sum(self._tally((tag, code)))
+        return self._tally(('', 0))[code] if tag == 'z' else sum(self._tally((tag, code)))
 
     def leaf(self, event: dict, given: dict, m=None) -> tuple[int, int]:
         """(count, hits) of one estimated probability, P(event | given):
@@ -368,10 +361,10 @@ class CountTable:
         if m is not None:
             log = self._levels.get(cond, ())
             return _dyadic(log, bisect_right(log, _prefix_length(m, self.n), key=_position), i)
-        if cond is not None and cond[1] is None:  # a condition that never occurs
+        if cond[1] is None:  # a condition that never occurs
             return 0, 0
         tally = self._tally(cond)
-        return (self.n if cond is None else sum(tally)), tally[i]
+        return (sum(tally) if cond[0] else self.n), tally[i]
 
     def leaf_runs(self, leaves: Sequence[tuple[dict, dict]]
                   ) -> Iterator[tuple[int, int, tuple[tuple[int, int], ...]]]:
@@ -399,10 +392,10 @@ class CountTable:
                 yield first, last, pairs
         return runs()
 
-    def _locate(self, event: dict, given: dict) -> tuple[tuple | None, int]:
-        """A leaf's condition, as ``(pattern, cell code)`` or None for the
-        whole stream, and the event's index in the condition's tally; the
-        code is None for a condition outside the domains, which never
+    def _locate(self, event: dict, given: dict) -> tuple[tuple, int]:
+        """A leaf's condition, as ``(pattern, cell code)`` (``('', 0)`` for
+        the whole stream), and the event's index in the condition's tally;
+        the code is None for a condition outside the domains, which never
         occurs."""
         match sorted(given), sorted(event):
             case ['x', 'z'], ['y']:
@@ -421,7 +414,7 @@ class CountTable:
             raise ValueError(f"leaf value {value!r} not in declared domain") from None
         if axis == 'x':
             i += len(self.z_values)  # the whole stream's tally is z, then x
-        return ((tag, self._code(tag, given)) if tag else None), i
+        return (tag, self._code(tag, given)), i
 
     def checkpoints(self) -> list[int]:
         """Stream positions, in order, at which some dyadic level was

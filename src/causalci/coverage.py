@@ -86,10 +86,6 @@ def _replicate(model: CausalModel, query: EffectQuery, n: int,
     return covered, itv.halfwidth
 
 
-def _replicate_args(args):
-    return _replicate(*args)
-
-
 def run_coverage(model: CausalModel, query: EffectQuery, n: int,
                  replications: int, seed=0, policy: Policy | None = None,
                  workers: int = 1) -> CoverageReport:
@@ -105,7 +101,7 @@ def run_coverage(model: CausalModel, query: EffectQuery, n: int,
     jobs = [(model, query, n, policy, theta, s) for s in seeds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_args, jobs, chunksize=32))
+            results = list(pool.map(_replicate, *zip(*jobs), chunksize=32))
     else:
         results = [_replicate(*job) for job in jobs]
 

@@ -70,6 +70,9 @@ class Dag:
             if a == b:
                 raise ValueError(f"self-loop at {a}")
         domains = domains or {}
+        for v in domains:
+            if v not in vset:
+                raise ValueError(f"domain given for undeclared vertex {v!r}")
         self.domains = {v: tuple(domains.get(v, (0, 1))) for v in self.vertices}
         for v, dom in self.domains.items():
             if not dom:
@@ -291,6 +294,7 @@ def parse_dag_text(text: str) -> Dag:
     vertices: list[str] = []
     domains: dict[str, tuple] = {}
     edges: list[tuple[str, str]] = []
+    edge_lines = [0]  # edge_lines[k]: the line of the k-th edge, counted from 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split('#', 1)[0].strip()
         if not line:
@@ -317,12 +321,24 @@ def parse_dag_text(text: str) -> Dag:
                 missing = a if a not in domains else b
                 raise DagParseError(lineno, f"edge uses undeclared vertex {missing!r}")
             edges.append((a, b))
+            edge_lines.append(lineno)
         else:
             raise DagParseError(lineno, f"cannot parse {raw.strip()!r}")
     try:
         return Dag(vertices, edges, domains)
     except ValueError as exc:
-        raise DagParseError(0, str(exc)) from exc
+        error = exc
+    # name the first edge line after which the edges read so far are refused:
+    # a self-loop, or the edge that closes a cycle
+    good, bad = 0, len(edges)  # the first `good` edges load, the first `bad` do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            Dag(vertices, edges[:mid], domains)
+            good = mid
+        except ValueError as exc:
+            bad, error = mid, exc
+    raise DagParseError(edge_lines[bad], str(error)) from error
 
 
 def _parse_value(token: str):

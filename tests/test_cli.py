@@ -246,6 +246,35 @@ def test_query_value_outside_the_domain_exit_2(tmp_path, capsys, command, messag
     assert not out.exists()
 
 
+_TOY_REFUSED = "binary_toy needs binary treatment/outcome and a single binary covariate"
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--regime", "anytime", "--xtilde", "1", "--y", "hi", "--toy",
+     "--assume-criterion"],
+    ["analyze", "--regime", "iid", "--xtilde", "1", "--y", "hi", "--toy",
+     "--assume-criterion"],
+    ["predict", "--xtilde", "1"],
+])
+def test_query_the_model_cannot_answer_exit_2_before_any_row(tmp_path, capsys, command):
+    # the tightened binary constants on a three-valued model: the estimator's
+    # own error, raised before --data or --output is opened, names no line
+    # (reading the stream would meet its last row, outside the domain)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(three_valued_model().to_json()))
+    stream = tmp_path / "obs.jsonl"
+    assert main(["simulate", "--model", str(model), "--n", "50",
+                 "--output", str(stream)]) == 0
+    capsys.readouterr()
+    with open(stream, "a") as handle:
+        handle.write('{"x": 9, "y": "hi", "z": [0, 0]}\n')
+    out = tmp_path / "out.jsonl"
+    assert main(command + ["--model", str(model), "--data", str(stream),
+                           "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {_TOY_REFUSED}\n"
+    assert not out.exists()
+
+
 def _anytime_records(tmp_path, criterion, rows, seed):
     """Run anytime analyze with and without --changes-only on a simulated
     stream of a three-valued treatment and outcome with a two-component Z;

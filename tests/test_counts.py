@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causalci import counts
@@ -408,8 +408,20 @@ def _twin_tables(domains, rows, prefix):
     return batch, stream
 
 
+# one cell: its (x, z), x and whole-stream conditions pass every power of
+# two up to 4096 inside the first chunk
+ONE_CELL = (((1,), ('y0',), [(0,)]), [Observation(1, 'y0', (0,))] * 4097, 0,
+            counts._CHUNK_ROWS)
+# nine (x, z) conditions, more than a chunk of two rows can hold
+NINE_CONDITIONS = (((1, 11, 21), ('y0', 'y1'), [(0, 1, 2)]),
+                   [Observation(x, y, (z,)) for x, y, z in
+                    product((1, 11, 21), ('y0', 'y1'), (0, 1, 2))] * 20, 5, 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(batch_cases())
+@example(ONE_CELL)
+@example(NINE_CONDITIONS)
 def test_ingest_all_equals_row_by_row_ingest(case):
     domains, rows, prefix, chunk = case
     batch, stream = _twin_tables(domains, rows, prefix)
@@ -418,6 +430,7 @@ def test_ingest_all_equals_row_by_row_ingest(case):
     for obs in rows[prefix:]:
         stream.ingest(obs)
     assert batch == stream
+    assert batch.checkpoints() == stream.checkpoints()
     assert batch.checkpoint_version == stream.checkpoint_version
     assert batch.n == len(rows)
 

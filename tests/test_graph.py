@@ -164,6 +164,11 @@ def test_acyclicity_enforced():
         Dag(["A", "B"], [("A", "B"), ("B", "A")])
 
 
+def test_domain_of_an_undeclared_vertex_is_refused():
+    with pytest.raises(ValueError, match="^domain given for undeclared vertex 'B'$"):
+        Dag(["A"], [], {"B": (0, 1, 2)})
+
+
 @pytest.mark.parametrize("vertices, name", [([1, 2], "1"), (["A", None], "None"),
                                             (["A", ("B",)], r"\('B',\)")])
 def test_vertex_names_must_be_strings(vertices, name):
@@ -323,6 +328,19 @@ def test_parse_dag_text_errors_carry_line_numbers():
         parse_dag_text("nonsense line")
     with pytest.raises(DagParseError):
         parse_dag_text("var X : 0 1\nvar X : 0 1")
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("var A\nvar B\nA -> B\nB -> A\n", 4, r"graph has a cycle through \['A', 'B'\]"),
+    ("var A\nvar B\n\nA -> B\nA -> A\n", 5, "self-loop at A"),
+    # the cycle closes at B -> C's line; A -> B and C -> A come before
+    ("var A\nvar B\nvar C\nC -> A\nA -> B\n# note\nB -> C\nA -> C\n", 7,
+     r"graph has a cycle through \['A', 'B', 'C'\]"),
+])
+def test_parse_dag_text_names_the_edge_line_a_dag_refuses(text, lineno, message):
+    with pytest.raises(DagParseError, match=f"^line {lineno}: {message}$") as err:
+        parse_dag_text(text)
+    assert err.value.lineno == lineno
 
 
 def test_string_domains():
