@@ -23,6 +23,8 @@ from contextlib import contextmanager, nullcontext
 
 from .counts import ObservationParseError, open_stream, parse_scalar
 from .coverage import run_coverage, run_prediction_coverage
+# backdoor_cs_anytime and frontdoor_cs_anytime are unused here, and kept: the
+# benchmark's tracer wraps them
 from .effects import EffectQuery, backdoor_cs_anytime, effect_interval, \
     frontdoor_cs_anytime
 from .graph import check_backdoor, check_frontdoor, load_dag
@@ -172,6 +174,16 @@ def _at_line(stream):
         raise ObservationParseError(stream.line, str(exc)) from exc
 
 
+def _ingest_data(args, table) -> None:
+    """Ingest every row of ``--data``, naming the line of a bad row, and
+    warn if the stream holds none."""
+    with open_stream(args.data, _parse_columns(args.columns)) as stream, \
+            _at_line(stream):
+        table.ingest_all(stream)
+    if table.n == 0:
+        print("warning: empty input stream", file=sys.stderr)
+
+
 def cmd_analyze(args) -> int:
     model = load_model(args.model)
     query = _build_query(args)
@@ -180,37 +192,32 @@ def cmd_analyze(args) -> int:
               file=sys.stderr)
         return VIOLATION
     table = model.count_table()
-    empty = effect_interval(table, query)  # refuses the query before any row is read
+    effect_interval(table, query)  # refuses the query before any row is read
+    if query.regime != 'anytime':  # read every row before the output is opened
+        _ingest_data(args, table)
+        with _open_output(args.output) as out:
+            _emit(out, _interval_record(effect_interval(table, query), query))
+        return OK
     columns = _parse_columns(args.columns)
     with open_stream(args.data, columns) as stream, _open_output(args.output) as out:
-        if query.regime == 'anytime':
-            emitter = backdoor_cs_anytime if query.criterion == 'backdoor' \
-                else frontdoor_cs_anytime
-            version, tail = -1, ''
-            with _at_line(stream):
-                for obs in stream:
-                    table.ingest(obs)
-                    # every anytime estimate and radius reads dyadic tallies
-                    # and dyadic floors of counts, which move only at a
-                    # checkpoint: between checkpoints only n changes, so the
-                    # line is serialized once and n spliced into it
-                    if table.checkpoint_version != version:
-                        version = table.checkpoint_version
-                        line = json.dumps(_interval_record(emitter(table, query), query))
-                        tail = line[len(_INTERVAL_HEAD) + len(str(table.n)):] + '\n'
-                    elif args.changes_only:
-                        continue
-                    out.write(_INTERVAL_HEAD + str(table.n) + tail)
-            if table.n == 0:
-                print("warning: empty input stream", file=sys.stderr)
-                _emit(out, _interval_record(empty, query))
-        else:
-            with _at_line(stream):
-                table.ingest_all(stream)
-            if table.n == 0:
-                print("warning: empty input stream", file=sys.stderr)
-            itv = effect_interval(table, query) if table.n else empty
-            _emit(out, _interval_record(itv, query))
+        version, tail = -1, ''
+        with _at_line(stream):
+            for obs in stream:
+                table.ingest(obs)
+                # every anytime estimate and radius reads dyadic tallies and
+                # dyadic floors of counts, which move only at a checkpoint:
+                # between checkpoints only n changes, so the line is
+                # serialized once and n spliced into it
+                if table.checkpoint_version != version:
+                    version = table.checkpoint_version
+                    line = json.dumps(_interval_record(effect_interval(table, query), query))
+                    tail = line[len(_INTERVAL_HEAD) + len(str(table.n)):] + '\n'
+                elif args.changes_only:
+                    continue
+                out.write(_INTERVAL_HEAD + str(table.n) + tail)
+        if table.n == 0:
+            print("warning: empty input stream", file=sys.stderr)
+            _emit(out, _interval_record(effect_interval(table, query), query))
     return OK
 
 
@@ -218,13 +225,9 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     x = parse_scalar(args.xtilde)
     table = model.count_table()
-    empty = prediction_set(table, x, args.delta)  # refuses the query before any row is read
-    with open_stream(args.data, _parse_columns(args.columns)) as stream, \
-            _at_line(stream):
-        table.ingest_all(stream)
-    if table.n == 0:
-        print("warning: empty input stream", file=sys.stderr)
-    gamma = prediction_set(table, x, args.delta) if table.n else empty
+    prediction_set(table, x, args.delta)  # refuses the query before any row is read
+    _ingest_data(args, table)
+    gamma = prediction_set(table, x, args.delta)
     with _open_output(args.output) as out:
         _emit(out, {
             "format_version": FORMAT_VERSION,

@@ -19,8 +19,8 @@ Only this module reads the log: :meth:`CountTable.leaf` answers an
 estimated probability as ``(count, hits)``, over the whole stream or over
 the first ``dyadic_floor(count)`` occurrences of the condition after any
 prefix, and :meth:`CountTable.leaf_runs` answers many leaves for every run
-of prefixes between checkpoints.  A table holds O(cells + conditions *
-log n) entries, however long the stream.
+of prefixes over which none of the logs they read gains a level.  A table
+holds O(cells + conditions * log n) entries, however long the stream.
 
 :meth:`CountTable.ingest` adds one observation and is the reference path.
 :meth:`CountTable.ingest_codes` adds cell codes ``_CHUNK_ROWS`` at a time:
@@ -368,28 +368,26 @@ class CountTable:
 
     def leaf_runs(self, leaves: Sequence[tuple[dict, dict]]
                   ) -> Iterator[tuple[int, int, tuple[tuple[int, int], ...]]]:
-        """``(first_n, last_n, pairs)`` per run from one of :meth:`checkpoints`
-        to the next (the last up to ``n``, and one run at 0 if there is none):
-        ``pairs`` holds ``leaf(event, given, m)`` of the leaves at every m in
-        the run, and repeats while no read log gains a level.  The runs are
-        the table's as of this call; each log is walked once."""
+        """``(first_n, last_n, pairs)`` per run of prefixes over which no log
+        the leaves read gains a level: the runs start at ``min(1, n)`` and at
+        every position of those logs, and the last ends at ``n``.  ``pairs``
+        holds ``leaf(event, given, m)`` of the leaves at every m in the run,
+        so consecutive runs differ.  The runs are the table's as of this
+        call; each log is walked once."""
         located = [self._locate(event, given) for event, given in leaves]
         slot = {cond: s for s, cond in enumerate(dict.fromkeys(c for c, _ in located))}
         logs = [self._levels.get(cond, ()) for cond in slot]
         cells = [(slot[cond], i) for cond, i in located]
-        starts = self.checkpoints() or [0]
+        starts = sorted({min(1, self.n), *(p for log in logs for p, _ in log)})
         bounds = list(zip(starts, [p - 1 for p in starts[1:]] + [self.n]))
 
         def runs():
-            levels, pairs = [0] * len(logs), None  # per log, the levels reached
+            levels = [0] * len(logs)  # per log, the levels reached
             for first, last in bounds:
-                moved = pairs is None
                 for s, log in enumerate(logs):
                     while levels[s] < len(log) and log[levels[s]][0] <= first:
-                        levels[s], moved = levels[s] + 1, True
-                if moved:
-                    pairs = tuple([_dyadic(logs[s], levels[s], i) for s, i in cells])
-                yield first, last, pairs
+                        levels[s] += 1
+                yield first, last, tuple([_dyadic(logs[s], levels[s], i) for s, i in cells])
         return runs()
 
     def _locate(self, event: dict, given: dict) -> tuple[tuple, int]:

@@ -10,12 +10,13 @@ samplers decode the same codes, so the streams are the same.
 For the anytime regime the defining property of a confidence sequence is
 validated: the *running intersection* of the per-time intervals must
 contain the truth.  Every element of the sequence reads only dyadic
-tallies and dyadic floors of counts, so it changes only where some dyadic
-level is reached, and the count table logs each level with the stream
-position that reached it.  So the whole stream is ingested at once, and
-:func:`confidence_sequence` reads that log once, yielding one element per
-run of positions between checkpoints (:meth:`CountTable.checkpoints`) up
-to the final time; the replication stops at the first element that misses.
+tallies and dyadic floors of counts, so it changes only where the count of
+a condition the query reads reaches a dyadic level, and the count table
+logs each level with the stream position that reached it.  So the whole
+stream is ingested at once, and :func:`confidence_sequence` reads those
+logs once, yielding one element per segment (a run of positions over which
+none of the query's reads moves) up to the final time; the replication
+stops at the first element that misses.
 Unbounded intervals realize [0,1] and therefore count as covering.
 
 Replications draw their seeds by spawning one SeedSequence, so results are

@@ -36,7 +36,8 @@ Adaptive treatment (each treatment may depend on the whole observed past)
 switches the estimates conditioned on the treatment; the anytime elements
 form a confidence sequence (their running intersection keeps the level),
 which ``confidence_sequence`` yields whole, one segment per run of prefixes
-between checkpoints, with the same arithmetic as ``effect_interval``.
+over which none of the query's reads moves (no log it reads gains a level),
+with the same arithmetic as ``effect_interval``.
 Both read each leaf as ``(count, hits)`` from the count table, at one
 prefix (``CountTable.leaf``) or run by run (``CountTable.leaf_runs``),
 and one binder turns the pairs into estimates and radii.
@@ -63,7 +64,7 @@ inner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -320,26 +321,18 @@ def confidence_sequence(table: CountTable,
                         query: EffectQuery) -> Iterator[tuple[int, int, EffectInterval]]:
     """The anytime confidence sequence of the table's stream as it is at
     this call, as segments ``(first_n, last_n, interval)``, one per run of
-    :meth:`CountTable.leaf_runs`.  Each interval is ``effect_interval(table,
-    query, first_n)``, and so, but for ``n``, every element of its segment;
-    a run whose leaves read as the previous run's repeats its interval."""
+    :meth:`CountTable.leaf_runs` over the query's leaves: a run of prefixes
+    over which none of the query's reads moves.  Each interval is
+    ``effect_interval(table, query, first_n)``, and so, but for ``n``, every
+    element of its segment."""
     if query.regime != 'anytime':
         raise ValueError("a confidence sequence is the anytime regime's, "
                          f"not the {query.regime} regime's")
     families = _families(table, query)
     runs = table.leaf_runs([cell for fam in families for cell in fam.cells])
-
-    def segments():
-        radius = lru_cache(maxsize=None)(lil_term)  # dyadic counts repeat
-        previous = itv = None
-        for first, last, pairs in runs:
-            if pairs == previous:
-                itv = replace(itv, n=first)
-            else:
-                itv = _interval(query, families, first, _bind_pairs(families, pairs, radius))
-                previous = pairs
-            yield first, last, itv
-    return segments()
+    radius = lru_cache(maxsize=None)(lil_term)  # dyadic counts repeat
+    return ((first, last, _interval(query, families, first, _bind_pairs(families, pairs, radius)))
+            for first, last, pairs in runs)
 
 
 def backdoor_cs_anytime(table: CountTable, query: EffectQuery,

@@ -200,7 +200,7 @@ class CausalModel:
                 cpts[name] = Cpt(tuple(spec["parents"]), rows)
             roles = doc["roles"]
             return cls(dag, cpts, Roles(roles["x"], roles["y"], tuple(roles["z"])))
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:  # a list where a map belongs
             raise ValueError(f"malformed model document: {exc}") from exc
 
 

@@ -247,6 +247,30 @@ def naive_count(obs, x=None, y=None, z=None, upto=None):
     return hits
 
 
+def dyadic_rows(obs, conditions):
+    """The 1-based rows at which the count of some condition in
+    ``conditions`` (each a dict of x and z values, {} for the whole stream)
+    reaches a power of two."""
+    rows = set()
+    for cond in conditions:
+        seen = 0
+        for t, o in enumerate(obs, start=1):
+            if all(getattr(o, k) == v for k, v in cond.items()):
+                seen += 1
+                if seen & (seen - 1) == 0:
+                    rows.add(t)
+    return rows
+
+
+def read_conditions(criterion, x, xs, zs):
+    """The conditions of the probabilities that an anytime query for
+    P(y | do(x)) estimates: the whole stream and (x, z) for the back-door
+    formula; the whole stream, x and every (x', z) for the front-door one."""
+    if criterion == 'backdoor':
+        return [{}] + [{'x': x, 'z': z} for z in zs]
+    return [{}, {'x': x}] + [{'x': v, 'z': z} for v in xs for z in zs]
+
+
 def naive_dyadic_estimate(obs, event, cond, upto=None):
     """Fraction of the first naive_dyadic_floor(#cond) condition
     occurrences that match the event; None with no occurrences."""

@@ -84,6 +84,32 @@ def test_analyze_empty_input_warns(tmp_path, capsys):
     assert [record["lower"], record["upper"]] == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("changes_only", [[], ["--changes-only"]])
+def test_analyze_anytime_empty_input_warns_and_writes_the_element_at_0(tmp_path, capsys,
+                                                                        changes_only):
+    stream = tmp_path / "empty.jsonl"
+    stream.write_text("")
+    out = tmp_path / "result.jsonl"
+    assert main(["analyze", "--model", FIG1, "--data", str(stream), "--xtilde", "1",
+                 "--y", "1", "--regime", "anytime", *changes_only,
+                 "--output", str(out)]) == 0
+    assert capsys.readouterr().err == "warning: empty input stream\n"
+    (record,) = read_records(out)
+    assert (record["n"], record["regime"], record["unbounded"]) == (0, "anytime", True)
+    assert [record["lower"], record["upper"]] == [0.0, 1.0]
+
+
+def test_predict_empty_input_warns(tmp_path, capsys):
+    stream = tmp_path / "empty.jsonl"
+    stream.write_text("")
+    out = tmp_path / "gamma.jsonl"
+    assert main(["predict", "--model", FIG1, "--data", str(stream), "--xtilde", "1",
+                 "--output", str(out)]) == 0
+    assert capsys.readouterr().err == "warning: empty input stream\n"
+    (gamma,) = read_records(out)
+    assert gamma["n"] == 0 and sorted(gamma["members"]) == [0, 1]
+
+
 def test_analyze_malformed_line_exit_2(tmp_path, capsys):
     stream = tmp_path / "bad.jsonl"
     stream.write_text('{"x": 1, "y": 1, "z": [0]}\n{oops\n')
@@ -112,6 +138,43 @@ def test_domain_error_names_its_line(tmp_path, capsys, command, data, columns, l
     assert main(args) == 2
     assert capsys.readouterr().err == \
         f"error: line {line}: x value 7 not in declared domain\n"
+
+
+@pytest.mark.parametrize("regime", ["iid", "adaptive-fixed"])
+def test_fixed_n_bad_row_leaves_no_output(tmp_path, capsys, regime):
+    # a fixed-n regime reads every row before it opens --output
+    stream = tmp_path / "obs.jsonl"
+    stream.write_text('{"x": 1, "y": 1, "z": [0]}\n{"x": 7, "y": 1, "z": [0]}\n')
+    out = tmp_path / "out.jsonl"
+    assert main(["analyze", "--model", FIG1, "--data", str(stream), "--xtilde", "1",
+                 "--y", "1", "--regime", regime, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: line 2: x value 7 not in declared domain\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--regime", "iid", "--y", "1"],
+    ["analyze", "--regime", "anytime", "--y", "1"],
+    ["predict"],
+])
+@pytest.mark.parametrize("columns, message", [
+    ("x=a,y=b,q=c", "bad column mapping fragment 'q=c'"),
+    ("x=a,y=,z=c", "bad column mapping fragment 'y='"),
+    ("x=a,y=b", "column mapping must assign x, y and z"),
+    (None, "CSV input needs a column mapping"),
+])
+def test_csv_mapping_refused_before_the_data_is_opened(tmp_path, capsys, command,
+                                                       columns, message):
+    # the data file does not exist, so the refusal comes before it is opened
+    out = tmp_path / "out.jsonl"
+    args = command[:1] + ["--model", FIG1, "--data", str(tmp_path / "obs.csv"),
+                          "--xtilde", "1", "--output", str(out)] + command[1:]
+    if columns:
+        args += ["--columns", columns]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -426,6 +489,16 @@ def test_check_walks_a_long_chain(tmp_path):
                  "--output", str(out)]) == 0
     (report,) = read_records(out)
     assert report["kind"] == "criterion_report" and report["satisfied"] is True
+
+
+@pytest.mark.parametrize("xs, ys", [("W,X", "Y"), ("X", "Y,W")])
+def test_check_frontdoor_takes_one_x_and_one_y(tmp_path, capsys, xs, ys):
+    out = tmp_path / "report.jsonl"
+    assert main(["check", "--dag", NAPKIN_DAG, "--criterion", "frontdoor", "--x", xs,
+                 "--y", ys, "--z", "Z", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: the front-door criterion takes single x and y variables\n"
+    assert not out.exists()
 
 
 def test_predict_sparse_full_set(tmp_path):

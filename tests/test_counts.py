@@ -14,8 +14,9 @@ from causalci.counts import (CountTable, Observation, ObservationParseError,
                              dyadic_floor, read_csv, read_jsonl)
 from causalci.effects import EffectQuery, effect_interval
 from causalci.simulator import sample_iid
-from helpers import binary_table, eight_obs_stream, naive_count, naive_dyadic_estimate, \
-    naive_dyadic_floor, random_table, reference_read_jsonl, three_valued_model
+from helpers import binary_table, dyadic_rows, eight_obs_stream, naive_count, \
+    naive_dyadic_estimate, naive_dyadic_floor, random_table, reference_read_jsonl, \
+    three_valued_model
 
 
 def test_dyadic_floor_examples():
@@ -550,6 +551,17 @@ def test_table_refuses_a_domain_with_a_repeated_value(domains, name):
         CountTable(*domains)
 
 
+@pytest.mark.parametrize("domains, message", [
+    (((), (0, 1), [(0, 1)]), "x and y domains must be non-empty"),
+    (((0, 1), (), [(0, 1)]), "x and y domains must be non-empty"),
+    (((0, 1), (0, 1), []), "every z component needs a non-empty domain"),
+    (((0, 1), (0, 1), [(0, 1), ()]), "every z component needs a non-empty domain"),
+])
+def test_table_refuses_an_empty_domain(domains, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CountTable(*domains)
+
+
 # -- the checkpoint log ------------------------------------------------------------
 
 @st.composite
@@ -645,6 +657,9 @@ def _matches(pattern):
 
 @settings(max_examples=25, deadline=None)
 @given(log_cases(max_rows=64))
+# the x = 0 log gains a level at row 3, which no (x = 1, z) leaf reads
+@example((((0, 1), (0, 1), [(0, 1)]),
+          [Observation(0, 0, (0,)), Observation(1, 0, (0,)), Observation(0, 1, (0,))]))
 def test_leaf_equals_the_naive_recount_at_every_prefix(case):
     """Over every tracked pair and every prefix m, each table's leaf is the
     naive recount, whether the table was built row by row or in chunks."""
@@ -679,14 +694,22 @@ def test_leaf_equals_the_naive_recount_at_every_prefix(case):
                     + [{'x': x} for x in xs] + [{'z': z} for z in zs] + [{}]):
         want = naive_count(rows, **pattern)
         assert all(t.count(**pattern) == want for t in tables)
-    # the run reader agrees with leaf at every prefix of every run
-    for table in tables:
-        runs = list(table.leaf_runs(leaves))
-        assert [first for first, _, _ in runs] == (table.checkpoints() or [0])
-        assert runs[-1][1] == len(rows)
-        for first, last, pairs in runs:
-            for m in {first, last}:
-                assert pairs == tuple(table.leaf(event, given, m) for event, given in leaves)
+    # the run reader agrees with leaf at every prefix of every run, for every
+    # tracked leaf and for the (x, z) leaves of the last x alone; its runs start
+    # at min(1, n) and at each row where a condition the leaves read reaches a
+    # power of two, so consecutive runs read differently
+    last_x = [(event, given) for event, given in leaves
+              if given.keys() == {'x', 'z'} and given['x'] == xs[-1]]
+    for read in (leaves, last_x):
+        starts = sorted(dyadic_rows(rows, [given for _, given in read]) | {min(1, len(rows))})
+        for table in tables:
+            runs = list(table.leaf_runs(read))
+            assert [first for first, _, _ in runs] == starts
+            assert runs[-1][1] == len(rows)
+            assert all(a != b for (_, _, a), (_, _, b) in zip(runs, runs[1:]))
+            for first, last, pairs in runs:
+                for m in {first, last}:
+                    assert pairs == tuple(table.leaf(event, given, m) for event, given in read)
 
 
 def test_ingest_all_applies_rows_read_before_a_stream_error():

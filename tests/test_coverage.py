@@ -11,7 +11,7 @@ from causalci.coverage import run_coverage, run_prediction_coverage
 from causalci.effects import EffectQuery, confidence_sequence, true_effect
 from causalci.simulator import AlternatingAdversaryPolicy, ConstantPolicy, \
     sample_adaptive
-from helpers import fig1_model, frontdoor_model
+from helpers import dyadic_rows, fig1_model, frontdoor_model, read_conditions
 
 
 def test_single_replication_coverage_is_binary():
@@ -205,17 +205,16 @@ def test_coverage_reports_byte_identical(config):
 
 @pytest.mark.parametrize("criterion", ["backdoor", "frontdoor"])
 def test_anytime_replication_checks_every_checkpoint(monkeypatch, criterion):
-    # the running intersection is checked at exactly the rows at which a
-    # row-by-row table reaches a checkpoint, and at the final row
+    # the running intersection is checked at exactly the rows at which the
+    # count of a condition the query reads reaches a power of two, and at the
+    # final row; the stream's other checkpoints start no segment
     model = fig1_model() if criterion == "backdoor" else frontdoor_model()
     query = EffectQuery(criterion, 1, 1, 0.1, regime="anytime")
     policy, n, seed = AlternatingAdversaryPolicy(), 1000, 5
-    table, moved = model.count_table(), {n}
-    for obs in sample_adaptive(model, policy, n, np.random.Generator(np.random.PCG64(seed))):
-        version = table.checkpoint_version
-        table.ingest(obs)
-        if table.checkpoint_version != version:
-            moved.add(table.n)
+    rows = sample_adaptive(model, policy, n, np.random.Generator(np.random.PCG64(seed)))
+    full = model.count_table()
+    full.ingest_all(rows)
+    read = dyadic_rows(rows, read_conditions(criterion, 1, full.x_domain, full.z_values))
     checked = []
 
     def spy(table, query):
@@ -228,7 +227,7 @@ def test_anytime_replication_checks_every_checkpoint(monkeypatch, criterion):
     assert coverage._replicate(model, query, n, policy, theta, seed)[0]
     starts = [first for first, _, _ in checked]
     assert [last + 1 for _, last, _ in checked[:-1]] == starts[1:]
-    assert 30 < len(moved) and {*starts, checked[-1][1]} == moved
+    assert 30 < len(full.checkpoints()) and {*starts, checked[-1][1]} == read | {n}
     assert [itv.n for _, _, itv in checked] == starts
 
 

@@ -17,9 +17,9 @@ from causalci.graph import Dag
 from causalci.prediction import prediction_set
 from causalci.simulator import (AlternatingAdversaryPolicy, CausalModel, Cpt, Roles,
                                 sample_adaptive, sample_iid)
-from helpers import (binary_table, eight_obs_stream, fig1_model,
+from helpers import (binary_table, dyadic_rows, eight_obs_stream, fig1_model,
                      frontdoor_model, grid_table, interval_via_expression,
-                     random_table, three_valued_model)
+                     random_table, read_conditions, three_valued_model)
 
 TOY_HW_8OBS = 2.663863269432442  # 40-digit evaluation of the binary-constant
                                  # formula on the eight-observation stream
@@ -168,8 +168,9 @@ SEQUENCE_MODELS = {"fig1": fig1_model, "frontdoor": frontdoor_model,
        st.sampled_from([0, 1, 2, 5, 64, 300]), st.booleans(), st.data())
 def test_confidence_sequence_holds_every_element(model, criterion, n, adaptive, data):
     """Each segment's interval is the element at every prefix of its range,
-    but for n; the segments tile the prefixes from the first checkpoint (0
-    for an empty stream) to the whole stream."""
+    but for n; the segments tile the prefixes from min(1, n) to the whole
+    stream, and a new one starts exactly where the count of a condition the
+    query reads reaches a power of two."""
     model = SEQUENCE_MODELS[model]()
     x = data.draw(st.sampled_from(model.dag.domains[model.roles.x]))
     y = data.draw(st.sampled_from(model.dag.domains[model.roles.y]))
@@ -178,12 +179,14 @@ def test_confidence_sequence_holds_every_element(model, criterion, n, adaptive, 
               binary_toy=toy)
     seed = data.draw(st.integers(0, 2**32 - 1))
     table = model.count_table()
-    table.ingest_all(sample_adaptive(model, AlternatingAdversaryPolicy(), n, seed)
-                     if adaptive else sample_iid(model, n, seed))
+    rows = (sample_adaptive(model, AlternatingAdversaryPolicy(), n, seed)
+            if adaptive else sample_iid(model, n, seed))
+    table.ingest_all(rows)
     segments = list(confidence_sequence(table, query))
     assert segments[0][0] == min(n, 1) and segments[-1][1] == n
     assert [first for first, _, _ in segments[1:]] == [last + 1 for _, last, _ in segments[:-1]]
-    assert [first for first, _, _ in segments] == (table.checkpoints() or [0])
+    read = dyadic_rows(rows, read_conditions(criterion, x, table.x_domain, table.z_values))
+    assert [first for first, _, _ in segments] == sorted(read | {min(n, 1)})
     for first, last, itv in segments:
         for p in range(first, last + 1):
             assert repr(replace(itv, n=p)) == repr(effect_interval(table, query, p))
@@ -383,6 +386,11 @@ def test_true_effect_deterministic_model():
                        py1_given_xz={(0, 0): 0.0, (0, 1): 0.0,
                                      (1, 0): 1.0, (1, 1): 1.0})
     assert true_effect(model, 1, 1, 'backdoor') in (0.0, 1.0)
+
+
+def test_true_effect_refuses_an_unknown_criterion():
+    with pytest.raises(ValueError, match=re.escape(f"criterion must be one of {CRITERIA}")):
+        true_effect(fig1_model(), 1, 1, 'sideways')
 
 
 def test_truth_values_refuse_a_value_outside_the_domain():

@@ -164,6 +164,17 @@ def test_acyclicity_enforced():
         Dag(["A", "B"], [("A", "B"), ("B", "A")])
 
 
+@pytest.mark.parametrize("vertices, edges, domains, message", [
+    (["A", "B", "A"], [], None, "duplicate vertex names"),
+    (["A"], [("A", "B")], None, r"edge \(A, B\) uses an undeclared vertex"),
+    (["A", "B"], [("C", "B")], None, r"edge \(C, B\) uses an undeclared vertex"),
+    (["A", "B"], [], {"B": ()}, "empty domain for B"),
+])
+def test_dag_refuses_a_malformed_declaration(vertices, edges, domains, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Dag(vertices, edges, domains)
+
+
 def test_domain_of_an_undeclared_vertex_is_refused():
     with pytest.raises(ValueError, match="^domain given for undeclared vertex 'B'$"):
         Dag(["A"], [], {"B": (0, 1, 2)})
@@ -336,6 +347,12 @@ def test_parse_dag_text_errors_carry_line_numbers():
     # the cycle closes at B -> C's line; A -> B and C -> A come before
     ("var A\nvar B\nvar C\nC -> A\nA -> B\n# note\nB -> C\nA -> C\n", 7,
      r"graph has a cycle through \['A', 'B', 'C'\]"),
+    # lines the parser refuses before any Dag is built
+    ("var A B : 0 1\n", 1, "bad variable declaration 'var A B : 0 1'"),
+    ("var : 0 1\n", 1, "bad variable declaration 'var : 0 1'"),
+    ("var A\nvar B : 0 1 0\n", 2, "duplicate values in domain of 'B'"),
+    ("var A\nvar B\nA -> B -> A\n", 3, "bad edge line 'A -> B -> A'"),
+    ("var A\nvar B\n\n-> B\n", 4, "bad edge line '-> B'"),
 ])
 def test_parse_dag_text_names_the_edge_line_a_dag_refuses(text, lineno, message):
     with pytest.raises(DagParseError, match=f"^line {lineno}: {message}$") as err:

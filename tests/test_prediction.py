@@ -84,3 +84,9 @@ def test_strict_threshold():
     for d in gamma.diagnostics:
         assert d["member"] == (d["endpoint"] > gamma.threshold)
     assert gamma.threshold == 0.05
+
+
+@pytest.mark.parametrize("delta", [0, 1, -0.1, 1.5])
+def test_prediction_set_refuses_delta_outside_the_unit_interval(delta):
+    with pytest.raises(ValueError, match=rf"^delta must be in \(0, 1\), got {delta}$"):
+        prediction_set(binary_table(eight_obs_stream()), 1, delta)

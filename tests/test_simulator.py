@@ -178,14 +178,18 @@ def test_exact_law_is_pinned(make):
             [repr(model.probability({model.roles.y: y})) for y in ys]) == EXACT_LAW_REPRS[make]
 
 
-def test_model_validation_errors():
-    dag = Dag(["Z", "X", "Y"], [("Z", "X"), ("Z", "Y"), ("X", "Y")])
-    roles = Roles("X", "Y", ("Z",))
-    good = {
+def _fig1_cpts():
+    return {
         "Z": Cpt((), {(): (0.6, 0.4)}),
         "X": Cpt(("Z",), {(0,): (0.5, 0.5), (1,): (0.5, 0.5)}),
         "Y": Cpt(("X", "Z"), {(x, z): (0.5, 0.5) for x in (0, 1) for z in (0, 1)}),
     }
+
+
+def test_model_validation_errors():
+    dag = Dag(["Z", "X", "Y"], [("Z", "X"), ("Z", "Y"), ("X", "Y")])
+    roles = Roles("X", "Y", ("Z",))
+    good = _fig1_cpts()
     CausalModel(dag, good, roles)  # sanity
 
     bad_sum = dict(good)
@@ -202,6 +206,42 @@ def test_model_validation_errors():
     wrong_parents["X"] = Cpt((), {(): (0.5, 0.5)})
     with pytest.raises(ValueError, match="parents"):
         CausalModel(dag, wrong_parents, roles)
+
+
+@pytest.mark.parametrize("vertex, cpt, message", [
+    ("Y", None, r"CPT vertices mismatch \(missing \['Y'\], extra \[\]\)"),
+    ("W", Cpt((), {(): (0.5, 0.5)}), r"CPT vertices mismatch \(missing \[\], extra \['W'\]\)"),
+    ("Z", Cpt((), {(): (0.6, 0.3, 0.1)}), r"CPT row for Z given \(\) has 3 entries, domain has 2"),
+    ("Z", Cpt((), {(): (1.2, -0.2)}), "negative probability in CPT for Z"),
+    ("X", Cpt(("Z",), {(0,): (0.5, 0.5), (1,): (0.5, 0.5), (2,): (0.5, 0.5)}),
+     "CPT for X has rows for unknown configurations"),
+])
+def test_model_refuses_a_malformed_cpt(vertex, cpt, message):
+    dag = Dag(["Z", "X", "Y"], [("Z", "X"), ("Z", "Y"), ("X", "Y")])
+    cpts = _fig1_cpts()
+    if cpt is None:
+        del cpts[vertex]
+    else:
+        cpts[vertex] = cpt
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CausalModel(dag, cpts, Roles("X", "Y", ("Z",)))
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({}, "'variables'"),
+    ({"variables": [{"name": "A", "domain": [0, 1]}]}, "'edges'"),
+    ({"variables": [{"name": "A"}], "edges": []}, "'domain'"),
+    ({"variables": [{"name": "A", "domain": [0, 1]}], "edges": [], "cpts": []},
+     "'list' object has no attribute 'items'"),
+])
+def test_malformed_model_document_is_refused(doc, message):
+    with pytest.raises(ValueError, match=f"^malformed model document: {message}$"):
+        CausalModel.from_json(doc)
+
+
+def test_intervened_outcome_refuses_a_value_outside_the_domain():
+    with pytest.raises(ValueError, match="^7 not in the treatment domain$"):
+        draw_intervened_outcome(fig1_model(), 7, 0)
 
 
 def test_positivity_flag():
