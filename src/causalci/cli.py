@@ -19,9 +19,9 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
-from .counts import ObservationParseError, open_stream, parse_scalar
+from .counts import ObservationParseError, ObservationStream, open_lines, parse_scalar
 from .coverage import run_coverage, run_prediction_coverage
 # backdoor_cs_anytime and frontdoor_cs_anytime are unused here, and kept: the
 # benchmark's tracer wraps them
@@ -62,9 +62,12 @@ def _parse_columns(spec: str | None) -> dict | None:
     for part in spec.split(','):
         key, _, value = part.partition('=')
         key = key.strip()
-        if key not in ('x', 'y', 'z') or not value:
+        names = [name.strip() for name in value.split('+')] if key == 'z' else [value.strip()]
+        if key not in ('x', 'y', 'z') or not all(names):
             raise ValueError(f"bad column mapping fragment {part!r}")
-        mapping[key] = value.split('+') if key == 'z' else value.strip()
+        if key in mapping:
+            raise ValueError(f"column mapping assigns {key} twice")
+        mapping[key] = names if key == 'z' else names[0]
     if set(mapping) != {'x', 'y', 'z'}:
         raise ValueError("column mapping must assign x, y and z")
     return mapping
@@ -161,25 +164,12 @@ def _criterion_holds(model, query) -> bool:
     return report.satisfied
 
 
-@contextmanager
-def _at_line(stream):
-    """Re-raise a ``ValueError`` met while rows are ingested (a value outside
-    its domain) as an :class:`ObservationParseError` naming the line of the
-    row last read, which is the row being handled."""
-    try:
-        yield
-    except ObservationParseError:
-        raise
-    except ValueError as exc:
-        raise ObservationParseError(stream.line, str(exc)) from exc
-
-
 def _ingest_data(args, table) -> None:
-    """Ingest every row of ``--data``, naming the line of a bad row, and
-    warn if the stream holds none."""
-    with open_stream(args.data, _parse_columns(args.columns)) as stream, \
-            _at_line(stream):
-        table.ingest_all(stream)
+    """Ingest every row of ``--data`` (an error names its line), and warn
+    if the stream holds none."""
+    columns = _parse_columns(args.columns)
+    with open_lines(args.data, columns) as lines:
+        table.ingest_lines(lines, columns)
     if table.n == 0:
         print("warning: empty input stream", file=sys.stderr)
 
@@ -199,9 +189,10 @@ def cmd_analyze(args) -> int:
             _emit(out, _interval_record(effect_interval(table, query), query))
         return OK
     columns = _parse_columns(args.columns)
-    with open_stream(args.data, columns) as stream, _open_output(args.output) as out:
+    with ObservationStream(open_lines(args.data, columns), columns) as stream, \
+            _open_output(args.output) as out:
         version, tail = -1, ''
-        with _at_line(stream):
+        try:
             for obs in stream:
                 table.ingest(obs)
                 # every anytime estimate and radius reads dyadic tallies and
@@ -215,6 +206,10 @@ def cmd_analyze(args) -> int:
                 elif args.changes_only:
                     continue
                 out.write(_INTERVAL_HEAD + str(table.n) + tail)
+        except ObservationParseError:
+            raise
+        except ValueError as exc:  # a value outside its domain, in the row last read
+            raise ObservationParseError(stream.line, str(exc)) from exc
         if table.n == 0:
             print("warning: empty input stream", file=sys.stderr)
             _emit(out, _interval_record(effect_interval(table, query), query))

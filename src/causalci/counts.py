@@ -4,8 +4,7 @@ A :class:`CountTable` names every cell by domain index: x and y index
 their declared domains, z indexes ``z_values`` (the product of the
 z-component domains in lexicographic order), and a row's cell code is
 ``(x * |Y| + y) * |Z| + z``.  ``CountTable._indices`` holds the one domain
-check of an observation (``ingest_all`` codes rows inline and calls it only
-for a row it cannot code), and the reads code their arguments alike, so
+check of an observation, and the reads code their arguments alike, so
 equal values (``1``, ``1.0``, ``True``; z as a scalar, list or tuple) name
 one cell.
 
@@ -24,15 +23,18 @@ holds O(cells + conditions * log n) entries, however long the stream.
 
 :meth:`CountTable.ingest` adds one observation and is the reference path.
 :meth:`CountTable.ingest_codes` adds cell codes ``_CHUNK_ROWS`` at a time:
-one ``numpy.bincount`` for the counts, and one loop over the runs of equal
-condition code after a stable argsort logs every condition's levels.
-:meth:`CountTable.ingest_all` codes a stream's rows and hands their codes
-over a chunk at a time.  Every path builds the table that ``ingest`` builds.
+``numpy.bincount`` gives the counts and each condition's count in the
+chunk, and only the rows of a condition that reaches a power of two in
+the chunk are walked to log its levels.  ``ingest_all`` (observations)
+and ``ingest_lines`` (text lines) hand codes over a chunk at a time.
+Every path builds the table that ``ingest`` builds.
 
-:func:`read_jsonl` parses each distinct line once: it keeps the rows of
-up to ``_LINE_CACHE`` distinct lines, so rows from identical lines may be
-the same :class:`Observation` object.  A categorical stream has at most
-|X|·|Y|·|Z| distinct records, so most lines cost one dictionary lookup.
+The readers parse each distinct line once, keeping what up to
+``_LINE_CACHE`` distinct lines give: :func:`read_jsonl` their rows, which
+may thus be the same :class:`Observation` object, and ``ingest_lines``
+their cell codes, keyed by a line's text or a CSV row's mapped cells.  A
+categorical stream has at most |X|·|Y|·|Z| distinct records, so most
+lines cost one dictionary lookup.
 
 Composite z-values are tuples ordered by the declared Z-component order,
 and iteration over z patterns always follows the lexicographic order of
@@ -42,13 +44,12 @@ the declared domains, so outputs are deterministic.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import operator
 import sys
 from bisect import bisect_right
-from itertools import product
+from itertools import islice, product, starmap
 from operator import add, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -198,33 +199,50 @@ class CountTable:
 
     def ingest_all(self, stream: Iterable) -> None:
         """Add every observation of ``stream``; the table ends up equal to
-        the one that row-by-row :meth:`ingest` builds.
-
-        Rows are pulled lazily and coded as cells in chunks of
-        ``_CHUNK_ROWS``; each full chunk goes to :meth:`ingest_codes`, so at
-        most one chunk is held.  On an invalid row the rows before it are
-        applied and the error :meth:`ingest` raises for the row is raised.
-        If the stream itself raises, the rows read before are applied first.
-        """
-        x_index, y_index, z_index = self._index.values()
+        the one that row-by-row :meth:`ingest` builds.  On an invalid row the
+        rows before it are applied and the error :meth:`ingest` raises for
+        the row is raised; so are the rows read before the stream raises."""
         ny, nz = len(self.y_domain), len(self.z_values)
-        chunk = _CHUNK_ROWS
-        cells: list[int] = []
-        append = cells.append
+        self._ingest_each((x * ny + y) * nz + z for x, y, z in map(self._indices, stream))
+
+    def ingest_lines(self, lines: Iterable[str], columns: dict | None = None) -> None:
+        """Add the rows of a JSON-lines stream's text lines (with ``columns``,
+        a CSV stream's) as :func:`read_jsonl` (:func:`read_csv`) and
+        :meth:`ingest_all` would, but raise a domain error, too, as an
+        :class:`ObservationParseError` naming its line."""
+        keyed, parse = ((_csv_cells(lines, columns), _csv_observation) if columns
+                        else (enumerate(lines, start=1), _parse_line))
+        ny, nz, cache = len(self.y_domain), len(self.z_values), {}
+
+        def codes():
+            for lineno, key in keyed:
+                code = cache.get(key)
+                if code is None:
+                    obs = parse(lineno, key)
+                    if obs is None:  # a blank line or a header at line 1
+                        continue
+                    try:
+                        x, y, z = self._indices(obs)
+                    except ValueError as exc:
+                        raise ObservationParseError(lineno, str(exc)) from exc
+                    code = (x * ny + y) * nz + z
+                    if len(cache) < _LINE_CACHE:  # the code depends on the key alone
+                        cache[key] = code
+                yield code
+        self._ingest_each(codes())
+
+    def _ingest_each(self, codes: Iterator[int]) -> None:
+        """Add valid cell codes from an iterator ``_CHUNK_ROWS`` at a time,
+        holding one chunk; if it raises, the codes it gave are applied first."""
+        chunk: list[int] = []
         try:
-            for obs in stream:
-                try:
-                    x, y, z = obs
-                    z = tuple(z) if isinstance(z, (list, tuple)) else (z,)
-                    append((x_index[x] * ny + y_index[y]) * nz + z_index[z])
-                except (KeyError, TypeError, ValueError):
-                    x, y, z = self._indices(obs)  # raises the error for this row
-                    append((x * ny + y) * nz + z)
-                if len(cells) == chunk:
-                    self.ingest_codes(np.array(cells, dtype=np.intp))
-                    cells.clear()
+            chunk.extend(islice(codes, _CHUNK_ROWS))  # keeps what it drew if codes raises
+            while len(chunk) == _CHUNK_ROWS:
+                self.ingest_codes(np.array(chunk, dtype=np.intp))
+                chunk = []
+                chunk.extend(islice(codes, _CHUNK_ROWS))
         finally:
-            self.ingest_codes(np.array(cells, dtype=np.intp))
+            self.ingest_codes(np.array(chunk, dtype=np.intp))
 
     def ingest_codes(self, codes) -> None:
         """Add rows given as cell codes ``(x * |Y| + y) * |Z| + z``, where x
@@ -266,40 +284,43 @@ class CountTable:
         x, y, z = np.unravel_index(cells, (nx, ny, nz))
 
         # checkpoints first: they read the counts as they stood before the chunk
-        for tag, cond, outcomes in (('xz', x * nz + z, ((y, ny),)), ('x', x, ((z, nz),)),
-                                    ('', np.zeros_like(x), ((z, nz), (x, nx)))):
-            self._crossings(tag, cond, outcomes)
+        held = np.array(self._counts).reshape(nx, ny, nz)
+        for tag, cond, before, outcomes in (
+                ('xz', x * nz + z, held.sum(axis=1).ravel(), ((y, ny),)),
+                ('x', x, held.sum(axis=(1, 2)), ((z, nz),)),
+                ('', np.zeros_like(x), np.array([self.n]), ((z, nz), (x, nx)))):
+            self._crossings(tag, cond, before, outcomes)
 
-        store = self._counts
-        found = np.bincount(cells)
-        present = np.flatnonzero(found)
-        for c, k in zip(present.tolist(), found[present].tolist()):
-            store[c] += k
-
+        self._counts = (held.ravel() + np.bincount(cells, minlength=held.size)).tolist()
         self.n += m
 
-    def _crossings(self, tag: str, cond: np.ndarray, outcomes: tuple) -> None:
+    def _crossings(self, tag: str, cond: np.ndarray, before: np.ndarray,
+                   outcomes: tuple) -> None:
         """Log a level at each row of a chunk where the count of a condition of
         pattern ``tag`` reaches a power of two, as :meth:`ingest` does for one
-        row.  ``cond`` holds the rows' condition codes, ``outcomes`` the tally's
-        parts as (rows' codes, size); the first part sums to the count."""
-        order = np.argsort(cond, kind='stable')
-        cond = cond[order]
-        starts = [0, *(np.flatnonzero(cond[1:] != cond[:-1]) + 1).tolist()]
+        row: ``cond`` holds the rows' condition codes, ``before`` each
+        condition's count before the chunk, ``outcomes`` the tally's parts as
+        (rows' codes, size).  Only a condition whose count gains a bit is walked."""
+        found = np.bincount(cond, minlength=len(before))
+        crossing = np.flatnonzero((before ^ (before + found)) > before).tolist()
+        if not crossing:
+            return
+        # the rows by condition, in stream order; 16-bit codes sort in linear time
+        order = np.argsort(cond.astype(np.uint16) if len(before) <= 1 << 16 else cond,
+                           kind='stable')
         # each row's outcome codes side by side, offset into one tally
         k, sizes = len(outcomes), [size for _, size in outcomes]
         codes = np.stack([col[order] + sum(sizes[:j]) for j, (col, _) in enumerate(outcomes)],
                          axis=1).ravel()
-        first, width, tally, levels = sizes[0], sum(sizes), self._tally, self._levels
-        for a, b, code in zip(starts, [*starts[1:], len(cond)], cond[starts].tolist()):
-            key = (tag, code)
-            base = tally(key)  # the outcome tally before the chunk
-            count = sum(base[:first])
+        width, bounds = sum(sizes), [0, *np.cumsum(found).tolist()]
+        for code in crossing:
+            key, a, b = (tag, code), bounds[code], bounds[code + 1]
+            base, count = self._tally(key), int(before[code])  # the tally before the chunk
             t = 1 << count.bit_length()  # the first power of two past count
             while t <= count + b - a:
-                p = a + t - count  # the run's rows up to the one reaching t
+                p = a + t - count  # the condition's rows up to the one reaching t
                 chunk = np.bincount(codes[a * k:p * k], minlength=width).tolist()
-                levels.setdefault(key, []).append(
+                self._levels.setdefault(key, []).append(
                     (self.n + int(order[p - 1]) + 1, tuple(map(add, chunk, base))))
                 self.checkpoint_version += 1
                 t <<= 1
@@ -449,37 +470,41 @@ def read_jsonl(lines: Iterable[str]) -> Iterator[Observation]:
     object again for an identical line.
     """
     cache: dict[str, Observation] = {}
-    room = _LINE_CACHE
     for lineno, text in enumerate(lines, start=1):
         obs = cache.get(text)
-        if obs is not None:
-            yield obs
-            continue
-        if not text.isascii():
-            _require_utf8(lineno, text)
-        line = text.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ObservationParseError(lineno, f"invalid JSON ({exc.msg})") from exc
-        if not isinstance(rec, dict):
-            raise ObservationParseError(lineno, "expected a JSON object")
-        if lineno == 1 and 'format_version' in rec and 'x' not in rec:
-            continue
-        try:
-            x, y, z = rec['x'], rec['y'], rec['z']
-        except KeyError as exc:
-            raise ObservationParseError(lineno, f"missing field {exc.args[0]!r}") from exc
-        if not isinstance(z, list):
-            raise ObservationParseError(lineno, "field 'z' must be an array")
-        obs = Observation(x, y, tuple(z))
-        # the row depends only on the text, except the header skipped above
-        if room and _hashable(obs):
-            cache[text] = obs
-            room -= 1
+        if obs is None:
+            obs = _parse_line(lineno, text)
+            if obs is None:
+                continue
+            # the row depends only on the text, except a header skipped at line 1
+            if len(cache) < _LINE_CACHE and _hashable(obs):
+                cache[text] = obs
         yield obs
+
+
+def _parse_line(lineno: int, text: str) -> Observation | None:
+    """The row of one JSON line, or None for a blank line or a header at
+    line 1; raises :class:`ObservationParseError` on anything else."""
+    if not text.isascii():
+        _require_utf8(lineno, text)
+    line = text.strip()
+    if not line:
+        return None
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ObservationParseError(lineno, f"invalid JSON ({exc.msg})") from exc
+    if not isinstance(rec, dict):
+        raise ObservationParseError(lineno, "expected a JSON object")
+    if lineno == 1 and 'format_version' in rec and 'x' not in rec:
+        return None
+    try:
+        x, y, z = rec['x'], rec['y'], rec['z']
+    except KeyError as exc:
+        raise ObservationParseError(lineno, f"missing field {exc.args[0]!r}") from exc
+    if not isinstance(z, list):
+        raise ObservationParseError(lineno, "field 'z' must be an array")
+    return Observation(x, y, tuple(z))
 
 
 def _require_utf8(lineno: int, text: str) -> None:
@@ -512,6 +537,11 @@ def read_csv(lines: Iterable[str], columns: dict) -> Iterator[Observation]:
     scalars where possible, otherwise kept as strings.  Errors name the
     physical line on which the offending row ends.
     """
+    return starmap(_csv_observation, _csv_cells(lines, columns))
+
+
+def _csv_cells(lines: Iterable[str], columns: dict) -> Iterator[tuple[int, tuple]]:
+    """(line number, mapped cells: x, y, then each z component) per CSV row."""
     reader = csv.DictReader(_utf8_lines(lines))
     zcols = columns['z']
     if isinstance(zcols, str):
@@ -519,7 +549,7 @@ def read_csv(lines: Iterable[str], columns: dict) -> Iterator[Observation]:
     wanted = [columns['x'], columns['y'], *zcols]
     for row in reader:
         try:
-            cells = [row[c] for c in wanted]
+            cells = tuple([row[c] for c in wanted])
         except KeyError as exc:
             raise ObservationParseError(reader.line_num,
                                         f"missing column {exc.args[0]!r}") from exc
@@ -527,8 +557,14 @@ def read_csv(lines: Iterable[str], columns: dict) -> Iterator[Observation]:
             column = wanted[cells.index(None)]
             raise ObservationParseError(reader.line_num,
                                         f"short row: no cell for column {column!r}")
-        x, y, *z = map(parse_scalar, cells)
-        yield Observation(x, y, tuple(z))
+        yield reader.line_num, cells
+
+
+def _csv_observation(lineno: int, cells: tuple) -> Observation:
+    """The row of a CSV record's mapped cells (``lineno`` goes unused:
+    :func:`_csv_cells` raises a row's errors)."""
+    x, y, *z = map(parse_scalar, cells)
+    return Observation(x, y, tuple(z))
 
 
 def parse_scalar(token: str):
@@ -569,19 +605,15 @@ class ObservationStream:
         self._lines.close()
 
 
-def open_stream(path: str, columns: dict | None = None) -> ObservationStream:
-    """Read observations from a .jsonl/.csv file path or '-' for stdin;
-    use the stream in a ``with`` block to close the file (standard input
-    itself stays open).
-
+def open_lines(path: str, columns: dict | None = None):
+    """The text lines of a .jsonl/.csv file path, or '-' for stdin, as a
+    file to close in a ``with`` block (standard input itself stays open).
     Text is decoded as UTF-8 with ``surrogateescape``, so a byte that is
-    not valid UTF-8 reaches the reader, which refuses it naming its line.
-    A byte-order mark as the first bytes is dropped; one anywhere else is
-    refused like any other text that does not parse.
-    """
+    not valid UTF-8 reaches the reader, which refuses it naming its line; a
+    byte-order mark is dropped from the start and refused anywhere else."""
     if path.endswith('.csv') and not columns:
         raise ValueError("CSV input needs a column mapping")
     stdin = path == '-'
-    return ObservationStream(open(sys.stdin.fileno() if stdin else path, 'r',
-                                  encoding='utf-8-sig', errors='surrogateescape',
-                                  closefd=not stdin), columns)
+    return open(sys.stdin.fileno() if stdin else path, 'r', encoding='utf-8-sig',
+                errors='surrogateescape', closefd=not stdin)
+

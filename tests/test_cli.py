@@ -162,6 +162,10 @@ def test_fixed_n_bad_row_leaves_no_output(tmp_path, capsys, regime):
     ("x=a,y=b,q=c", "bad column mapping fragment 'q=c'"),
     ("x=a,y=,z=c", "bad column mapping fragment 'y='"),
     ("x=a,y=b", "column mapping must assign x, y and z"),
+    ("x=nope,x=treat,y=b,z=c", "column mapping assigns x twice"),
+    ("x=a,y=b,z=c,z=d", "column mapping assigns z twice"),
+    ("x=a,y=b,z=z1+", "bad column mapping fragment 'z=z1+'"),
+    ("x=a,y=b,z= + z2", "bad column mapping fragment 'z= + z2'"),
     (None, "CSV input needs a column mapping"),
 ])
 def test_csv_mapping_refused_before_the_data_is_opened(tmp_path, capsys, command,
@@ -418,12 +422,14 @@ def test_analyze_anytime_changes_only(tmp_path):
         assert by_n[rec["n"]]["midpoint"] == rec["midpoint"]
 
 
-def test_analyze_csv_columns(tmp_path):
+# names are stripped of spaces, z's as x's and y's
+@pytest.mark.parametrize("columns", ["x=treat,y=out,z=cov", " x = treat,y= out ,z= cov "])
+def test_analyze_csv_columns(tmp_path, columns):
     stream = tmp_path / "obs.csv"
     stream.write_text("treat,out,cov\n1,1,0\n0,1,1\n1,0,1\n")
     out = tmp_path / "result.jsonl"
     assert main(["analyze", "--model", FIG1, "--data", str(stream),
-                 "--columns", "x=treat,y=out,z=cov",
+                 "--columns", columns,
                  "--xtilde", "1", "--y", "1", "--output", str(out)]) == 0
     assert read_records(out)[0]["n"] == 3
 

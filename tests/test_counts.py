@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from causalci import counts
 from causalci.counts import (CountTable, Observation, ObservationParseError,
-                             dyadic_floor, read_csv, read_jsonl)
+                             ObservationStream, dyadic_floor, read_csv, read_jsonl)
 from causalci.effects import EffectQuery, effect_interval
 from causalci.simulator import sample_iid
 from helpers import binary_table, dyadic_rows, eight_obs_stream, naive_count, \
@@ -417,12 +417,31 @@ ONE_CELL = (((1,), ('y0',), [(0,)]), [Observation(1, 'y0', (0,))] * 4097, 0,
 NINE_CONDITIONS = (((1, 11, 21), ('y0', 'y1'), [(0, 1, 2)]),
                    [Observation(x, y, (z,)) for x, y, z in
                     product((1, 11, 21), ('y0', 'y1'), (0, 1, 2))] * 20, 5, 2)
+# a chunk in which no condition reaches a power of two: every count goes
+# from 5 to 7 (the whole stream's from 10 to 14)
+NO_CROSSING = (((1, 11), ('y0',), [(0,)]),
+               [Observation(x, 'y0', (0,)) for x in (1, 11)] * 7, 10, 4)
+# in one chunk x = 1 passes 1, 2, 4, 8 and 16 while x = 11 goes from 5 to 6,
+# passing none, and the whole stream passes 8 and 16
+SEVERAL_POWERS = (((1, 11), ('y0', 'y1'), [(0, 1)]),
+                  [Observation(11, 'y1', (1,))] * 5
+                  + [Observation(1, ('y0', 'y1')[i % 2], (i % 3 % 2,)) for i in range(17)]
+                  + [Observation(11, 'y0', (0,))], 5, 18)
+# 768 (x, z) conditions, |X| = 3 and eight binary covariates, about four
+# rows each, over three chunks
+_X3Z256 = ((1, 11, 21), ('y0', 'y1'), [(0, 1)] * 8)
+_WIDE_CELLS = list(product(*_X3Z256[:2], product(*_X3Z256[2])))
+WIDE = (_X3Z256, [Observation(*_WIDE_CELLS[c]) for c in
+                  np.random.default_rng(768).integers(0, len(_WIDE_CELLS), 3000)], 0, 1000)
 
 
 @settings(max_examples=60, deadline=None)
 @given(batch_cases())
 @example(ONE_CELL)
 @example(NINE_CONDITIONS)
+@example(NO_CROSSING)
+@example(SEVERAL_POWERS)
+@example(WIDE)
 def test_ingest_all_equals_row_by_row_ingest(case):
     domains, rows, prefix, chunk = case
     batch, stream = _twin_tables(domains, rows, prefix)
@@ -747,3 +766,102 @@ def test_read_csv_short_row_names_line_and_column():
         next(rows)
     assert err.value.lineno == 4
     assert "'q'" in str(err.value)
+
+
+# -- text lines straight to cell codes ----------------------------------------------
+
+LINE_DOMAINS = ((0, 1), (0, 1), [(0, 1)])
+CSV_COLUMNS = {'x': 'x', 'y': 'y', 'z': ['z']}
+# rows of LINE_DOMAINS as JSON (spacing, key order, true/1/1.0 and an extra
+# field vary) and as CSV cells (spacing, quoting and 1/1.0/true vary); {t}
+# is filled with the row's index when every line is to be distinct
+JSON_ROWS = ['{{"x": 1, "y": 0, "z": [1]{t}}}', '{{"x":0,"y":1,"z":[0]{t}}}',
+             '  {{"x": 1, "y": 1, "z": [0]{t}}}\t', '{{"z": [1], "y": 0, "x": 0{t}}}',
+             '{{"x": true, "y": 0, "z": [1]{t}}}', '{{"x": 1.0, "y": 1, "z": [1.0]{t}}}',
+             '{{"x": 0, "y": 0, "z": [0], "format_version": 1{t}}}', '', '  ']
+CSV_ROWS = ['1,0,1,{t}', '0,1,0,{t}', ' 1,1, 0,{t}', '"0",0,"1",{t}', 'true,0,1,{t}',
+            '1.0,1,1.0,{t}', '0,"0\n",0,{t}', '']
+# lines that the reader or the table refuses: bad JSON or CSV, a header after
+# line 1, values outside the domains, unhashable values, a byte-order mark
+# after the start, and a byte that is not valid UTF-8
+JSON_REFUSED = [*BAD_LINES, '{"x": 7, "y": 0, "z": [1]}', '{"x": [1], "y": 0, "z": [1]}',
+                '{"x": 1, "y": {}, "z": [0]}', '{"x": 1, "y": 0, "z": [1, 0]}',
+                '{"x": 1, "y": 0, "z": [[1]]}', '\ufeff{"x": 1, "y": 0, "z": [1]}',
+                '{"x": 1, "y": 0, "z": [1], "s": "\udcff"}', '\udcff']
+CSV_REFUSED = ['x,y,z,t', '7,0,1,', '1,0', '"[1, 2]",0,1,', '1,"{}",0,', '\ufeff1,0,1,',
+               '1,0,1,\udcff', '1,a,1,']
+
+
+@st.composite
+def line_texts(draw):
+    """A JSON-lines or CSV stream as text: rows of LINE_DOMAINS, all distinct
+    or drawn from a few forms, maybe a header at line 1 and maybe one line
+    that is refused; and the column mapping (None for JSON lines)."""
+    csv_stream = draw(st.booleans())
+    forms, refused = (CSV_ROWS, CSV_REFUSED) if csv_stream else (JSON_ROWS, JSON_REFUSED)
+    distinct = draw(st.booleans())
+    picks = draw(st.lists(st.sampled_from(forms), max_size=60))
+    lines = [form.format(t=(i if csv_stream else f', "t": {i}') if distinct else '')
+             for i, form in enumerate(picks)]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(refused)))
+    if csv_stream:
+        lines.insert(0, 'x,y,z,t')
+    elif draw(st.booleans()):
+        lines.insert(0, HEADER)
+    return '\n'.join(lines) + draw(st.sampled_from(['', '\n'])), \
+        CSV_COLUMNS if csv_stream else None
+
+
+def _lines_through_rows(text, columns):
+    """The table and error of the row path: read_jsonl or read_csv, then
+    ingest_all, with a domain error named by the line of the row last read."""
+    table = CountTable(*LINE_DOMAINS)
+    stream = ObservationStream(io.StringIO(text), columns)
+    try:
+        table.ingest_all(stream)
+    except ObservationParseError as exc:
+        return table, (str(exc), exc.lineno)
+    except ValueError as exc:
+        return table, (f"line {stream.line}: {exc}", stream.line)
+    return table, None
+
+
+def _lines_to_codes(text, columns):
+    table = CountTable(*LINE_DOMAINS)
+    try:
+        table.ingest_lines(io.StringIO(text), columns)
+    except ObservationParseError as exc:
+        return table, (str(exc), exc.lineno)
+    return table, None
+
+
+@pytest.mark.parametrize("cap", [0, 2, counts._LINE_CACHE])
+@settings(max_examples=150, deadline=None)
+@given(line_texts())
+def test_ingest_lines_equals_the_row_path(cap, case):
+    text, columns = case
+    with mock.patch.object(counts, '_LINE_CACHE', cap):
+        got = _lines_to_codes(text, columns)
+    assert got == _lines_through_rows(text, columns)
+
+
+def test_ingest_lines_codes_more_lines_than_it_keeps():
+    rows = [JSON_ROWS[i % 7].format(t=f', "t": {i}') for i in range(counts._LINE_CACHE + 50)]
+    text = '\n'.join([HEADER, *rows, *rows, JSON_ROWS[1].format(t=', "t": -1'),
+                      '{"x": 7, "y": 0, "z": [1], "t": 0}'])
+    table, error = _lines_to_codes(text, None)
+    assert (table, error) == _lines_through_rows(text, None)
+    assert table.n == 2 * len(rows) + 1
+    assert error == (f"line {table.n + 2}: x value 7 not in declared domain", table.n + 2)
+
+
+@pytest.mark.parametrize("columns", [None, CSV_COLUMNS])
+def test_ingest_lines_parses_each_distinct_line_once(columns):
+    forms = (CSV_ROWS if columns else JSON_ROWS)[:3]
+    lines = [forms[i % 3].format(t='') for i in range(3000)]
+    text = '\n'.join(['x,y,z,t', *lines] if columns else lines) + '\n'
+    with mock.patch.object(counts, '_parse_line', wraps=counts._parse_line) as parse_line, \
+            mock.patch.object(counts, 'parse_scalar', wraps=counts.parse_scalar) as scalar:
+        CountTable(*LINE_DOMAINS).ingest_lines(io.StringIO(text), columns)
+    assert (scalar.call_count, parse_line.call_count) == ((9, 0) if columns else (0, 3))
