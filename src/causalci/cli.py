@@ -25,8 +25,8 @@ from .counts import ObservationParseError, ObservationStream, open_lines, parse_
 from .coverage import run_coverage, run_prediction_coverage
 # backdoor_cs_anytime and frontdoor_cs_anytime are unused here, and kept: the
 # benchmark's tracer wraps them
-from .effects import EffectQuery, backdoor_cs_anytime, effect_interval, \
-    frontdoor_cs_anytime
+from .effects import CRITERIA, FRONTDOOR_FORMS, REGIMES, EffectQuery, backdoor_cs_anytime, \
+    effect_interval, frontdoor_cs_anytime
 from .graph import check_backdoor, check_frontdoor, load_dag
 from .prediction import prediction_set
 from .simulator import load_model, make_policy, sample_adaptive, sample_iid
@@ -248,9 +248,8 @@ def cmd_predict(args) -> int:
 
 def cmd_check(args) -> int:
     dag = load_dag(args.dag)
-    xs = args.x.split(',')
-    ys = args.y.split(',')
-    zs = args.z.split(',')
+    xs, ys, zs = (_names(flag, value) for flag, value in
+                  (('--x', args.x), ('--y', args.y), ('--z', args.z)))
     if args.criterion == 'backdoor':
         report = check_backdoor(dag, xs, ys, zs)
     else:
@@ -262,6 +261,14 @@ def cmd_check(args) -> int:
                     "criterion": args.criterion, "satisfied": report.satisfied,
                     "violations": list(report.violations)})
     return OK if report.satisfied else VIOLATION
+
+
+def _names(flag: str, value: str) -> list[str]:
+    """The variable names of a comma-separated flag, each stripped."""
+    names = [name.strip() for name in value.split(',')]
+    if not all(names):
+        raise ValueError(f"{flag} {value!r} has an empty variable name")
+    return names
 
 
 def cmd_coverage(args) -> int:
@@ -305,16 +312,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest='command', required=True)
 
     def add_query_flags(p):
-        p.add_argument('--criterion', choices=['backdoor', 'frontdoor'], default=None)
+        p.add_argument('--criterion', choices=CRITERIA, default=None)
         p.add_argument('--xtilde', help="intervention value", default=None)
         p.add_argument('--y', help="outcome value", default=None)
         p.add_argument('--delta', type=float, default=None)
         p.add_argument('--toy', action='store_true',
                        help="tightened constants for the fully binary case")
         p.add_argument('--frontdoor-form', dest='frontdoor_form',
-                       choices=['expanded', 'horner-z', 'horner-x'], default=None)
+                       choices=FRONTDOOR_FORMS, default=None)
         p.add_argument('--config', help="JSON file with query defaults "
                                         "(flags take precedence)")
+        p.add_argument('--regime', choices=REGIMES, default=None)
 
     p = sub.add_parser('simulate', help="sample an observation stream from a model")
     p.add_argument('--model', required=True)
@@ -331,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--data', default='-', help="JSONL/CSV stream or - for stdin")
     p.add_argument('--columns', help="CSV mapping, e.g. x=treat,y=out,z=z1+z2")
     add_query_flags(p)
-    p.add_argument('--regime', choices=['iid', 'adaptive-fixed', 'anytime'],
-                   default=None)
     p.add_argument('--assume-criterion', action='store_true',
                    help="skip the structural criterion check")
     p.add_argument('--changes-only', action='store_true',
@@ -351,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser('check', help="test an adjustment set against a criterion")
     p.add_argument('--dag', required=True, help="DAG text file")
-    p.add_argument('--criterion', choices=['backdoor', 'frontdoor'],
-                   default='backdoor')
+    p.add_argument('--criterion', choices=CRITERIA, default='backdoor')
     p.add_argument('--x', required=True, help="comma-separated treatment variables")
     p.add_argument('--y', required=True, help="comma-separated outcome variables")
     p.add_argument('--z', required=True, help="comma-separated adjustment variables")
@@ -362,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser('coverage', help="Monte Carlo coverage of a construction")
     p.add_argument('--model', required=True)
     add_query_flags(p)
-    p.add_argument('--regime', choices=['iid', 'adaptive-fixed', 'anytime'],
-                   default=None)
     p.add_argument('--n', type=int, required=True)
     p.add_argument('--replications', '-R', type=int, required=True)
     p.add_argument('--policy', default='iid-from-cpt')

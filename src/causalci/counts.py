@@ -25,16 +25,17 @@ holds O(cells + conditions * log n) entries, however long the stream.
 :meth:`CountTable.ingest_codes` adds cell codes ``_CHUNK_ROWS`` at a time:
 ``numpy.bincount`` gives the counts and each condition's count in the
 chunk, and only the rows of a condition that reaches a power of two in
-the chunk are walked to log its levels.  ``ingest_all`` (observations)
-and ``ingest_lines`` (text lines) hand codes over a chunk at a time.
-Every path builds the table that ``ingest`` builds.
+the chunk are walked to log its levels.  :meth:`CountTable.ingest_lines`
+hands the codes of text lines over a chunk at a time.  Every path builds
+the table that ``ingest`` builds.
 
-The readers parse each distinct line once, keeping what up to
-``_LINE_CACHE`` distinct lines give: :func:`read_jsonl` their rows, which
-may thus be the same :class:`Observation` object, and ``ingest_lines``
-their cell codes, keyed by a line's text or a CSV row's mapped cells.  A
-categorical stream has at most |X|·|Y|·|Z| distinct records, so most
-lines cost one dictionary lookup.
+Every reader goes through one distinct-record loop, ``_distinct``, which
+makes the value of each distinct key once and keeps up to ``_LINE_CACHE``
+of them: :func:`read_jsonl` keys a row by its line's text and
+:func:`read_csv` by a CSV row's mapped cells, so identical records may
+yield the same :class:`Observation` object, and ``ingest_lines`` keeps
+cell codes by either key.  A categorical stream has at most |X|·|Y|·|Z|
+distinct records, so most lines cost one dictionary lookup.
 
 Composite z-values are tuples ordered by the declared Z-component order,
 and iteration over z patterns always follows the lexicographic order of
@@ -49,15 +50,15 @@ import math
 import operator
 import sys
 from bisect import bisect_right
-from itertools import islice, product, starmap
+from itertools import islice, product
 from operator import add, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-# rows per chunk that CountTable applies at once; bounds what ingest_all holds
+# rows per chunk that CountTable applies at once; bounds what ingest_lines holds
 _CHUNK_ROWS = 4096
-# distinct lines whose rows read_jsonl keeps; bounds the memory it holds
+# distinct records whose values a reader keeps; bounds the memory it holds
 _LINE_CACHE = 4096
 # tracked patterns, each named by the axes of (x, y, z) that it fixes
 _PATTERNS = ('xyz', 'xz', 'x', 'z')
@@ -197,44 +198,27 @@ class CountTable:
                 self._levels.setdefault(cond, []).append((self.n, tuple(self._tally(cond))))
                 self.checkpoint_version += 1
 
-    def ingest_all(self, stream: Iterable) -> None:
-        """Add every observation of ``stream``; the table ends up equal to
-        the one that row-by-row :meth:`ingest` builds.  On an invalid row the
-        rows before it are applied and the error :meth:`ingest` raises for
-        the row is raised; so are the rows read before the stream raises."""
-        ny, nz = len(self.y_domain), len(self.z_values)
-        self._ingest_each((x * ny + y) * nz + z for x, y, z in map(self._indices, stream))
-
     def ingest_lines(self, lines: Iterable[str], columns: dict | None = None) -> None:
         """Add the rows of a JSON-lines stream's text lines (with ``columns``,
         a CSV stream's) as :func:`read_jsonl` (:func:`read_csv`) and
-        :meth:`ingest_all` would, but raise a domain error, too, as an
-        :class:`ObservationParseError` naming its line."""
+        :meth:`ingest` would, but raise a domain error, too, as an
+        :class:`ObservationParseError` naming its line.  On an error the rows
+        before it are applied first."""
         keyed, parse = ((_csv_cells(lines, columns), _csv_observation) if columns
                         else (enumerate(lines, start=1), _parse_line))
-        ny, nz, cache = len(self.y_domain), len(self.z_values), {}
+        ny, nz = len(self.y_domain), len(self.z_values)
 
-        def codes():
-            for lineno, key in keyed:
-                code = cache.get(key)
-                if code is None:
-                    obs = parse(lineno, key)
-                    if obs is None:  # a blank line or a header at line 1
-                        continue
-                    try:
-                        x, y, z = self._indices(obs)
-                    except ValueError as exc:
-                        raise ObservationParseError(lineno, str(exc)) from exc
-                    code = (x * ny + y) * nz + z
-                    if len(cache) < _LINE_CACHE:  # the code depends on the key alone
-                        cache[key] = code
-                yield code
-        self._ingest_each(codes())
+        def code(lineno: int, key) -> int | None:
+            obs = parse(lineno, key)
+            if obs is None:
+                return None
+            try:
+                x, y, z = self._indices(obs)
+            except ValueError as exc:
+                raise ObservationParseError(lineno, str(exc)) from exc
+            return (x * ny + y) * nz + z
 
-    def _ingest_each(self, codes: Iterator[int]) -> None:
-        """Add valid cell codes from an iterator ``_CHUNK_ROWS`` at a time,
-        holding one chunk; if it raises, the codes it gave are applied first."""
-        chunk: list[int] = []
+        codes, chunk = _distinct(keyed, code), []
         try:
             chunk.extend(islice(codes, _CHUNK_ROWS))  # keeps what it drew if codes raises
             while len(chunk) == _CHUNK_ROWS:
@@ -456,30 +440,35 @@ class CountTable:
 
 # -- stream readers ---------------------------------------------------------
 
+def _distinct(keyed: Iterable[tuple[int, object]], make) -> Iterator:
+    """``make(lineno, key)`` for each (line number, key) pair, skipping None,
+    a blank line or a header at line 1.  The values of up to ``_LINE_CACHE``
+    distinct keys are kept, those that are hashable (so immutable), and the
+    same object is yielded again for an identical key."""
+    cache: dict = {}
+    for lineno, key in keyed:
+        value = cache.get(key)
+        if value is None:  # not ``not value``: cell code 0 is a value
+            value = make(lineno, key)
+            if value is None:
+                continue
+            # the value depends only on the key, except a header skipped at line 1
+            if len(cache) < _LINE_CACHE and _hashable(value):
+                cache[key] = value
+        yield value
+
+
 def read_jsonl(lines: Iterable[str]) -> Iterator[Observation]:
     """Parse a JSON-lines observation stream.
 
     Each line is an object with fields x, y, z (z an array).  An optional
     leading header object carrying ``format_version`` is accepted and
     skipped.  Raises :class:`ObservationParseError` with the line number on
-    malformed input, including text that is not valid UTF-8.
-
-    Each distinct line is parsed and checked once: the reader keeps the
-    rows of up to ``_LINE_CACHE`` distinct lines whose values are all
-    hashable (so immutable), and yields the same :class:`Observation`
-    object again for an identical line.
+    malformed input, including text that is not valid UTF-8.  Each distinct
+    line is parsed once (``_distinct``), so identical lines of hashable
+    values may yield the same :class:`Observation` object.
     """
-    cache: dict[str, Observation] = {}
-    for lineno, text in enumerate(lines, start=1):
-        obs = cache.get(text)
-        if obs is None:
-            obs = _parse_line(lineno, text)
-            if obs is None:
-                continue
-            # the row depends only on the text, except a header skipped at line 1
-            if len(cache) < _LINE_CACHE and _hashable(obs):
-                cache[text] = obs
-        yield obs
+    return _distinct(enumerate(lines, start=1), _parse_line)
 
 
 def _parse_line(lineno: int, text: str) -> Observation | None:
@@ -535,9 +524,10 @@ def read_csv(lines: Iterable[str], columns: dict) -> Iterator[Observation]:
     ``columns`` maps 'x' and 'y' to column names and 'z' to a list of
     column names (one per z component).  Cell values are parsed as JSON
     scalars where possible, otherwise kept as strings.  Errors name the
-    physical line on which the offending row ends.
+    physical line on which the offending row ends.  Each distinct row of
+    mapped cells is parsed once, as :func:`read_jsonl` parses a line.
     """
-    return starmap(_csv_observation, _csv_cells(lines, columns))
+    return _distinct(_csv_cells(lines, columns), _csv_observation)
 
 
 def _csv_cells(lines: Iterable[str], columns: dict) -> Iterator[tuple[int, tuple]]:

@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import reduce
+from operator import add
 from statistics import median
 
 import numpy as np
@@ -119,7 +121,8 @@ def run_coverage(model: CausalModel, query: EffectQuery, n: int,
         true_value=theta,
         coverage=coverage,
         mc_se=math.sqrt(coverage * (1 - coverage) / replications),
-        mean_halfwidth=sum(finite) / len(finite) if finite else math.inf,
+        # left to right: since Python 3.12 builtin sum rounds otherwise
+        mean_halfwidth=reduce(add, finite) / len(finite) if finite else math.inf,
         median_halfwidth=median(halfwidths) if halfwidths else math.inf,
         unbounded_fraction=1 - len(finite) / replications,
     )

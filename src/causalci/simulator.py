@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import product
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -150,8 +149,11 @@ class CausalModel:
         self.dag.require(*partial)
         verts = self.dag.vertices
         idx = [(verts.index(name), value) for name, value in partial.items()]
-        return sum(p for assignment, p in self._joint()
-                   if all(assignment[i] == val for i, val in idx))
+        total = 0  # left to right: since Python 3.12 builtin sum rounds otherwise
+        for assignment, p in self._joint():
+            if all(assignment[i] == val for i, val in idx):
+                total += p
+        return total
 
     def interventional_probability(self, x_value, y_value) -> float:
         """P(outcome = y) in the mutilated model where the treatment vertex
@@ -280,11 +282,9 @@ class CptPolicy(Policy):
     sees_mechanism = True
 
     def choose(self, history, visible):
-        model = self.model
-        cpt = model.cpts[model.roles.x]
-        row = cpt.rows[tuple(visible[p] for p in cpt.parents)]
-        dom = model.dag.domains[model.roles.x]
-        return dom[_draw_index(row, self.rng)]
+        model, x = self.model, self.model.roles.x
+        index = {p: [model.dag.domains[p].index(visible[p])] for p in model.cpts[x].parents}
+        return model.dag.domains[x][_draw(model, x, index, self.rng.random(1))[0]]
 
     def _steps(self, block):
         # one block of uniforms holds the numbers of k scalar draws
@@ -466,7 +466,9 @@ def make_policy(spec: str, model: CausalModel) -> Policy:
     Accepted: ``constant:<value>``, ``iid-from-cpt``,
     ``epsilon-greedy:<epsilon>``, ``adversarial-alternating``.
     """
-    name, _, arg = spec.partition(':')
+    name, colon, arg = spec.partition(':')
+    if colon and name in ('iid-from-cpt', 'adversarial-alternating'):
+        raise ValueError(f"policy {spec!r} takes no argument")
     if name == 'constant':
         dom = model.dag.domains[model.roles.x]
         value = parse_scalar(arg)
@@ -524,15 +526,11 @@ def _require_length(n: int) -> None:
         raise ValueError(f"stream length n must be >= 0, got {n}")
 
 
-def _draw_index(row: Sequence[float], rng: np.random.Generator) -> int:
-    cum = list(accumulate(row))
-    return bisect_right(cum, rng.random() * cum[-1])
-
-
 def _draw(model: CausalModel, v: str, index: dict, u: np.ndarray) -> np.ndarray:
     """Vertex v's domain index at every step at once, given its parents'
-    indices: ``bisect_right(cum, u * cum[-1])`` on each step's cumulative
-    CPT row, as :func:`_draw_index` does for one step."""
+    indices and one uniform per step: the inverse CDF of each step's CPT
+    row, the number of its cumulative entries at or below ``u * cum[-1]``
+    (``bisect_right`` on the row).  A single draw is a one-element array."""
     sizes, cum = model._mechanisms[v]
     parents = [index[p] for p in model.cpts[v].parents]
     cum = cum[np.ravel_multi_index(parents, sizes) if parents else 0]
@@ -632,12 +630,8 @@ def draw_intervened_outcome(model: CausalModel, x_value, seed):
     dag, roles = model.dag, model.roles
     if x_value not in dag.domains[roles.x]:
         raise ValueError(f"{x_value!r} not in the treatment domain")
-    assignment = {}
+    index = {}
     for v in dag.topological_order():
-        if v == roles.x:
-            assignment[v] = x_value
-        else:
-            cpt = model.cpts[v]
-            row = cpt.rows[tuple(assignment[p] for p in cpt.parents)]
-            assignment[v] = dag.domains[v][_draw_index(row, rng)]
-    return assignment[roles.y]
+        index[v] = ([dag.domains[v].index(x_value)] if v == roles.x
+                    else _draw(model, v, index, rng.random(1)))
+    return dag.domains[roles.y][index[roles.y][0]]

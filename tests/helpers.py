@@ -2,6 +2,7 @@
 oracles (naive recounts + high-precision formula evaluation) used to audit
 the production code paths."""
 
+import csv
 import json
 import math
 from bisect import bisect_right
@@ -102,6 +103,15 @@ def eight_obs_stream():
     return [Observation(x, y, (z,)) for z, x, y in rows]
 
 
+def code_rows(table, rows):
+    """The cell codes of observations for ``table.ingest_codes``, each coded
+    by the domain check ``CountTable.ingest`` makes, which raises on an
+    invalid row."""
+    ny, nz = len(table.y_domain), len(table.z_values)
+    return np.array([(x * ny + y) * nz + z for x, y, z in map(table._indices, rows)],
+                    dtype=np.intp)
+
+
 def binary_table(stream=()):
     table = CountTable((0, 1), (0, 1), ((0, 1),))
     for obs in stream:
@@ -125,7 +135,7 @@ def random_table(rng, min_n=5, max_n=1200):
     draws = rng.choice(len(cells), size=n, p=probs)
     obs = [Observation(*cells[i]) for i in draws]
     table = CountTable(x_dom, y_dom, z_doms)
-    table.ingest_all(obs)
+    table.ingest_codes(code_rows(table, obs))
     return table, obs
 
 
@@ -142,7 +152,7 @@ def grid_table(cx, cz, n, treated):
         x, z = others[i % len(others)]
         obs.append(Observation(x, 0, (z,)))
     table = CountTable(tuple(range(cx)), (0, 1), (tuple(range(cz)),))
-    table.ingest_all(obs)
+    table.ingest_codes(code_rows(table, obs))
     return table
 
 
@@ -219,6 +229,18 @@ def reference_read_jsonl(lines):
             raise ObservationParseError(lineno, f"missing field {exc.args[0]!r}") from exc
         if not isinstance(z, list):
             raise ObservationParseError(lineno, "field 'z' must be an array")
+        yield Observation(x, y, tuple(z))
+
+
+def reference_read_csv(lines, columns):
+    """``read_csv`` of well-formed rows without its cache: every row is parsed."""
+    def value(cell):
+        try:
+            return json.loads(cell)
+        except json.JSONDecodeError:
+            return cell
+    for row in csv.DictReader(lines):
+        x, y, *z = (value(row[c]) for c in [columns['x'], columns['y'], *columns['z']])
         yield Observation(x, y, tuple(z))
 
 

@@ -173,9 +173,9 @@ def _audit_table(table, obs, xt, yv):
 def test_criterion_05():
     rng = np.random.default_rng(1008)
     base = fig1_model().count_table()
-    from helpers import eight_obs_stream
+    from helpers import code_rows, eight_obs_stream
     for obs in (eight_obs_stream(),):  # pinned edge stream first
-        base.ingest_all(obs)
+        base.ingest_codes(code_rows(base, obs))
         _audit_table(base, obs, 1, 1)
     for _ in range(199):
         table, obs = random_table(rng, min_n=5, max_n=900)

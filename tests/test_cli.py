@@ -507,6 +507,25 @@ def test_check_frontdoor_takes_one_x_and_one_y(tmp_path, capsys, xs, ys):
     assert not out.exists()
 
 
+def test_check_strips_variable_names(tmp_path):
+    out = tmp_path / "report.jsonl"
+    assert main(["check", "--dag", FIG1_DAG, "--x", " X", "--y", "Y ",
+                 "--z", " Z", "--output", str(out)]) == 0
+    (report,) = read_records(out)
+    assert report["satisfied"] is True
+
+
+@pytest.mark.parametrize("flag, value", [("--z", "Z,"), ("--x", " "), ("--y", "Y,,W")])
+def test_check_refuses_an_empty_variable_name(tmp_path, capsys, flag, value):
+    names = {"--x": "X", "--y": "Y", "--z": "Z", flag: value}
+    out = tmp_path / "report.jsonl"
+    assert main(["check", "--dag", FIG1_DAG, *[a for item in names.items() for a in item],
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {flag} {value!r} has an empty variable name\n"
+    assert not out.exists()
+
+
 def test_predict_sparse_full_set(tmp_path):
     stream = tmp_path / "obs.jsonl"
     rows = [{"x": 1, "y": 1, "z": [0]}] * 4 + [{"x": 1, "y": 1, "z": [1]}]
@@ -579,6 +598,18 @@ def test_coverage_malformed_policy_spec_exit_2(tmp_path, capsys, prediction):
                  "--n", "16", "-R", "2", "--output", str(out)]) == 2
     assert capsys.readouterr().err == ("error: policy 'epsilon-greedy:abc': "
                                        "epsilon must be a number in [0, 1]\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "coverage"])
+@pytest.mark.parametrize("spec", ["iid-from-cpt:junk", "adversarial-alternating:foo"])
+def test_policy_without_an_argument_refuses_one_exit_2(tmp_path, capsys, command, spec):
+    out = tmp_path / "out.jsonl"
+    args = (["--regime", "adaptive"] if command == "simulate" else
+            ["--regime", "adaptive-fixed", "--xtilde", "1", "--y", "1", "-R", "2"])
+    assert main([command, "--model", FIG1, *args, "--policy", spec, "--n", "16",
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: policy {spec!r} takes no argument\n"
     assert not out.exists()
 
 

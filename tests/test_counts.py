@@ -14,9 +14,9 @@ from causalci.counts import (CountTable, Observation, ObservationParseError,
                              ObservationStream, dyadic_floor, read_csv, read_jsonl)
 from causalci.effects import EffectQuery, effect_interval
 from causalci.simulator import sample_iid
-from helpers import binary_table, dyadic_rows, eight_obs_stream, naive_count, \
-    naive_dyadic_estimate, naive_dyadic_floor, random_table, reference_read_jsonl, \
-    three_valued_model
+from helpers import binary_table, code_rows, dyadic_rows, eight_obs_stream, naive_count, \
+    naive_dyadic_estimate, naive_dyadic_floor, random_table, reference_read_csv, \
+    reference_read_jsonl, three_valued_model
 
 
 def test_dyadic_floor_examples():
@@ -81,6 +81,10 @@ def test_out_of_domain_rejected():
         table.ingest(Observation(2, 0, (0,)))
     with pytest.raises(ValueError):
         table.ingest(Observation(0, 0, (0, 1)))  # wrong arity
+    for row in ((1, 0), 5):  # not an (x, y, z) row
+        with pytest.raises((ValueError, TypeError)):
+            table.ingest(row)
+    assert table == binary_table()
 
 
 @pytest.mark.parametrize('obs, message', [
@@ -89,11 +93,13 @@ def test_out_of_domain_rejected():
     ((1, 0, [[0]]), "z[0] value [0] not in declared domain"),
 ])
 def test_unhashable_value_is_a_domain_error(obs, message):
-    for add in (CountTable.ingest, lambda table, row: table.ingest_all([row])):
-        table = binary_table()
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            add(table, obs)
-        assert table == binary_table()
+    table = binary_table()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        table.ingest(obs)
+    x, y, z = obs
+    with pytest.raises(ObservationParseError, match=f"^line 1: {re.escape(message)}$"):
+        table.ingest_lines([json.dumps({'x': x, 'y': y, 'z': list(z)})])
+    assert table == binary_table()
 
 
 def _estimate(leaf):
@@ -246,7 +252,7 @@ def test_table_state_is_logarithmic_in_the_stream():
     # pattern (x, z), x and the whole stream one entry plus its levels
     model = three_valued_model()
     table = model.count_table()
-    table.ingest_all(sample_iid(model, 20_000, 5))
+    table.ingest_codes(code_rows(table, sample_iid(model, 20_000, 5)))
     nx, ny, nz = len(table.x_domain), len(table.y_domain), len(table.z_values)
     cells = nx * ny * nz + nx * nz + nx + nz
     conditions = nx * nz + nx + 1
@@ -347,10 +353,20 @@ def test_read_jsonl_equals_the_reader_without_a_cache(cap, lines):
 
 
 @pytest.mark.parametrize("cap", [0, 2, counts._LINE_CACHE])
-def test_read_jsonl_caches_at_most_its_cap(cap):
-    lines = [json.dumps({"x": 1, "y": 0, "z": [i]}) for i in range(cap + 5)]
-    with mock.patch.object(counts, '_LINE_CACHE', cap):
-        rows = list(read_jsonl(lines + lines))
+@pytest.mark.parametrize("csv_stream", [False, True], ids=["jsonl", "csv"])
+def test_readers_cache_at_most_their_cap(cap, csv_stream):
+    if csv_stream:
+        lines = [f'1,0,{i}\n' for i in range(cap + 5)]
+        columns = {'x': 'x', 'y': 'y', 'z': ['z']}
+        text = ['x,y,z\n', *lines, *lines]
+        with mock.patch.object(counts, '_LINE_CACHE', cap):
+            rows = list(read_csv(text, columns))
+        assert rows == list(reference_read_csv(text, columns))
+    else:
+        lines = [json.dumps({"x": 1, "y": 0, "z": [i]}) for i in range(cap + 5)]
+        with mock.patch.object(counts, '_LINE_CACHE', cap):
+            rows = list(read_jsonl(lines + lines))
+        assert rows == list(reference_read_jsonl(lines + lines))
     first, again = rows[:len(lines)], rows[len(lines):]
     assert first == again
     # a repeated line yields its cached row: only the first cap lines are kept
@@ -442,41 +458,17 @@ WIDE = (_X3Z256, [Observation(*_WIDE_CELLS[c]) for c in
 @example(NO_CROSSING)
 @example(SEVERAL_POWERS)
 @example(WIDE)
-def test_ingest_all_equals_row_by_row_ingest(case):
+def test_ingest_codes_in_chunks_equals_row_by_row_ingest(case):
     domains, rows, prefix, chunk = case
     batch, stream = _twin_tables(domains, rows, prefix)
     with mock.patch.object(counts, '_CHUNK_ROWS', chunk):
-        batch.ingest_all(iter(rows[prefix:]))
+        batch.ingest_codes(code_rows(batch, rows[prefix:]))
     for obs in rows[prefix:]:
         stream.ingest(obs)
     assert batch == stream
     assert batch.checkpoints() == stream.checkpoints()
     assert batch.checkpoint_version == stream.checkpoint_version
     assert batch.n == len(rows)
-
-
-BAD_ROWS = [Observation(7, 'y0', (0,)), Observation(1, 'nope', (0,)),
-            Observation(1, 'y0', (9,)), Observation(1, 'y0', (0, 0, 0)),
-            Observation([1], 'y0', (0,)), (1, 'y0'), 5]
-
-
-@settings(max_examples=40, deadline=None)
-@given(batch_cases(), st.sampled_from(BAD_ROWS), st.data())
-def test_ingest_all_bad_row_matches_row_by_row(case, bad, data):
-    domains, rows, prefix, chunk = case
-    k = data.draw(st.integers(prefix, len(rows)))
-    rows = rows[:k] + [bad] + rows[k:]
-    batch, stream = _twin_tables(domains, rows, prefix)
-    with mock.patch.object(counts, '_CHUNK_ROWS', chunk):
-        with pytest.raises(Exception) as batch_error:
-            batch.ingest_all(iter(rows[prefix:]))
-    with pytest.raises(Exception) as stream_error:
-        for obs in rows[prefix:]:
-            stream.ingest(obs)
-    assert type(batch_error.value) is type(stream_error.value)
-    assert str(batch_error.value) == str(stream_error.value)
-    assert batch == stream
-    assert batch.n == k
 
 
 # -- cell codes -------------------------------------------------------------------
@@ -519,7 +511,7 @@ def _alike_values(values, k):
 @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 9000])  # around the chunk size
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
-def test_ingest_codes_equals_ingest_all_and_row_by_row_ingest(n, data):
+def test_ingest_codes_equals_row_by_row_ingest(n, data):
     # rows carry values equal to the domain's but not identical (1.0 and
     # True for 1, z as a list or a scalar), which must name the same cells
     domains, codes, split = data.draw(code_cases(n))
@@ -527,14 +519,13 @@ def test_ingest_codes_equals_ingest_all_and_row_by_row_ingest(n, data):
     cells = list(product(x_dom, y_dom, product(*z_doms)))
     rows = [Observation(_alike(x, i), y, _alike_z(z, i))
             for i, (x, y, z) in enumerate(cells[c] for c in codes.tolist())]
-    coded, batch, stream = (CountTable(*domains) for _ in range(3))
+    coded, stream = CountTable(*domains), CountTable(*domains)
     x, y, *z = np.unravel_index(codes, (len(x_dom), len(y_dom), *map(len, z_doms)))
     coded.ingest_codes(coded.cell_codes(x, y, z)[:split])
     coded.ingest_codes(coded.cell_codes(x, y, z)[split:])
-    batch.ingest_all(rows)
     for obs in rows:
         stream.ingest(obs)
-    assert coded == batch == stream
+    assert coded == stream
     assert coded.checkpoints() == stream.checkpoints()
     for k, (event, given) in enumerate(_tracked_leaves(stream)):
         pattern = {**given, **event}
@@ -617,7 +608,7 @@ def test_checkpoint_log_positions_are_the_checkpoint_rows(case):
     for chunk in (1, 3, 4096):
         batch = CountTable(*domains)
         with mock.patch.object(counts, '_CHUNK_ROWS', chunk):
-            batch.ingest_all(iter(rows))
+            batch.ingest_codes(code_rows(batch, rows))
         assert batch.checkpoints() == moved
 
 
@@ -630,7 +621,7 @@ def test_prefix_intervals_from_the_log_equal_replayed_tables(case, chunk):
     domains, rows = case
     full = CountTable(*domains)
     with mock.patch.object(counts, '_CHUNK_ROWS', chunk):
-        full.ingest_all(rows)
+        full.ingest_codes(code_rows(full, rows))
     x_dom, y_dom, z_doms = domains
     binary = (len(x_dom), len(y_dom), *map(len, z_doms)) == (2, 2, 2)
     queries = [EffectQuery(criterion, x, y_dom[-1], 0.1, 'anytime', binary_toy=toy)
@@ -689,7 +680,7 @@ def test_leaf_equals_the_naive_recount_at_every_prefix(case):
     for chunk in (1, 3, 4096):
         tables.append(CountTable(*domains))
         with mock.patch.object(counts, '_CHUNK_ROWS', chunk):
-            tables[-1].ingest_all(rows)
+            tables[-1].ingest_codes(code_rows(tables[-1], rows))
     leaves = _tracked_leaves(tables[0])
     for event, given in leaves:
         whole = (naive_count(rows, **given), naive_count(rows, **given, **event))
@@ -729,16 +720,6 @@ def test_leaf_equals_the_naive_recount_at_every_prefix(case):
             for first, last, pairs in runs:
                 for m in {first, last}:
                     assert pairs == tuple(table.leaf(event, given, m) for event, given in read)
-
-
-def test_ingest_all_applies_rows_read_before_a_stream_error():
-    def rows():
-        yield from eight_obs_stream()
-        raise ObservationParseError(9, "invalid JSON")
-    table = binary_table()
-    with pytest.raises(ObservationParseError):
-        table.ingest_all(rows())
-    assert table == binary_table(eight_obs_stream())
 
 
 def test_read_csv_line_numbers_count_blank_and_multiline_rows():
@@ -815,11 +796,13 @@ def line_texts(draw):
 
 def _lines_through_rows(text, columns):
     """The table and error of the row path: read_jsonl or read_csv, then
-    ingest_all, with a domain error named by the line of the row last read."""
+    ingest row by row, with a domain error named by the line of the row last
+    read."""
     table = CountTable(*LINE_DOMAINS)
     stream = ObservationStream(io.StringIO(text), columns)
     try:
-        table.ingest_all(stream)
+        for obs in stream:
+            table.ingest(obs)
     except ObservationParseError as exc:
         return table, (str(exc), exc.lineno)
     except ValueError as exc:
@@ -838,10 +821,12 @@ def _lines_to_codes(text, columns):
 
 @pytest.mark.parametrize("cap", [0, 2, counts._LINE_CACHE])
 @settings(max_examples=150, deadline=None)
-@given(line_texts())
-def test_ingest_lines_equals_the_row_path(cap, case):
+@given(line_texts(), st.sampled_from([1, 3, counts._CHUNK_ROWS]))
+def test_ingest_lines_equals_the_row_path(cap, case, chunk):
+    # the rows before a refused line are applied, whichever chunk it is in
     text, columns = case
-    with mock.patch.object(counts, '_LINE_CACHE', cap):
+    with mock.patch.object(counts, '_LINE_CACHE', cap), \
+            mock.patch.object(counts, '_CHUNK_ROWS', chunk):
         got = _lines_to_codes(text, columns)
     assert got == _lines_through_rows(text, columns)
 

@@ -11,7 +11,7 @@ from causalci.coverage import run_coverage, run_prediction_coverage
 from causalci.effects import EffectQuery, confidence_sequence, true_effect
 from causalci.simulator import AlternatingAdversaryPolicy, ConstantPolicy, \
     sample_adaptive
-from helpers import dyadic_rows, fig1_model, frontdoor_model, read_conditions
+from helpers import code_rows, dyadic_rows, fig1_model, frontdoor_model, read_conditions
 
 
 def test_single_replication_coverage_is_binary():
@@ -213,7 +213,7 @@ def test_anytime_replication_checks_every_checkpoint(monkeypatch, criterion):
     policy, n, seed = AlternatingAdversaryPolicy(), 1000, 5
     rows = sample_adaptive(model, policy, n, np.random.Generator(np.random.PCG64(seed)))
     full = model.count_table()
-    full.ingest_all(rows)
+    full.ingest_codes(code_rows(full, rows))
     read = dyadic_rows(rows, read_conditions(criterion, 1, full.x_domain, full.z_values))
     checked = []
 

@@ -17,7 +17,7 @@ from causalci.graph import Dag
 from causalci.prediction import prediction_set
 from causalci.simulator import (AlternatingAdversaryPolicy, CausalModel, Cpt, Roles,
                                 sample_adaptive, sample_iid)
-from helpers import (binary_table, dyadic_rows, eight_obs_stream, fig1_model,
+from helpers import (binary_table, code_rows, dyadic_rows, eight_obs_stream, fig1_model,
                      frontdoor_model, grid_table, interval_via_expression,
                      random_table, read_conditions, three_valued_model)
 
@@ -181,7 +181,7 @@ def test_confidence_sequence_holds_every_element(model, criterion, n, adaptive, 
     table = model.count_table()
     rows = (sample_adaptive(model, AlternatingAdversaryPolicy(), n, seed)
             if adaptive else sample_iid(model, n, seed))
-    table.ingest_all(rows)
+    table.ingest_codes(code_rows(table, rows))
     segments = list(confidence_sequence(table, query))
     assert segments[0][0] == min(n, 1) and segments[-1][1] == n
     assert [first for first, _, _ in segments[1:]] == [last + 1 for _, last, _ in segments[:-1]]
@@ -199,14 +199,14 @@ def test_confidence_sequence_is_the_table_as_of_the_call(criterion):
     model = fig1_model() if criterion == 'backdoor' else frontdoor_model()
     rows = list(sample_iid(model, 600, 12))
     table = model.count_table()
-    table.ingest_all(rows[:300])
+    table.ingest_codes(code_rows(table, rows[:300]))
     query = q(criterion, regime='anytime')
     sequence = confidence_sequence(table, query)
-    table.ingest_all(rows[300:])
+    table.ingest_codes(code_rows(table, rows[300:]))
     segments = list(sequence)
     assert segments[-1][1] == 300
     old = model.count_table()
-    old.ingest_all(rows[:300])
+    old.ingest_codes(code_rows(old, rows[:300]))
     assert [(a, b, repr(itv)) for a, b, itv in segments] == \
         [(a, b, repr(itv)) for a, b, itv in confidence_sequence(old, query)]
 
