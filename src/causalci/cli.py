@@ -246,6 +246,14 @@ def cmd_predict(args) -> int:
     return OK
 
 
+def _names(flag: str, value: str) -> list[str]:
+    """The variable names of a comma-separated flag, each stripped."""
+    names = [name.strip() for name in value.split(',')]
+    if not all(names):
+        raise ValueError(f"{flag} {value!r} has an empty variable name")
+    return names
+
+
 def cmd_check(args) -> int:
     dag = load_dag(args.dag)
     xs, ys, zs = (_names(flag, value) for flag, value in
@@ -261,14 +269,6 @@ def cmd_check(args) -> int:
                     "criterion": args.criterion, "satisfied": report.satisfied,
                     "violations": list(report.violations)})
     return OK if report.satisfied else VIOLATION
-
-
-def _names(flag: str, value: str) -> list[str]:
-    """The variable names of a comma-separated flag, each stripped."""
-    names = [name.strip() for name in value.split(',')]
-    if not all(names):
-        raise ValueError(f"{flag} {value!r} has an empty variable name")
-    return names
 
 
 def cmd_coverage(args) -> int:
