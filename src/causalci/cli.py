@@ -10,6 +10,11 @@ errors in a data stream name its line), 3 criterion or statistical
 precondition violation.  All outputs are JSON / JSON-lines with a
 ``format_version`` field; identical configuration and seed give
 byte-identical output.
+
+``analyze --regime anytime`` reads ``--data`` a chunk of rows at a time and,
+after each chunk, writes one record per row from the segments of the
+confidence sequence (``--changes-only``: one record wherever the interval
+differs from the last record written).
 """
 
 from __future__ import annotations
@@ -20,13 +25,14 @@ import math
 import os
 import sys
 from contextlib import nullcontext
+from functools import cache
 
-from .counts import ObservationParseError, ObservationStream, open_lines, parse_scalar
+from .counts import open_lines, parse_scalar
 from .coverage import run_coverage, run_prediction_coverage
 # backdoor_cs_anytime and frontdoor_cs_anytime are unused here, and kept: the
 # benchmark's tracer wraps them
 from .effects import CRITERIA, FRONTDOOR_FORMS, REGIMES, EffectQuery, backdoor_cs_anytime, \
-    effect_interval, frontdoor_cs_anytime
+    confidence_sequence, effect_interval, frontdoor_cs_anytime
 from .graph import check_backdoor, check_frontdoor, load_dag
 from .prediction import prediction_set
 from .simulator import load_model, make_policy, sample_adaptive, sample_iid
@@ -38,6 +44,8 @@ _MISSING_QUERY_VALUE = ("the intervention value (--xtilde) and outcome value "
                         "(--y) are required")
 # an interval record's line up to the value of n, its first variable field
 _INTERVAL_HEAD = f'{{"format_version": {FORMAT_VERSION}, "kind": "effect_interval", "n": '
+# --seed defaults to None, read as the variable when the command runs
+_SEED_HELP = "random seed (default: $CAUSALCI_SEED, else 0)"
 
 
 def _default_seed() -> int:
@@ -189,27 +197,22 @@ def cmd_analyze(args) -> int:
             _emit(out, _interval_record(effect_interval(table, query), query))
         return OK
     columns = _parse_columns(args.columns)
-    with ObservationStream(open_lines(args.data, columns), columns) as stream, \
-            _open_output(args.output) as out:
-        version, tail = -1, ''
-        try:
-            for obs in stream:
-                table.ingest(obs)
-                # every anytime estimate and radius reads dyadic tallies and
-                # dyadic floors of counts, which move only at a checkpoint:
-                # between checkpoints only n changes, so the line is
-                # serialized once and n spliced into it
-                if table.checkpoint_version != version:
-                    version = table.checkpoint_version
-                    line = json.dumps(_interval_record(effect_interval(table, query), query))
-                    tail = line[len(_INTERVAL_HEAD) + len(str(table.n)):] + '\n'
-                elif args.changes_only:
-                    continue
-                out.write(_INTERVAL_HEAD + str(table.n) + tail)
-        except ObservationParseError:
-            raise
-        except ValueError as exc:  # a value outside its domain, in the row last read
-            raise ObservationParseError(stream.line, str(exc)) from exc
+    with open_lines(args.data, columns) as lines, _open_output(args.output) as out:
+        done, last = 0, None  # the rows written; the last record's bytes after n
+        for n in table.ingest_chunks(lines, columns):
+            # each segment's elements differ only in n: its record is
+            # serialized once and n spliced into it
+            for first, end, itv in confidence_sequence(table, query, done + 1):
+                line = json.dumps(_interval_record(itv, query))
+                tail = line[len(_INTERVAL_HEAD) + len(str(first)):] + '\n'
+                if not args.changes_only:  # the lines head + m + tail for m in the segment
+                    out.write(_INTERVAL_HEAD + (tail + _INTERVAL_HEAD).join(
+                        map(str, range(first, end + 1))) + tail)
+                elif tail != last:
+                    out.write(line + '\n')
+                last = tail
+            out.flush()  # the chunk's records reach the reader before the next chunk is read
+            done = n
         if table.n == 0:
             print("warning: empty input stream", file=sys.stderr)
             _emit(out, _interval_record(effect_interval(table, query), query))
@@ -304,6 +307,7 @@ def cmd_coverage(args) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
+@cache  # once per process: no default reads the environment
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog='causalci',
@@ -327,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser('simulate', help="sample an observation stream from a model")
     p.add_argument('--model', required=True)
     p.add_argument('--n', type=int, required=True)
-    p.add_argument('--seed', type=int, default=_default_seed())
+    p.add_argument('--seed', type=int, default=None, help=_SEED_HELP)
     p.add_argument('--regime', choices=['iid', 'adaptive'], default='iid')
     p.add_argument('--policy', default='iid-from-cpt')
     p.add_argument('--output', '-o')
@@ -342,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--assume-criterion', action='store_true',
                    help="skip the structural criterion check")
     p.add_argument('--changes-only', action='store_true',
-                   help="anytime regime: emit only when a dyadic checkpoint advanced")
+                   help="anytime regime: emit a record only where the interval "
+                        "differs from the last record emitted")
     p.add_argument('--output', '-o')
     p.set_defaults(func=cmd_analyze)
 
@@ -370,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--n', type=int, required=True)
     p.add_argument('--replications', '-R', type=int, required=True)
     p.add_argument('--policy', default='iid-from-cpt')
-    p.add_argument('--seed', type=int, default=_default_seed())
+    p.add_argument('--seed', type=int, default=None, help=_SEED_HELP)
     p.add_argument('--workers', type=int, default=1)
     p.add_argument('--prediction', action='store_true',
                    help="validate the prediction set instead of an interval")
@@ -381,9 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if getattr(args, 'seed', 0) is None:
+            args.seed = _default_seed()
         return args.func(args)
     except (ValueError, OSError) as exc:  # parse errors are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)

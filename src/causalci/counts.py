@@ -25,9 +25,10 @@ holds O(cells + conditions * log n) entries, however long the stream.
 :meth:`CountTable.ingest_codes` adds cell codes ``_CHUNK_ROWS`` at a time:
 ``numpy.bincount`` gives the counts and each condition's count in the
 chunk, and only the rows of a condition that reaches a power of two in
-the chunk are walked to log its levels.  :meth:`CountTable.ingest_lines`
-hands the codes of text lines over a chunk at a time.  Every path builds
-the table that ``ingest`` builds.
+the chunk are walked to log its levels.  :meth:`CountTable.ingest_chunks`
+hands the codes of text lines over a chunk at a time and yields after
+each, and :meth:`CountTable.ingest_lines` runs it to the end.  Every path
+builds the table that ``ingest`` builds.
 
 Every reader goes through one distinct-record loop, ``_distinct``, which
 makes the value of each distinct key once and keeps up to ``_LINE_CACHE``
@@ -204,6 +205,15 @@ class CountTable:
         :meth:`ingest` would, but raise a domain error, too, as an
         :class:`ObservationParseError` naming its line.  On an error the rows
         before it are applied first."""
+        for _ in self.ingest_chunks(lines, columns):
+            pass
+
+    def ingest_chunks(self, lines: Iterable[str], columns: dict | None = None
+                      ) -> Iterator[int]:
+        """:meth:`ingest_lines` a chunk of ``_CHUNK_ROWS`` rows at a time,
+        yielding ``n`` after each chunk it applies, so a caller can act on
+        every chunk before the next one is read.  On an error the rows before
+        it are applied and yielded first."""
         keyed, parse = ((_csv_cells(lines, columns), _csv_observation) if columns
                         else (enumerate(lines, start=1), _parse_line))
         ny, nz = len(self.y_domain), len(self.z_values)
@@ -218,15 +228,20 @@ class CountTable:
                 raise ObservationParseError(lineno, str(exc)) from exc
             return (x * ny + y) * nz + z
 
-        codes, chunk = _distinct(keyed, code), []
-        try:
-            chunk.extend(islice(codes, _CHUNK_ROWS))  # keeps what it drew if codes raises
-            while len(chunk) == _CHUNK_ROWS:
+        codes = _distinct(keyed, code)
+        while True:
+            chunk, error = [], None
+            try:
+                chunk.extend(islice(codes, _CHUNK_ROWS))  # keeps what it drew if codes raises
+            except Exception as exc:
+                error = exc
+            if chunk:
                 self.ingest_codes(np.array(chunk, dtype=np.intp))
-                chunk = []
-                chunk.extend(islice(codes, _CHUNK_ROWS))
-        finally:
-            self.ingest_codes(np.array(chunk, dtype=np.intp))
+                yield self.n
+            if error is not None:
+                raise error
+            if len(chunk) < _CHUNK_ROWS:
+                return
 
     def ingest_codes(self, codes) -> None:
         """Add rows given as cell codes ``(x * |Y| + y) * |Z| + z``, where x
@@ -371,19 +386,20 @@ class CountTable:
         tally = self._tally(cond)
         return (sum(tally) if cond[0] else self.n), tally[i]
 
-    def leaf_runs(self, leaves: Sequence[tuple[dict, dict]]
+    def leaf_runs(self, leaves: Sequence[tuple[dict, dict]], start: int | None = None
                   ) -> Iterator[tuple[int, int, tuple[tuple[int, int], ...]]]:
         """``(first_n, last_n, pairs)`` per run of prefixes over which no log
-        the leaves read gains a level: the runs start at ``min(1, n)`` and at
-        every position of those logs, and the last ends at ``n``.  ``pairs``
-        holds ``leaf(event, given, m)`` of the leaves at every m in the run,
-        so consecutive runs differ.  The runs are the table's as of this
-        call; each log is walked once."""
+        the leaves read gains a level: the runs start at ``start`` (by default
+        ``min(1, n)``) and at every later position of those logs, and the
+        last ends at ``n``.  ``pairs`` holds ``leaf(event, given, m)`` of the
+        leaves at every m in the run, so consecutive runs differ.  The runs
+        are the table's as of this call; each log is walked once."""
+        start = min(1, self.n) if start is None else _prefix_length(start, self.n)
         located = [self._locate(event, given) for event, given in leaves]
         slot = {cond: s for s, cond in enumerate(dict.fromkeys(c for c, _ in located))}
         logs = [self._levels.get(cond, ()) for cond in slot]
         cells = [(slot[cond], i) for cond, i in located]
-        starts = sorted({min(1, self.n), *(p for log in logs for p, _ in log)})
+        starts = sorted({start, *(p for log in logs for p, _ in log if p > start)})
         bounds = list(zip(starts, [p - 1 for p in starts[1:]] + [self.n]))
 
         def runs():
@@ -564,35 +580,6 @@ def parse_scalar(token: str):
         return json.loads(token)
     except json.JSONDecodeError:
         return token
-
-
-class ObservationStream:
-    """Observations parsed from text lines, remembering where they are.
-
-    Iterating yields :class:`Observation` rows.  ``line`` is the 1-based
-    number of the last line read, which is the last line of the row most
-    recently yielded, so an error found while handling that row can name
-    its line.  Leaving a ``with`` block closes the lines' file.
-    """
-
-    def __init__(self, lines: Iterable[str], columns: dict | None = None):
-        self.line = 0
-        self._lines = lines
-        numbered = self._numbered()
-        self._rows = read_csv(numbered, columns) if columns else read_jsonl(numbered)
-
-    def _numbered(self) -> Iterator[str]:
-        for self.line, text in enumerate(self._lines, start=1):
-            yield text
-
-    def __iter__(self) -> Iterator[Observation]:
-        return self._rows
-
-    def __enter__(self) -> "ObservationStream":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._lines.close()
 
 
 def open_lines(path: str, columns: dict | None = None):

@@ -317,10 +317,11 @@ def effect_interval(table: CountTable, query: EffectQuery,
     return _interval(query, *_bind(table, query, n))
 
 
-def confidence_sequence(table: CountTable,
-                        query: EffectQuery) -> Iterator[tuple[int, int, EffectInterval]]:
+def confidence_sequence(table: CountTable, query: EffectQuery,
+                        start: int | None = None) -> Iterator[tuple[int, int, EffectInterval]]:
     """The anytime confidence sequence of the table's stream as it is at
-    this call, as segments ``(first_n, last_n, interval)``, one per run of
+    this call, from the prefix ``start`` (by default ``min(1, n)``) on, as
+    segments ``(first_n, last_n, interval)``, one per run of
     :meth:`CountTable.leaf_runs` over the query's leaves: a run of prefixes
     over which none of the query's reads moves.  Each interval is
     ``effect_interval(table, query, first_n)``, and so, but for ``n``, every
@@ -329,7 +330,7 @@ def confidence_sequence(table: CountTable,
         raise ValueError("a confidence sequence is the anytime regime's, "
                          f"not the {query.regime} regime's")
     families = _families(table, query)
-    runs = table.leaf_runs([cell for fam in families for cell in fam.cells])
+    runs = table.leaf_runs([cell for fam in families for cell in fam.cells], start)
     radius = lru_cache(maxsize=None)(lil_term)  # dyadic counts repeat
     return ((first, last, _interval(query, families, first, _bind_pairs(families, pairs, radius)))
             for first, last, pairs in runs)

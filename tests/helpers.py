@@ -10,13 +10,14 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, permutations, product
 from operator import add
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import mpmath as mp
 import numpy as np
 
 from causalci.bounds import hoeffding_term, lil_term
-from causalci.counts import CountTable, Observation, ObservationParseError
+from causalci.counts import CountTable, Observation, ObservationParseError, read_csv, \
+    read_jsonl
 from causalci.effects import EffectInterval, EffectQuery, _bind
 from causalci.graph import Dag, format_path
 from causalci.simulator import CausalModel, Cpt, Policy, Roles, as_generator
@@ -242,6 +243,39 @@ def reference_read_csv(lines, columns):
     for row in csv.DictReader(lines):
         x, y, *z = (value(row[c]) for c in [columns['x'], columns['y'], *columns['z']])
         yield Observation(x, y, tuple(z))
+
+
+# -- the row path (oracle side) ----------------------------------------------
+# the reference every bulk path of CountTable is checked against: read_jsonl or
+# read_csv, then CountTable.ingest row by row
+
+class ObservationStream:
+    """Observations parsed from text lines, remembering where they are.
+
+    Iterating yields :class:`Observation` rows.  ``line`` is the 1-based
+    number of the last line read, which is the last line of the row most
+    recently yielded, so an error found while handling that row can name
+    its line.  Leaving a ``with`` block closes the lines' file.
+    """
+
+    def __init__(self, lines: Iterable[str], columns: dict | None = None):
+        self.line = 0
+        self._lines = lines
+        numbered = self._numbered()
+        self._rows = read_csv(numbered, columns) if columns else read_jsonl(numbered)
+
+    def _numbered(self) -> Iterator[str]:
+        for self.line, text in enumerate(self._lines, start=1):
+            yield text
+
+    def __iter__(self) -> Iterator[Observation]:
+        return self._rows
+
+    def __enter__(self) -> "ObservationStream":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._lines.close()
 
 
 # -- naive recounts (oracle side) -------------------------------------------

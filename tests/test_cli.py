@@ -1,13 +1,15 @@
 import hashlib
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 
+from causalci import cli, counts
 from causalci.cli import _interval_record, main
 from causalci.counts import read_jsonl
-from causalci.effects import EffectQuery, effect_interval
+from causalci.effects import EffectQuery, confidence_sequence, effect_interval
 from causalci.graph import Dag
 from causalci.simulator import CausalModel, Cpt, Roles
 from helpers import binary_table, eight_obs_stream, three_valued_model
@@ -345,8 +347,10 @@ def test_query_the_model_cannot_answer_exit_2_before_any_row(tmp_path, capsys, c
 def _anytime_records(tmp_path, criterion, rows, seed):
     """Run anytime analyze with and without --changes-only on a simulated
     stream of a three-valued treatment and outcome with a two-component Z;
-    check both outputs against the interval computed afresh after each row,
-    and return the rows at which a checkpoint was reached."""
+    check the first output against the interval computed afresh after each
+    row and the second against those of its records whose bytes, but for n,
+    differ from the record before; return the rows at which the confidence
+    sequence's segments start."""
     model = three_valued_model()
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(model.to_json()))
@@ -355,15 +359,15 @@ def _anytime_records(tmp_path, criterion, rows, seed):
                  "--seed", str(seed), "--output", str(stream)]) == 0
     query = EffectQuery(criterion, 1, "hi", 0.1, regime="anytime")
     table = model.count_table()
-    every, changes, checkpoints, version = [], [], [], -1
+    every, changes, previous = [], [], None
     for obs in read_jsonl(stream.read_text().splitlines()):
         table.ingest(obs)
-        line = json.dumps(_interval_record(effect_interval(table, query), query)) + "\n"
-        every.append(line)
-        if table.checkpoint_version != version:
-            version = table.checkpoint_version
-            changes.append(line)
-            checkpoints.append(table.n)
+        record = _interval_record(effect_interval(table, query), query)
+        every.append(json.dumps(record) + "\n")
+        rest = json.dumps({**record, "n": 0})  # the record's bytes but n
+        if rest != previous:
+            previous = rest
+            changes.append(every[-1])
     assert len(every) == rows
     base = ["analyze", "--model", str(model_path), "--data", str(stream),
             "--criterion", criterion, "--xtilde", "1", "--y", "hi", "--delta", "0.1",
@@ -373,20 +377,20 @@ def _anytime_records(tmp_path, criterion, rows, seed):
     assert main(base + ["--changes-only", "--output", str(sparse)]) == 0
     assert full.read_text().splitlines(keepends=True) == every
     assert sparse.read_text().splitlines(keepends=True) == changes
-    return checkpoints
+    return [first for first, _, _ in confidence_sequence(table, query)]
 
 
 @pytest.mark.parametrize("criterion", ["backdoor", "frontdoor"])
 def test_anytime_records_equal_per_row_intervals(tmp_path, criterion):
-    """Records are serialized only at checkpoints, with n spliced into the
-    line in between; each one must still equal the interval computed afresh
-    after its row."""
-    checkpoints = _anytime_records(tmp_path, criterion, 700, 8)
-    assert 30 < len(checkpoints) < 700
-    # n gains a digit between two checkpoints: rows 10, 100, 1000 and 10000
-    # repeat a line serialized at a shorter n
-    checkpoints = _anytime_records(tmp_path, criterion, 10_001, 27)
-    assert not {10, 100, 1000, 10_000} & set(checkpoints)
+    """Records are serialized once per segment of the confidence sequence,
+    with n spliced into the line for each row; each one must still equal the
+    interval computed afresh after its row."""
+    starts = _anytime_records(tmp_path, criterion, 700, 8)
+    assert 20 < len(starts) < 700
+    # n gains a digit inside a segment: rows 10, 100, 1000 and 10000 repeat a
+    # line serialized at a shorter n, and 10,001 rows span three chunks
+    starts = _anytime_records(tmp_path, criterion, 10_001, 27)
+    assert not {10, 100, 1000, 10_000} & set(starts)
 
 
 def test_anytime_bad_row_keeps_the_records_before_it(tmp_path, capsys):
@@ -401,6 +405,45 @@ def test_anytime_bad_row_keeps_the_records_before_it(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "error: line 5: x value 7 not in declared domain\n"
     assert [record["n"] for record in read_records(out)] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("changes_only", [[], ["--changes-only"]])
+def test_anytime_bad_row_after_the_first_chunk_keeps_every_record_before_it(
+        tmp_path, capsys, monkeypatch, changes_only):
+    monkeypatch.setattr(counts, "_CHUNK_ROWS", 4)
+    rows = ['{"x": %d, "y": %d, "z": [%d]}\n' % (i % 2, i // 2 % 2, i // 4 % 2)
+            for i in range(10)]
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    good.write_text("".join(rows))
+    bad.write_text("".join(rows) + '{"x": 7, "y": 1, "z": [0]}\n' + rows[0])
+    want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+    base = ["analyze", "--model", FIG1, "--xtilde", "1", "--y", "1", "--regime", "anytime",
+            *changes_only]
+    assert main(base + ["--data", str(good), "--output", str(want)]) == 0
+    assert main(base + ["--data", str(bad), "--output", str(got)]) == 2
+    assert capsys.readouterr().err == "error: line 11: x value 7 not in declared domain\n"
+    assert got.read_bytes() == want.read_bytes()
+    if not changes_only:
+        assert [record["n"] for record in read_records(got)] == list(range(1, 11))
+
+
+def test_anytime_writes_each_chunk_before_reading_the_next(tmp_path, monkeypatch):
+    """A chunk's records are in --output before the next chunk's lines are
+    read, so the records of an unbounded stream keep flowing."""
+    monkeypatch.setattr(counts, "_CHUNK_ROWS", 4)
+    out = tmp_path / "out.jsonl"
+    written = []  # records in --output as each row's line is read
+
+    def lines():
+        for i in range(10):
+            written.append(len(out.read_text().splitlines()))
+            yield '{"x": 1, "y": %d, "z": [0]}\n' % (i % 2)
+
+    monkeypatch.setattr(cli, "open_lines", lambda path, columns: nullcontext(lines()))
+    assert main(["analyze", "--model", FIG1, "--data", "rows.jsonl", "--xtilde", "1",
+                 "--y", "1", "--regime", "anytime", "--output", str(out)]) == 0
+    assert written == [0, 0, 0, 0, 4, 4, 4, 4, 8, 8]
+    assert [record["n"] for record in read_records(out)] == list(range(1, 11))
 
 
 def test_analyze_anytime_changes_only(tmp_path):
@@ -675,6 +718,19 @@ def test_env_var_default_seed(tmp_path, monkeypatch):
     assert from_env.read_bytes() == explicit.read_bytes()
 
 
+def test_env_var_seed_is_read_when_the_command_runs(tmp_path, monkeypatch):
+    # the parser is built once per process; the variable is read by each run
+    for seed in ("5", "6"):
+        monkeypatch.setenv("CAUSALCI_SEED", seed)
+        from_env, explicit = tmp_path / f"env{seed}.jsonl", tmp_path / f"seed{seed}.jsonl"
+        assert main(["simulate", "--model", FIG1, "--n", "32",
+                     "--output", str(from_env)]) == 0
+        assert main(["simulate", "--model", FIG1, "--n", "32", "--seed", seed,
+                     "--output", str(explicit)]) == 0
+        assert read_records(from_env)[0]["seed"] == int(seed)
+        assert from_env.read_bytes() == explicit.read_bytes()
+
+
 def test_prediction_record_echoes_constants(tmp_path):
     stream = write_eight_obs(tmp_path / "obs.jsonl")
     out = tmp_path / "gamma.jsonl"
@@ -755,7 +811,7 @@ GOLDEN_SHA256 = {
     "backdoor-anytime-variants":
         "f8cdd99677264973760ffbe39a834469bf1e9197f496d4e3ea67c835decb7044",  # 5000 records
     "backdoor-anytime-changes-only":
-        "aa70a0c29a47e9bb94a09416cc695a0a95ee108802a53478f469b2eff7f69c00",  # 69 records
+        "df828cd7d72e53a0db0d6066d45a0238f23e6886178a2a1f52617ff70a84e06b",  # 29 records
     "backdoor-anytime-toy":
         "68bcdc629160d01c23327577dec91616cb0162d33a3b3b34ac52f7eb4490b94c",  # 5000 records
     "backdoor-iid":

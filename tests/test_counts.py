@@ -1,6 +1,7 @@
 import io
 import json
 import re
+from contextlib import nullcontext
 from itertools import product
 from unittest import mock
 
@@ -10,12 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causalci import counts
-from causalci.counts import (CountTable, Observation, ObservationParseError,
-                             ObservationStream, dyadic_floor, read_csv, read_jsonl)
+from causalci.counts import (CountTable, Observation, ObservationParseError, dyadic_floor,
+                             read_csv, read_jsonl)
 from causalci.effects import EffectQuery, effect_interval
 from causalci.simulator import sample_iid
-from helpers import binary_table, code_rows, dyadic_rows, eight_obs_stream, naive_count, \
-    naive_dyadic_estimate, naive_dyadic_floor, random_table, reference_read_csv, \
+from helpers import ObservationStream, binary_table, code_rows, dyadic_rows, eight_obs_stream, \
+    naive_count, naive_dyadic_estimate, naive_dyadic_floor, random_table, reference_read_csv, \
     reference_read_jsonl, three_valued_model
 
 
@@ -839,6 +840,24 @@ def test_ingest_lines_codes_more_lines_than_it_keeps():
     assert (table, error) == _lines_through_rows(text, None)
     assert table.n == 2 * len(rows) + 1
     assert error == (f"line {table.n + 2}: x value 7 not in declared domain", table.n + 2)
+
+
+@pytest.mark.parametrize("rows, bad, yields", [(0, False, []), (8, False, [4, 8]),
+                                               (10, False, [4, 8, 10]), (3, True, [3]),
+                                               (10, True, [4, 8, 10]), (0, True, [])])
+def test_ingest_chunks_yields_each_chunk_and_the_rows_before_an_error(rows, bad, yields):
+    lines = [JSON_ROWS[i % 3].format(t='') for i in range(rows)]
+    if bad:
+        lines += ['{"x": 7, "y": 0, "z": [1]}', JSON_ROWS[0].format(t='')]
+    table, seen = CountTable(*LINE_DOMAINS), []
+    with mock.patch.object(counts, '_CHUNK_ROWS', 4):
+        chunks = table.ingest_chunks(io.StringIO('\n'.join(lines)))
+        with pytest.raises(ObservationParseError, match=f"^line {rows + 1}: x value 7 ") \
+                if bad else nullcontext():
+            for n in chunks:
+                seen.append(n)
+                assert table.n == n
+    assert seen == yields
 
 
 @pytest.mark.parametrize("columns", [None, CSV_COLUMNS])

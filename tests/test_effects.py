@@ -168,9 +168,9 @@ SEQUENCE_MODELS = {"fig1": fig1_model, "frontdoor": frontdoor_model,
        st.sampled_from([0, 1, 2, 5, 64, 300]), st.booleans(), st.data())
 def test_confidence_sequence_holds_every_element(model, criterion, n, adaptive, data):
     """Each segment's interval is the element at every prefix of its range,
-    but for n; the segments tile the prefixes from min(1, n) to the whole
-    stream, and a new one starts exactly where the count of a condition the
-    query reads reaches a power of two."""
+    but for n; the segments tile the prefixes from the start (min(1, n) by
+    default) to the whole stream, and a new one starts exactly where the
+    count of a condition the query reads reaches a power of two."""
     model = SEQUENCE_MODELS[model]()
     x = data.draw(st.sampled_from(model.dag.domains[model.roles.x]))
     y = data.draw(st.sampled_from(model.dag.domains[model.roles.y]))
@@ -182,14 +182,19 @@ def test_confidence_sequence_holds_every_element(model, criterion, n, adaptive, 
     rows = (sample_adaptive(model, AlternatingAdversaryPolicy(), n, seed)
             if adaptive else sample_iid(model, n, seed))
     table.ingest_codes(code_rows(table, rows))
-    segments = list(confidence_sequence(table, query))
-    assert segments[0][0] == min(n, 1) and segments[-1][1] == n
-    assert [first for first, _, _ in segments[1:]] == [last + 1 for _, last, _ in segments[:-1]]
     read = dyadic_rows(rows, read_conditions(criterion, x, table.x_domain, table.z_values))
-    assert [first for first, _, _ in segments] == sorted(read | {min(n, 1)})
-    for first, last, itv in segments:
-        for p in range(first, last + 1):
-            assert repr(replace(itv, n=p)) == repr(effect_interval(table, query, p))
+    # from min(1, n) by default, or from any prefix in [0, n]
+    for start in (None, data.draw(st.integers(0, n))):
+        segments = list(confidence_sequence(table, query, start))
+        begin = min(n, 1) if start is None else start
+        assert segments[0][0] == begin and segments[-1][1] == n
+        assert [first for first, _, _ in segments[1:]] == \
+            [last + 1 for _, last, _ in segments[:-1]]
+        assert [first for first, _, _ in segments] == sorted({p for p in read if p > begin}
+                                                             | {begin})
+        for first, last, itv in segments:
+            for p in range(first, last + 1):
+                assert repr(replace(itv, n=p)) == repr(effect_interval(table, query, p))
 
 
 @pytest.mark.parametrize('criterion', CRITERIA)
@@ -218,6 +223,8 @@ def test_confidence_sequence_refuses_a_query_when_called():
         confidence_sequence(table, q())
     with pytest.raises(ValueError, match=r"^query x value 7 not in declared domain \[0, 1\]$"):
         confidence_sequence(table, q(x=7, regime='anytime'))
+    with pytest.raises(ValueError, match=r"^prefix length 9 is not in \[0, 8\]$"):
+        confidence_sequence(table, q(regime='anytime'), 9)
 
 
 def test_regime_ordering_on_random_tables():
