@@ -48,8 +48,23 @@ _INTERVAL_HEAD = f'{{"format_version": {FORMAT_VERSION}, "kind": "effect_interva
 _SEED_HELP = "random seed (default: $CAUSALCI_SEED, else 0)"
 
 
+# --policy defaults to None, read as this policy in the adaptive regimes
+_DEFAULT_POLICY = 'iid-from-cpt'
+_POLICY_HELP = f"treatment policy of the adaptive regimes (default: {_DEFAULT_POLICY})"
+
+
 def _default_seed() -> int:
     return int(os.environ.get('CAUSALCI_SEED', '0'))
+
+
+def _policy(spec: str | None, model, regime: str):
+    """The treatment policy of a regime's stream: --policy, by default
+    iid-from-cpt, or None for an IID stream, which has no policy to give."""
+    if regime != 'iid':
+        return make_policy(_DEFAULT_POLICY if spec is None else spec, model)
+    if spec is not None:
+        raise ValueError("--policy applies only to the adaptive regimes")
+    return None
 
 
 def _open_output(path: str | None):
@@ -111,10 +126,10 @@ def cmd_simulate(args) -> int:
     if not model.positive:
         print("warning: model has zero probabilities; adjustment formulas "
               "may be undefined", file=sys.stderr)
-    if args.regime == 'iid':
+    policy = _policy(args.policy, model, args.regime)
+    if policy is None:
         stream = sample_iid(model, args.n, args.seed)
     else:
-        policy = make_policy(args.policy, model)
         stream = sample_adaptive(model, policy, args.n, args.seed)
     with _open_output(args.output) as out:
         _emit(out, {"format_version": FORMAT_VERSION, "kind": "observations",
@@ -279,7 +294,7 @@ def cmd_coverage(args) -> int:
     if args.prediction:
         if args.xtilde is None:
             raise ValueError(_MISSING_QUERY_VALUE)
-        policy = make_policy(args.policy, model)
+        policy = _policy(args.policy, model, 'adaptive')  # its streams are adaptive
         delta = 0.05 if args.delta is None else args.delta  # as in predict
         report = run_prediction_coverage(model, parse_scalar(args.xtilde),
                                          delta, args.n, args.replications,
@@ -290,13 +305,11 @@ def cmd_coverage(args) -> int:
             _emit(out, report)
         return OK
     query = _build_query(args)
+    policy = _policy(args.policy, model, query.regime)
     if not _criterion_holds(model, query):
         # the truth coverage is measured against is the criterion's formula
         print("refusing to run coverage", file=sys.stderr)
         return VIOLATION
-    policy = None
-    if query.regime != 'iid':
-        policy = make_policy(args.policy, model)
     report = run_coverage(model, query, args.n, args.replications,
                           seed=args.seed, policy=policy, workers=args.workers)
     print(report.summary(), file=sys.stderr)
@@ -333,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--n', type=int, required=True)
     p.add_argument('--seed', type=int, default=None, help=_SEED_HELP)
     p.add_argument('--regime', choices=['iid', 'adaptive'], default='iid')
-    p.add_argument('--policy', default='iid-from-cpt')
+    p.add_argument('--policy', default=None, help=_POLICY_HELP)
     p.add_argument('--output', '-o')
     p.set_defaults(func=cmd_simulate)
 
@@ -374,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_query_flags(p)
     p.add_argument('--n', type=int, required=True)
     p.add_argument('--replications', '-R', type=int, required=True)
-    p.add_argument('--policy', default='iid-from-cpt')
+    p.add_argument('--policy', default=None, help=_POLICY_HELP)
     p.add_argument('--seed', type=int, default=None, help=_SEED_HELP)
     p.add_argument('--workers', type=int, default=1)
     p.add_argument('--prediction', action='store_true',

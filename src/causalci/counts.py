@@ -23,20 +23,25 @@ holds O(cells + conditions * log n) entries, however long the stream.
 
 :meth:`CountTable.ingest` adds one observation and is the reference path.
 :meth:`CountTable.ingest_codes` adds cell codes ``_CHUNK_ROWS`` at a time:
-``numpy.bincount`` gives the counts and each condition's count in the
-chunk, and only the rows of a condition that reaches a power of two in
-the chunk are walked to log its levels.  :meth:`CountTable.ingest_chunks`
-hands the codes of text lines over a chunk at a time and yields after
-each, and :meth:`CountTable.ingest_lines` runs it to the end.  Every path
-builds the table that ``ingest`` builds.
+one ``numpy.bincount`` gives a chunk's (x, y, z) histogram, from which
+each condition's count before the chunk and within it are summed, and
+only for a pattern where some condition reaches a power of two in the
+chunk are the rows decoded and that condition's rows walked to log its
+levels.  :meth:`CountTable.ingest_chunks` hands the codes of text lines
+over a chunk at a time and yields after each, and
+:meth:`CountTable.ingest_lines` runs it to the end.  Every path builds the
+table that ``ingest`` builds.
 
-Every reader goes through one distinct-record loop, ``_distinct``, which
-makes the value of each distinct key once and keeps up to ``_LINE_CACHE``
-of them: :func:`read_jsonl` keys a row by its line's text and
-:func:`read_csv` by a CSV row's mapped cells, so identical records may
+Every reader goes through one distinct-record function, ``_distinct``,
+which makes the value of each distinct key once and keeps up to
+``_LINE_CACHE`` of them: :func:`read_jsonl` keys a row by its line's text
+and :func:`read_csv` by a CSV row's mapped cells, so identical records may
 yield the same :class:`Observation` object, and ``ingest_lines`` keeps
-cell codes by either key.  A categorical stream has at most |X|·|Y|·|Z|
-distinct records, so most lines cost one dictionary lookup.
+cell codes, as the bytes of an ``intp``, by either key.  It works a chunk
+of lines at a time: one ``map`` over the cache looks the chunk up, and
+only a chunk with a miss is walked, from miss to miss.  A categorical
+stream has at most |X|·|Y|·|Z| distinct records, so most chunks have no
+miss.
 
 Composite z-values are tuples ordered by the declared Z-component order,
 and iteration over z patterns always follows the lexicographic order of
@@ -51,7 +56,7 @@ import math
 import operator
 import sys
 from bisect import bisect_right
-from itertools import islice, product
+from itertools import chain, islice, product
 from operator import add, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -214,11 +219,10 @@ class CountTable:
         yielding ``n`` after each chunk it applies, so a caller can act on
         every chunk before the next one is read.  On an error the rows before
         it are applied and yielded first."""
-        keyed, parse = ((_csv_cells(lines, columns), _csv_observation) if columns
-                        else (enumerate(lines, start=1), _parse_line))
+        parse = _csv_observation if columns else _parse_line
         ny, nz = len(self.y_domain), len(self.z_values)
 
-        def code(lineno: int, key) -> int | None:
+        def code(lineno: int, key) -> bytes | None:
             obs = parse(lineno, key)
             if obs is None:
                 return None
@@ -226,22 +230,13 @@ class CountTable:
                 x, y, z = self._indices(obs)
             except ValueError as exc:
                 raise ObservationParseError(lineno, str(exc)) from exc
-            return (x * ny + y) * nz + z
+            # as bytes: never falsy, and a chunk's codes join into one array
+            return np.intp((x * ny + y) * nz + z).tobytes()
 
-        codes = _distinct(keyed, code)
-        while True:
-            chunk, error = [], None
-            try:
-                chunk.extend(islice(codes, _CHUNK_ROWS))  # keeps what it drew if codes raises
-            except Exception as exc:
-                error = exc
-            if chunk:
-                self.ingest_codes(np.array(chunk, dtype=np.intp))
-                yield self.n
-            if error is not None:
-                raise error
-            if len(chunk) < _CHUNK_ROWS:
-                return
+        keys = _csv_cells(lines, columns) if columns else lines
+        for chunk in _distinct(keys, code, numbered=bool(columns)):
+            self._add_cells(np.frombuffer(b''.join(chunk), np.intp))
+            yield self.n
 
     def ingest_codes(self, codes) -> None:
         """Add rows given as cell codes ``(x * |Y| + y) * |Z| + z``, where x
@@ -280,30 +275,37 @@ class CountTable:
         if not m:
             return
         nx, ny, nz = map(len, self._index.values())
-        x, y, z = np.unravel_index(cells, (nx, ny, nz))
+        # the (x, y, z) counts before the chunk and within it
+        held = np.array(self._counts).reshape(nx, ny, nz)
+        found = np.bincount(cells, minlength=held.size).reshape(nx, ny, nz)
 
         # checkpoints first: they read the counts as they stood before the chunk
-        held = np.array(self._counts).reshape(nx, ny, nz)
-        for tag, cond, before, outcomes in (
-                ('xz', x * nz + z, held.sum(axis=1).ravel(), ((y, ny),)),
-                ('x', x, held.sum(axis=(1, 2)), ((z, nz),)),
-                ('', np.zeros_like(x), np.array([self.n]), ((z, nz), (x, nx)))):
-            self._crossings(tag, cond, before, outcomes)
+        rows = None  # each row's (x, y, z), decoded for the first condition that gains a bit
+        for tag, before, added in (
+                ('xz', held.sum(axis=1).ravel(), found.sum(axis=1).ravel()),
+                ('x', held.sum(axis=(1, 2)), found.sum(axis=(1, 2))),
+                ('', np.array([self.n]), np.array([m]))):
+            crossing = np.flatnonzero((before ^ (before + added)) > before).tolist()
+            if not crossing:
+                continue
+            if rows is None:
+                xy, z = np.divmod(cells.astype(np.intp), nz)
+                x, y = np.divmod(xy, ny)
+                rows = {'xz': (x * nz + z, ((y, ny),)), 'x': (x, ((z, nz),)),
+                        '': (np.zeros_like(x), ((z, nz), (x, nx)))}
+            self._crossings(tag, *rows[tag], before, added, crossing)
 
-        self._counts = (held.ravel() + np.bincount(cells, minlength=held.size)).tolist()
+        self._counts = (held + found).ravel().tolist()
         self.n += m
 
-    def _crossings(self, tag: str, cond: np.ndarray, before: np.ndarray,
-                   outcomes: tuple) -> None:
+    def _crossings(self, tag: str, cond: np.ndarray, outcomes: tuple, before: np.ndarray,
+                   found: np.ndarray, crossing: list[int]) -> None:
         """Log a level at each row of a chunk where the count of a condition of
         pattern ``tag`` reaches a power of two, as :meth:`ingest` does for one
-        row: ``cond`` holds the rows' condition codes, ``before`` each
-        condition's count before the chunk, ``outcomes`` the tally's parts as
-        (rows' codes, size).  Only a condition whose count gains a bit is walked."""
-        found = np.bincount(cond, minlength=len(before))
-        crossing = np.flatnonzero((before ^ (before + found)) > before).tolist()
-        if not crossing:
-            return
+        row: ``cond`` holds the rows' condition codes, ``outcomes`` the tally's
+        parts as (rows' codes, size), ``before`` and ``found`` each condition's
+        count before the chunk and within it, and ``crossing`` the conditions
+        whose count gains a bit, the only ones walked."""
         # the rows by condition, in stream order; 16-bit codes sort in linear time
         order = np.argsort(cond.astype(np.uint16) if len(before) <= 1 << 16 else cond,
                            kind='stable')
@@ -456,22 +458,74 @@ class CountTable:
 
 # -- stream readers ---------------------------------------------------------
 
-def _distinct(keyed: Iterable[tuple[int, object]], make) -> Iterator:
-    """``make(lineno, key)`` for each (line number, key) pair, skipping None,
-    a blank line or a header at line 1.  The values of up to ``_LINE_CACHE``
-    distinct keys are kept, those that are hashable (so immutable), and the
-    same object is yielded again for an identical key."""
-    cache: dict = {}
-    for lineno, key in keyed:
-        value = cache.get(key)
-        if value is None:  # not ``not value``: cell code 0 is a value
-            value = make(lineno, key)
-            if value is None:
-                continue
+def _distinct(keys: Iterable, make, numbered: bool = False) -> Iterator[list]:
+    """``make(lineno, key)`` for each key, skipping None (a blank line or a
+    header at line 1), in lists of ``_CHUNK_ROWS`` values but the last.  A
+    key's line number is its place in ``keys``, or with ``numbered`` the
+    keys come as (line number, key) pairs.  A list is yielded as soon as it
+    is full, so no line past its last row has been pulled.  The values of up
+    to ``_LINE_CACHE`` distinct keys are kept, those that are hashable (so
+    immutable), and the same object is given again for an identical key.
+    An error, from ``keys`` or ``make``, is raised after a list of the
+    values before it.  A value is never falsy, so a chunk without a miss
+    is told by ``all``."""
+    keys, cache, pulled = iter(keys), {}, 0
+    while True:
+        chunk, error, ended = [], None, False
+        while not (ended or error) and len(chunk) < _CHUNK_ROWS:
+            want, batch = _CHUNK_ROWS - len(chunk), []
+            try:
+                batch.extend(islice(keys, want))  # keeps what it drew if keys raises
+            except Exception as exc:
+                error = exc
+            ended = len(batch) < want
+            linenos = range(pulled + 1, pulled + 1 + len(batch))
+            if numbered and batch:
+                linenos, batch = zip(*batch)
+            pulled += len(batch)
+            values, failed = _made(cache, make, batch, linenos)
+            chunk += values
+            error = failed or error  # a refused line comes before the keys' error
+        if chunk:
+            yield chunk
+        if error is not None:
+            raise error
+        if ended:
+            return
+
+
+def _made(cache: dict, make, keys: Sequence, linenos: Sequence[int]
+          ) -> tuple[list, Exception | None]:
+    """The values of a batch of keys for :func:`_distinct`, and the error
+    of ``make`` that ends them, if any: the batch is looked up in the cache
+    at once, and only its misses are walked, in line order."""
+    # an empty cache, as for a stream's first batch, has nothing to look up
+    values = list(map(cache.get, keys)) if cache else [None] * len(keys)
+    if all(values):  # no miss, the common case once the cache is warm
+        return values, None
+    i = stale = 0
+    while True:
+        try:
+            i = values.index(None, i)
+        except ValueError:
+            break
+        value = cache.get(keys[i])
+        if value is not None:  # made at an earlier miss of the batch
+            stale += 1
+            if stale * 8 >= len(keys) - i:  # such misses are an eighth of the rest
+                values[i:] = map(cache.get, keys[i:])
+                stale = 0
+        else:
+            try:
+                value = make(linenos[i], keys[i])
+            except Exception as exc:
+                return list(filter(None, values[:i])), exc
             # the value depends only on the key, except a header skipped at line 1
-            if len(cache) < _LINE_CACHE and _hashable(value):
-                cache[key] = value
-        yield value
+            if value is not None and len(cache) < _LINE_CACHE and _hashable(value):
+                cache[keys[i]] = value
+        values[i] = value
+        i += 1
+    return list(filter(None, values)), None  # no skipped line
 
 
 def read_jsonl(lines: Iterable[str]) -> Iterator[Observation]:
@@ -484,7 +538,7 @@ def read_jsonl(lines: Iterable[str]) -> Iterator[Observation]:
     line is parsed once (``_distinct``), so identical lines of hashable
     values may yield the same :class:`Observation` object.
     """
-    return _distinct(enumerate(lines, start=1), _parse_line)
+    return chain.from_iterable(_distinct(lines, _parse_line))
 
 
 def _parse_line(lineno: int, text: str) -> Observation | None:
@@ -543,7 +597,8 @@ def read_csv(lines: Iterable[str], columns: dict) -> Iterator[Observation]:
     physical line on which the offending row ends.  Each distinct row of
     mapped cells is parsed once, as :func:`read_jsonl` parses a line.
     """
-    return _distinct(_csv_cells(lines, columns), _csv_observation)
+    return chain.from_iterable(_distinct(_csv_cells(lines, columns), _csv_observation,
+                                         numbered=True))
 
 
 def _csv_cells(lines: Iterable[str], columns: dict) -> Iterator[tuple[int, tuple]]:

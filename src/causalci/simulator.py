@@ -115,10 +115,11 @@ class CausalModel:
                 raise ValueError(f"CPT for {v} has rows for unknown configurations")
             self.cpts[v] = Cpt(tuple(cpt.parents), rows)
         self.positive = positive
-        # per vertex: its parents' domain sizes and its cumulative CPT rows,
-        # one per parent configuration in the canonical (row-major) order
+        # per vertex: its parents' domain sizes and the columns of its
+        # cumulative CPT rows, each column holding one entry per parent
+        # configuration in the canonical (row-major) order
         self._mechanisms = {v: (tuple(len(dag.domains[p]) for p in cpt.parents),
-                                np.cumsum(list(cpt.rows.values()), axis=1))
+                                tuple(np.cumsum(list(cpt.rows.values()), axis=1).T.copy()))
                             for v, cpt in self.cpts.items()}
         self._joint_cache: list[tuple[tuple, float]] | None = None
 
@@ -530,11 +531,17 @@ def _draw(model: CausalModel, v: str, index: dict, u: np.ndarray) -> np.ndarray:
     """Vertex v's domain index at every step at once, given its parents'
     indices and one uniform per step: the inverse CDF of each step's CPT
     row, the number of its cumulative entries at or below ``u * cum[-1]``
-    (``bisect_right`` on the row).  A single draw is a one-element array."""
-    sizes, cum = model._mechanisms[v]
+    (``bisect_right`` on the row).  The entries are compared a column at a
+    time, each column gathered at the steps' parent configurations.  A
+    single draw is a one-element array."""
+    sizes, columns = model._mechanisms[v]
     parents = [index[p] for p in model.cpts[v].parents]
-    cum = cum[np.ravel_multi_index(parents, sizes) if parents else 0]
-    return (cum <= (u * cum[..., -1])[..., None]).sum(axis=-1)
+    config = np.ravel_multi_index(parents, sizes) if parents else 0
+    threshold = u * columns[-1][config]
+    drawn = np.zeros(len(u), dtype=np.intp)
+    for column in columns:
+        drawn += column[config] <= threshold
+    return drawn
 
 
 def _asking(model: CausalModel, policy: Policy, pre: list[str], table: CountTable):

@@ -16,8 +16,8 @@ import mpmath as mp
 import numpy as np
 
 from causalci.bounds import hoeffding_term, lil_term
-from causalci.counts import CountTable, Observation, ObservationParseError, read_csv, \
-    read_jsonl
+from causalci.counts import CountTable, Observation, ObservationParseError, _csv_cells, \
+    _csv_observation, _parse_line
 from causalci.effects import EffectInterval, EffectQuery, _bind
 from causalci.graph import Dag, format_path
 from causalci.simulator import CausalModel, Cpt, Policy, Roles, as_generator
@@ -246,11 +246,13 @@ def reference_read_csv(lines, columns):
 
 
 # -- the row path (oracle side) ----------------------------------------------
-# the reference every bulk path of CountTable is checked against: read_jsonl or
-# read_csv, then CountTable.ingest row by row
+# the reference every bulk path of CountTable is checked against: each line
+# parsed as read_jsonl or read_csv parses it, with no cache and no chunks, then
+# CountTable.ingest row by row
 
 class ObservationStream:
-    """Observations parsed from text lines, remembering where they are.
+    """Observations parsed from text lines one row at a time, remembering
+    where they are.
 
     Iterating yields :class:`Observation` rows.  ``line`` is the 1-based
     number of the last line read, which is the last line of the row most
@@ -261,12 +263,17 @@ class ObservationStream:
     def __init__(self, lines: Iterable[str], columns: dict | None = None):
         self.line = 0
         self._lines = lines
-        numbered = self._numbered()
-        self._rows = read_csv(numbered, columns) if columns else read_jsonl(numbered)
+        self._rows = self._csv_rows(columns) if columns else self._jsonl_rows()
 
-    def _numbered(self) -> Iterator[str]:
+    def _jsonl_rows(self) -> Iterator[Observation]:
         for self.line, text in enumerate(self._lines, start=1):
-            yield text
+            obs = _parse_line(self.line, text)
+            if obs is not None:
+                yield obs
+
+    def _csv_rows(self, columns: dict) -> Iterator[Observation]:
+        for self.line, cells in _csv_cells(self._lines, columns):
+            yield _csv_observation(self.line, cells)
 
     def __iter__(self) -> Iterator[Observation]:
         return self._rows

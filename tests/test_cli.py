@@ -656,6 +656,29 @@ def test_policy_without_an_argument_refuses_one_exit_2(tmp_path, capsys, command
     assert not out.exists()
 
 
+def test_simulate_refuses_a_policy_in_the_iid_regime_exit_2(tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    assert main(["simulate", "--model", FIG1, "--n", "10", "--regime", "iid",
+                 "--policy", "adversarial-alternating", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --policy applies only to the adaptive regimes\n"
+    assert not out.exists()
+    # without --policy the adaptive regime replays the model's own mechanism
+    adaptive = [tmp_path / f"{name}.jsonl" for name in ("default", "cpt")]
+    for path, policy in zip(adaptive, ([], ["--policy", "iid-from-cpt"])):
+        assert main(["simulate", "--model", FIG1, "--n", "50", "--regime", "adaptive",
+                     "--seed", "4", *policy, "--output", str(path)]) == 0
+    assert adaptive[0].read_bytes() == adaptive[1].read_bytes()
+
+
+def test_coverage_refuses_a_policy_in_the_iid_regime_exit_2(tmp_path, capsys):
+    out = tmp_path / "report.jsonl"
+    assert main(["coverage", "--model", FIG1, "--n", "10", "-R", "2", "--xtilde", "1",
+                 "--y", "1", "--policy", "adversarial-alternating",
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --policy applies only to the adaptive regimes\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_coverage_fewer_than_one_worker_exit_2(tmp_path, capsys, workers):
     out = tmp_path / "out.jsonl"

@@ -550,6 +550,23 @@ def test_ingest_codes_refuses_what_is_not_a_cell(codes, message):
     assert table == binary_table(eight_obs_stream())  # nothing applied
 
 
+@pytest.mark.parametrize("dtype, bits", [(np.uint8, 9), (np.int16, 15)])
+def test_ingest_codes_of_a_narrow_dtype_build_the_table_of_int64_codes(dtype, bits):
+    # more cells than the dtype holds (2**(bits + 1)): |Z| itself is past its
+    # range, so decoding in the codes' own dtype would wrap or be refused
+    domains = ((1, 11), ('y0',), [(0, 1)] * bits)
+    top = int(np.iinfo(dtype).max) + 1
+    codes = (np.random.default_rng(bits).random(3000) ** 3 * top).astype(np.int64)
+    wide, narrow = CountTable(*domains), CountTable(*domains)
+    assert len(wide._counts) > top
+    with mock.patch.object(counts, '_CHUNK_ROWS', 1000):
+        wide.ingest_codes(codes)
+        narrow.ingest_codes(codes.astype(dtype))
+    assert narrow == wide
+    assert narrow.checkpoints() == wide.checkpoints()
+    assert len(wide.checkpoints()) > 10
+
+
 @pytest.mark.parametrize("domains, name", [
     (((0, 0), (0, 1), [(0, 1)]), "x"),
     (((0, 1), (1, True), [(0, 1)]), "y"),
@@ -869,3 +886,46 @@ def test_ingest_lines_parses_each_distinct_line_once(columns):
             mock.patch.object(counts, 'parse_scalar', wraps=counts.parse_scalar) as scalar:
         CountTable(*LINE_DOMAINS).ingest_lines(io.StringIO(text), columns)
     assert (scalar.call_count, parse_line.call_count) == ((9, 0) if columns else (0, 3))
+
+
+def _chunks_as_pulled(lines, columns):
+    """Each (n, lines pulled so far) that ingest_chunks yields in chunks of
+    four rows, and the lines it parsed."""
+    pulled, seen = [], []
+
+    def source():
+        for line in lines:
+            pulled.append(line)
+            yield line
+
+    table = CountTable(*LINE_DOMAINS)
+    parse = '_csv_observation' if columns else '_parse_line'
+    with mock.patch.object(counts, '_CHUNK_ROWS', 4), \
+            mock.patch.object(counts, parse, wraps=getattr(counts, parse)) as parsed:
+        for n in table.ingest_chunks(source(), columns):
+            seen.append((n, len(pulled)))
+    return seen, [call.args[1] for call in parsed.call_args_list]
+
+
+@pytest.mark.parametrize("columns", [None, CSV_COLUMNS])
+def test_ingest_chunks_yields_full_chunks_and_pulls_only_their_lines(columns):
+    # rows a a b c | d a e b | f g: a twice in the first chunk, then again
+    # in the second; in the padded stream a header and blank lines sit in
+    # the first chunk, and in the CSV stream the header is a column header
+    forms, t = (CSV_ROWS, str) if columns else (JSON_ROWS, lambda i: f', "t": {i}')
+    a, b, c, d, e, f, g = (forms[i % 3].format(t=t(i)) for i in range(7))
+    rows = [a, a, b, c, d, a, e, b, f, g]
+    first = ['x,y,z,t'] if columns else []
+    padded = ['x,y,z,t' if columns else HEADER, a, '', a, b, '  ' if not columns else '',
+              c, *rows[4:]]
+    for lines in (first + rows, padded):
+        seen, parsed = _chunks_as_pulled(lines, columns)
+        row_lines = [i for i, line in enumerate(lines, start=1)
+                     if line in rows and not (columns and i == 1)]
+        # full chunks whatever the padding, each yielded once its last row's
+        # line is pulled and before any line after it
+        assert seen == [(n, row_lines[n - 1]) for n in (4, 8, 10)]
+        # each distinct row is parsed once, however often and wherever it repeats
+        cells = (lambda line: tuple(line.split(',')[:3])) if columns else (lambda line: line)
+        assert sorted(p for p in parsed if p in map(cells, rows)) == \
+            sorted(set(map(cells, rows)))

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+from bisect import bisect_right
+from itertools import accumulate, product
 from pathlib import Path
 
 import numpy as np
@@ -546,3 +548,87 @@ def test_overriding_pick_alone_keeps_the_per_step_rule():
     assert {obs.x for obs in sample_adaptive(model, FirstArm(), 500, seed=2)} == {0}
     assert sample_adaptive(model, FirstArm(), 500, seed=2) == \
         reference_sample_adaptive(model, FirstArm(), 500, seed=2)
+
+
+# -- the inverse CDF at its boundaries --------------------------------------------
+
+def _bisect_draw(row, u):
+    """The reference inverse CDF: the number of cumulative entries at or
+    below u times the row's sum."""
+    cum = list(accumulate(row))
+    return bisect_right(cum, u * cum[-1])
+
+
+def _tie_model():
+    """A three-valued X with two parents, U binary and Z three-valued, whose
+    dyadic rows sum to exactly 1, so a uniform equal to a cumulative entry
+    is an exact tie; some rows repeat a cumulative value (a zero entry)."""
+    doms = {"U": (0, 1), "Z": (0, 1, 2), "X": ("a", "b", "c"), "Y": (0, 1)}
+    rows = [(0.25, 0.25, 0.5), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5),
+            (0.0, 0.0, 1.0), (0.75, 0.25, 0.0), (0.125, 0.375, 0.5)]
+    cpts = {"U": Cpt((), {(): (0.5, 0.5)}), "Z": Cpt((), {(): (0.25, 0.25, 0.5)}),
+            "X": Cpt(("U", "Z"), dict(zip(product((0, 1), (0, 1, 2)), rows))),
+            "Y": Cpt(("X",), {("a",): (0.5, 0.5), ("b",): (0.0, 1.0), ("c",): (1.0, 0.0)})}
+    dag = Dag(list(doms), [("U", "X"), ("Z", "X"), ("X", "Y")], doms)
+    return CausalModel(dag, cpts, Roles("X", "Y", ("Z",)))
+
+
+def _boundary_uniforms(row):
+    """0, the largest float below 1, each cumulative entry over the row's sum
+    and the floats on either side of it."""
+    cum = list(accumulate(row))
+    us = {0.0, math.nextafter(1.0, 0.0)}
+    for c in cum:
+        u = c / cum[-1]
+        us |= {u, math.nextafter(u, 0.0), math.nextafter(u, 1.0)}
+    return sorted(u for u in us if 0.0 <= u < 1.0)
+
+
+@pytest.mark.parametrize("make, vertex", [(_tie_model, "X"), (_tie_model, "Y"),
+                                          (three_valued_model, "X"),
+                                          (three_valued_model, "Y")])
+def test_draw_at_the_boundaries_is_the_bisection_of_the_row(make, vertex):
+    model = make()
+    cpt, doms = model.cpts[vertex], model.dag.domains
+    configs, us, want = [], [], []
+    for config, row in cpt.rows.items():
+        for u in _boundary_uniforms(row):
+            configs.append(config)
+            us.append(u)
+            want.append(_bisect_draw(row, u))
+    # every (configuration, u) pair at once, each parent as a column of indices
+    index = {p: np.array([doms[p].index(c[j]) for c in configs])
+             for j, p in enumerate(cpt.parents)}
+    got = simulator._draw(model, vertex, index, np.array(us))
+    assert got.dtype == np.intp
+    assert got.tolist() == want
+    if make is _tie_model and vertex == "X":
+        ties = sum(u * sum(row) in accumulate(row) for u, row in
+                   zip(us, (cpt.rows[c] for c in configs)))
+        assert ties > len(cpt.rows)  # exact ties, zero entries among them
+
+
+class _FixedUniforms:
+    """A stand-in generator whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+@pytest.mark.parametrize("u", [0.0, 0.25, 0.5, 0.625, 0.75, math.nextafter(1.0, 0.0)])
+def test_single_draws_at_the_boundaries_are_the_bisection_of_the_row(u, monkeypatch):
+    model = _tie_model()
+    doms, rows = model.dag.domains, {v: model.cpts[v].rows for v in model.cpts}
+    # CptPolicy.choose draws X from the row of the visible U and Z
+    policy = CptPolicy()
+    policy.reset(model, _FixedUniforms(u))
+    for (a, z), row in rows["X"].items():
+        assert policy.choose([], {"U": a, "Z": z}) == doms["X"][_bisect_draw(row, u)]
+    # draw_intervened_outcome draws U and Z, pins X and draws Y, each with u
+    monkeypatch.setattr(simulator, "as_generator", _FixedUniforms)
+    for x in doms["X"]:
+        want = doms["Y"][_bisect_draw(rows["Y"][(x,)], u)]
+        assert draw_intervened_outcome(model, x, u) == want
