@@ -14,7 +14,9 @@ byte-identical output.
 ``analyze --regime anytime`` reads ``--data`` a chunk of rows at a time and,
 after each chunk, writes one record per row from the segments of the
 confidence sequence (``--changes-only``: one record wherever the interval
-differs from the last record written).
+differs from the last record written).  Every interval record is written
+from the query's one template: ``json.dumps`` of one record gives the
+fields after the interval's, and each record fills in its own.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import os
 import sys
 from contextlib import nullcontext
 from functools import cache
+from typing import Callable
 
 from .counts import open_lines, parse_scalar
 from .coverage import run_coverage, run_prediction_coverage
@@ -119,6 +122,28 @@ def _interval_record(itv, query: EffectQuery) -> dict:
     return record
 
 
+def _interval_template(query: EffectQuery, itv) -> Callable[[object], str]:
+    """The writer of a query's interval records, made from one interval of
+    the query: it gives an interval's record line after its ``n``, newline
+    included, as ``json.dumps(_interval_record(...))`` would.  The fields
+    that vary from interval to interval are filled in, their floats by
+    ``float.__repr__``, as ``json`` writes a finite float; the fields after
+    them are cut once from the serialized record of ``itv``."""
+    line = json.dumps(_interval_record(itv, query))
+    tail = line[len(_INTERVAL_HEAD) + len(str(itv.n)) + len(_varying_fields(itv)):] + '\n'
+    return lambda interval: _varying_fields(interval) + tail
+
+
+def _varying_fields(itv) -> str:
+    """An interval record's fields from its midpoint to its upper endpoint,
+    each after a ', ' (they are finite, but for an unbounded half-width)."""
+    r = float.__repr__
+    halfwidth = 'null, "unbounded": true' if itv.unbounded else \
+        f'{r(itv.halfwidth)}, "unbounded": false'
+    return (f', "midpoint": {r(itv.midpoint)}, "halfwidth": {halfwidth}, '
+            f'"lower": {r(itv.lower)}, "upper": {r(itv.upper)}')
+
+
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
@@ -205,32 +230,33 @@ def cmd_analyze(args) -> int:
               file=sys.stderr)
         return VIOLATION
     table = model.count_table()
-    effect_interval(table, query)  # refuses the query before any row is read
+    # refuses the query before any row is read; every record is written from
+    # this one's template, as the fields after the interval's are the query's
+    after_n = _interval_template(query, effect_interval(table, query))
     if query.regime != 'anytime':  # read every row before the output is opened
         _ingest_data(args, table)
+        itv = effect_interval(table, query)
         with _open_output(args.output) as out:
-            _emit(out, _interval_record(effect_interval(table, query), query))
+            out.write(_INTERVAL_HEAD + str(itv.n) + after_n(itv))
         return OK
     columns = _parse_columns(args.columns)
     with open_lines(args.data, columns) as lines, _open_output(args.output) as out:
         done, last = 0, None  # the rows written; the last record's bytes after n
         for n in table.ingest_chunks(lines, columns):
-            # each segment's elements differ only in n: its record is
-            # serialized once and n spliced into it
+            # each segment's elements differ only in n, spliced in per row
             for first, end, itv in confidence_sequence(table, query, done + 1):
-                line = json.dumps(_interval_record(itv, query))
-                tail = line[len(_INTERVAL_HEAD) + len(str(first)):] + '\n'
+                tail = after_n(itv)
                 if not args.changes_only:  # the lines head + m + tail for m in the segment
                     out.write(_INTERVAL_HEAD + (tail + _INTERVAL_HEAD).join(
                         map(str, range(first, end + 1))) + tail)
                 elif tail != last:
-                    out.write(line + '\n')
+                    out.write(_INTERVAL_HEAD + str(first) + tail)
                 last = tail
             out.flush()  # the chunk's records reach the reader before the next chunk is read
             done = n
         if table.n == 0:
             print("warning: empty input stream", file=sys.stderr)
-            _emit(out, _interval_record(effect_interval(table, query), query))
+            out.write(_INTERVAL_HEAD + '0' + after_n(effect_interval(table, query)))
     return OK
 
 
@@ -289,7 +315,15 @@ def cmd_check(args) -> int:
     return OK if report.satisfied else VIOLATION
 
 
+# the flags of coverage that only an interval reads, with their defaults
+_INTERVAL_FLAGS = (('criterion', None), ('y', None), ('toy', False), ('frontdoor_form', None),
+                   ('regime', None), ('config', None), ('workers', 1))
+
+
 def cmd_coverage(args) -> int:
+    for dest, default in _INTERVAL_FLAGS if args.prediction else ():
+        if getattr(args, dest) != default:
+            raise ValueError(f"--{dest.replace('_', '-')} does not apply to --prediction")
     model = load_model(args.model)
     if args.prediction:
         if args.xtilde is None:

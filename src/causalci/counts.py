@@ -14,12 +14,17 @@ O(|Y|·|Z|).  When the count of a condition the estimators read ((x, z),
 x, or the whole stream as the empty pattern's one condition ``('', 0)``)
 reaches a power of two ``2**j``, a log keyed by the condition's pattern
 and code records the stream position and the condition's outcome tally.
-Only this module reads the log: :meth:`CountTable.leaf` answers an
-estimated probability as ``(count, hits)``, over the whole stream or over
-the first ``dyadic_floor(count)`` occurrences of the condition after any
-prefix, and :meth:`CountTable.leaf_runs` answers many leaves for every run
-of prefixes over which none of the logs they read gains a level.  A table
-holds O(cells + conditions * log n) entries, however long the stream.
+Only this module reads the log: :meth:`CountTable.read` answers estimated
+probabilities as ``(count, hits)``, over the whole stream or over the
+first ``dyadic_floor(count)`` occurrences of the condition after any
+prefix, reading each distinct condition once (:meth:`CountTable.leaf` is
+its one-leaf case), and :meth:`CountTable.leaf_runs` answers many leaves
+for every run of prefixes over which none of the logs they read gains a
+level, as (runs x leaves) arrays a block of runs at a time: each log's
+levels at the first run are a bisection, and every later level, placed at
+its run by one sorted pass, is added down the block by one cumulative
+sum.  A table holds O(cells + conditions * log n) entries, however long
+the stream.
 
 :meth:`CountTable.ingest` adds one observation and is the reference path.
 :meth:`CountTable.ingest_codes` adds cell codes ``_CHUNK_ROWS`` at a time:
@@ -55,7 +60,7 @@ import json
 import math
 import operator
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import chain, islice, product
 from operator import add, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -70,6 +75,9 @@ _LINE_CACHE = 4096
 _PATTERNS = ('xyz', 'xz', 'x', 'z')
 # a logged level is (stream position at which it was reached, outcome tally)
 _position = itemgetter(0)
+# (run, leaf) entries in one block of CountTable.leaf_runs; bounds the memory
+# of a confidence sequence on a wide table
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class Observation(NamedTuple):
@@ -78,6 +86,17 @@ class Observation(NamedTuple):
     x: object
     y: object
     z: tuple
+
+
+class Runs(NamedTuple):
+    """A block of :meth:`CountTable.leaf_runs`: each run's first and last
+    prefix, and, one row per run and one column per leaf, every leaf's
+    dyadic-prefix count and hits at every prefix of the run."""
+
+    first: np.ndarray
+    last: np.ndarray
+    count: np.ndarray
+    hits: np.ndarray
 
 
 class ObservationParseError(ValueError):
@@ -106,11 +125,6 @@ def _prefix_length(m, n: int) -> int:
     if not 0 <= m <= n:
         raise ValueError(f"prefix length {m} is not in [0, {n}]")
     return m
-
-
-def _dyadic(log: Sequence, levels: int, i: int) -> tuple[int, int]:
-    """(count, hits) of tally ``i`` once a condition's log has ``levels`` levels."""
-    return (1 << (levels - 1), log[levels - 1][1][i]) if levels else (0, 0)
 
 
 def _as_z(z) -> tuple:
@@ -378,40 +392,92 @@ class CountTable:
         ``m`` in [0, n]: dyadic_floor of the condition's count after the
         first m observations, and the hits among that many first
         occurrences; (0, 0) if the condition has not occurred by then.
+        It is the one-leaf case of :meth:`read`.
         """
-        cond, i = self._locate(event, given)
-        if m is not None:
-            log = self._levels.get(cond, ())
-            return _dyadic(log, bisect_right(log, _prefix_length(m, self.n), key=_position), i)
-        if cond[1] is None:  # a condition that never occurs
-            return 0, 0
-        tally = self._tally(cond)
-        return (sum(tally) if cond[0] else self.n), tally[i]
+        count, hits = self.read([(event, given)], m)
+        return count[0], hits[0]
+
+    def read(self, leaves: Sequence[tuple[dict, dict]], m=None
+             ) -> tuple[list[int], list[int]]:
+        """The (count, hits) of each ``(event, given)`` leaf, as :meth:`leaf`
+        gives them, as a list of counts and a list of hits.  Each distinct
+        condition is read once: its tally summed (``m`` None) or its log
+        bisected at the prefix ``m``."""
+        conditions, slots, index = self._conditions(leaves)
+        if m is None:  # a condition outside the domains never occurs: no tally
+            tallies = [self._tally(cond) if cond[1] is not None else () for cond in conditions]
+            counts = [sum(tally) if tag else self.n
+                      for (tag, _), tally in zip(conditions, tallies)]
+            return ([counts[s] for s in slots],
+                    [tallies[s][i] if tallies[s] else 0 for s, i in zip(slots, index)])
+        m = _prefix_length(m, self.n)
+        logs = [self._levels.get(cond, ()) for cond in conditions]
+        levels = [bisect_right(log, m, key=_position) for log in logs]
+        hits = [logs[s][levels[s] - 1][1][i] if levels[s] else 0 for s, i in zip(slots, index)]
+        return [(1 << levels[s]) >> 1 for s in slots], hits
 
     def leaf_runs(self, leaves: Sequence[tuple[dict, dict]], start: int | None = None
-                  ) -> Iterator[tuple[int, int, tuple[tuple[int, int], ...]]]:
-        """``(first_n, last_n, pairs)`` per run of prefixes over which no log
-        the leaves read gains a level: the runs start at ``start`` (by default
-        ``min(1, n)``) and at every later position of those logs, and the
-        last ends at ``n``.  ``pairs`` holds ``leaf(event, given, m)`` of the
-        leaves at every m in the run, so consecutive runs differ.  The runs
-        are the table's as of this call; each log is walked once."""
+                  ) -> Iterator[Runs]:
+        """The runs of prefixes over which no log the leaves read gains a
+        level, as :class:`Runs` blocks in order: the runs start at ``start``
+        (by default ``min(1, n)``) and at every later position of those
+        logs, and the last ends at ``n``.  A block's ``count`` and ``hits``
+        hold ``read(leaves, m)`` at every m of each run, so consecutive runs
+        differ.  A block holds at most ``_BLOCK_ELEMENTS`` (run, leaf)
+        entries, but at least one run.  The runs are the table's as of this
+        call."""
         start = min(1, self.n) if start is None else _prefix_length(start, self.n)
-        located = [self._locate(event, given) for event, given in leaves]
-        slot = {cond: s for s, cond in enumerate(dict.fromkeys(c for c, _ in located))}
-        logs = [self._levels.get(cond, ()) for cond in slot]
-        cells = [(slot[cond], i) for cond, i in located]
-        starts = sorted({start, *(p for log in logs for p, _ in log if p > start)})
-        bounds = list(zip(starts, [p - 1 for p in starts[1:]] + [self.n]))
+        conditions, slots, index = self._conditions(leaves)
+        logs = [self._levels.get(cond, ()) for cond in conditions]
+        # each log's levels reached at start; every later level starts a run
+        reached = [bisect_right(log, start, key=_position) for log in logs]
+        gains = sorted((p, s) for s, log in enumerate(logs) for p, _ in log[reached[s]:])
+        starts = sorted({start, *(p for p, _ in gains)})
+        run_of = {p: r for r, p in enumerate(starts)}
+        gained_run = [run_of[p] for p, _ in gains]  # in order
+        runs, logs_gaining = np.array(gained_run, np.intp), np.array([s for _, s in gains], np.intp)
+        first = np.array(starts, np.int64)
+        last = np.append(first[1:] - 1, self.n)
+        # every log's tallies, a row of zeros (level 0) and then level by level,
+        # after one 0 that a leaf of a log with no level reads: in a log of
+        # width w from flat[o], tally i at level j is flat[o + j * w + i]
+        width = [len(log[0][1]) if log else 0 for log in logs]
+        flat, offset = [0], []
+        for w, log in zip(width, logs):
+            offset.append(len(flat))
+            flat += [0] * w
+            for _, tally in log:
+                flat += tally
+        flat = np.array(flat, np.int64)
+        lead = np.array([offset[s] + i if width[s] else 0 for s, i in zip(slots, index)], np.intp)
+        step = np.array([width[s] for s in slots], np.intp)
+        slots = np.array(slots, np.intp)
+        size = max(1, _BLOCK_ELEMENTS // max(1, len(slots)))
 
-        def runs():
-            levels = [0] * len(logs)  # per log, the levels reached
-            for first, last in bounds:
-                for s, log in enumerate(logs):
-                    while levels[s] < len(log) and log[levels[s]][0] <= first:
-                        levels[s] += 1
-                yield first, last, tuple([_dyadic(logs[s], levels[s], i) for s, i in cells])
-        return runs()
+        def blocks():
+            level = np.array(reached, np.intp)  # per log, the levels reached
+            for a in range(0, len(starts), size):
+                b = min(a + size, len(starts))
+                i, j = bisect_left(gained_run, a), bisect_left(gained_run, b)
+                gained = np.zeros((b - a, len(logs)), np.intp)
+                gained[runs[i:j] - a, logs_gaining[i:j]] = 1
+                levels = np.cumsum(gained, axis=0)
+                levels += level
+                level = levels[-1]
+                levels = levels[:, slots]  # each leaf's log's levels
+                yield Runs(first[a:b], last[a:b], (1 << levels) >> 1,
+                           flat[lead + levels * step])
+        return blocks()
+
+    def _conditions(self, leaves: Sequence[tuple[dict, dict]]
+                    ) -> tuple[list[tuple], list[int], list[int]]:
+        """The distinct conditions the leaves read, in order of first read,
+        and per leaf its condition's place among them and its event's index
+        in the condition's tally."""
+        located = [self._locate(event, given) for event, given in leaves]
+        place: dict[tuple, int] = {}
+        slots = [place.setdefault(cond, len(place)) for cond, _ in located]
+        return list(place), slots, [i for _, i in located]
 
     def _locate(self, event: dict, given: dict) -> tuple[tuple, int]:
         """A leaf's condition, as ``(pattern, cell code)`` (``('', 0)`` for

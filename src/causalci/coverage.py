@@ -15,8 +15,9 @@ a condition the query reads reaches a dyadic level, and the count table
 logs each level with the stream position that reached it.  So the whole
 stream is ingested at once, and :func:`confidence_sequence` reads those
 logs once, yielding one element per segment (a run of positions over which
-none of the query's reads moves) up to the final time; the replication
-stops at the first element that misses.
+none of the query's reads moves) up to the final time.  The replication
+covers if every element does, and its half-width is the last segment's,
+the element at the final time.
 Unbounded intervals realize [0,1] and therefore count as covering.
 
 Replications draw their seeds by spawning one SeedSequence, so results are
@@ -81,12 +82,13 @@ def _replicate(model: CausalModel, query: EffectQuery, n: int,
         codes = _adaptive_codes(model, policy or CptPolicy(), n, seed)
     table = model.count_table()
     table.ingest_codes(codes)
-    itv = effect_interval(table, query)
-    covered = itv.contains(theta)
-    if query.regime == 'anytime':
-        covered = covered and all(element.contains(theta)
-                                  for _, _, element in confidence_sequence(table, query))
-    return covered, itv.halfwidth
+    if query.regime != 'anytime':
+        itv = effect_interval(table, query)
+        return itv.contains(theta), itv.halfwidth
+    covered = True  # the running intersection covers iff every element does
+    for _, _, itv in confidence_sequence(table, query):
+        covered = covered and itv.contains(theta)
+    return covered, itv.halfwidth  # the last segment's interval is the element at n
 
 
 def run_coverage(model: CausalModel, query: EffectQuery, n: int,

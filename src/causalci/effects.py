@@ -38,9 +38,13 @@ form a confidence sequence (their running intersection keeps the level),
 which ``confidence_sequence`` yields whole, one segment per run of prefixes
 over which none of the query's reads moves (no log it reads gains a level),
 with the same arithmetic as ``effect_interval``.
-Both read each leaf as ``(count, hits)`` from the count table, at one
-prefix (``CountTable.leaf``) or run by run (``CountTable.leaf_runs``),
-and one binder turns the pairs into estimates and radii.
+Both read the leaves as ``(count, hits)`` arrays from the count table, at
+one prefix (``CountTable.read``, each distinct condition read once) or a
+block of runs at a time (``CountTable.leaf_runs``), one row per run; an
+interval is the one-run case.  One binder turns the arrays into estimates
+and radii, and one evaluator gives every run's polynomial and half-width,
+column by column in the order scalar loops would add them, so the floats
+are the same whatever the number of runs.
 The level is split across the distinct estimated probabilities, which sets
 the ratio inside each radius's logarithm:
 
@@ -66,7 +70,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, groupby
 from typing import TYPE_CHECKING, Iterator, NamedTuple
+
+import numpy as np
 
 from .bounds import hoeffding_term, lil_term
 from .counts import CountTable, _hashable, _prefix_length
@@ -126,10 +133,8 @@ class EffectInterval:
     @classmethod
     def build(cls, n: int, midpoint: float, halfwidth: float,
               constants: dict | None = None) -> "EffectInterval":
-        return cls(n=n, midpoint=midpoint, halfwidth=halfwidth,
-                   lower=max(0.0, midpoint - halfwidth),
-                   upper=min(1.0, midpoint + halfwidth),
-                   constants=constants or {})
+        return cls(n, midpoint, halfwidth, max(0.0, midpoint - halfwidth),
+                   min(1.0, midpoint + halfwidth), constants or {})
 
     @property
     def unbounded(self) -> bool:
@@ -180,6 +185,13 @@ class _Family(NamedTuple):
     mult: int       # occurrences of each cell in the polynomial
     shared: bool    # every cell has the same condition, hence the same radius
     cells: tuple    # (event, condition) of each cell
+    columns: slice  # the family's cells among all families' cells, in family order
+
+    @property
+    def radius_columns(self) -> slice:
+        """The columns whose radii the half-width adds: a shared condition's
+        first, or every cell's."""
+        return slice(self.columns.start, self.columns.start + 1) if self.shared else self.columns
 
 
 def _cells(criterion: str, x, y, xs: tuple, zs: tuple) -> tuple[tuple, ...]:
@@ -205,7 +217,7 @@ def _plan(query: EffectQuery, xs: tuple, zs: tuple) -> tuple[_Family, ...]:
         scale, coefs, labels = 1, (6.0, 10.0), ("6/delta", "10/delta")
     else:
         scale, coefs, labels = len(zs), (4.0, 6.6), ("4|Z|/delta", "6.6|Z|/delta")
-    families = []
+    families, lo = [], 0
     for (name, first), cells in zip(_FAMILIES[query.criterion],
                                     _cells(query.criterion, query.x, query.y, xs, zs)):
         dyadic = REGIMES.index(query.regime) >= REGIMES.index(first)
@@ -213,7 +225,8 @@ def _plan(query: EffectQuery, xs: tuple, zs: tuple) -> tuple[_Family, ...]:
         families.append(_Family(name, dyadic, coefs[dyadic] * scale / query.delta,
                                 labels[dyadic], mult.get(name, 1),
                                 conditions.count(conditions[0]) == len(conditions),
-                                cells))
+                                cells, slice(lo, lo + len(cells))))
+        lo += len(cells)
     return tuple(families)
 
 
@@ -229,81 +242,96 @@ def _families(table: CountTable, query: EffectQuery) -> tuple[_Family, ...]:
 
 
 def _bind(table: CountTable, query: EffectQuery, n: int | None):
-    """The families, the prefix n and every cell's (estimate, radius) at n,
-    family by family; n defaults to the whole stream and differs from it
-    only in the anytime regime, where every family is dyadic and so read
-    from the table's checkpoint log."""
+    """The families, the prefix n and every cell's estimate and radius at
+    n, as one run; n defaults to the whole stream and differs from it only
+    in the anytime regime, where every family is dyadic and so read from
+    the table's checkpoint log."""
     n = table.n if n is None else _prefix_length(n, table.n)
     if n != table.n and query.regime != 'anytime':
         raise ValueError("a prefix index applies only to the anytime regime")
     families = _families(table, query)
-    pairs = [table.leaf(event, given, n if fam.dyadic else None)
-             for fam in families for event, given in fam.cells]
-    return families, n, _bind_pairs(families, pairs, lil_term)
+    count, hits = [], []  # one read per run of families at one prefix (None: whole stream)
+    for m, group in groupby(families, lambda fam: n if fam.dyadic else None):
+        c, h = table.read([cell for fam in group for cell in fam.cells], m)
+        count += c
+        hits += h
+    return (families, n, *_bind_pairs(families, np.array([count], np.int64),
+                                      np.array([hits], np.int64)))
 
 
-def _bind_pairs(families: tuple[_Family, ...], pairs: list, lil) -> list:
-    """Every cell's (estimate, radius), family by family, from the cells'
-    (count, hits) in family order: hits / count (0 with no count), and the
-    radius ``lil`` or Hoeffding's of the count, once for a shared condition."""
-    bound, pairs = [], iter(pairs)
+def _bind_pairs(families: tuple[_Family, ...], count: np.ndarray, hits: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell's estimate and radius, one row per run and the cells in
+    family order, from their (count, hits) arrays: hits / count (0 with no
+    count, where hits is 0 too), and the radius of the count (one per run
+    for a shared condition, that of the family's first cell), evaluated
+    once per distinct value it reads: Hoeffding's reads the count, and the
+    LIL radius only its dyadic floor, so its bit length."""
+    estimates = hits / np.maximum(count, 1)
+    radii, bits = np.empty(count.shape), None
     for fam in families:
-        radius = lil if fam.dyadic else hoeffding_term
-        row = []
-        for _, (count, hits) in zip(fam.cells, pairs):  # this family's pairs
-            if not (fam.shared and row):
-                r = radius(count, fam.ratio)
-            row.append((hits / count if count else 0.0, r))
-        bound.append(row)
-    return bound
+        if fam.dyadic:
+            if bits is None:
+                bits = np.frexp(count)[1]  # exact below 2**53
+                present = np.flatnonzero(np.bincount(bits.ravel())).tolist()
+            table = np.empty(present[-1] + 1)
+            table[present] = [lil_term((1 << k) >> 1, fam.ratio) for k in present]
+            radii[:, fam.columns] = table[bits[:, fam.radius_columns]]
+        else:
+            counts = count[:, fam.radius_columns].tolist()
+            radius = {c: hoeffding_term(c, fam.ratio) for c in set(chain(*counts))}
+            radii[:, fam.columns] = [[radius[c] for c in row] for row in counts]
+    return estimates, radii
 
 
-def _polynomial(criterion: str, cells, bound: list) -> float:
-    """The adjustment polynomial at the leaves' values, each the first item
-    of its (value, radius) binding, family by family in cell order.  A term
-    whose w or b is exactly 0 is skipped; a NaN value (a leaf whose condition
-    has probability zero) in any other term raises, naming the leaf."""
+def _polynomial(criterion: str, cells, values: list[np.ndarray]) -> list[float]:
+    """The adjustment polynomial at each run's leaf values, given family by
+    family as (runs x cells) arrays.  A term whose w or b is exactly 0 is
+    skipped; a NaN value (a leaf whose condition has probability zero) in
+    any other term raises, naming the leaf.  The sums run left to right,
+    column by column, every run at once: over x' within a term, then over z."""
     # the positions of the w, a and b families; the back-door b is the constant 1
     iw, ia, ib = (0, 1, None) if criterion == 'backdoor' else (1, 2, 0)
-    w, a = bound[iw], bound[ia]
-    b = ((1.0, 0.0),) if ib is None else bound[ib]
-    nz, total = len(w), 0.0
-    for i, (wz, _) in enumerate(w):
-        if wz == 0.0:
-            continue
-        inner = 0.0
-        for j, (bj, _) in enumerate(b):
-            if bj != 0.0:
-                inner += a[j * nz + i][0] * bj
-        term = wz * inner
-        if term != term:  # name the first NaN leaf the term reads
-            reads = [(iw, i)] + [(ia, j * nz + i) for j, (bj, _) in enumerate(b) if bj != 0.0]
-            f, k = next((f, k) for f, k in reads if bound[f][k][0] != bound[f][k][0])
+    w, a = values[iw], values[ia]
+    nz = w.shape[1]
+    if ib is None:  # 0.0 + a * 1.0 is a
+        b, inner = None, a
+    else:  # x' by x', every (run, z) at once
+        b, inner = values[ib], np.zeros(w.shape)
+        for j in range(b.shape[1]):
+            bj = b[:, j:j + 1]
+            inner = np.where(bj != 0.0, inner + a[:, j * nz:(j + 1) * nz] * bj, inner)
+    totals = np.cumsum(np.where(w != 0.0, w * inner, 0.0), axis=1)[:, -1].tolist()
+    for r, total in enumerate(totals):
+        if total != total:  # a NaN term: name the first NaN leaf the first one reads
+            i = int(np.flatnonzero(np.isnan(w[r] * inner[r]) & (w[r] != 0.0))[0])
+            bs = [1.0] if b is None else b[r].tolist()
+            reads = [(iw, i)] + [(ia, j * nz + i) for j, bj in enumerate(bs) if bj != 0.0]
+            f, k = next((f, k) for f, k in reads if np.isnan(values[f][r, k]))
             event, given = (', '.join(f"{key}={value!r}" for key, value in part.items())
                             for part in cells[f][k])
             raise ValueError(f"p({event} | {given}) is undefined: its condition has "
                              "probability zero (positivity violated)")
-        total += term
-    return total
+    return totals
 
 
-def _interval(query: EffectQuery, families: tuple[_Family, ...], n: int,
-              bound: list) -> EffectInterval:
-    """The polynomial at the bound estimates, its leaf radii summed with
-    multiplicity, and the ratios they used."""
-    mid = _polynomial(query.criterion, [fam.cells for fam in families], bound)
-    hw = 0.0
-    for fam, pairs in zip(families, bound):
-        if fam.shared:
-            hw += (len(pairs) * fam.mult) * pairs[0][1]
-        else:
-            for _, r in pairs:
-                hw += fam.mult * r
+def _interval(query: EffectQuery, families: tuple[_Family, ...], first: list[int],
+              estimates: np.ndarray, radii: np.ndarray) -> list[EffectInterval]:
+    """Each run's interval, named by its first prefix: the polynomial at the
+    bound estimates, its leaf radii summed with multiplicity (family by
+    family, left to right), and the ratios they used, one ``constants``
+    dict shared by the runs' intervals."""
+    mid = _polynomial(query.criterion, [fam.cells for fam in families],
+                      [estimates[:, fam.columns] for fam in families])
+    widths = [radii[:, fam.radius_columns] * (len(fam.cells) * fam.mult if fam.shared else fam.mult)
+              for fam in families]
+    hw = np.cumsum(np.concatenate(widths, axis=1), axis=1)[:, -1]
     constants = {'lil' if fam.dyadic else 'hoeffding': {"form": fam.label, "value": fam.ratio}
                  for fam in families}
     if (query.criterion, query.regime) == ('frontdoor', 'iid'):
         constants["frontdoor_form"] = query.frontdoor_form
-    return EffectInterval.build(n, mid, hw, constants)
+    return [EffectInterval.build(n, m, h, constants)
+            for n, m, h in zip(first, mid, hw.tolist())]
 
 
 # -- entry points ---------------------------------------------------------------
@@ -314,7 +342,8 @@ def effect_interval(table: CountTable, query: EffectQuery,
     stream, applies to the anytime regime only.  It is the polynomial at the
     bound estimates, its leaf radii summed with multiplicity, and the ratios
     they used."""
-    return _interval(query, *_bind(table, query, n))
+    families, n, estimates, radii = _bind(table, query, n)
+    return _interval(query, families, [n], estimates, radii)[0]
 
 
 def confidence_sequence(table: CountTable, query: EffectQuery,
@@ -325,15 +354,20 @@ def confidence_sequence(table: CountTable, query: EffectQuery,
     :meth:`CountTable.leaf_runs` over the query's leaves: a run of prefixes
     over which none of the query's reads moves.  Each interval is
     ``effect_interval(table, query, first_n)``, and so, but for ``n``, every
-    element of its segment."""
+    element of its segment.  The runs are bound and evaluated a block at a
+    time, as arrays."""
     if query.regime != 'anytime':
         raise ValueError("a confidence sequence is the anytime regime's, "
                          f"not the {query.regime} regime's")
     families = _families(table, query)
-    runs = table.leaf_runs([cell for fam in families for cell in fam.cells], start)
-    radius = lru_cache(maxsize=None)(lil_term)  # dyadic counts repeat
-    return ((first, last, _interval(query, families, first, _bind_pairs(families, pairs, radius)))
-            for first, last, pairs in runs)
+    blocks = table.leaf_runs([cell for fam in families for cell in fam.cells], start)
+
+    def segments():
+        for runs in blocks:
+            first = runs.first.tolist()
+            yield from zip(first, runs.last.tolist(), _interval(
+                query, families, first, *_bind_pairs(families, runs.count, runs.hits)))
+    return segments()
 
 
 def backdoor_cs_anytime(table: CountTable, query: EffectQuery,
@@ -373,5 +407,6 @@ def true_effect(model: "CausalModel", x, y, criterion: str) -> float:
         condition = p(given)
         return p({**event, **given}) / condition if condition else math.nan
 
-    cells = _cells(criterion, x, y, table.x_domain, table.z_values)  # bound exactly, radius 0
-    return _polynomial(criterion, cells, [[(leaf(*cell), 0.0) for cell in fam] for fam in cells])
+    cells = _cells(criterion, x, y, table.x_domain, table.z_values)  # one run, bound exactly
+    return _polynomial(criterion, cells, [np.array([[leaf(*cell) for cell in fam]])
+                                          for fam in cells])[0]

@@ -18,7 +18,7 @@ import numpy as np
 from causalci.bounds import hoeffding_term, lil_term
 from causalci.counts import CountTable, Observation, ObservationParseError, _csv_cells, \
     _csv_observation, _parse_line
-from causalci.effects import EffectInterval, EffectQuery, _bind
+from causalci.effects import EffectInterval, EffectQuery, _bind, _families
 from causalci.graph import Dag, format_path
 from causalci.simulator import CausalModel, Cpt, Policy, Roles, as_generator
 
@@ -831,12 +831,12 @@ def interval_via_expression(table: CountTable, query: EffectQuery,
     polynomial as an expression tree, and propagate.  Agrees with the
     direct construction up to floating-point summation order; used as a
     structural cross-check of the multiplicities."""
-    families, n, bound = _bind(table, query, n)
-    leaves, bindings = [], {}
-    for fam, pairs in zip(families, bound):
-        names = [f"{fam.name}{k}" for k in range(len(pairs))]
+    families, n, estimates, radii = _bind(table, query, n)
+    leaves, bindings, cells = [], {}, zip(estimates[0].tolist(), radii[0].tolist())
+    for fam in families:
+        names = [f"{fam.name}{k}" for k in range(len(fam.cells))]
         leaves.append([Var(name) for name in names])
-        bindings.update((name, ProbInterval(*pair)) for name, pair in zip(names, pairs))
+        bindings.update((name, ProbInterval(*pair)) for name, pair in zip(names, cells))
     if query.criterion == 'backdoor':
         terms = [cond * marg for marg, cond in zip(*leaves)]
     else:
@@ -853,6 +853,43 @@ def interval_via_expression(table: CountTable, query: EffectQuery,
                      for j, px in enumerate(treat)]
     result = eval_expr(reduce(add, terms), bindings)
     return EffectInterval.build(n, result.midpoint, result.halfwidth)
+
+
+def loop_interval(table: CountTable, query: EffectQuery, n: int | None = None
+                  ) -> EffectInterval:
+    """The interval as scalar loops compute it, one leaf at a time: each
+    cell's (count, hits) from ``table.leaf``, its estimate hits / count and
+    its radius, then the polynomial and the radii summed left to right in
+    Python floats, a term whose w or b is 0 skipped.  The array evaluator
+    must give these floats bit for bit, at every prefix."""
+    n = table.n if n is None else n
+    families = _families(table, query)
+    bound = []
+    for fam in families:
+        radius, row = lil_term if fam.dyadic else hoeffding_term, []
+        for event, given in fam.cells:
+            count, hits = table.leaf(event, given, n if fam.dyadic else None)
+            row.append((hits / count if count else 0.0, radius(count, fam.ratio)))
+        bound.append(row)
+    iw, ia, ib = (0, 1, None) if query.criterion == 'backdoor' else (1, 2, 0)
+    w, a = bound[iw], bound[ia]
+    b = [(1.0, 0.0)] if ib is None else bound[ib]
+    mid = 0.0
+    for i, (wz, _) in enumerate(w):
+        if wz != 0.0:
+            inner = 0.0
+            for j, (bj, _) in enumerate(b):
+                if bj != 0.0:
+                    inner += a[j * len(w) + i][0] * bj
+            mid += wz * inner
+    hw = 0.0
+    for fam, pairs in zip(families, bound):
+        if fam.shared:
+            hw += (len(pairs) * fam.mult) * pairs[0][1]
+        else:
+            for _, r in pairs:
+                hw += fam.mult * r
+    return EffectInterval.build(n, mid, hw)
 
 
 # -- interval-composition oracles -------------------------------------------

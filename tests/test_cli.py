@@ -1,15 +1,19 @@
 import hashlib
 import json
+import math
 import sys
 from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalci import cli, counts
-from causalci.cli import _interval_record, main
+from causalci.cli import _interval_record, _interval_template, main
 from causalci.counts import read_jsonl
-from causalci.effects import EffectQuery, confidence_sequence, effect_interval
+from causalci.effects import CRITERIA, REGIMES, EffectInterval, EffectQuery, \
+    confidence_sequence, effect_interval
 from causalci.graph import Dag
 from causalci.simulator import CausalModel, Cpt, Roles
 from helpers import binary_table, eight_obs_stream, three_valued_model
@@ -31,6 +35,38 @@ def write_eight_obs(path):
 def read_records(path):
     with open(path) as handle:
         return [json.loads(line) for line in handle if line.strip()]
+
+
+# x and y values of every JSON scalar kind, with quoted, escaped, non-ASCII and
+# record-like strings among them
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=6),
+    st.sampled_from(['"', '\\', '\u00e9', '\u65e5\u672c', '\x00\n', ', "midpoint": 0.5', '\ud800']))
+# floats in [0, 1]: the endpoints, subnormals, 17-digit ones and any others
+UNIT = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2,
+                                  1 - 2**-53, 0.30000000000000004, 1 / 3]),
+                 st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CRITERIA), st.sampled_from(REGIMES), JSON_SCALARS, JSON_SCALARS,
+       st.floats(5e-324, 1.0, exclude_max=True), st.integers(0, 10**15), UNIT,
+       st.one_of(st.just(math.inf), UNIT, st.floats(0.0, 1e300)), UNIT, UNIT, st.data())
+def test_interval_template_writes_what_json_dumps_writes(criterion, regime, x, y, delta, n,
+                                                          midpoint, halfwidth, lower, upper,
+                                                          data):
+    """A record written from a query's template, made from another interval
+    of the query, is json.dumps of the record, byte for byte."""
+    toy = criterion == 'backdoor' and data.draw(st.booleans())
+    query = EffectQuery(criterion, x, y, delta, regime, binary_toy=toy)
+    constants = {"lil": {"form": "3.3K/delta", "value": data.draw(st.floats(1.0, 1e300))}}
+    after_n = _interval_template(query, EffectInterval.build(
+        data.draw(st.integers(0, 10**15)), data.draw(UNIT), data.draw(UNIT), constants))
+    for itv in (EffectInterval(n, midpoint, halfwidth, lower, upper, constants),
+                EffectInterval.build(n, midpoint, halfwidth, constants)):
+        assert cli._INTERVAL_HEAD + str(n) + after_n(itv) == \
+            json.dumps(_interval_record(itv, query)) + "\n"
 
 
 def test_simulate_then_analyze_roundtrip(tmp_path):
@@ -633,11 +669,32 @@ def test_coverage_prediction_subcommand(tmp_path):
     assert 0 <= report["miss_rate"] <= 1
 
 
-@pytest.mark.parametrize("prediction", [[], ["--prediction"]])
+@pytest.mark.parametrize("flags", [["--criterion", "frontdoor"], ["--y", "1"], ["--toy"],
+                                   ["--frontdoor-form", "horner-z"], ["--regime", "iid"],
+                                   ["--config", "query.json"], ["--workers", "2"],
+                                   ["--regime", "iid", "--y", "1", "--toy",
+                                    "--criterion", "frontdoor"]])
+def test_coverage_prediction_refuses_the_interval_flags_exit_2(tmp_path, capsys, flags):
+    """--prediction validates the prediction set, which reads --xtilde,
+    --delta and --policy alone; an interval flag is refused, not ignored,
+    naming the first one given in the order the help lists them."""
+    out = tmp_path / "report.jsonl"
+    assert main(["coverage", "--model", FIG1, "--prediction", *flags, "--xtilde", "1",
+                 "--n", "16", "-R", "3", "--output", str(out)]) == 2
+    named = "--criterion" if "--criterion" in flags else flags[0]
+    assert capsys.readouterr().err == f"error: {named} does not apply to --prediction\n"
+    assert not out.exists()
+    # --workers 1 is the default, so it is no interval flag
+    assert main(["coverage", "--model", FIG1, "--prediction", "--workers", "1",
+                 "--xtilde", "1", "--n", "16", "-R", "3", "--output", str(out)]) == 0
+
+
+# --prediction takes neither --regime nor --y
+@pytest.mark.parametrize("prediction", [["--regime", "anytime", "--y", "1"], ["--prediction"]])
 def test_coverage_malformed_policy_spec_exit_2(tmp_path, capsys, prediction):
     out = tmp_path / "report.jsonl"
-    assert main(["coverage", "--model", FIG1, *prediction, "--regime", "anytime",
-                 "--xtilde", "1", "--y", "1", "--policy", "epsilon-greedy:abc",
+    assert main(["coverage", "--model", FIG1, *prediction, "--xtilde", "1",
+                 "--policy", "epsilon-greedy:abc",
                  "--n", "16", "-R", "2", "--output", str(out)]) == 2
     assert capsys.readouterr().err == ("error: policy 'epsilon-greedy:abc': "
                                        "epsilon must be a number in [0, 1]\n")

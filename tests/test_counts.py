@@ -714,6 +714,11 @@ def test_leaf_equals_the_naive_recount_at_every_prefix(case):
             hits = tables[0].leaf(event, given, m)[1]
             assert before[1] <= hits <= count and before[0] <= count
             before = (count, hits)
+    # read answers many leaves at once, each condition read once, as leaf
+    # answers each alone
+    for table, m in product(tables, (None, *range(len(rows) + 1))):
+        pairs = [table.leaf(event, given, m) for event, given in leaves]
+        assert table.read(leaves, m) == ([c for c, _ in pairs], [h for _, h in pairs])
     # every tracked pattern's count is the naive recount
     table = tables[0]
     xs, ys, zs = table.x_domain, table.y_domain, table.z_values
@@ -725,19 +730,25 @@ def test_leaf_equals_the_naive_recount_at_every_prefix(case):
     # the run reader agrees with leaf at every prefix of every run, for every
     # tracked leaf and for the (x, z) leaves of the last x alone; its runs start
     # at min(1, n) and at each row where a condition the leaves read reaches a
-    # power of two, so consecutive runs read differently
+    # power of two, so consecutive runs read differently; its blocks hold at
+    # most _BLOCK_ELEMENTS (run, leaf) entries, but at least one run, and
+    # carry the levels from block to block
     last_x = [(event, given) for event, given in leaves
               if given.keys() == {'x', 'z'} and given['x'] == xs[-1]]
     for read in (leaves, last_x):
         starts = sorted(dyadic_rows(rows, [given for _, given in read]) | {min(1, len(rows))})
-        for table in tables:
-            runs = list(table.leaf_runs(read))
-            assert [first for first, _, _ in runs] == starts
-            assert runs[-1][1] == len(rows)
-            assert all(a != b for (_, _, a), (_, _, b) in zip(runs, runs[1:]))
-            for first, last, pairs in runs:
-                for m in {first, last}:
-                    assert pairs == tuple(table.leaf(event, given, m) for event, given in read)
+        for table, budget in product(tables, (1, 2 * len(read) + 1, counts._BLOCK_ELEMENTS)):
+            with mock.patch.object(counts, '_BLOCK_ELEMENTS', budget):
+                blocks = list(table.leaf_runs(read))
+            assert all(0 < len(b.first) <= max(1, budget // len(read)) for b in blocks)
+            first, last, count, hits = (np.concatenate(part).tolist() for part in zip(*blocks))
+            assert first == starts
+            assert last == [p - 1 for p in first[1:]] + [len(rows)]
+            runs = [list(zip(*pair)) for pair in zip(count, hits)]
+            assert all(a != b for a, b in zip(runs, runs[1:]))
+            for a, b, pairs in zip(first, last, runs):
+                for m in {a, b}:
+                    assert pairs == [table.leaf(event, given, m) for event, given in read]
 
 
 def test_read_csv_line_numbers_count_blank_and_multiline_rows():

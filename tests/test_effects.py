@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalci.counts import Observation
-from causalci.effects import (CRITERIA, FRONTDOOR_FORMS, REGIMES, EffectQuery,
+from causalci import counts
+from causalci.counts import CountTable, Observation
+from causalci.effects import (CRITERIA, FRONTDOOR_FORMS, REGIMES, EffectQuery, _families,
                               backdoor_cs_anytime, confidence_sequence, effect_interval,
                               frontdoor_cs_anytime, true_effect)
 from causalci.graph import Dag
@@ -18,7 +19,7 @@ from causalci.prediction import prediction_set
 from causalci.simulator import (AlternatingAdversaryPolicy, CausalModel, Cpt, Roles,
                                 sample_adaptive, sample_iid)
 from helpers import (binary_table, code_rows, dyadic_rows, eight_obs_stream, fig1_model,
-                     frontdoor_model, grid_table, interval_via_expression,
+                     frontdoor_model, grid_table, interval_via_expression, loop_interval,
                      random_table, read_conditions, three_valued_model)
 
 TOY_HW_8OBS = 2.663863269432442  # 40-digit evaluation of the binary-constant
@@ -195,6 +196,44 @@ def test_confidence_sequence_holds_every_element(model, criterion, n, adaptive, 
         for first, last, itv in segments:
             for p in range(first, last + 1):
                 assert repr(replace(itv, n=p)) == repr(effect_interval(table, query, p))
+
+
+def _values(itv):
+    return repr((itv.n, itv.midpoint, itv.halfwidth, itv.lower, itv.upper))
+
+
+@pytest.mark.parametrize('criterion', CRITERIA)
+def test_sequence_on_a_wide_table_is_the_scalar_loops_block_by_block(monkeypatch, criterion):
+    """Six binary covariates (|Z| = 64) and three treatments: every segment
+    of the sequence, bound a few runs at a time so that the runs span many
+    blocks, is effect_interval at its first prefix and the scalar loops'
+    interval there, bit for bit; so are the fixed-n intervals."""
+    table = CountTable((0, 1, 2), (0, 1), [(0, 1)] * 6)
+    table.ingest_codes(np.random.default_rng(61).integers(0, 3 * 2 * 64, 3000))
+    query = q(criterion, 2, 1, 0.05, 'anytime')
+    leaves = sum(len(fam.cells) for fam in _families(table, query))
+    monkeypatch.setattr(counts, '_BLOCK_ELEMENTS', 3 * leaves)
+    segments = list(confidence_sequence(table, query))
+    assert len(segments) > 30  # so more than ten blocks of three runs
+    for first, _, itv in segments:
+        assert repr(itv) == repr(effect_interval(table, query, first))
+        assert _values(itv) == _values(loop_interval(table, query, first))
+    for regime in ('iid', 'adaptive-fixed'):
+        fixed = q(criterion, 0, 0, 0.3, regime)
+        assert _values(effect_interval(table, fixed)) == _values(loop_interval(table, fixed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CRITERIA), st.sampled_from(REGIMES), st.data())
+def test_intervals_are_the_scalar_loops(criterion, regime, data):
+    """On random tables, at every prefix where the regime has one, the
+    array evaluator's floats are the scalar loops' left-to-right ones."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    table = random_table(rng, min_n=0, max_n=400)[0]
+    query = q(criterion, data.draw(st.sampled_from(table.x_domain)),
+              data.draw(st.sampled_from(table.y_domain)), 0.1, regime)
+    for m in sorted({0, table.n // 2, table.n}) if regime == 'anytime' else (None,):
+        assert _values(effect_interval(table, query, m)) == _values(loop_interval(table, query, m))
 
 
 @pytest.mark.parametrize('criterion', CRITERIA)
