@@ -271,9 +271,13 @@ class CountTable:
 
     def cell_codes(self, x, y, z) -> np.ndarray:
         """The cell codes of rows given by domain index: x and y as arrays,
-        z as one array per z component."""
-        z = np.ravel_multi_index(z, [len(d) for d in self.z_domains])
-        return (x * len(self.y_domain) + y) * len(self.z_values) + z
+        z as one array per z component; the arrays broadcast.  Row-major
+        by Horner's rule, ``(x * |Y| + y) * |Z| + z`` with z's components
+        in the same order."""
+        code = x
+        for index, size in zip((y, *z), map(len, (self.y_domain, *self.z_domains))):
+            code = code * size + index
+        return code
 
     def decode(self, codes) -> list[Observation]:
         """The observation each cell code stands for, in order."""

@@ -31,13 +31,19 @@ policy that overrides ``choose`` is asked through it at every step, with
 the history as observations.  The alternating adversary finds each run of
 equal choices up to its next switch at once, from running sums of the
 outcomes, since only the played arm's success rate moves within a run.
+What the model fixes is computed once, on first use, and kept on it: each
+CPT's cumulative columns for both samplers, the vertices an adaptive step
+draws before and after its treatment, and the marginal tables that
+:meth:`CausalModel.probability` reads.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterator, NamedTuple, Sequence
 
@@ -76,6 +82,26 @@ class Cpt:
     rows: dict  # parent-value tuple -> tuple of probabilities
 
 
+class _Mechanism(NamedTuple):
+    """A vertex's CPT as columns, each holding one entry per parent
+    configuration in the canonical (row-major) order."""
+
+    sizes: tuple[int, ...]  # the parents' domain sizes
+    cum: tuple  # the cumulative rows, all columns but the last
+    sums: np.ndarray  # the last column: each row's sum
+    # Generator.choice's inverse CDF: the cumulative rows over their sums,
+    # all columns but the last (1.0, never at or below a uniform)
+    cdf: tuple
+
+    @classmethod
+    def of(cls, cpt: Cpt, dag: Dag) -> "_Mechanism":
+        cum = np.cumsum(list(cpt.rows.values()), axis=1)
+        cdf = cum / cum[:, -1:]
+        return cls(tuple(len(dag.domains[p]) for p in cpt.parents),
+                   tuple(cum[:, :-1].T.copy()), cum[:, -1].copy(),
+                   tuple(cdf[:, :-1].T.copy()))
+
+
 class CausalModel:
     """A DAG with conditional probability tables and observation roles."""
 
@@ -104,6 +130,9 @@ class CausalModel:
                 if len(row) != len(dom):
                     raise ValueError(f"CPT row for {v} given {config} has "
                                      f"{len(row)} entries, domain has {len(dom)}")
+                if not all(math.isfinite(p) for p in row):  # NaN passes both checks below
+                    raise ValueError(f"CPT row for {v} given {config} has a "
+                                     f"non-finite entry: {row!r}")
                 if any(p < 0 for p in row):
                     raise ValueError(f"negative probability in CPT for {v}")
                 if abs(sum(row) - 1.0) > _ROW_SUM_TOL:
@@ -115,13 +144,25 @@ class CausalModel:
                 raise ValueError(f"CPT for {v} has rows for unknown configurations")
             self.cpts[v] = Cpt(tuple(cpt.parents), rows)
         self.positive = positive
-        # per vertex: its parents' domain sizes and the columns of its
-        # cumulative CPT rows, each column holding one entry per parent
-        # configuration in the canonical (row-major) order
-        self._mechanisms = {v: (tuple(len(dag.domains[p]) for p in cpt.parents),
-                                tuple(np.cumsum(list(cpt.rows.values()), axis=1).T.copy()))
-                            for v, cpt in self.cpts.items()}
         self._joint_cache: list[tuple[tuple, float]] | None = None
+        # vertex positions -> their values -> marginal probability
+        self._marginals: dict[tuple[int, ...], dict[tuple, float]] = {}
+
+    # -- what the samplers read, built on first use ---------------------------
+
+    @cached_property
+    def _mechanisms(self) -> dict[str, _Mechanism]:
+        """Each vertex's CPT as the samplers read it."""
+        return {v: _Mechanism.of(cpt, self.dag) for v, cpt in self.cpts.items()}
+
+    @cached_property
+    def _split(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The vertices an adaptive step draws before and after its
+        treatment, each in topological order."""
+        dag, x = self.dag, self.roles.x
+        desc = dag.descendants(x)
+        return (tuple(v for v in dag.topological_order() if v != x and v not in desc),
+                tuple(v for v in dag.topological_order() if v in desc))
 
     # -- exact law -------------------------------------------------------
 
@@ -146,15 +187,25 @@ class CausalModel:
         return self._joint_cache
 
     def probability(self, partial: dict) -> float:
-        """Exact marginal probability of a partial assignment."""
+        """Exact marginal probability of a partial assignment, read from the
+        marginal table of its vertices.  One pass over the joint builds a
+        table, kept on the model, and adds each key's entries left to right
+        in the joint's order from 0, as a scan of the joint for that
+        assignment does (since Python 3.12 builtin sum rounds otherwise).
+        A value no assignment takes, hashable or not, has probability 0."""
         self.dag.require(*partial)
         verts = self.dag.vertices
-        idx = [(verts.index(name), value) for name, value in partial.items()]
-        total = 0  # left to right: since Python 3.12 builtin sum rounds otherwise
-        for assignment, p in self._joint():
-            if all(assignment[i] == val for i, val in idx):
-                total += p
-        return total
+        positions = tuple(sorted(verts.index(name) for name in partial))
+        table = self._marginals.get(positions)
+        if table is None:
+            table = self._marginals[positions] = {}
+            for assignment, p in self._joint():
+                key = tuple(assignment[i] for i in positions)
+                table[key] = table.get(key, 0) + p
+        try:
+            return table.get(tuple(partial[verts[i]] for i in positions), 0)
+        except TypeError:  # unhashable, so equal to no domain value
+            return 0
 
     def interventional_probability(self, x_value, y_value) -> float:
         """P(outcome = y) in the mutilated model where the treatment vertex
@@ -284,7 +335,8 @@ class CptPolicy(Policy):
 
     def choose(self, history, visible):
         model, x = self.model, self.model.roles.x
-        index = {p: [model.dag.domains[p].index(visible[p])] for p in model.cpts[x].parents}
+        index = {p: np.array([model.dag.domains[p].index(visible[p])])
+                 for p in model.cpts[x].parents}
         return model.dag.domains[x][_draw(model, x, index, self.rng.random(1))[0]]
 
     def _steps(self, block):
@@ -400,31 +452,41 @@ class AlternatingAdversaryPolicy(_SuccessRatePolicy):
     def _steps(self, block):
         """``_pick``'s rule one run of equal choices at a time: the picks up
         to the next switch at once, the switching pick by ``_pick``."""
-        hit = block.y == self._target_index
+        nx, k = block.y.shape
+        # before[i, t]: arm i's target outcomes among the block's first t steps
+        before = np.zeros((nx, k + 1), dtype=np.intp)
+        np.cumsum(block.y == self._target_index, axis=1, out=before[:, 1:])
         hits, totals = self._hits, self._totals
-        k = hit.shape[1]
         chosen = np.empty(k, dtype=np.intp)
         t = 0
         while t < k:
             i = self._index
-            end = self._run_end(hit[i], t)
+            end = self._run_end(before[i], t)
             chosen[t:end] = i
-            hits[i] += int(np.count_nonzero(hit[i, t:end]))
+            hits[i] += int(before[i, end] - before[i, t])
             totals[i] += end - t
             if end < k:
                 i = chosen[end] = self._pick()
-                hits[i] += int(hit[i, end])
+                hits[i] += int(before[i, end + 1] - before[i, end])
                 totals[i] += 1
                 end += 1
             t = end
         return chosen
 
-    def _run_end(self, hit: np.ndarray, t: int) -> int:
+    def _run_end(self, before: np.ndarray, t: int) -> int:
         """The first step from t on whose pick switches away from the
         current arm, or the block's length; ``_last_sign`` becomes the last
-        nonzero sign of the picks before it.  hit holds the current arm's
-        target outcomes in the block."""
-        k, i = len(hit), self._index
+        nonzero sign of the picks before it.  before holds the current
+        arm's running count of target outcomes, one more than the block's
+        steps (``_steps``).
+
+        Arm i < 2 switches at the first pick whose gap sign is opposite to
+        the last nonzero one, which, if there is none yet, is the run's
+        first nonzero sign.  Only arm i's rate moves, and the running count
+        gives its hits before every pick.  The picks are scanned in windows
+        of 16, 256, 4096, ... steps: a run costs in proportion to its
+        length, and one over a whole block of 4096 steps takes three."""
+        k, i = len(before) - 1, self._index
         if len(self._totals) < 2:
             return k
         if i >= 2:  # arms 0 and 1 stand still, so every pick sees the first one's gap
@@ -433,30 +495,27 @@ class AlternatingAdversaryPolicy(_SuccessRatePolicy):
                 return t
             self._last_sign = sign or self._last_sign
             return k
-        # only arm i's rate moves; windows from 16 steps on, doubling, so a
-        # run costs in proportion to its length
-        other, h, n, last = self._rate(1 - i), self._hits[i], self._totals[i], self._last_sign
+        other, n, last = self._rate(1 - i), self._totals[i], self._last_sign
+        offset = self._hits[i] - int(before[t])  # arm i's hits before step s: offset + before[s]
         width = 16
         while t < k:
-            seen = hit[t:t + width]
+            end = min(t + width, k)
             # arm i's rate at each pick, from its hits and plays before it
-            count = n + np.arange(len(seen))
-            rate = np.divide(h + np.cumsum(seen) - seen, count,
-                             out=np.full(len(seen), 0.5), where=count > 0)
-            sign = np.sign(rate - other if i == 0 else other - rate)
-            at = np.flatnonzero(sign)
-            signs = sign[at]
-            before = np.concatenate(([last], signs[:-1]))  # the last nonzero sign before each
-            flips = np.flatnonzero(signs * before < 0)
-            if flips.size:
-                self._last_sign = int(before[flips[0]])
-                return t + int(at[flips[0]])
-            if signs.size:
-                last = int(signs[-1])
-            h += int(np.count_nonzero(seen))
-            n += len(seen)
-            t += len(seen)
-            width *= 2
+            hits, count = offset + before[t:end], n + np.arange(end - t)
+            rate = (hits / count if n else
+                    np.divide(hits, count, out=np.full(end - t, 0.5), where=count > 0))
+            gap = rate - other if i == 0 else other - rate
+            if not last:
+                nonzero = np.flatnonzero(gap)
+                if nonzero.size:
+                    last = 1 if gap[nonzero[0]] > 0 else -1
+            flips = np.flatnonzero(gap < 0 if last > 0 else gap > 0) if last else ()
+            if len(flips):
+                self._last_sign = last
+                return t + int(flips[0])
+            n += end - t
+            t = end
+            width *= 16
         self._last_sign = last
         return k
 
@@ -492,27 +551,27 @@ def make_policy(spec: str, model: CausalModel) -> Policy:
 # -- sampling -----------------------------------------------------------------
 
 def _iid_codes(model: CausalModel, n: int, seed) -> np.ndarray:
-    """Cell codes of n independent ancestral-sampling draws."""
-    _require_length(n)
+    """Cell codes of n independent ancestral-sampling draws.
+
+    Each vertex is drawn as ``rng.choice(len(dom), size=k, p=row)`` would
+    draw it for the k steps of each parent configuration in turn, in the
+    canonical order: ``Generator.choice`` takes k uniforms and counts the
+    entries of ``cumsum(row) / cumsum(row)[-1]`` at or below each
+    (``searchsorted(side='right')``).  The uniforms of all configurations
+    are one ``rng.random(n)``, handed to the steps grouped by configuration
+    (a stable sort), and the counts are taken a column at a time, so the
+    draws and the generator's state afterwards are those of the calls."""
+    n = _require_length(n)
     rng = as_generator(seed)
-    dag, roles = model.dag, model.roles
+    roles = model.roles
     index: dict[str, np.ndarray] = {}
-    for v in dag.topological_order():
-        dom = dag.domains[v]
-        cpt = model.cpts[v]
-        if not cpt.parents:
-            index[v] = rng.choice(len(dom), size=n, p=cpt.rows[()])
-            continue
-        idx = np.empty(n, dtype=np.int64)
-        # each step's parent configuration, coded as _draw codes it
-        config = np.ravel_multi_index([index[p] for p in cpt.parents],
-                                      model._mechanisms[v][0])
-        for c, row in enumerate(cpt.rows.values()):
-            mask = config == c
-            k = int(mask.sum())
-            if k:
-                idx[mask] = rng.choice(len(dom), size=k, p=row)
-        index[v] = idx
+    for v in model.dag.topological_order():
+        config = _config(model, v, index)
+        u = rng.random(n)
+        if model.cpts[v].parents:  # the j-th uniform to the j-th step in configuration order
+            grouped, u = u, np.empty(n)
+            u[np.argsort(config, kind='stable')] = grouped
+        index[v] = _at_or_below(model._mechanisms[v].cdf, config, u)
     return model.count_table().cell_codes(index[roles.x], index[roles.y],
                                           [index[name] for name in roles.z])
 
@@ -522,26 +581,54 @@ def sample_iid(model: CausalModel, n: int, seed) -> list[Observation]:
     return model.count_table().decode(_iid_codes(model, n, seed))
 
 
-def _require_length(n: int) -> None:
+def _require_length(n) -> int:
+    """n, of any integral type but bool, as a stream length."""
+    if isinstance(n, (bool, np.bool_)):  # Python counts True as 1; a length does not
+        raise ValueError(f"stream length n must be an integer, got {n!r}")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"stream length n must be an integer, got {n!r}") from None
     if n < 0:
         raise ValueError(f"stream length n must be >= 0, got {n}")
+    return n
+
+
+def _config(model: CausalModel, v: str, index: dict):
+    """Each step's parent configuration of v, coded in the canonical
+    (row-major) order by Horner's rule: 0 for a vertex without parents, a
+    single parent's own index array; parent index arrays broadcast."""
+    parents = model.cpts[v].parents
+    if not parents:
+        return 0
+    config = index[parents[0]]
+    for p, size in zip(parents[1:], model._mechanisms[v].sizes[1:]):
+        config = config * size + index[p]
+    return config
+
+
+def _at_or_below(columns: tuple, config, threshold: np.ndarray) -> np.ndarray:
+    """Per step, how many of the columns' entries at its configuration are
+    at or below its threshold: each column is gathered and compared once."""
+    drawn = np.zeros(np.shape(threshold), dtype=np.intp)
+    for column in columns:
+        drawn += column[config] <= threshold
+    return drawn
 
 
 def _draw(model: CausalModel, v: str, index: dict, u: np.ndarray) -> np.ndarray:
     """Vertex v's domain index at every step at once, given its parents'
     indices and one uniform per step: the inverse CDF of each step's CPT
     row, the number of its cumulative entries at or below ``u * cum[-1]``
-    (``bisect_right`` on the row).  The entries are compared a column at a
-    time, each column gathered at the steps' parent configurations.  A
-    single draw is a one-element array."""
-    sizes, columns = model._mechanisms[v]
-    parents = [index[p] for p in model.cpts[v].parents]
-    config = np.ravel_multi_index(parents, sizes) if parents else 0
-    threshold = u * columns[-1][config]
-    drawn = np.zeros(len(u), dtype=np.intp)
-    for column in columns:
-        drawn += column[config] <= threshold
-    return drawn
+    (``bisect_right`` on the row).  The last entry, the row's sum s, is
+    never counted: for u in [0, 1) and s > 0, ``u * s`` rounds below s.
+    The others are compared a column at a time, each column gathered at
+    the steps' parent configurations.  Indices and uniforms broadcast, so a
+    (|X|, 1) column of treatment indices draws a descendant for every
+    treatment value at once.  A single draw is a one-element array."""
+    mechanism = model._mechanisms[v]
+    config = _config(model, v, index)
+    return _at_or_below(mechanism.cum, config, u * mechanism.sums[config])
 
 
 def _asking(model: CausalModel, policy: Policy, pre: list[str], table: CountTable):
@@ -576,15 +663,11 @@ def _asking(model: CausalModel, policy: Policy, pre: list[str], table: CountTabl
 def _adaptive_codes(model: CausalModel, policy: Policy, n: int, seed) -> np.ndarray:
     """Cell codes of n sequential draws with the treatment chosen by the
     policy; see :func:`sample_adaptive`."""
-    _require_length(n)
+    n = _require_length(n)
     rng = as_generator(seed)
     policy.reset(model, rng.spawn(1)[0])
     table = model.count_table()
-    dag, roles = model.dag, model.roles
-    x_name = roles.x
-    desc = dag.descendants(x_name)
-    pre = [v for v in dag.topological_order() if v != x_name and v not in desc]
-    post = [v for v in dag.topological_order() if v in desc]
+    roles, (pre, post) = model.roles, model._split
     steps = policy._steps or _asking(model, policy, pre, table)
     nx = len(table.x_domain)
     codes = np.empty(n, dtype=np.intp)
@@ -594,16 +677,14 @@ def _adaptive_codes(model: CausalModel, policy: Policy, n: int, seed) -> np.ndar
         index: dict[str, np.ndarray] = {}
         for j, v in enumerate(pre):
             index[v] = _draw(model, v, index, u[:, j])
-        block = _Block({v: index[v] for v in pre}, np.empty((nx, k), dtype=np.intp),
-                       np.empty((nx, k), dtype=np.intp))
-        for i in range(nx):
-            index[x_name] = np.full(k, i)
-            for j, v in enumerate(post, start=len(pre)):
-                index[v] = _draw(model, v, index, u[:, j])
-            block.y[i] = index[roles.y]
-            block.cells[i] = table.cell_codes(index[x_name], index[roles.y],
-                                              [index[name] for name in roles.z])
-        codes[start:start + k] = block.cells[steps(block), np.arange(k)]
+        drawn_pre = dict(index)
+        index[roles.x] = np.arange(nx)[:, None]  # every treatment value at once
+        for j, v in enumerate(post, start=len(pre)):
+            index[v] = _draw(model, v, index, u[:, j])
+        cells = table.cell_codes(index[roles.x], index[roles.y],
+                                 [index[name] for name in roles.z])
+        block = _Block(drawn_pre, np.broadcast_to(index[roles.y], (nx, k)), cells)
+        codes[start:start + k] = cells[steps(block), np.arange(k)]
     return codes
 
 
@@ -620,12 +701,12 @@ def sample_adaptive(model: CausalModel, policy: Policy, n: int,
     column-wise, ``_BLOCK_STEPS`` steps at a time: one uniform per step and
     non-treatment vertex (pre-treatment vertices first, each in topological
     order, as a step-by-step sampler consumes them), the pre-treatment
-    columns once, and the treatment's descendants once for every treatment
-    value, of which each step keeps the policy's choice.  The stream is
-    the same as that of scalar draws step by step.  The built-in policies
-    choose on domain indices (``Policy._steps``); the stream is drawn as
-    cell codes and decoded into observations, whose values are the
-    domain's own.
+    columns once, and the treatment's descendants once, for every treatment
+    value at once as (|X|, k) arrays, of which each step keeps the policy's
+    choice.  The stream is the same as that of scalar draws step by step.
+    The built-in policies choose on domain indices (``Policy._steps``); the
+    stream is drawn as cell codes and decoded into observations, whose
+    values are the domain's own.
     """
     return model.count_table().decode(_adaptive_codes(model, policy, n, seed))
 
@@ -639,6 +720,6 @@ def draw_intervened_outcome(model: CausalModel, x_value, seed):
         raise ValueError(f"{x_value!r} not in the treatment domain")
     index = {}
     for v in dag.topological_order():
-        index[v] = ([dag.domains[v].index(x_value)] if v == roles.x
+        index[v] = (np.array([dag.domains[v].index(x_value)]) if v == roles.x
                     else _draw(model, v, index, rng.random(1)))
     return dag.domains[roles.y][index[roles.y][0]]

@@ -713,6 +713,20 @@ def test_policy_without_an_argument_refuses_one_exit_2(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("regime", ["iid", "adaptive"])
+def test_simulate_refuses_a_model_with_a_nan_probability_exit_2(tmp_path, capsys, regime):
+    doc = json.loads(Path(FIG1).read_text())
+    doc["cpts"]["Z"]["rows"][0]["p"] = [math.nan, 1.0]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "out.jsonl"
+    assert main(["simulate", "--model", str(model), "--n", "10", "--regime", regime,
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: CPT row for Z given () has a non-finite entry: (nan, 1.0)\n"
+    assert not out.exists()
+
+
 def test_simulate_refuses_a_policy_in_the_iid_regime_exit_2(tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert main(["simulate", "--model", FIG1, "--n", "10", "--regime", "iid",

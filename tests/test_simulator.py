@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_right
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +71,68 @@ IID_THREE_VALUED_SHA256 = {
 def test_iid_stream_of_the_three_valued_model_is_pinned(seed):
     rows = sample_iid(three_valued_model(), 5000, seed)
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == IID_THREE_VALUED_SHA256[seed]
+
+
+def _choice_codes(model, n, rng):
+    """The IID cell codes as one ``Generator.choice`` call per vertex and
+    parent configuration, the configurations in their canonical order."""
+    dag, roles = model.dag, model.roles
+    index = {}
+    for v in dag.topological_order():
+        cpt, size = model.cpts[v], len(dag.domains[v])
+        if not cpt.parents:
+            index[v] = rng.choice(size, size=n, p=cpt.rows[()])
+            continue
+        config = np.ravel_multi_index([index[p] for p in cpt.parents],
+                                      [len(dag.domains[p]) for p in cpt.parents])
+        index[v] = np.empty(n, dtype=np.int64)
+        for c, row in enumerate(cpt.rows.values()):
+            mask = config == c
+            if mask.any():
+                index[v][mask] = rng.choice(size, size=int(mask.sum()), p=row)
+    return model.count_table().cell_codes(index[roles.x], index[roles.y],
+                                          [index[name] for name in roles.z])
+
+
+# rows that hold zeros or sum to 1 only up to rounding
+_ODD_ROWS = {1: [(1.0,)],
+             2: [(0.0, 1.0), (1.0, 0.0), (0.9, 0.1)],
+             3: [(0.7, 0.2, 0.1), (0.0, 0.3, 0.7), (0.3, 0.6, 0.1), (1.0, 0.0, 0.0)],
+             4: [(0.2, 0.4, 0.3, 0.1), (0.7, 0.2, 0.1, 0.0), (0.0, 0.0, 0.0, 1.0)]}
+
+
+@st.composite
+def choice_models(draw):
+    """Z -> X -> Y with Z -> Y, each domain of 1 to 4 values; each CPT row
+    is one of _ODD_ROWS or normalized weights, zeros among them."""
+    doms = {v: tuple(range(draw(st.integers(1, 4)))) for v in "ZXY"}
+    weight = st.sampled_from([0.0, 0.1, 0.25, 1 / 3, 0.7, 1.0, 2.5])
+
+    def row(size):
+        if draw(st.booleans()):
+            return draw(st.sampled_from(_ODD_ROWS[size]))
+        weights = draw(st.lists(weight, min_size=size, max_size=size).filter(any))
+        total = sum(weights)
+        return tuple(w / total for w in weights)
+
+    parents = {"Z": (), "X": ("Z",), "Y": ("X", "Z")}
+    cpts = {v: Cpt(pa, {config: row(len(doms[v]))
+                        for config in product(*(doms[q] for q in pa))})
+            for v, pa in parents.items()}
+    dag = Dag(list(doms), [("Z", "X"), ("X", "Y"), ("Z", "Y")], doms)
+    return CausalModel(dag, cpts, Roles("X", "Y", ("Z",)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(choice_models(), st.integers(0, 2000), st.integers(0, 2**64 - 1))
+@example(three_valued_model(), 2000, 0)
+def test_iid_draws_are_those_of_generator_choice(model, n, seed):
+    # the same draws and the same generator state afterwards, so a change to
+    # numpy's Generator.choice shows up here before in the pinned streams
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert simulator._iid_codes(model, n, ours).tolist() == \
+        _choice_codes(model, n, theirs).tolist()
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_cpt_policy_reproduces_iid_distribution():
@@ -180,6 +242,34 @@ def test_exact_law_is_pinned(make):
             [repr(model.probability({model.roles.y: y})) for y in ys]) == EXACT_LAW_REPRS[make]
 
 
+def _scanned_probability(model, partial):
+    """P(partial) by a scan of the joint, left to right from 0."""
+    verts = model.dag.vertices
+    total = 0
+    for assignment, p in model._joint():
+        if all(assignment[verts.index(name)] == value for name, value in partial.items()):
+            total += p
+    return total
+
+
+@pytest.mark.parametrize("make", [fig1_model, frontdoor_model, three_valued_model],
+                         ids=lambda m: m.__name__)
+def test_marginal_tables_are_the_scan_of_the_joint(make):
+    # every partial assignment of every vertex subset, bit for bit, with the
+    # names in reverse order; a value outside the domain or unhashable gives 0
+    model = make()
+    doms = model.dag.domains
+    for size in range(len(doms) + 1):
+        for names in combinations(reversed(list(doms)), size):
+            for values in product(*(doms[v] + ("off",) for v in names)):
+                partial = dict(zip(names, values))
+                want = _scanned_probability(model, partial)
+                assert repr(model.probability(partial)) == repr(want)
+    name = model.roles.x
+    assert model.probability({name: [1]}) == _scanned_probability(model, {name: [1]}) == 0
+    assert model.probability({name: {}, model.roles.y: doms[model.roles.y][0]}) == 0
+
+
 def _fig1_cpts():
     return {
         "Z": Cpt((), {(): (0.6, 0.4)}),
@@ -215,6 +305,10 @@ def test_model_validation_errors():
     ("W", Cpt((), {(): (0.5, 0.5)}), r"CPT vertices mismatch \(missing \[\], extra \['W'\]\)"),
     ("Z", Cpt((), {(): (0.6, 0.3, 0.1)}), r"CPT row for Z given \(\) has 3 entries, domain has 2"),
     ("Z", Cpt((), {(): (1.2, -0.2)}), "negative probability in CPT for Z"),
+    ("Z", Cpt((), {(): (math.nan, 1.0)}),
+     r"CPT row for Z given \(\) has a non-finite entry: \(nan, 1\.0\)"),
+    ("X", Cpt(("Z",), {(0,): (0.5, 0.5), (1,): (math.inf, -math.inf)}),
+     r"CPT row for X given \(1,\) has a non-finite entry: \(inf, -inf\)"),
     ("X", Cpt(("Z",), {(0,): (0.5, 0.5), (1,): (0.5, 0.5), (2,): (0.5, 0.5)}),
      "CPT for X has rows for unknown configurations"),
 ])
@@ -268,6 +362,23 @@ def test_model_with_a_repeated_domain_value_is_refused_at_load(tmp_path):
         CausalModel.from_json(doc)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("row", [[float("nan"), 1.0], [0.5, float("nan")]])
+def test_model_document_with_a_nan_probability_is_refused_at_load(tmp_path, row):
+    # NaN slips past both the sign and the sum check, so it needs its own;
+    # the JSON reader accepts the NaN literal
+    config = Path(__file__).resolve().parent.parent / "configs" / "fig1.json"
+    doc = json.loads(config.read_text())
+    doc["cpts"]["Z"]["rows"][0]["p"] = row
+    message = rf"^CPT row for Z given \(\) has a non-finite entry: \({row[0]}, {row[1]}\)$"
+    with pytest.raises(ValueError, match=message):
+        CausalModel.from_json(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert "NaN" in path.read_text()
     with pytest.raises(ValueError, match=message):
         load_model(str(path))
 
@@ -449,6 +560,15 @@ def test_samplers_refuse_a_negative_length():
         assert sample(0) == []
 
 
+@pytest.mark.parametrize("n", [True, False, np.True_, 2.5, 2.0, "3", None])
+def test_samplers_refuse_a_stream_length_that_is_not_an_integer(n):
+    model = fig1_model()
+    for sample in (sample_iid, lambda model, n, seed: sample_adaptive(model, CptPolicy(), n, seed)):
+        with pytest.raises(ValueError, match=rf"^stream length n must be an integer, got {n!r}$"):
+            sample(model, n, 1)
+    assert sample_iid(model, np.int64(3), 1) == sample_iid(model, 3, 1)
+
+
 @pytest.mark.parametrize("make", [lambda: EpsilonGreedyPolicy(0.1),
                                   AlternatingAdversaryPolicy])
 def test_reused_policy_tracks_the_new_models_outcome(make):
@@ -537,6 +657,29 @@ def test_run_wise_adversary_switches_every_few_steps():
     assert sum(a != b for a, b in zip(want, want[1:])) > 1000
 
 
+@pytest.mark.parametrize("switch", [None, 0, 1, 15, 16, 17, 271, 272, 273, 4095])
+def test_run_wise_adversary_across_its_windows(switch):
+    # a run is scanned in windows of 16, 256 and 4096 steps, from its first
+    # step: the first switch falls on no step of a 4096-step block (the
+    # block's length), on a window's first step (0, 16, 272), either side of
+    # a window's end, or on the block's last step.  Arm 1's rate is 99999 in
+    # 100000; arm 0 hits at every step but switch - 1, so its rate, 1 at
+    # every pick before, drops below arm 1's at the pick of step switch.
+    if switch == 0:  # the gap is positive already, against a last sign of -1
+        start = ([1, 1], [1, 2], 0, -1)
+    else:
+        start = ([1, 99999], [1, 100000], 0, 1)
+    y = np.ones((2, 4096), dtype=np.intp)
+    if switch:
+        y[0, switch - 1] = 0
+    run_wise, per_step = _adversaries(2, 2, start)
+    block = simulator._Block({}, y, y)
+    want = simulator._SuccessRatePolicy._steps(per_step, block)
+    assert run_wise._steps(block).tolist() == want
+    assert _state(run_wise) == _state(per_step)
+    assert (want.index(1) if 1 in want else None) == switch
+
+
 def test_overriding_pick_alone_keeps_the_per_step_rule():
     class FirstArm(AlternatingAdversaryPolicy):
         def _pick(self):
@@ -573,6 +716,19 @@ def _tie_model():
     return CausalModel(dag, cpts, Roles("X", "Y", ("Z",)))
 
 
+def _off_sum_model():
+    """A four-valued X given a binary U and a three-valued Y given X, whose
+    rows sum to 1 only up to rounding (the float sums of their entries are
+    1 + 2**-52 or 1 - 2**-53), one with a zero entry."""
+    doms = {"U": (0, 1), "X": (0, 1, 2, 3), "Y": ("a", "b", "c")}
+    cpts = {"U": Cpt((), {(): (0.5, 0.5)}),
+            "X": Cpt(("U",), {(0,): (0.2, 0.4, 0.3, 0.1), (1,): (0.7, 0.2, 0.1, 0.0)}),
+            "Y": Cpt(("X",), {(0,): (0.7, 0.2, 0.1), (1,): (0.2, 0.7, 0.1),
+                              (2,): (0.3, 0.6, 0.1), (3,): (0.6, 0.3, 0.1)})}
+    dag = Dag(list(doms), [("U", "X"), ("X", "Y")], doms)
+    return CausalModel(dag, cpts, Roles("X", "Y", ("U",)))
+
+
 def _boundary_uniforms(row):
     """0, the largest float below 1, each cumulative entry over the row's sum
     and the floats on either side of it."""
@@ -586,7 +742,8 @@ def _boundary_uniforms(row):
 
 @pytest.mark.parametrize("make, vertex", [(_tie_model, "X"), (_tie_model, "Y"),
                                           (three_valued_model, "X"),
-                                          (three_valued_model, "Y")])
+                                          (three_valued_model, "Y"),
+                                          (_off_sum_model, "X"), (_off_sum_model, "Y")])
 def test_draw_at_the_boundaries_is_the_bisection_of_the_row(make, vertex):
     model = make()
     cpt, doms = model.cpts[vertex], model.dag.domains
@@ -606,6 +763,52 @@ def test_draw_at_the_boundaries_is_the_bisection_of_the_row(make, vertex):
         ties = sum(u * sum(row) in accumulate(row) for u, row in
                    zip(us, (cpt.rows[c] for c in configs)))
         assert ties > len(cpt.rows)  # exact ties, zero entries among them
+    if make is _off_sum_model:
+        # at the largest uniform the row's sum, the skipped last entry, is
+        # never reached, whether the sum is above or below 1
+        sums = {list(accumulate(row))[-1] for row in cpt.rows.values()}
+        assert 1.0 not in sums
+        top = [d for u, d in zip(us, want) if u == math.nextafter(1.0, 0.0)]
+        assert len(top) == len(cpt.rows) and max(top) < len(doms[vertex])
+
+
+class _QueuedUniforms:
+    """A stand-in generator that hands out the given blocks of uniforms,
+    one block per call."""
+
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
+
+    def random(self, size):
+        block = self.blocks.pop(0)
+        assert len(block) == size
+        return np.array(block, dtype=float)
+
+
+@pytest.mark.parametrize("make", [_tie_model, three_valued_model, _off_sum_model])
+def test_iid_draws_at_the_boundaries_are_the_inverse_cdf_of_choice(make, monkeypatch):
+    # Generator.choice counts the entries of cumsum(row) / cumsum(row)[-1]
+    # at or below each uniform: at uniforms on and beside those entries
+    # (rounding decides there), for every configuration of the treatment's
+    # parents, each a root held at one value by the middle of its interval
+    model = make()
+    doms, cpt = model.dag.domains, model.cpts[model.roles.x]
+    monkeypatch.setattr(simulator, "as_generator", lambda seed: seed)
+    for config, row in cpt.rows.items():
+        cdf = np.cumsum(row) / np.cumsum(row)[-1]
+        us = _boundary_uniforms(row)
+        blocks = []
+        for v in model.dag.topological_order():
+            if v in cpt.parents:
+                j = doms[v].index(config[cpt.parents.index(v)])
+                root = np.cumsum(model.cpts[v].rows[()])
+                blocks.append([(root[j] - model.cpts[v].rows[()][j] / 2) / root[-1]] * len(us))
+            else:
+                blocks.append(us if v == model.roles.x else [0.0] * len(us))
+        codes = simulator._iid_codes(model, len(us), _QueuedUniforms(blocks))
+        table = model.count_table()
+        got = (codes // (len(table.y_domain) * len(table.z_values))).tolist()
+        assert got == cdf.searchsorted(us, side='right').tolist()
 
 
 class _FixedUniforms:
