@@ -24,18 +24,24 @@ level, as (runs x leaves) arrays a block of runs at a time: each log's
 levels at the first run are a bisection, and every later level, placed at
 its run by one sorted pass, is added down the block by one cumulative
 sum.  A table holds O(cells + conditions * log n) entries, however long
-the stream.
+the stream, besides at most ``_PENDING_ROWS`` pending rows.
 
 :meth:`CountTable.ingest` adds one observation and is the reference path.
 :meth:`CountTable.ingest_codes` adds cell codes ``_CHUNK_ROWS`` at a time:
 one ``numpy.bincount`` gives a chunk's (x, y, z) histogram, from which
-each condition's count before the chunk and within it are summed, and
-only for a pattern where some condition reaches a power of two in the
-chunk are the rows decoded and that condition's rows walked to log its
-levels.  :meth:`CountTable.ingest_chunks` hands the codes of text lines
-over a chunk at a time and yields after each, and
-:meth:`CountTable.ingest_lines` runs it to the end.  Every path builds the
-table that ``ingest`` builds.
+each condition's count before the chunk and within it are summed; that
+is all ingestion does.  A chunk in which some condition reaches a power
+of two stays pending, and a prefix read (``read`` or ``leaf`` with ``m``,
+``leaf_runs``) folds the pending chunks into the logs of the patterns it
+reads, in stream order: each chunk is decoded once and walked only for
+the conditions that gain a bit in it.  Whole-stream reads never fold, so
+a table that is only counted never walks a row.  ``checkpoints``,
+``checkpoint_version``, ``==`` and ``ingest`` fold every pattern first,
+as does a chunk that takes the pending rows past ``_PENDING_ROWS``.
+:meth:`CountTable.ingest_chunks` hands the codes of text lines over a
+chunk at a time and yields after each, and :meth:`CountTable.ingest_lines`
+runs it to the end.  Every path builds the table that ``ingest`` builds,
+and every read answers as on that table.
 
 Every reader goes through one distinct-record function, ``_distinct``,
 which makes the value of each distinct key once and keeps up to
@@ -73,6 +79,13 @@ _CHUNK_ROWS = 4096
 _LINE_CACHE = 4096
 # tracked patterns, each named by the axes of (x, y, z) that it fixes
 _PATTERNS = ('xyz', 'xz', 'x', 'z')
+# the patterns whose conditions keep a log of dyadic levels: (x, z), x and
+# the whole stream
+_LOGGED = ('xz', 'x', '')
+# rows of ingested chunks whose levels some pattern has yet to log; past it,
+# every pattern's levels are logged, which bounds the memory of a stream
+# that no prefix read ever folds
+_PENDING_ROWS = 1 << 16
 # a logged level is (stream position at which it was reached, outcome tally)
 _position = itemgetter(0)
 # (run, leaf) entries in one block of CountTable.leaf_runs; bounds the memory
@@ -178,7 +191,12 @@ class CountTable:
         # the first 2**j occurrences of the condition, reached at that stream
         # position.  The outcomes are y given (x, z), z given x, and z then x.
         self._levels: dict[tuple[str, int], list[tuple[int, tuple[int, ...]]]] = {}
-        self.checkpoint_version = 0
+        # the chunks in which some condition reaches a power of two but whose
+        # levels some pattern has yet to log, in stream order, each as (n and
+        # the (x, y, z) counts before the chunk, its own copy of its codes,
+        # per pattern still to log: the conditions that gain a bit in the
+        # chunk, and every condition's count before it and within it)
+        self._pending: list[tuple[int, np.ndarray, np.ndarray, dict]] = []
 
     # -- ingestion ---------------------------------------------------------
 
@@ -202,8 +220,10 @@ class CountTable:
         raise ValueError(f"z has {len(z)} coordinates, expected {len(self.z_domains)}")
 
     def ingest(self, obs) -> None:
-        """Add one observation to the stream; validates every coordinate."""
+        """Add one observation to the stream; validates every coordinate.
+        Its levels are logged at once, after those of the pending chunks."""
         x, y, z = self._indices(obs)
+        self._fold(_LOGGED)
         nz = len(self.z_values)
         block = len(self.y_domain) * nz  # the cells of one x
         counts = self._counts
@@ -216,7 +236,6 @@ class CountTable:
                         (('x', x), sum(counts[base:base + block])), (('', 0), self.n)):
             if c & (c - 1) == 0:  # a power of two
                 self._levels.setdefault(cond, []).append((self.n, tuple(self._tally(cond))))
-                self.checkpoint_version += 1
 
     def ingest_lines(self, lines: Iterable[str], columns: dict | None = None) -> None:
         """Add the rows of a JSON-lines stream's text lines (with ``columns``,
@@ -258,7 +277,9 @@ class CountTable:
         ``z_values``; the table ends up as if each row had gone through
         :meth:`ingest`.  Refuses the whole array if a code is not an
         integer in [0, |X|·|Y|·|Z|); else applies it ``_CHUNK_ROWS`` rows
-        at a time."""
+        at a time, updating the counts only: a chunk's dyadic levels wait
+        for a prefix read (:meth:`_add_cells`), and a pending chunk keeps a
+        copy of its codes, so the caller may reuse the array."""
         codes = np.asarray(codes)
         cells = len(self._counts)
         if codes.ndim != 1 or (codes.size and codes.dtype.kind not in 'iu'):
@@ -287,8 +308,11 @@ class CountTable:
                 for x, y, z in zip(*(a.tolist() for a in np.unravel_index(codes, dims)))]
 
     def _add_cells(self, cells: np.ndarray) -> None:
-        """Apply a chunk of valid cell codes, exactly as if each row had gone
-        through :meth:`ingest`."""
+        """Apply a chunk of valid cell codes to the counts and ``n``.  A chunk
+        in which some condition reaches a power of two stays pending, with
+        its own copy of the codes, until :meth:`_fold` logs its levels
+        exactly as :meth:`ingest` logs them row by row; once more than
+        ``_PENDING_ROWS`` rows are pending, every pattern is folded."""
         m = len(cells)
         if not m:
             return
@@ -296,34 +320,56 @@ class CountTable:
         # the (x, y, z) counts before the chunk and within it
         held = np.array(self._counts).reshape(nx, ny, nz)
         found = np.bincount(cells, minlength=held.size).reshape(nx, ny, nz)
-
-        # checkpoints first: they read the counts as they stood before the chunk
-        rows = None  # each row's (x, y, z), decoded for the first condition that gains a bit
+        gains = {}  # per pattern: conditions that gain a bit, counts before and within
         for tag, before, added in (
                 ('xz', held.sum(axis=1).ravel(), found.sum(axis=1).ravel()),
                 ('x', held.sum(axis=(1, 2)), found.sum(axis=(1, 2))),
                 ('', np.array([self.n]), np.array([m]))):
             crossing = np.flatnonzero((before ^ (before + added)) > before).tolist()
-            if not crossing:
-                continue
-            if rows is None:
-                xy, z = np.divmod(cells.astype(np.intp), nz)
+            if crossing:
+                gains[tag] = (crossing, before, added)
+        if gains:  # a copy of the codes in the narrowest dtype that holds them
+            codes = cells.astype(np.min_scalar_type(held.size - 1))
+            self._pending.append((self.n, held, codes, gains))
+        self._counts = (held + found).ravel().tolist()
+        self.n += m
+        if gains and sum(len(chunk[2]) for chunk in self._pending) > _PENDING_ROWS:
+            self._fold(_LOGGED)
+
+    def _fold(self, tags: Iterable[str]) -> None:
+        """Log the levels of the patterns ``tags`` that the pending chunks
+        hold, chunk by chunk in stream order: a chunk is decoded once for
+        all of them and walked only for those that gain a bit in it, and it
+        is dropped once no pattern has levels left in it."""
+        if not self._pending:
+            return
+        nx, ny, nz = map(len, self._index.values())
+        kept = []
+        for chunk in self._pending:
+            n, held, codes, gains = chunk
+            walk = [tag for tag in gains if tag in tags]
+            if walk:
+                xy, z = np.divmod(codes.astype(np.intp), nz)
                 x, y = np.divmod(xy, ny)
                 rows = {'xz': (x * nz + z, ((y, ny),)), 'x': (x, ((z, nz),)),
                         '': (np.zeros_like(x), ((z, nz), (x, nx)))}
-            self._crossings(tag, *rows[tag], before, added, crossing)
+                counts = held.ravel().tolist()
+                for tag in walk:
+                    self._crossings(tag, *rows[tag], n, counts, *gains.pop(tag))
+            if gains:
+                kept.append(chunk)
+        self._pending = kept
 
-        self._counts = (held + found).ravel().tolist()
-        self.n += m
-
-    def _crossings(self, tag: str, cond: np.ndarray, outcomes: tuple, before: np.ndarray,
-                   found: np.ndarray, crossing: list[int]) -> None:
+    def _crossings(self, tag: str, cond: np.ndarray, outcomes: tuple, n: int,
+                   counts: list[int], crossing: list[int], before: np.ndarray,
+                   found: np.ndarray) -> None:
         """Log a level at each row of a chunk where the count of a condition of
         pattern ``tag`` reaches a power of two, as :meth:`ingest` does for one
         row: ``cond`` holds the rows' condition codes, ``outcomes`` the tally's
-        parts as (rows' codes, size), ``before`` and ``found`` each condition's
-        count before the chunk and within it, and ``crossing`` the conditions
-        whose count gains a bit, the only ones walked."""
+        parts as (rows' codes, size), ``n`` and ``counts`` the stream length
+        and the (x, y, z) counts before the chunk, ``crossing`` the conditions
+        whose count gains a bit, the only ones walked, and ``before`` and
+        ``found`` each condition's count before the chunk and within it."""
         # the rows by condition, in stream order; 16-bit codes sort in linear time
         order = np.argsort(cond.astype(np.uint16) if len(before) <= 1 << 16 else cond,
                            kind='stable')
@@ -334,20 +380,21 @@ class CountTable:
         width, bounds = sum(sizes), [0, *np.cumsum(found).tolist()]
         for code in crossing:
             key, a, b = (tag, code), bounds[code], bounds[code + 1]
-            base, count = self._tally(key), int(before[code])  # the tally before the chunk
+            base, count = self._tally(key, counts), int(before[code])  # before the chunk
             t = 1 << count.bit_length()  # the first power of two past count
             while t <= count + b - a:
                 p = a + t - count  # the condition's rows up to the one reaching t
                 chunk = np.bincount(codes[a * k:p * k], minlength=width).tolist()
                 self._levels.setdefault(key, []).append(
-                    (self.n + int(order[p - 1]) + 1, tuple(map(add, chunk, base))))
-                self.checkpoint_version += 1
+                    (n + int(order[p - 1]) + 1, tuple(map(add, chunk, base))))
                 t <<= 1
 
-    def _tally(self, cond: tuple[str, int]) -> list[int]:
-        """A condition's outcome tally so far, summed from the (x, y, z)
-        counts: y given (x, z), z given x, or the whole stream's z then x."""
-        counts, nz = self._counts, len(self.z_values)
+    def _tally(self, cond: tuple[str, int], counts: list[int] | None = None) -> list[int]:
+        """A condition's outcome tally, summed from the (x, y, z) counts
+        (by default those so far): y given (x, z), z given x, or the whole
+        stream's z then x."""
+        counts = self._counts if counts is None else counts
+        nz = len(self.z_values)
         block = len(self.y_domain) * nz  # the cells of one x
         tag, code = cond
         if not tag:  # the whole stream: the z counts, then the x counts
@@ -415,6 +462,7 @@ class CountTable:
             return ([counts[s] for s in slots],
                     [tallies[s][i] if tallies[s] else 0 for s, i in zip(slots, index)])
         m = _prefix_length(m, self.n)
+        self._fold({tag for tag, _ in conditions})
         logs = [self._levels.get(cond, ()) for cond in conditions]
         levels = [bisect_right(log, m, key=_position) for log in logs]
         hits = [logs[s][levels[s] - 1][1][i] if levels[s] else 0 for s, i in zip(slots, index)]
@@ -432,6 +480,7 @@ class CountTable:
         call."""
         start = min(1, self.n) if start is None else _prefix_length(start, self.n)
         conditions, slots, index = self._conditions(leaves)
+        self._fold({tag for tag, _ in conditions})
         logs = [self._levels.get(cond, ()) for cond in conditions]
         # each log's levels reached at start; every later level starts a run
         reached = [bisect_right(log, start, key=_position) for log in logs]
@@ -509,17 +558,29 @@ class CountTable:
 
     def checkpoints(self) -> list[int]:
         """Stream positions, in order, at which some dyadic level was
-        reached: the rows at which ``checkpoint_version`` advanced."""
+        reached: the rows at which ``checkpoint_version`` advances.  Logs
+        every pending level first."""
+        self._fold(_LOGGED)
         return sorted({p for levels in self._levels.values() for p, _ in levels})
+
+    @property
+    def checkpoint_version(self) -> int:
+        """The dyadic levels reached so far, over every condition: a count
+        that advances at each row of :meth:`checkpoints`.  Logs every
+        pending level first."""
+        self._fold(_LOGGED)
+        return sum(map(len, self._levels.values()))
 
     # -- housekeeping ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CountTable):
             return NotImplemented
-        return (self.n == other.n and self._counts == other._counts
-                and self._levels == other._levels
-                and self.checkpoint_version == other.checkpoint_version)
+        if self.n != other.n or self._counts != other._counts:
+            return False
+        self._fold(_LOGGED)
+        other._fold(_LOGGED)
+        return self._levels == other._levels
 
     def __repr__(self) -> str:
         return (f"CountTable(n={self.n}, |X|={len(self.x_domain)}, "

@@ -16,8 +16,8 @@ from causalci.counts import (CountTable, Observation, ObservationParseError, dya
 from causalci.effects import EffectQuery, effect_interval
 from causalci.simulator import sample_iid
 from helpers import ObservationStream, binary_table, code_rows, dyadic_rows, eight_obs_stream, \
-    naive_count, naive_dyadic_estimate, naive_dyadic_floor, random_table, reference_read_csv, \
-    reference_read_jsonl, three_valued_model
+    fig1_model, frontdoor_model, naive_count, naive_dyadic_estimate, naive_dyadic_floor, \
+    random_table, reference_read_csv, reference_read_jsonl, three_valued_model
 
 
 def test_dyadic_floor_examples():
@@ -749,6 +749,147 @@ def test_leaf_equals_the_naive_recount_at_every_prefix(case):
             for a, b, pairs in zip(first, last, runs):
                 for m in {a, b}:
                     assert pairs == [table.leaf(event, given, m) for event, given in read]
+
+
+# -- levels logged when a prefix read needs them ------------------------------------
+
+def _runs(table, leaves, start):
+    return [[a.tolist() for a in block] for block in table.leaf_runs(leaves, start)]
+
+
+def _pending_rows(table):
+    return sum(len(codes) for _, _, codes, _ in table._pending)
+
+
+# what a step of test_folding_on_read_equals_logging_every_row does, and its odds
+_STEPS = {'codes': 0.3, 'rows': 0.1, 'read': 0.25, 'runs': 0.17, 'count': 0.05,
+          'checkpoints': 0.04, 'version': 0.04, 'eq': 0.05}
+
+
+@settings(max_examples=80, deadline=None)
+@given(log_cases(max_rows=2000), st.sampled_from([5, 40, 200, 1 << 16]),
+       st.sampled_from([1, 3, 7, 64, counts._CHUNK_ROWS]), st.integers(0, 2**32 - 1))
+def test_folding_on_read_equals_logging_every_row(case, bound, chunk, seed):
+    """Chunks of codes and single rows, interleaved at random with every
+    read, build what a table that logs each row's levels as it ingests it
+    builds: each read answers alike, and the rows left pending stay within
+    the bound."""
+    domains, rows = case
+    lazy, eager = CountTable(*domains), CountTable(*domains)
+    leaves = _tracked_leaves(eager)
+    # every leaf, or one pattern's leaves, which fold that pattern alone
+    reads = [leaves] + [[leaf for leaf in leaves if sorted(leaf[1]) == axes] or leaves
+                        for axes in (['x', 'z'], ['x'], [])]
+    xs, ys, zs = eager.x_domain, eager.y_domain, eager.z_values
+    patterns = ([{'x': x, 'y': y, 'z': z} for x in xs for y in ys for z in zs]
+                + [{'x': x, 'z': z} for x in xs for z in zs]
+                + [{'x': x} for x in xs] + [{'z': z} for z in zs] + [{}])
+    rng = np.random.default_rng(seed)
+    done = 0
+    with mock.patch.object(counts, '_PENDING_ROWS', bound), \
+            mock.patch.object(counts, '_CHUNK_ROWS', chunk):
+        for op in rng.choice(list(_STEPS), size=60, p=list(_STEPS.values())):
+            if op in ('codes', 'rows'):  # rows as one array of codes, or one by one
+                k = int(rng.integers(0, 150 if op == 'codes' else 6))
+                new, done = rows[done:done + k], min(done + k, len(rows))
+                if op == 'codes':
+                    lazy.ingest_codes(code_rows(lazy, new))
+                for obs in new:
+                    if op == 'rows':
+                        lazy.ingest(obs)
+                    eager.ingest(obs)
+            elif op in ('read', 'runs'):
+                read = reads[rng.integers(len(reads))]
+                m = int(rng.integers(done + 1)) if rng.random() < 0.8 else None
+                if op == 'read':
+                    assert lazy.read(read, m) == eager.read(read, m)
+                else:
+                    assert _runs(lazy, read, m) == _runs(eager, read, m)
+            elif op == 'count':
+                assert [lazy.count(**p) for p in patterns] == [eager.count(**p) for p in patterns]
+            elif op == 'checkpoints':
+                assert lazy.checkpoints() == eager.checkpoints()
+            elif op == 'version':
+                assert lazy.checkpoint_version == eager.checkpoint_version
+            else:
+                assert lazy == eager and eager == lazy
+            assert _pending_rows(lazy) <= bound and not eager._pending
+    assert lazy == eager
+
+
+@pytest.mark.parametrize("dtype", [np.intp, np.uint8])
+def test_pending_chunks_keep_their_own_codes(dtype):
+    """A pending chunk holds a copy of its codes, not a view of the
+    caller's array, which the caller may write over before a read."""
+    model = fig1_model()
+    eager = model.count_table()
+    rows = sample_iid(model, 9000, 4)
+    for obs in rows:
+        eager.ingest(obs)
+    lazy = model.count_table()
+    codes = code_rows(lazy, rows).astype(dtype)
+    lazy.ingest_codes(codes)
+    assert lazy._pending
+    codes[:] = codes[::-1].copy()
+    codes[::3] = 0
+    leaves = _tracked_leaves(eager)
+    for m in (None, 1, 2, 100, 4095, 4096, 4097, 8191, 8192, 9000):
+        assert lazy.read(leaves, m) == eager.read(leaves, m)
+    assert lazy == eager
+
+
+@pytest.mark.parametrize("bound, chunk", [(64, 8), (60, 8), (5, 8), (4096, 512)])
+def test_pending_rows_never_exceed_the_bound(bound, chunk):
+    """A stream that no prefix read folds, 20 times the bound long, holds
+    at most the bound's rows pending after each chunk: a full buffer folds
+    every pattern."""
+    domains = ((0, 1), (0, 1), [(0, 1)] * 5)  # 64 (x, z) conditions
+    lazy, eager = CountTable(*domains), CountTable(*domains)
+    codes = np.random.default_rng(bound).integers(0, len(lazy._counts), 20 * bound)
+    add, pending = CountTable._add_cells, []
+
+    def watched(table, cells):
+        add(table, cells)
+        pending.append(_pending_rows(table))
+
+    with mock.patch.object(counts, '_PENDING_ROWS', bound), \
+            mock.patch.object(counts, '_CHUNK_ROWS', chunk), \
+            mock.patch.object(CountTable, '_add_cells', watched):
+        lazy.ingest_codes(codes)
+    for obs in lazy.decode(codes):
+        eager.ingest(obs)
+    assert len(pending) == -(-len(codes) // chunk)
+    assert max(pending) <= bound
+    if chunk <= bound:  # chunks were held, and the buffer filled and was folded
+        assert max(pending) > 0 and sum(b < a for a, b in zip(pending, pending[1:])) > 1
+    assert lazy == eager
+
+
+def test_whole_stream_reads_never_walk_the_rows(monkeypatch):
+    """The level walk runs only for the patterns that a prefix read asks for:
+    never for an IID interval, only for (x, z) for an adaptive-fixed
+    back-door one, and for (x, z) and x for a front-door one."""
+    walked = []
+
+    def walk(table, tag, *args):
+        walked.append(tag)
+        if tag not in allowed:
+            raise AssertionError(f"the rows were walked for pattern {tag!r}")
+
+    monkeypatch.setattr(CountTable, '_crossings', walk)
+    for model, criterion, adaptive in [(fig1_model(), 'backdoor', {'xz'}),
+                                       (frontdoor_model(), 'frontdoor', {'xz', 'x'})]:
+        table = model.count_table()
+        table.ingest_codes(code_rows(table, sample_iid(model, 9000, 7)))
+        assert {tag for *_, gains in table._pending for tag in gains} == {'xz', 'x', ''}
+        allowed, walked[:] = set(), []
+        effect_interval(table, EffectQuery(criterion, 1, 1, 0.1, 'iid'))
+        assert walked == []
+        allowed = adaptive
+        effect_interval(table, EffectQuery(criterion, 1, 1, 0.1, 'adaptive-fixed'))
+        assert set(walked) == adaptive
+        # the other patterns stay pending
+        assert {tag for *_, gains in table._pending for tag in gains} == {'xz', 'x', ''} - adaptive
 
 
 def test_read_csv_line_numbers_count_blank_and_multiline_rows():
