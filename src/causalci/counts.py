@@ -8,23 +8,27 @@ check of an observation, and the reads code their arguments alike, so
 equal values (``1``, ``1.0``, ``True``; z as a scalar, list or tuple) name
 one cell.
 
-The table stores only the (x, y, z) counts, by cell code, and sums the
-(x, z), x and z counts from them on read, so a row-by-row ingest costs
-O(|Y|·|Z|).  When the count of a condition the estimators read ((x, z),
-x, or the whole stream as the empty pattern's one condition ``('', 0)``)
-reaches a power of two ``2**j``, a log keyed by the condition's pattern
-and code records the stream position and the condition's outcome tally.
-Only this module reads the log: :meth:`CountTable.read` answers estimated
-probabilities as ``(count, hits)``, over the whole stream or over the
-first ``dyadic_floor(count)`` occurrences of the condition after any
-prefix, reading each distinct condition once (:meth:`CountTable.leaf` is
-its one-leaf case), and :meth:`CountTable.leaf_runs` answers many leaves
-for every run of prefixes over which none of the logs they read gains a
-level, as (runs x leaves) arrays a block of runs at a time: each log's
-levels at the first run are a bisection, and every later level, placed at
-its run by one sorted pass, is added down the block by one cumulative
-sum.  A table holds O(cells + conditions * log n) entries, however long
-the stream, besides at most ``_PENDING_ROWS`` pending rows.
+The table stores only the (x, y, z) counts, as one int64 array by cell
+code read through ``shape`` (|X|, |Y|, |Z|), and takes the (x, z), x and
+z counts from it by index or axis sum on read, so a row-by-row ingest
+costs O(|Y|·|Z|).  When the count of a condition the estimators read
+((x, z), x, or the whole stream as the empty pattern's one condition
+``('', 0)``) reaches a power of two ``2**j``, a log keyed by the
+condition's pattern and code records the stream position and the
+condition's outcome tally.  Only this module reads the log:
+:meth:`CountTable.read` answers estimated probabilities as ``(count,
+hits)``, over the whole stream or over the first ``dyadic_floor(count)``
+occurrences of the condition after any prefix, reading each distinct
+condition once (:meth:`CountTable.leaf` is its one-leaf case), and
+:meth:`CountTable.leaf_runs` answers many leaves for every run of prefixes
+over which none of the logs they read gains a level, as (runs x leaves)
+arrays a block of runs at a time: each log's levels at the first run are a
+bisection, and every later level, placed at its run by one sorted pass, is
+added down the block by one cumulative sum.  A condition logs at most
+log2(n) + 1 levels, and the widths of all conditions' tallies sum to
+O(cells), so a table holds O(cells * log n) entries, however long the
+stream, besides at most ``_PENDING_ROWS // _CHUNK_ROWS`` pending chunks,
+each holding its codes, the counts before it and its conditions' counts.
 
 :meth:`CountTable.ingest` adds one observation and is the reference path.
 :meth:`CountTable.ingest_codes` adds cell codes ``_CHUNK_ROWS`` at a time:
@@ -37,7 +41,7 @@ reads, in stream order: each chunk is decoded once and walked only for
 the conditions that gain a bit in it.  Whole-stream reads never fold, so
 a table that is only counted never walks a row.  ``checkpoints``,
 ``checkpoint_version``, ``==`` and ``ingest`` fold every pattern first,
-as does a chunk that takes the pending rows past ``_PENDING_ROWS``.
+as does a chunk that would leave more pending chunks than that bound.
 :meth:`CountTable.ingest_chunks` hands the codes of text lines over a
 chunk at a time and yields after each, and :meth:`CountTable.ingest_lines`
 runs it to the end.  Every path builds the table that ``ingest`` builds,
@@ -82,9 +86,9 @@ _PATTERNS = ('xyz', 'xz', 'x', 'z')
 # the patterns whose conditions keep a log of dyadic levels: (x, z), x and
 # the whole stream
 _LOGGED = ('xz', 'x', '')
-# rows of ingested chunks whose levels some pattern has yet to log; past it,
-# every pattern's levels are logged, which bounds the memory of a stream
-# that no prefix read ever folds
+# rows of full chunks whose levels some pattern may have yet to log; a pending
+# chunk counts as full, however short, and past this every pattern's levels
+# are logged, which bounds the memory of a stream no prefix read ever folds
 _PENDING_ROWS = 1 << 16
 # a logged level is (stream position at which it was reached, outcome tally)
 _position = itemgetter(0)
@@ -183,9 +187,13 @@ class CountTable:
         self._index = {axis: {v: i for i, v in enumerate(dom)} for axis, dom
                        in zip('xyz', (self.x_domain, self.y_domain, self.z_values))}
 
+        self.shape = tuple(map(len, self._index.values()))  # (|X|, |Y|, |Z|)
         self.n = 0
-        # occurrences of each (x, y, z) cell, by cell code
-        self._counts = [0] * math.prod(map(len, self._index.values()))
+        # occurrences of each (x, y, z) cell, by cell code, read through
+        # ``shape``.  Only row-by-row ingest increments it in place, and only
+        # once it has folded every pending chunk; a chunk replaces it with a
+        # new array, so no pending chunk holds a view of the array ingest writes
+        self._counts = np.zeros(math.prod(self.shape), np.int64)
         # condition (pattern, cell code), the whole stream being ('', 0) ->
         # per-level (position, outcome tally): level j holds the tallies among
         # the first 2**j occurrences of the condition, reached at that stream
@@ -221,19 +229,17 @@ class CountTable:
 
     def ingest(self, obs) -> None:
         """Add one observation to the stream; validates every coordinate.
-        Its levels are logged at once, after those of the pending chunks."""
+        It folds every pending chunk, so that none holds the count array it
+        then increments in place, and logs the row's levels at once."""
         x, y, z = self._indices(obs)
         self._fold(_LOGGED)
-        nz = len(self.z_values)
-        block = len(self.y_domain) * nz  # the cells of one x
-        counts = self._counts
-        counts[x * block + y * nz + z] += 1
+        counts = self._counts.reshape(self.shape)  # a view: the increment is in place
+        counts[x, y, z] += 1
         self.n += 1
 
         # dyadic checkpoints, materialized after the increment
-        base = x * block
-        for cond, c in ((('xz', x * nz + z), sum(counts[base + z:base + block:nz])),
-                        (('x', x), sum(counts[base:base + block])), (('', 0), self.n)):
+        for cond, c in ((('xz', x * self.shape[2] + z), counts[x, :, z].sum()),
+                        (('x', x), counts[x].sum()), (('', 0), self.n)):
             if c & (c - 1) == 0:  # a power of two
                 self._levels.setdefault(cond, []).append((self.n, tuple(self._tally(cond))))
 
@@ -253,7 +259,7 @@ class CountTable:
         every chunk before the next one is read.  On an error the rows before
         it are applied and yielded first."""
         parse = _csv_observation if columns else _parse_line
-        ny, nz = len(self.y_domain), len(self.z_values)
+        _, ny, nz = self.shape
 
         def code(lineno: int, key) -> bytes | None:
             obs = parse(lineno, key)
@@ -281,7 +287,7 @@ class CountTable:
         for a prefix read (:meth:`_add_cells`), and a pending chunk keeps a
         copy of its codes, so the caller may reuse the array."""
         codes = np.asarray(codes)
-        cells = len(self._counts)
+        cells = self._counts.size
         if codes.ndim != 1 or (codes.size and codes.dtype.kind not in 'iu'):
             raise ValueError("cell codes must be a one-dimensional array of integers")
         if codes.size and (codes.min() < 0 or codes.max() >= cells):
@@ -302,24 +308,23 @@ class CountTable:
 
     def decode(self, codes) -> list[Observation]:
         """The observation each cell code stands for, in order."""
-        dims = (len(self.x_domain), len(self.y_domain), len(self.z_values))
-        x_dom, y_dom, z_values = self.x_domain, self.y_domain, self.z_values
-        return [Observation(x_dom[x], y_dom[y], z_values[z])
-                for x, y, z in zip(*(a.tolist() for a in np.unravel_index(codes, dims)))]
+        return [Observation(self.x_domain[x], self.y_domain[y], self.z_values[z])
+                for x, y, z in zip(*(a.tolist() for a in np.unravel_index(codes, self.shape)))]
 
     def _add_cells(self, cells: np.ndarray) -> None:
-        """Apply a chunk of valid cell codes to the counts and ``n``.  A chunk
-        in which some condition reaches a power of two stays pending, with
-        its own copy of the codes, until :meth:`_fold` logs its levels
-        exactly as :meth:`ingest` logs them row by row; once more than
-        ``_PENDING_ROWS`` rows are pending, every pattern is folded."""
+        """Apply a chunk of valid cell codes to ``n`` and to the counts, which
+        it replaces with a new array.  A chunk in which some condition reaches
+        a power of two stays pending, with the array it replaced and its own
+        copy of the codes, until :meth:`_fold` logs its levels exactly as
+        :meth:`ingest` logs them row by row.  A pending chunk counts as a
+        full one, so at most ``_PENDING_ROWS // _CHUNK_ROWS`` stay pending,
+        however short: one more folds every pattern."""
         m = len(cells)
         if not m:
             return
-        nx, ny, nz = map(len, self._index.values())
         # the (x, y, z) counts before the chunk and within it
-        held = np.array(self._counts).reshape(nx, ny, nz)
-        found = np.bincount(cells, minlength=held.size).reshape(nx, ny, nz)
+        held = self._counts.reshape(self.shape)
+        found = np.bincount(cells, minlength=held.size).reshape(self.shape)
         gains = {}  # per pattern: conditions that gain a bit, counts before and within
         for tag, before, added in (
                 ('xz', held.sum(axis=1).ravel(), found.sum(axis=1).ravel()),
@@ -330,10 +335,10 @@ class CountTable:
                 gains[tag] = (crossing, before, added)
         if gains:  # a copy of the codes in the narrowest dtype that holds them
             codes = cells.astype(np.min_scalar_type(held.size - 1))
-            self._pending.append((self.n, held, codes, gains))
-        self._counts = (held + found).ravel().tolist()
+            self._pending.append((self.n, self._counts, codes, gains))
+        self._counts = (held + found).ravel()
         self.n += m
-        if gains and sum(len(chunk[2]) for chunk in self._pending) > _PENDING_ROWS:
+        if gains and len(self._pending) * _CHUNK_ROWS > _PENDING_ROWS:
             self._fold(_LOGGED)
 
     def _fold(self, tags: Iterable[str]) -> None:
@@ -343,25 +348,23 @@ class CountTable:
         is dropped once no pattern has levels left in it."""
         if not self._pending:
             return
-        nx, ny, nz = map(len, self._index.values())
+        nx, ny, nz = self.shape
         kept = []
         for chunk in self._pending:
             n, held, codes, gains = chunk
             walk = [tag for tag in gains if tag in tags]
             if walk:
-                xy, z = np.divmod(codes.astype(np.intp), nz)
-                x, y = np.divmod(xy, ny)
+                x, y, z = np.unravel_index(codes, self.shape)
                 rows = {'xz': (x * nz + z, ((y, ny),)), 'x': (x, ((z, nz),)),
                         '': (np.zeros_like(x), ((z, nz), (x, nx)))}
-                counts = held.ravel().tolist()
                 for tag in walk:
-                    self._crossings(tag, *rows[tag], n, counts, *gains.pop(tag))
+                    self._crossings(tag, *rows[tag], n, held, *gains.pop(tag))
             if gains:
                 kept.append(chunk)
         self._pending = kept
 
     def _crossings(self, tag: str, cond: np.ndarray, outcomes: tuple, n: int,
-                   counts: list[int], crossing: list[int], before: np.ndarray,
+                   counts: np.ndarray, crossing: list[int], before: np.ndarray,
                    found: np.ndarray) -> None:
         """Log a level at each row of a chunk where the count of a condition of
         pattern ``tag`` reaches a power of two, as :meth:`ingest` does for one
@@ -389,22 +392,17 @@ class CountTable:
                     (n + int(order[p - 1]) + 1, tuple(map(add, chunk, base))))
                 t <<= 1
 
-    def _tally(self, cond: tuple[str, int], counts: list[int] | None = None) -> list[int]:
-        """A condition's outcome tally, summed from the (x, y, z) counts
-        (by default those so far): y given (x, z), z given x, or the whole
-        stream's z then x."""
-        counts = self._counts if counts is None else counts
-        nz = len(self.z_values)
-        block = len(self.y_domain) * nz  # the cells of one x
+    def _tally(self, cond: tuple[str, int], counts: np.ndarray | None = None) -> list[int]:
+        """A condition's outcome tally, by index or axis sum of the (x, y, z)
+        counts (by default those so far): y given (x, z), z given x, or the
+        whole stream's z then x."""
+        counts = (self._counts if counts is None else counts).reshape(self.shape)
         tag, code = cond
         if not tag:  # the whole stream: the z counts, then the x counts
-            return ([sum(counts[z::nz]) for z in range(nz)]
-                    + [sum(counts[b:b + block]) for b in range(0, len(counts), block)])
+            return counts.sum(axis=(0, 1)).tolist() + counts.sum(axis=(1, 2)).tolist()
         if tag == 'x':  # the (x, z) counts for every z
-            b = code * block
-            return [sum(counts[b + z:b + block:nz]) for z in range(nz)]
-        x, z = divmod(code, nz)  # the cells (x, y, z) for every y, |Z| apart
-        return counts[x * block + z:(x + 1) * block:nz]
+            return counts[code].sum(axis=0).tolist()
+        return counts[code // self.shape[2], :, code % self.shape[2]].tolist()  # every y
 
     # -- reads ---------------------------------------------------------------
 
@@ -431,7 +429,7 @@ class CountTable:
             raise ValueError(f"pattern ({', '.join(tag)}) is not tracked")
         code = self._code(tag, values)
         if code is None or tag == 'xyz':
-            return 0 if code is None else self._counts[code]
+            return 0 if code is None else int(self._counts[code])
         return self._tally(('', 0))[code] if tag == 'z' else sum(self._tally((tag, code)))
 
     def leaf(self, event: dict, given: dict, m=None) -> tuple[int, int]:
@@ -553,7 +551,7 @@ class CountTable:
         except (KeyError, TypeError):  # an event value with no place in the tallies
             raise ValueError(f"leaf value {value!r} not in declared domain") from None
         if axis == 'x':
-            i += len(self.z_values)  # the whole stream's tally is z, then x
+            i += self.shape[2]  # the whole stream's tally is z, then x
         return (tag, self._code(tag, given)), i
 
     def checkpoints(self) -> list[int]:
@@ -576,15 +574,14 @@ class CountTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CountTable):
             return NotImplemented
-        if self.n != other.n or self._counts != other._counts:
+        if self.n != other.n or not np.array_equal(self._counts, other._counts):
             return False
         self._fold(_LOGGED)
         other._fold(_LOGGED)
         return self._levels == other._levels
 
     def __repr__(self) -> str:
-        return (f"CountTable(n={self.n}, |X|={len(self.x_domain)}, "
-                f"|Y|={len(self.y_domain)}, |Z|={len(self.z_values)})")
+        return "CountTable(n={}, |X|={}, |Y|={}, |Z|={})".format(self.n, *self.shape)
 
 
 # -- stream readers ---------------------------------------------------------

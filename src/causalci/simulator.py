@@ -107,8 +107,14 @@ class CausalModel:
 
     def __init__(self, dag: Dag, cpts: dict, roles: Roles):
         self.dag = dag
-        self.roles = Roles(roles.x, roles.y, tuple(roles.z))
+        self.roles = roles = Roles(roles.x, roles.y, tuple(roles.z))
         dag.require(roles.x, roles.y, *roles.z)
+        named = {}  # vertex -> the first role that names it
+        for role, v in (('x', roles.x), ('y', roles.y), *(('z', v) for v in roles.z)):
+            if v in named:
+                raise ValueError(f"roles.{role} names {v!r}, which roles.{named[v]} "
+                                 f"names too: the roles name distinct vertices")
+            named[v] = role
         if set(cpts) != set(dag.vertices):
             missing = sorted(set(dag.vertices) - set(cpts))
             extra = sorted(set(cpts) - set(dag.vertices))
@@ -253,6 +259,9 @@ class CausalModel:
                 rows = {tuple(row["given"]): tuple(row["p"]) for row in spec["rows"]}
                 cpts[name] = Cpt(tuple(spec["parents"]), rows)
             roles = doc["roles"]
+            if not isinstance(roles["z"], list) or not roles["z"]:
+                raise ValueError("roles.z must be a non-empty JSON list of variables, "
+                                 f"got {roles['z']!r}")
             return cls(dag, cpts, Roles(roles["x"], roles["y"], tuple(roles["z"])))
         except (AttributeError, KeyError, TypeError) as exc:  # a list where a map belongs
             raise ValueError(f"malformed model document: {exc}") from exc

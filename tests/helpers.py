@@ -982,3 +982,19 @@ def exact_range(expr: Expr, bindings: Mapping[str, ProbInterval],
     if np.all(np.isnan(values)):
         return None
     return float(np.nanmin(values)), float(np.nanmax(values))
+
+
+# fig1's roles are x X, y Y and z [Z]; each case overrides some of them
+MALFORMED_ROLES = [
+    ({"z": ["Z", "Z"]}, "roles.z names 'Z', which roles.z names too: the roles name "
+                        "distinct vertices"),
+    ({"z": ["X"]}, "roles.z names 'X', which roles.x names too: the roles name "
+                   "distinct vertices"),
+    ({"z": ["Z", "Y"]}, "roles.z names 'Y', which roles.y names too: the roles name "
+                        "distinct vertices"),
+    ({"y": "X"}, "roles.y names 'X', which roles.x names too: the roles name "
+                 "distinct vertices"),
+    ({"z": []}, "roles.z must be a non-empty JSON list of variables, got []"),
+    ({"z": "ZW"}, "roles.z must be a non-empty JSON list of variables, got 'ZW'"),
+    ({"z": "Z"}, "roles.z must be a non-empty JSON list of variables, got 'Z'"),
+]

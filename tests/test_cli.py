@@ -16,7 +16,7 @@ from causalci.effects import CRITERIA, REGIMES, EffectInterval, EffectQuery, \
     confidence_sequence, effect_interval
 from causalci.graph import Dag
 from causalci.simulator import CausalModel, Cpt, Roles
-from helpers import binary_table, eight_obs_stream, three_valued_model
+from helpers import MALFORMED_ROLES, binary_table, eight_obs_stream, three_valued_model
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 FIG1 = str(CONFIGS / "fig1.json")
@@ -1007,6 +1007,23 @@ def test_model_with_integer_vertex_names_exit_2(tmp_path, capsys):
     model.write_text(json.dumps(doc))
     assert main(["simulate", "--model", str(model), "--n", "8", "--output", str(out)]) == 2
     assert capsys.readouterr().err.endswith("vertex name 0 is not a string\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("roles, message", MALFORMED_ROLES)
+@pytest.mark.parametrize("command", ["simulate", "analyze", "coverage"])
+def test_model_with_malformed_roles_exit_2(tmp_path, capsys, command, roles, message):
+    with open(FIG1) as handle:
+        doc = json.load(handle)
+    doc["roles"].update(roles)
+    model, out = tmp_path / "model.json", tmp_path / "out.jsonl"
+    model.write_text(json.dumps(doc))
+    args = {"simulate": ["--n", "8"],
+            "analyze": ["--data", write_eight_obs(tmp_path / "obs.jsonl"),
+                        "--xtilde", "1", "--y", "1"],
+            "coverage": ["--xtilde", "1", "--y", "1", "--n", "200", "-R", "20"]}[command]
+    assert main([command, "--model", str(model), *args, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -238,28 +238,44 @@ def test_replay_determinism():
 
 
 def _entries(value) -> int:
-    """Entries of the dicts, lists and arrays in ``value``, nested ones included."""
+    """Entries of the dicts, lists, tuples and arrays in ``value``, nested
+    ones included."""
     if isinstance(value, np.ndarray):
         return value.size
     if isinstance(value, dict):
         return len(value) + sum(map(_entries, value.values()))
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return len(value) + sum(map(_entries, value))
     return 0
 
 
 def test_table_state_is_logarithmic_in_the_stream():
-    # what the table holds: every tracked cell's count, and per condition
-    # pattern (x, z), x and the whole stream one entry plus its levels
+    # what the table holds: what an empty table holds (the domains, their
+    # value -> index maps and the (x, y, z) counts); per condition of
+    # pattern (x, z), x and the whole stream one entry plus at most
+    # bit_length(n) levels, each a position and a tally as wide as the
+    # condition's outcomes; and at most _PENDING_ROWS // _CHUNK_ROWS pending
+    # chunks, each holding n, the counts before it, its codes and, per
+    # pattern, the conditions that gain a bit and every condition's count
+    # before and within it
     model = three_valued_model()
     table = model.count_table()
+    empty = sum(_entries(v) for v in vars(table).values())
     table.ingest_codes(code_rows(table, sample_iid(model, 20_000, 5)))
-    nx, ny, nz = len(table.x_domain), len(table.y_domain), len(table.z_values)
-    cells = nx * ny * nz + nx * nz + nx + nz
+    nx, ny, nz = table.shape
+    cells = nx * ny * nz
     conditions = nx * nz + nx + 1
-    indexes = nx + ny + nz  # the value -> domain index maps
-    held = sum(_entries(v) for v in vars(table).values())
-    assert held <= cells + conditions * (table.n.bit_length() + 1) + indexes
+    widths = cells + nx * nz + (nz + nx)  # y given (x, z), z given x, z then x
+    levels = conditions + table.n.bit_length() * (3 * conditions + widths)
+    chunk = 1 + 4 + cells + counts._CHUNK_ROWS + 3 * (4 + conditions)
+    assert table._pending  # the levels wait for a read
+    for fold in (False, True):
+        if fold:
+            table.checkpoints()
+            assert not table._pending and table._levels
+        assert len(table._pending) <= counts._PENDING_ROWS // counts._CHUNK_ROWS
+        held = sum(_entries(v) for v in vars(table).values())
+        assert held <= empty + levels + len(table._pending) * chunk
 
 
 @settings(max_examples=50)
@@ -862,6 +878,25 @@ def test_pending_rows_never_exceed_the_bound(bound, chunk):
     assert max(pending) <= bound
     if chunk <= bound:  # chunks were held, and the buffer filled and was folded
         assert max(pending) > 0 and sum(b < a for a, b in zip(pending, pending[1:])) > 1
+    assert lazy == eager
+
+
+def test_short_chunks_pend_no_more_chunks_than_full_ones():
+    """A caller that passes one row at a time, each row a chunk whose
+    levels wait, holds at most ``_PENDING_ROWS // _CHUNK_ROWS`` chunks
+    pending after every call, as full chunks would: each pending chunk
+    holds a copy of the counts, however few its rows."""
+    domains = ((0, 1), (0, 1), [(0, 1)] * 8)  # 1,024 cells, 512 (x, z) conditions
+    lazy, eager = CountTable(*domains), CountTable(*domains)
+    codes = np.random.default_rng(8).integers(0, len(lazy._counts), 600)
+    pending = []
+    with mock.patch.object(counts, '_PENDING_ROWS', 4 * counts._CHUNK_ROWS):
+        for row in range(len(codes)):
+            lazy.ingest_codes(codes[row:row + 1])
+            pending.append(len(lazy._pending))
+    for obs in lazy.decode(codes):
+        eager.ingest(obs)
+    assert max(pending) == 4  # chunks were held, and no more than the bound
     assert lazy == eager
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from bisect import bisect_right
 from itertools import accumulate, combinations, product
 from pathlib import Path
@@ -19,7 +20,7 @@ from causalci.simulator import (AlternatingAdversaryPolicy, CausalModel,
                                 EpsilonGreedyPolicy, Policy, Roles,
                                 draw_intervened_outcome, load_model, make_policy,
                                 sample_adaptive, sample_iid)
-from helpers import (fig1_model, frontdoor_model, reference_sample_adaptive,
+from helpers import (MALFORMED_ROLES, fig1_model, frontdoor_model, reference_sample_adaptive,
                      three_valued_model)
 
 
@@ -363,6 +364,19 @@ def test_model_with_a_repeated_domain_value_is_refused_at_load(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=message):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("roles, message", MALFORMED_ROLES)
+def test_model_with_malformed_roles_is_refused_at_load(tmp_path, roles, message):
+    # with z [Z, Z] the table would square Z's domain and the harness would
+    # score intervals against a number that is not the causal effect
+    config = Path(__file__).resolve().parent.parent / "configs" / "fig1.json"
+    doc = json.loads(config.read_text())
+    doc["roles"].update(roles)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_model(str(path))
 
 
