@@ -2,7 +2,7 @@
 effects identified by the back-door or front-door criterion, from IID or
 adaptively collected categorical observation streams."""
 
-from .counts import CountTable, Observation, dyadic_floor
+from .counts import CountTable, Layout, Observation, dyadic_floor
 from .effects import (EffectInterval, EffectQuery, backdoor_cs_anytime,
                       confidence_sequence, effect_interval, frontdoor_cs_anytime,
                       true_effect)

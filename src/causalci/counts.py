@@ -1,22 +1,24 @@
 """Streaming occurrence counts over categorical observation streams.
 
-A :class:`CountTable` names every cell by domain index: x and y index
+A :class:`Layout` codes a stream's cells by domain index: x and y index
 their declared domains, z indexes ``z_values`` (the product of the
 z-component domains in lexicographic order), and a row's cell code is
-``(x * |Y| + y) * |Z| + z``.  ``CountTable._indices`` holds the one domain
+``(x * |Y| + y) * |Z| + z``.  ``Layout.indices`` holds the one domain
 check of an observation, and the reads code their arguments alike, so
 equal values (``1``, ``1.0``, ``True``; z as a scalar, list or tuple) name
-one cell.
+one cell.  ``Layout.reads`` compiles ``(event, given)`` leaves once into
+the log keys and tally indices that a table's reads take.
 
-The table stores only the (x, y, z) counts, as one int64 array by cell
-code read through ``shape`` (|X|, |Y|, |Z|), and takes the (x, z), x and
-z counts from it by index or axis sum on read, so a row-by-row ingest
-costs O(|Y|·|Z|).  When the count of a condition the estimators read
-((x, z), x, or the whole stream as the empty pattern's one condition
-``('', 0)``) reaches a power of two ``2**j``, a log keyed by the
-condition's pattern and code records the stream position and the
-condition's outcome tally.  Only this module reads the log:
-:meth:`CountTable.read` answers estimated probabilities as ``(count,
+A :class:`CountTable` holds its layout and stores only the (x, y, z)
+counts, as one int64 array by cell code read through the layout's
+``shape`` (|X|, |Y|, |Z|), and takes the (x, z), x and z counts from it by
+index or axis sum on read, so a row-by-row ingest costs O(|Y|·|Z|).  Four
+logs track one outcome axis each, keyed ``(given axes, outcome axis)``:
+y given (x, z), z given x, and z and x given nothing, the whole stream
+being the one condition, code 0, of the last two.  When the count of a
+condition reaches a power of two ``2**j``, its log records the stream
+position and the condition's outcome tally.  Only this module reads the
+logs: :meth:`CountTable.read` answers estimated probabilities as ``(count,
 hits)``, over the whole stream or over the first ``dyadic_floor(count)``
 occurrences of the condition after any prefix, reading each distinct
 condition once (:meth:`CountTable.leaf` is its one-leaf case), and
@@ -71,7 +73,7 @@ import math
 import operator
 import sys
 from bisect import bisect_left, bisect_right
-from itertools import chain, islice, product
+from itertools import chain, filterfalse, islice, product
 from operator import add, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -82,10 +84,10 @@ _CHUNK_ROWS = 4096
 # distinct records whose values a reader keeps; bounds the memory it holds
 _LINE_CACHE = 4096
 # tracked patterns, each named by the axes of (x, y, z) that it fixes
-_PATTERNS = ('xyz', 'xz', 'x', 'z')
-# the patterns whose conditions keep a log of dyadic levels: (x, z), x and
-# the whole stream
-_LOGGED = ('xz', 'x', '')
+_PATTERNS = ('xyz', 'xz', 'x', 'z', '')
+# the patterns whose conditions keep a log of dyadic levels, each as (given
+# axes, outcome axis): y given (x, z), z given x, and the whole stream's z and x
+_LOGGED = (('xz', 'y'), ('x', 'z'), ('', 'z'), ('', 'x'))
 # rows of full chunks whose levels some pattern may have yet to log; a pending
 # chunk counts as full, however short, and past this every pattern's levels
 # are logged, which bounds the memory of a stream no prefix read ever folds
@@ -159,14 +161,15 @@ def _hashable(value) -> bool:
     return True
 
 
-class CountTable:
-    """Streaming counts for all tracked value patterns of one stream.
+def _require_hashable(name: str, value) -> None:
+    if not _hashable(value):
+        raise ValueError(f"{name} value {value!r} is unhashable, so in no domain")
 
-    Tracked patterns, the ones the estimators read: (x,y,z), (x,z), (x),
-    (z), and the stream length itself, with dyadic tallies for the
-    conditions of the pairs that :meth:`leaf` reads.  Only the (x,y,z)
-    counts are stored; the other patterns' counts are summed from them.
-    """
+
+class Layout:
+    """The coding of one stream's cells: the declared domains, checked, and
+    per axis its value -> domain index map, read through ``shape``
+    (|X|, |Y|, |Z|).  A table reads its leaves as compiled by :meth:`reads`."""
 
     def __init__(self, x_domain: Sequence, y_domain: Sequence,
                  z_domains: Sequence[Sequence]):
@@ -177,45 +180,27 @@ class CountTable:
         self.x_domain = tuple(x_domain)
         self.y_domain = tuple(y_domain)
         self.z_domains = tuple(tuple(d) for d in z_domains)
-        self.z_values = tuple(product(*self.z_domains))
         # a cell code names one value per coordinate
         for name, dom in (('x', self.x_domain), ('y', self.y_domain),
                           *((f'z[{i}]', d) for i, d in enumerate(self.z_domains))):
+            for value in filterfalse(_hashable, dom):
+                raise ValueError(f"the {name} domain holds the unhashable value {value!r}")
             if len(set(dom)) != len(dom):
                 raise ValueError(f"duplicate values in the {name} domain {dom!r}")
+        self.z_values = tuple(product(*self.z_domains))
         # axis -> value -> domain index
-        self._index = {axis: {v: i for i, v in enumerate(dom)} for axis, dom
-                       in zip('xyz', (self.x_domain, self.y_domain, self.z_values))}
+        self.index = {axis: {v: i for i, v in enumerate(dom)} for axis, dom
+                      in zip('xyz', (self.x_domain, self.y_domain, self.z_values))}
+        self.shape = tuple(map(len, self.index.values()))  # (|X|, |Y|, |Z|)
 
-        self.shape = tuple(map(len, self._index.values()))  # (|X|, |Y|, |Z|)
-        self.n = 0
-        # occurrences of each (x, y, z) cell, by cell code, read through
-        # ``shape``.  Only row-by-row ingest increments it in place, and only
-        # once it has folded every pending chunk; a chunk replaces it with a
-        # new array, so no pending chunk holds a view of the array ingest writes
-        self._counts = np.zeros(math.prod(self.shape), np.int64)
-        # condition (pattern, cell code), the whole stream being ('', 0) ->
-        # per-level (position, outcome tally): level j holds the tallies among
-        # the first 2**j occurrences of the condition, reached at that stream
-        # position.  The outcomes are y given (x, z), z given x, and z then x.
-        self._levels: dict[tuple[str, int], list[tuple[int, tuple[int, ...]]]] = {}
-        # the chunks in which some condition reaches a power of two but whose
-        # levels some pattern has yet to log, in stream order, each as (n and
-        # the (x, y, z) counts before the chunk, its own copy of its codes,
-        # per pattern still to log: the conditions that gain a bit in the
-        # chunk, and every condition's count before it and within it)
-        self._pending: list[tuple[int, np.ndarray, np.ndarray, dict]] = []
-
-    # -- ingestion ---------------------------------------------------------
-
-    def _indices(self, obs) -> tuple[int, int, int]:
+    def indices(self, obs) -> tuple[int, int, int]:
         """The (x, y, z) domain indices of an observation; a ValueError names
         the first of x, y, z[0], ... outside its domain (an unhashable value
         is in none)."""
         x, y, z = obs
         z = _as_z(z)
         try:
-            return self._index['x'][x], self._index['y'][y], self._index['z'][z]
+            return self.index['x'][x], self.index['y'][y], self.index['z'][z]
         except (KeyError, TypeError):
             pass
         named = [('x', x, self.x_domain), ('y', y, self.y_domain)]
@@ -227,19 +212,112 @@ class CountTable:
         # every value is in its domain, so z has too few or too many coordinates
         raise ValueError(f"z has {len(z)} coordinates, expected {len(self.z_domains)}")
 
+    def require_in_domain(self, **values) -> None:
+        """Refuse a query's treatment value ``x`` or outcome value ``y``
+        outside its declared domain: no stream could ever estimate it."""
+        for name, value in values.items():
+            _require_hashable(name, value)
+            if value not in self.index[name]:
+                raise ValueError(f"query {name} value {value!r} not in declared domain "
+                                 f"{list(self.index[name])}")
+
+    def cell_codes(self, x, y, z) -> np.ndarray:
+        """The cell codes of rows given by domain index: x and y as arrays,
+        z as one array per z component; the arrays broadcast.  Row-major
+        by Horner's rule, ``(x * |Y| + y) * |Z| + z`` with z's components
+        in the same order."""
+        code = x
+        for index, size in zip((y, *z), map(len, (self.y_domain, *self.z_domains))):
+            code = code * size + index
+        return code
+
+    def decode(self, codes) -> list[Observation]:
+        """The observation each cell code stands for, in order."""
+        return [Observation(self.x_domain[x], self.y_domain[y], self.z_values[z])
+                for x, y, z in zip(*(a.tolist() for a in np.unravel_index(codes, self.shape)))]
+
+    def code(self, axes: str, values: dict) -> int | None:
+        """The code of the values of some axes, row-major over them; None if
+        a value is outside its domain, so names a cell that never occurs."""
+        code = 0
+        for axis in axes:
+            index = self.index[axis]
+            value = _as_z(values[axis]) if axis == 'z' else values[axis]
+            try:  # an unhashable value is outside the domain too
+                code = code * len(index) + index[value]
+            except (KeyError, TypeError):
+                return None
+        return code
+
+    def reads(self, leaves: Sequence[tuple[dict, dict]]) -> tuple[tuple, list, list]:
+        """``(event, given)`` leaves compiled for :meth:`CountTable.read` and
+        :meth:`CountTable.leaf_runs`: the distinct conditions they read, as
+        log keys ``(given axes, outcome axis, code)`` in order of first read
+        (the code None for a condition outside the domains, which never
+        occurs), and per leaf its condition's place among them and its
+        event's index in the condition's tally.  A leaf's pattern, (its
+        given axes, its event's axis), must be a logged one, and its event
+        value must be in its domain."""
+        place: dict[tuple, int] = {}
+        slots, index = [], []
+        for event, given in leaves:
+            pattern = (''.join(sorted(given)), ''.join(sorted(event)))
+            if pattern not in _LOGGED:
+                raise ValueError(f"leaf {', '.join(sorted(event))} given "
+                                 f"({', '.join(sorted(given))}) is not tracked")
+            index.append(self.code(pattern[1], event))
+            if index[-1] is None:  # an event value with no place in the tallies
+                raise ValueError(f"leaf value {event[pattern[1]]!r} not in declared domain")
+            slots.append(place.setdefault((*pattern, self.code(pattern[0], given)), len(place)))
+        return tuple(place), slots, index
+
+
+class CountTable:
+    """Streaming counts for all tracked value patterns of one stream, whose
+    cells a :class:`Layout` codes.
+
+    Tracked patterns, the ones the estimators read: (x,y,z), (x,z), (x),
+    (z), and the stream length itself, with dyadic tallies for the
+    conditions of the pairs that :meth:`leaf` reads.  Only the (x,y,z)
+    counts are stored; the other patterns' counts are summed from them.
+    """
+
+    def __init__(self, layout: Layout):
+        self.layout = layout
+        self.n = 0
+        # occurrences of each (x, y, z) cell, by cell code, read through the
+        # layout's ``shape``.  Only row-by-row ingest increments it in place,
+        # and only once it has folded every pending chunk; a chunk replaces it
+        # with a new array, so no pending chunk holds a view of the array
+        # ingest writes
+        self._counts = np.zeros(math.prod(layout.shape), np.int64)
+        # condition (given axes, outcome axis, code) -> per-level (position,
+        # outcome tally): level j holds the outcome's tally among the first
+        # 2**j occurrences of the condition, reached at that stream position
+        self._levels: dict[tuple[str, str, int], list[tuple[int, tuple[int, ...]]]] = {}
+        # the chunks in which some condition reaches a power of two but whose
+        # levels some pattern has yet to log, in stream order, each as (n and
+        # the (x, y, z) counts before the chunk, its own copy of its codes,
+        # per pattern still to log: the conditions that gain a bit in the
+        # chunk, and every condition's count before it and within it)
+        self._pending: list[tuple[int, np.ndarray, np.ndarray, dict]] = []
+
+    # -- ingestion ---------------------------------------------------------
+
     def ingest(self, obs) -> None:
         """Add one observation to the stream; validates every coordinate.
         It folds every pending chunk, so that none holds the count array it
         then increments in place, and logs the row's levels at once."""
-        x, y, z = self._indices(obs)
+        x, y, z = self.layout.indices(obs)
         self._fold(_LOGGED)
-        counts = self._counts.reshape(self.shape)  # a view: the increment is in place
+        counts = self._counts.reshape(self.layout.shape)  # a view: the increment is in place
         counts[x, y, z] += 1
         self.n += 1
 
         # dyadic checkpoints, materialized after the increment
-        for cond, c in ((('xz', x * self.shape[2] + z), counts[x, :, z].sum()),
-                        (('x', x), counts[x].sum()), (('', 0), self.n)):
+        for cond, c in ((('xz', 'y', x * self.layout.shape[2] + z), counts[x, :, z].sum()),
+                        (('x', 'z', x), counts[x].sum()),
+                        (('', 'z', 0), self.n), (('', 'x', 0), self.n)):
             if c & (c - 1) == 0:  # a power of two
                 self._levels.setdefault(cond, []).append((self.n, tuple(self._tally(cond))))
 
@@ -259,14 +337,14 @@ class CountTable:
         every chunk before the next one is read.  On an error the rows before
         it are applied and yielded first."""
         parse = _csv_observation if columns else _parse_line
-        _, ny, nz = self.shape
+        _, ny, nz = self.layout.shape
 
         def code(lineno: int, key) -> bytes | None:
             obs = parse(lineno, key)
             if obs is None:
                 return None
             try:
-                x, y, z = self._indices(obs)
+                x, y, z = self.layout.indices(obs)
             except ValueError as exc:
                 raise ObservationParseError(lineno, str(exc)) from exc
             # as bytes: never falsy, and a chunk's codes join into one array
@@ -278,14 +356,13 @@ class CountTable:
             yield self.n
 
     def ingest_codes(self, codes) -> None:
-        """Add rows given as cell codes ``(x * |Y| + y) * |Z| + z``, where x
-        and y index the treatment and outcome domains and z indexes
-        ``z_values``; the table ends up as if each row had gone through
-        :meth:`ingest`.  Refuses the whole array if a code is not an
-        integer in [0, |X|·|Y|·|Z|); else applies it ``_CHUNK_ROWS`` rows
-        at a time, updating the counts only: a chunk's dyadic levels wait
-        for a prefix read (:meth:`_add_cells`), and a pending chunk keeps a
-        copy of its codes, so the caller may reuse the array."""
+        """Add rows given as the layout's cell codes (:meth:`Layout.cell_codes`);
+        the table ends up as if each row had gone through :meth:`ingest`.
+        Refuses the whole array if a code is not an integer in
+        [0, |X|·|Y|·|Z|); else applies it ``_CHUNK_ROWS`` rows at a time,
+        updating the counts only: a chunk's dyadic levels wait for a prefix
+        read (:meth:`_add_cells`), and a pending chunk keeps a copy of its
+        codes, so the caller may reuse the array."""
         codes = np.asarray(codes)
         cells = self._counts.size
         if codes.ndim != 1 or (codes.size and codes.dtype.kind not in 'iu'):
@@ -295,21 +372,6 @@ class CountTable:
             raise ValueError(f"cell code {codes[row]} at row {row} is not in [0, {cells})")
         for start in range(0, len(codes), _CHUNK_ROWS):
             self._add_cells(codes[start:start + _CHUNK_ROWS])
-
-    def cell_codes(self, x, y, z) -> np.ndarray:
-        """The cell codes of rows given by domain index: x and y as arrays,
-        z as one array per z component; the arrays broadcast.  Row-major
-        by Horner's rule, ``(x * |Y| + y) * |Z| + z`` with z's components
-        in the same order."""
-        code = x
-        for index, size in zip((y, *z), map(len, (self.y_domain, *self.z_domains))):
-            code = code * size + index
-        return code
-
-    def decode(self, codes) -> list[Observation]:
-        """The observation each cell code stands for, in order."""
-        return [Observation(self.x_domain[x], self.y_domain[y], self.z_values[z])
-                for x, y, z in zip(*(a.tolist() for a in np.unravel_index(codes, self.shape)))]
 
     def _add_cells(self, cells: np.ndarray) -> None:
         """Apply a chunk of valid cell codes to ``n`` and to the counts, which
@@ -323,16 +385,17 @@ class CountTable:
         if not m:
             return
         # the (x, y, z) counts before the chunk and within it
-        held = self._counts.reshape(self.shape)
-        found = np.bincount(cells, minlength=held.size).reshape(self.shape)
-        gains = {}  # per pattern: conditions that gain a bit, counts before and within
-        for tag, before, added in (
-                ('xz', held.sum(axis=1).ravel(), found.sum(axis=1).ravel()),
-                ('x', held.sum(axis=(1, 2)), found.sum(axis=(1, 2))),
-                ('', np.array([self.n]), np.array([m]))):
-            crossing = np.flatnonzero((before ^ (before + added)) > before).tolist()
-            if crossing:
-                gains[tag] = (crossing, before, added)
+        held = self._counts.reshape(self.layout.shape)
+        found = np.bincount(cells, minlength=held.size).reshape(self.layout.shape)
+        # per given axes, each condition's count before the chunk and within it
+        conditions = {'xz': (held.sum(axis=1).ravel(), found.sum(axis=1).ravel()),
+                      'x': (held.sum(axis=(1, 2)), found.sum(axis=(1, 2))),
+                      '': (np.array([self.n]), np.array([m]))}
+        crossing = {given: np.flatnonzero((before ^ (before + added)) > before).tolist()
+                    for given, (before, added) in conditions.items()}
+        # per pattern: conditions that gain a bit, counts before and within
+        gains = {pattern: (crossing[pattern[0]], *conditions[pattern[0]])
+                 for pattern in _LOGGED if crossing[pattern[0]]}
         if gains:  # a copy of the codes in the narrowest dtype that holds them
             codes = cells.astype(np.min_scalar_type(held.size - 1))
             self._pending.append((self.n, self._counts, codes, gains))
@@ -341,96 +404,80 @@ class CountTable:
         if gains and len(self._pending) * _CHUNK_ROWS > _PENDING_ROWS:
             self._fold(_LOGGED)
 
-    def _fold(self, tags: Iterable[str]) -> None:
-        """Log the levels of the patterns ``tags`` that the pending chunks
-        hold, chunk by chunk in stream order: a chunk is decoded once for
-        all of them and walked only for those that gain a bit in it, and it
-        is dropped once no pattern has levels left in it."""
+    def _fold(self, patterns: Iterable[tuple[str, str]]) -> None:
+        """Log the levels of the ``patterns`` that the pending chunks hold,
+        chunk by chunk in stream order: a chunk is decoded once for all of
+        them and walked only for those that gain a bit in it, and it is
+        dropped once no pattern has levels left in it."""
         if not self._pending:
             return
-        nx, ny, nz = self.shape
+        nz = self.layout.shape[2]
         kept = []
         for chunk in self._pending:
             n, held, codes, gains = chunk
-            walk = [tag for tag in gains if tag in tags]
+            walk = [pattern for pattern in gains if pattern in patterns]
             if walk:
-                x, y, z = np.unravel_index(codes, self.shape)
-                rows = {'xz': (x * nz + z, ((y, ny),)), 'x': (x, ((z, nz),)),
-                        '': (np.zeros_like(x), ((z, nz), (x, nx)))}
-                for tag in walk:
-                    self._crossings(tag, *rows[tag], n, held, *gains.pop(tag))
+                # each row's code for every given axes and outcome axis
+                x, y, z = np.unravel_index(codes, self.layout.shape)
+                rows = {'xz': x * nz + z, 'x': x, '': np.zeros_like(x), 'y': y, 'z': z}
+                for given, outcome in walk:
+                    self._crossings((given, outcome), rows[given], rows[outcome], n, held,
+                                    *gains.pop((given, outcome)))
             if gains:
                 kept.append(chunk)
         self._pending = kept
 
-    def _crossings(self, tag: str, cond: np.ndarray, outcomes: tuple, n: int,
-                   counts: np.ndarray, crossing: list[int], before: np.ndarray,
+    def _crossings(self, pattern: tuple[str, str], cond: np.ndarray, outcome: np.ndarray,
+                   n: int, counts: np.ndarray, crossing: list[int], before: np.ndarray,
                    found: np.ndarray) -> None:
         """Log a level at each row of a chunk where the count of a condition of
-        pattern ``tag`` reaches a power of two, as :meth:`ingest` does for one
-        row: ``cond`` holds the rows' condition codes, ``outcomes`` the tally's
-        parts as (rows' codes, size), ``n`` and ``counts`` the stream length
-        and the (x, y, z) counts before the chunk, ``crossing`` the conditions
-        whose count gains a bit, the only ones walked, and ``before`` and
-        ``found`` each condition's count before the chunk and within it."""
+        ``pattern`` reaches a power of two, as :meth:`ingest` does for one
+        row: ``cond`` and ``outcome`` hold the rows' condition codes and
+        outcome indices, ``n`` and ``counts`` the stream length and the
+        (x, y, z) counts before the chunk, ``crossing`` the conditions whose
+        count gains a bit, the only ones walked, and ``before`` and ``found``
+        each condition's count before the chunk and within it."""
         # the rows by condition, in stream order; 16-bit codes sort in linear time
         order = np.argsort(cond.astype(np.uint16) if len(before) <= 1 << 16 else cond,
                            kind='stable')
-        # each row's outcome codes side by side, offset into one tally
-        k, sizes = len(outcomes), [size for _, size in outcomes]
-        codes = np.stack([col[order] + sum(sizes[:j]) for j, (col, _) in enumerate(outcomes)],
-                         axis=1).ravel()
-        width, bounds = sum(sizes), [0, *np.cumsum(found).tolist()]
+        outcome = outcome[order]
+        width, bounds = len(self.layout.index[pattern[1]]), [0, *np.cumsum(found).tolist()]
         for code in crossing:
-            key, a, b = (tag, code), bounds[code], bounds[code + 1]
+            key, a, b = (*pattern, code), bounds[code], bounds[code + 1]
             base, count = self._tally(key, counts), int(before[code])  # before the chunk
             t = 1 << count.bit_length()  # the first power of two past count
             while t <= count + b - a:
                 p = a + t - count  # the condition's rows up to the one reaching t
-                chunk = np.bincount(codes[a * k:p * k], minlength=width).tolist()
+                chunk = np.bincount(outcome[a:p], minlength=width).tolist()
                 self._levels.setdefault(key, []).append(
                     (n + int(order[p - 1]) + 1, tuple(map(add, chunk, base))))
                 t <<= 1
 
-    def _tally(self, cond: tuple[str, int], counts: np.ndarray | None = None) -> list[int]:
+    def _tally(self, cond: tuple[str, str, int], counts: np.ndarray | None = None
+               ) -> list[int]:
         """A condition's outcome tally, by index or axis sum of the (x, y, z)
         counts (by default those so far): y given (x, z), z given x, or the
-        whole stream's z then x."""
-        counts = (self._counts if counts is None else counts).reshape(self.shape)
-        tag, code = cond
-        if not tag:  # the whole stream: the z counts, then the x counts
-            return counts.sum(axis=(0, 1)).tolist() + counts.sum(axis=(1, 2)).tolist()
-        if tag == 'x':  # the (x, z) counts for every z
+        whole stream's z or x."""
+        counts = (self._counts if counts is None else counts).reshape(self.layout.shape)
+        given, outcome, code = cond
+        if given == 'xz':  # every y
+            return counts[code // counts.shape[2], :, code % counts.shape[2]].tolist()
+        if given == 'x':  # the (x, z) counts for every z
             return counts[code].sum(axis=0).tolist()
-        return counts[code // self.shape[2], :, code % self.shape[2]].tolist()  # every y
+        return counts.sum(axis=tuple(i for i, a in enumerate('xyz') if a != outcome)).tolist()
 
     # -- reads ---------------------------------------------------------------
-
-    def _code(self, tag: str, values: dict) -> int | None:
-        """The cell code of a pattern's values, row-major over its axes;
-        None if a value is outside its domain, a cell that never occurs."""
-        code = 0
-        for axis in tag:
-            index = self._index[axis]
-            value = _as_z(values[axis]) if axis == 'z' else values[axis]
-            try:  # an unhashable value is outside the domain too
-                code = code * len(index) + index[value]
-            except (KeyError, TypeError):
-                return None
-        return code
 
     def count(self, x=None, y=None, z=None) -> int:
         """Occurrences of a tracked pattern in the whole stream so far."""
         values = {'x': x, 'y': y, 'z': z}
-        tag = ''.join(axis for axis, v in values.items() if v is not None)
-        if not tag:
-            return self.n
-        if tag not in _PATTERNS:
-            raise ValueError(f"pattern ({', '.join(tag)}) is not tracked")
-        code = self._code(tag, values)
-        if code is None or tag == 'xyz':
-            return 0 if code is None else int(self._counts[code])
-        return self._tally(('', 0))[code] if tag == 'z' else sum(self._tally((tag, code)))
+        axes = ''.join(axis for axis, v in values.items() if v is not None)
+        if axes not in _PATTERNS:
+            raise ValueError(f"pattern ({', '.join(axes)}) is not tracked")
+        # the counts of the pattern's cells, each fixed axis at its value's index
+        index = tuple(self.layout.code(axis, values) if axis in axes else slice(None)
+                      for axis in 'xyz')
+        return 0 if None in index else int(self._counts.reshape(self.layout.shape)[index].sum())
 
     def leaf(self, event: dict, given: dict, m=None) -> tuple[int, int]:
         """(count, hits) of one estimated probability, P(event | given):
@@ -443,42 +490,39 @@ class CountTable:
         occurrences; (0, 0) if the condition has not occurred by then.
         It is the one-leaf case of :meth:`read`.
         """
-        count, hits = self.read([(event, given)], m)
+        count, hits = self.read(self.layout.reads([(event, given)]), m)
         return count[0], hits[0]
 
-    def read(self, leaves: Sequence[tuple[dict, dict]], m=None
-             ) -> tuple[list[int], list[int]]:
-        """The (count, hits) of each ``(event, given)`` leaf, as :meth:`leaf`
-        gives them, as a list of counts and a list of hits.  Each distinct
-        condition is read once: its tally summed (``m`` None) or its log
-        bisected at the prefix ``m``."""
-        conditions, slots, index = self._conditions(leaves)
+    def read(self, reads: tuple, m=None) -> tuple[list[int], list[int]]:
+        """The (count, hits) of each leaf of ``reads`` (:meth:`Layout.reads`),
+        as :meth:`leaf` gives them, as a list of counts and a list of hits.
+        Each distinct condition is read once: its tally summed (``m`` None)
+        or its log bisected at the prefix ``m``."""
+        conditions, slots, index = reads
         if m is None:  # a condition outside the domains never occurs: no tally
-            tallies = [self._tally(cond) if cond[1] is not None else () for cond in conditions]
-            counts = [sum(tally) if tag else self.n
-                      for (tag, _), tally in zip(conditions, tallies)]
+            tallies = [self._tally(cond) if cond[2] is not None else () for cond in conditions]
+            counts = list(map(sum, tallies))
             return ([counts[s] for s in slots],
                     [tallies[s][i] if tallies[s] else 0 for s, i in zip(slots, index)])
         m = _prefix_length(m, self.n)
-        self._fold({tag for tag, _ in conditions})
+        self._fold({cond[:2] for cond in conditions})
         logs = [self._levels.get(cond, ()) for cond in conditions]
         levels = [bisect_right(log, m, key=_position) for log in logs]
         hits = [logs[s][levels[s] - 1][1][i] if levels[s] else 0 for s, i in zip(slots, index)]
         return [(1 << levels[s]) >> 1 for s in slots], hits
 
-    def leaf_runs(self, leaves: Sequence[tuple[dict, dict]], start: int | None = None
-                  ) -> Iterator[Runs]:
-        """The runs of prefixes over which no log the leaves read gains a
-        level, as :class:`Runs` blocks in order: the runs start at ``start``
-        (by default ``min(1, n)``) and at every later position of those
-        logs, and the last ends at ``n``.  A block's ``count`` and ``hits``
-        hold ``read(leaves, m)`` at every m of each run, so consecutive runs
-        differ.  A block holds at most ``_BLOCK_ELEMENTS`` (run, leaf)
+    def leaf_runs(self, reads: tuple, start: int | None = None) -> Iterator[Runs]:
+        """The runs of prefixes over which no log the leaves of ``reads`` read
+        gains a level, as :class:`Runs` blocks in order: the runs start at
+        ``start`` (by default ``min(1, n)``) and at every later position of
+        those logs, and the last ends at ``n``.  A block's ``count`` and
+        ``hits`` hold ``read(reads, m)`` at every m of each run, so
+        consecutive runs differ.  A block holds at most ``_BLOCK_ELEMENTS`` (run, leaf)
         entries, but at least one run.  The runs are the table's as of this
         call."""
         start = min(1, self.n) if start is None else _prefix_length(start, self.n)
-        conditions, slots, index = self._conditions(leaves)
-        self._fold({tag for tag, _ in conditions})
+        conditions, slots, index = reads
+        self._fold({cond[:2] for cond in conditions})
         logs = [self._levels.get(cond, ()) for cond in conditions]
         # each log's levels reached at start; every later level starts a run
         reached = [bisect_right(log, start, key=_position) for log in logs]
@@ -489,18 +533,18 @@ class CountTable:
         runs, logs_gaining = np.array(gained_run, np.intp), np.array([s for _, s in gains], np.intp)
         first = np.array(starts, np.int64)
         last = np.append(first[1:] - 1, self.n)
-        # every log's tallies, a row of zeros (level 0) and then level by level,
-        # after one 0 that a leaf of a log with no level reads: in a log of
-        # width w from flat[o], tally i at level j is flat[o + j * w + i]
-        width = [len(log[0][1]) if log else 0 for log in logs]
-        flat, offset = [0], []
+        # every log's tallies, a row of zeros (level 0) and then level by
+        # level: in a log of width w from flat[o], tally i at level j is
+        # flat[o + j * w + i]
+        width = [len(self.layout.index[outcome]) for _, outcome, _ in conditions]
+        flat, offset = [], []
         for w, log in zip(width, logs):
             offset.append(len(flat))
             flat += [0] * w
             for _, tally in log:
                 flat += tally
         flat = np.array(flat, np.int64)
-        lead = np.array([offset[s] + i if width[s] else 0 for s, i in zip(slots, index)], np.intp)
+        lead = np.array([offset[s] + i for s, i in zip(slots, index)], np.intp)
         step = np.array([width[s] for s in slots], np.intp)
         slots = np.array(slots, np.intp)
         size = max(1, _BLOCK_ELEMENTS // max(1, len(slots)))
@@ -519,40 +563,6 @@ class CountTable:
                 yield Runs(first[a:b], last[a:b], (1 << levels) >> 1,
                            flat[lead + levels * step])
         return blocks()
-
-    def _conditions(self, leaves: Sequence[tuple[dict, dict]]
-                    ) -> tuple[list[tuple], list[int], list[int]]:
-        """The distinct conditions the leaves read, in order of first read,
-        and per leaf its condition's place among them and its event's index
-        in the condition's tally."""
-        located = [self._locate(event, given) for event, given in leaves]
-        place: dict[tuple, int] = {}
-        slots = [place.setdefault(cond, len(place)) for cond, _ in located]
-        return list(place), slots, [i for _, i in located]
-
-    def _locate(self, event: dict, given: dict) -> tuple[tuple, int]:
-        """A leaf's condition, as ``(pattern, cell code)`` (``('', 0)`` for
-        the whole stream), and the event's index in the condition's tally;
-        the code is None for a condition outside the domains, which never
-        occurs."""
-        match sorted(given), sorted(event):
-            case ['x', 'z'], ['y']:
-                tag, axis = 'xz', 'y'
-            case ['x'], ['z']:
-                tag, axis = 'x', 'z'
-            case [], [('x' | 'z') as axis]:
-                tag = ''
-            case _:
-                raise ValueError(f"leaf {', '.join(sorted(event))} given "
-                                 f"({', '.join(sorted(given))}) is not tracked")
-        value = _as_z(event[axis]) if axis == 'z' else event[axis]
-        try:
-            i = self._index[axis][value]
-        except (KeyError, TypeError):  # an event value with no place in the tallies
-            raise ValueError(f"leaf value {value!r} not in declared domain") from None
-        if axis == 'x':
-            i += self.shape[2]  # the whole stream's tally is z, then x
-        return (tag, self._code(tag, given)), i
 
     def checkpoints(self) -> list[int]:
         """Stream positions, in order, at which some dyadic level was
@@ -581,7 +591,7 @@ class CountTable:
         return self._levels == other._levels
 
     def __repr__(self) -> str:
-        return "CountTable(n={}, |X|={}, |Y|={}, |Z|={})".format(self.n, *self.shape)
+        return "CountTable(n={}, |X|={}, |Y|={}, |Z|={})".format(self.n, *self.layout.shape)
 
 
 # -- stream readers ---------------------------------------------------------

@@ -40,7 +40,7 @@ from .effects import EffectQuery, confidence_sequence, effect_interval, true_eff
 from .prediction import prediction_set
 # sample_iid and sample_adaptive are unused here, and kept: the benchmark's tracer wraps them
 from .simulator import CausalModel, CptPolicy, Policy, _adaptive_codes, _iid_codes, \
-    draw_intervened_outcome, sample_adaptive, sample_iid
+    _require_integer, _require_length, draw_intervened_outcome, sample_adaptive, sample_iid
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,10 @@ def run_coverage(model: CausalModel, query: EffectQuery, n: int,
                  replications: int, seed=0, policy: Policy | None = None,
                  workers: int = 1) -> CoverageReport:
     """Empirical coverage of the queried construction over replications."""
+    n, replications = _require_length(n), _require_integer('replications', replications)
     if replications < 1:
         raise ValueError("need at least one replication")
+    workers = _require_integer('workers', workers)
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     if query.regime == 'iid' and policy is not None:
@@ -135,6 +137,7 @@ def run_prediction_coverage(model: CausalModel, x, delta: float, n: int,
                             policy: Policy | None = None) -> dict:
     """Miss frequency of the prediction set against an outcome drawn from
     the intervened model after each adaptive stream."""
+    n, replications = _require_length(n), _require_integer('replications', replications)
     if replications < 1:
         raise ValueError("need at least one replication")
     misses = 0

@@ -41,10 +41,12 @@ with the same arithmetic as ``effect_interval``.
 Both read the leaves as ``(count, hits)`` arrays from the count table, at
 one prefix (``CountTable.read``, each distinct condition read once) or a
 block of runs at a time (``CountTable.leaf_runs``), one row per run; an
-interval is the one-run case.  One binder turns the arrays into estimates
-and radii, and one evaluator gives every run's polynomial and half-width,
-column by column in the order scalar loops would add them, so the floats
-are the same whatever the number of runs.
+interval is the one-run case.  ``_plan`` binds the leaf table to a query
+and a table's :class:`~causalci.counts.Layout` once, compiling there the
+reads of each run of families read at one prefix.  One binder turns the
+arrays into estimates and radii, and one evaluator gives every run's
+polynomial and half-width, column by column in the order scalar loops
+would add them, so the floats are the same whatever the number of runs.
 The level is split across the distinct estimated probabilities, which sets
 the ratio inside each radius's logarithm:
 
@@ -71,12 +73,13 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, groupby
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
 from .bounds import hoeffding_term, lil_term
-from .counts import CountTable, _hashable, _prefix_length
+from .counts import CountTable, Layout, _prefix_length, _require_hashable
 
 if TYPE_CHECKING:
     from .simulator import CausalModel
@@ -144,22 +147,6 @@ class EffectInterval:
         return self.lower <= p <= self.upper
 
 
-def _require_hashable(name: str, value) -> None:
-    if not _hashable(value):
-        raise ValueError(f"{name} value {value!r} is unhashable, so in no domain")
-
-
-def require_in_domain(table: CountTable, **values) -> None:
-    """Refuse a treatment value ``x`` or an outcome value ``y`` outside the
-    table's declared domain: no stream could ever estimate it."""
-    for name, value in values.items():
-        _require_hashable(name, value)
-        domain = table.x_domain if name == 'x' else table.y_domain
-        if value not in domain:
-            raise ValueError(f"query {name} value {value!r} not in declared domain "
-                             f"{list(domain)}")
-
-
 def _require(query: EffectQuery, criterion: str, regime: str) -> None:
     if query.criterion != criterion or query.regime != regime:
         raise ValueError(f"query is for {query.criterion}/{query.regime}, "
@@ -206,8 +193,16 @@ def _cells(criterion: str, x, y, xs: tuple, zs: tuple) -> tuple[tuple, ...]:
 
 
 @lru_cache(maxsize=64)
-def _plan(query: EffectQuery, xs: tuple, zs: tuple) -> tuple[_Family, ...]:
-    """The leaf table bound to a query and the domains (x', z) it ranges over."""
+def _plan(query: EffectQuery, layout: Layout
+          ) -> tuple[tuple[_Family, ...], tuple[tuple[bool, tuple], ...]]:
+    """The leaf table bound to a query and a layout, once the query is known
+    to fit it, and the compiled reads of each run of families read at one
+    prefix, as (dyadic, reads) pairs in family order."""
+    layout.require_in_domain(x=query.x, y=query.y)
+    if query.binary_toy and (*layout.shape[:2], *map(len, layout.z_domains)) != (2, 2, 2):
+        raise ValueError("binary_toy needs binary treatment/outcome and a "
+                         "single binary covariate")
+    xs, zs = layout.x_domain, layout.z_values
     mult = {'treat': 1 if query.frontdoor_form == 'horner-x' else len(zs),
             'med': 1 if query.frontdoor_form == 'horner-z' else len(xs)}
     if query.criterion == 'frontdoor':
@@ -227,18 +222,9 @@ def _plan(query: EffectQuery, xs: tuple, zs: tuple) -> tuple[_Family, ...]:
                                 conditions.count(conditions[0]) == len(conditions),
                                 cells, slice(lo, lo + len(cells))))
         lo += len(cells)
-    return tuple(families)
-
-
-def _families(table: CountTable, query: EffectQuery) -> tuple[_Family, ...]:
-    """The leaf table bound to a query and a table's domains, once the
-    query is known to fit the table."""
-    require_in_domain(table, x=query.x, y=query.y)
-    if query.binary_toy and (len(table.x_domain), len(table.y_domain),
-                             *map(len, table.z_domains)) != (2, 2, 2):
-        raise ValueError("binary_toy needs binary treatment/outcome and a "
-                         "single binary covariate")
-    return _plan(query, table.x_domain, table.z_values)
+    groups = tuple((dyadic, layout.reads([cell for fam in group for cell in fam.cells]))
+                   for dyadic, group in groupby(families, attrgetter('dyadic')))
+    return tuple(families), groups
 
 
 def _bind(table: CountTable, query: EffectQuery, n: int | None):
@@ -249,10 +235,10 @@ def _bind(table: CountTable, query: EffectQuery, n: int | None):
     n = table.n if n is None else _prefix_length(n, table.n)
     if n != table.n and query.regime != 'anytime':
         raise ValueError("a prefix index applies only to the anytime regime")
-    families = _families(table, query)
+    families, groups = _plan(query, table.layout)
     count, hits = [], []  # one read per run of families at one prefix (None: whole stream)
-    for m, group in groupby(families, lambda fam: n if fam.dyadic else None):
-        c, h = table.read([cell for fam in group for cell in fam.cells], m)
+    for dyadic, reads in groups:
+        c, h = table.read(reads, n if dyadic else None)
         count += c
         hits += h
     return (families, n, *_bind_pairs(families, np.array([count], np.int64),
@@ -359,8 +345,8 @@ def confidence_sequence(table: CountTable, query: EffectQuery,
     if query.regime != 'anytime':
         raise ValueError("a confidence sequence is the anytime regime's, "
                          f"not the {query.regime} regime's")
-    families = _families(table, query)
-    blocks = table.leaf_runs([cell for fam in families for cell in fam.cells], start)
+    families, ((_, reads),) = _plan(query, table.layout)  # every family is dyadic
+    blocks = table.leaf_runs(reads, start)
 
     def segments():
         for runs in blocks:
@@ -392,8 +378,8 @@ def true_effect(model: "CausalModel", x, y, criterion: str) -> float:
     A leaf whose condition has probability zero is undefined: a term whose
     weight or p(x') factor is exactly zero drops it, any other term raises,
     and so does a value outside its domain."""
-    table, roles = model.count_table(), model.roles
-    require_in_domain(table, x=x, y=y)
+    layout, roles = model.layout, model.roles
+    layout.require_in_domain(x=x, y=y)
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
 
@@ -407,6 +393,6 @@ def true_effect(model: "CausalModel", x, y, criterion: str) -> float:
         condition = p(given)
         return p({**event, **given}) / condition if condition else math.nan
 
-    cells = _cells(criterion, x, y, table.x_domain, table.z_values)  # one run, bound exactly
+    cells = _cells(criterion, x, y, layout.x_domain, layout.z_values)  # one run, bound exactly
     return _polynomial(criterion, cells, [np.array([[leaf(*cell) for cell in fam]])
                                           for fam in cells])[0]

@@ -37,7 +37,10 @@ Dags are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import Callable, Iterable, Iterator, Sequence
+
+from .counts import _hashable
 
 
 class DagParseError(ValueError):
@@ -77,6 +80,8 @@ class Dag:
         for v, dom in self.domains.items():
             if not dom:
                 raise ValueError(f"empty domain for {v}")
+            for value in filterfalse(_hashable, dom):
+                raise ValueError(f"the domain of {v!r} holds the unhashable value {value!r}")
             if len(set(dom)) != len(dom):
                 raise ValueError(f"duplicate values in the domain of {v!r}: {dom!r}")
 

@@ -35,7 +35,7 @@ def prediction_set(table: CountTable, x, delta: float) -> PredictionSet:
     threshold = delta / 2
     members = []
     diagnostics = []
-    for y in table.y_domain:
+    for y in table.layout.y_domain:
         itv = effect_interval(table, EffectQuery('backdoor', x, y, threshold,
                                                  'adaptive-fixed', binary_toy=True))
         endpoint = itv.midpoint + itv.halfwidth

@@ -20,20 +20,21 @@ the policy receives its own spawned child stream, so policy randomness
 never perturbs the mechanism draws.  Identical inputs give bit-identical
 streams.
 
-Both samplers draw integer cell codes ``(x * |Y| + y) * |Z| + z`` by
-domain index, the layout of :class:`CountTable`'s cells (``_iid_codes``,
-``_adaptive_codes``), and ``sample_iid`` / ``sample_adaptive`` decode those
-codes into observations, so the public streams are the ones the codes
-stand for.  The coverage harness hands the codes to
+Both samplers draw the integer cell codes of the model's
+:class:`~causalci.counts.Layout` (``_iid_codes``, ``_adaptive_codes``), and
+``sample_iid`` / ``sample_adaptive`` decode those codes into observations,
+so the public streams are the ones the codes stand for.  The coverage harness hands the codes to
 :meth:`CountTable.ingest_codes` and never builds an observation.  The
 built-in policies choose on domain indices too (``Policy._steps``); a
 policy that overrides ``choose`` is asked through it at every step, with
 the history as observations.  The alternating adversary finds each run of
 equal choices up to its next switch at once, from running sums of the
 outcomes, since only the played arm's success rate moves within a run.
-What the model fixes is computed once, on first use, and kept on it: each
-CPT's cumulative columns for both samplers, the vertices an adaptive step
-draws before and after its treatment, and the marginal tables that
+What the model fixes is computed once, on first use, and kept on it: the
+layout of its role cells, which its tables, samplers and ground truth
+share, so none of them builds a table to code cells; each CPT's cumulative
+columns for both samplers, the vertices an adaptive step draws before and
+after its treatment, and the marginal tables that
 :meth:`CausalModel.probability` reads.
 """
 
@@ -49,8 +50,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .counts import CountTable, Observation, parse_scalar
-from .effects import require_in_domain
+from .counts import CountTable, Layout, Observation, parse_scalar
 from .graph import Dag
 
 _ROW_SUM_TOL = 1e-12
@@ -162,6 +162,14 @@ class CausalModel:
         return {v: _Mechanism.of(cpt, self.dag) for v, cpt in self.cpts.items()}
 
     @cached_property
+    def layout(self) -> Layout:
+        """The coding of the cells of this model's observation roles, which
+        its tables, samplers and ground truth share."""
+        domains = self.dag.domains
+        return Layout(domains[self.roles.x], domains[self.roles.y],
+                      [domains[name] for name in self.roles.z])
+
+    @cached_property
     def _split(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """The vertices an adaptive step draws before and after its
         treatment, each in topological order."""
@@ -216,7 +224,7 @@ class CausalModel:
     def interventional_probability(self, x_value, y_value) -> float:
         """P(outcome = y) in the mutilated model where the treatment vertex
         is severed from its parents and pinned to x_value."""
-        require_in_domain(self.count_table(), x=x_value, y=y_value)
+        self.layout.require_in_domain(x=x_value, y=y_value)
         roles, verts = self.roles, self.dag.vertices
         y_i, x_i = verts.index(roles.y), verts.index(roles.x)
         total = 0.0
@@ -228,10 +236,8 @@ class CausalModel:
     # -- plumbing ----------------------------------------------------------
 
     def count_table(self) -> CountTable:
-        """A CountTable matching this model's observation roles."""
-        return CountTable(self.dag.domains[self.roles.x],
-                          self.dag.domains[self.roles.y],
-                          [self.dag.domains[name] for name in self.roles.z])
+        """An empty CountTable of this model's layout."""
+        return CountTable(self.layout)
 
     def to_json(self) -> dict:
         return {
@@ -581,23 +587,28 @@ def _iid_codes(model: CausalModel, n: int, seed) -> np.ndarray:
             grouped, u = u, np.empty(n)
             u[np.argsort(config, kind='stable')] = grouped
         index[v] = _at_or_below(model._mechanisms[v].cdf, config, u)
-    return model.count_table().cell_codes(index[roles.x], index[roles.y],
-                                          [index[name] for name in roles.z])
+    return model.layout.cell_codes(index[roles.x], index[roles.y],
+                                   [index[name] for name in roles.z])
 
 
 def sample_iid(model: CausalModel, n: int, seed) -> list[Observation]:
     """n independent ancestral-sampling draws, projected onto the roles."""
-    return model.count_table().decode(_iid_codes(model, n, seed))
+    return model.layout.decode(_iid_codes(model, n, seed))
+
+
+def _require_integer(name: str, value) -> int:
+    """A count, of any integral type but bool, as an int; a ValueError names it."""
+    if not isinstance(value, (bool, np.bool_)):  # Python counts True as 1; a count does not
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_length(n) -> int:
     """n, of any integral type but bool, as a stream length."""
-    if isinstance(n, (bool, np.bool_)):  # Python counts True as 1; a length does not
-        raise ValueError(f"stream length n must be an integer, got {n!r}")
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"stream length n must be an integer, got {n!r}") from None
+    n = _require_integer('stream length n', n)
     if n < 0:
         raise ValueError(f"stream length n must be >= 0, got {n}")
     return n
@@ -640,22 +651,22 @@ def _draw(model: CausalModel, v: str, index: dict, u: np.ndarray) -> np.ndarray:
     return _at_or_below(mechanism.cum, config, u * mechanism.sums[config])
 
 
-def _asking(model: CausalModel, policy: Policy, pre: list[str], table: CountTable):
+def _asking(model: CausalModel, policy: Policy, pre: list[str]):
     """The ``_steps`` of a policy asked through ``choose``: at each step it
     is shown the history so far and the step's visible pre-treatment values
     (every one, hidden or not, if it ``sees_mechanism``), and its answer
     must be a treatment value."""
-    dag, roles = model.dag, model.roles
+    dag, roles, layout = model.dag, model.roles, model.layout
     role_vars = {roles.x, roles.y, *roles.z}
     shown_names = pre if policy.sees_mechanism else [v for v in pre if v in role_vars]
-    x_index = {xv: i for i, xv in enumerate(table.x_domain)}
+    x_index = layout.index['x']
     history: list[Observation] = []
 
     def steps(block: _Block) -> list[int]:
         k = block.cells.shape[1]
         columns = [[dag.domains[v][i] for i in block.pre[v].tolist()] for v in shown_names]
         rows = zip(*columns) if columns else [()] * k
-        outcomes = [table.decode(cells) for cells in block.cells]
+        outcomes = [layout.decode(cells) for cells in block.cells]
         chosen = []
         for t, row in enumerate(rows):
             xv = policy.choose(history, dict(zip(shown_names, row)))
@@ -675,10 +686,9 @@ def _adaptive_codes(model: CausalModel, policy: Policy, n: int, seed) -> np.ndar
     n = _require_length(n)
     rng = as_generator(seed)
     policy.reset(model, rng.spawn(1)[0])
-    table = model.count_table()
-    roles, (pre, post) = model.roles, model._split
-    steps = policy._steps or _asking(model, policy, pre, table)
-    nx = len(table.x_domain)
+    layout, roles, (pre, post) = model.layout, model.roles, model._split
+    steps = policy._steps or _asking(model, policy, pre)
+    nx = layout.shape[0]
     codes = np.empty(n, dtype=np.intp)
     for start in range(0, n, _BLOCK_STEPS):
         k = min(_BLOCK_STEPS, n - start)
@@ -690,8 +700,8 @@ def _adaptive_codes(model: CausalModel, policy: Policy, n: int, seed) -> np.ndar
         index[roles.x] = np.arange(nx)[:, None]  # every treatment value at once
         for j, v in enumerate(post, start=len(pre)):
             index[v] = _draw(model, v, index, u[:, j])
-        cells = table.cell_codes(index[roles.x], index[roles.y],
-                                 [index[name] for name in roles.z])
+        cells = layout.cell_codes(index[roles.x], index[roles.y],
+                                  [index[name] for name in roles.z])
         block = _Block(drawn_pre, np.broadcast_to(index[roles.y], (nx, k)), cells)
         codes[start:start + k] = cells[steps(block), np.arange(k)]
     return codes
@@ -717,7 +727,7 @@ def sample_adaptive(model: CausalModel, policy: Policy, n: int,
     stream is drawn as cell codes and decoded into observations, whose
     values are the domain's own.
     """
-    return model.count_table().decode(_adaptive_codes(model, policy, n, seed))
+    return model.layout.decode(_adaptive_codes(model, policy, n, seed))
 
 
 def draw_intervened_outcome(model: CausalModel, x_value, seed):

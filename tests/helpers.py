@@ -16,9 +16,9 @@ import mpmath as mp
 import numpy as np
 
 from causalci.bounds import hoeffding_term, lil_term
-from causalci.counts import CountTable, Observation, ObservationParseError, _csv_cells, \
+from causalci.counts import CountTable, Layout, Observation, ObservationParseError, _csv_cells, \
     _csv_observation, _parse_line
-from causalci.effects import EffectInterval, EffectQuery, _bind, _families
+from causalci.effects import EffectInterval, EffectQuery, _bind, _plan
 from causalci.graph import Dag, format_path
 from causalci.simulator import CausalModel, Cpt, Policy, Roles, as_generator
 
@@ -108,13 +108,13 @@ def code_rows(table, rows):
     """The cell codes of observations for ``table.ingest_codes``, each coded
     by the domain check ``CountTable.ingest`` makes, which raises on an
     invalid row."""
-    ny, nz = len(table.y_domain), len(table.z_values)
-    return np.array([(x * ny + y) * nz + z for x, y, z in map(table._indices, rows)],
+    ny, nz = len(table.layout.y_domain), len(table.layout.z_values)
+    return np.array([(x * ny + y) * nz + z for x, y, z in map(table.layout.indices, rows)],
                     dtype=np.intp)
 
 
 def binary_table(stream=()):
-    table = CountTable((0, 1), (0, 1), ((0, 1),))
+    table = CountTable(Layout((0, 1), (0, 1), ((0, 1),)))
     for obs in stream:
         table.ingest(obs)
     return table
@@ -135,7 +135,7 @@ def random_table(rng, min_n=5, max_n=1200):
     probs /= probs.sum()
     draws = rng.choice(len(cells), size=n, p=probs)
     obs = [Observation(*cells[i]) for i in draws]
-    table = CountTable(x_dom, y_dom, z_doms)
+    table = CountTable(Layout(x_dom, y_dom, z_doms))
     table.ingest_codes(code_rows(table, obs))
     return table, obs
 
@@ -152,7 +152,7 @@ def grid_table(cx, cz, n, treated):
     for i in range(n - treated):
         x, z = others[i % len(others)]
         obs.append(Observation(x, 0, (z,)))
-    table = CountTable(tuple(range(cx)), (0, 1), (tuple(range(cz)),))
+    table = CountTable(Layout(tuple(range(cx)), (0, 1), (tuple(range(cz)),)))
     table.ingest_codes(code_rows(table, obs))
     return table
 
@@ -405,14 +405,14 @@ def mp_lil(count, ratio):
 
 
 def _sizes(table):
-    return len(table.x_domain), len(table.z_values)
+    return len(table.layout.x_domain), len(table.layout.z_values)
 
 
 def mp_backdoor_iid_halfwidth(table, obs, xt, delta, toy=False):
     _, cz = _sizes(table)
     ratio = (mp.mpf(6) if toy else 4 * mp.mpf(cz)) / mp.mpf(delta)
     hw = cz * mp_hoeff(len(obs), ratio)
-    for z in table.z_values:
+    for z in table.layout.z_values:
         hw += mp_hoeff(naive_count(obs, x=xt, z=z), ratio)
     return hw
 
@@ -422,7 +422,7 @@ def mp_backdoor_adaptive_halfwidth(table, obs, xt, delta, toy=False):
     h_ratio = (mp.mpf(6) if toy else 4 * mp.mpf(cz)) / mp.mpf(delta)
     l_ratio = (mp.mpf(10) if toy else mp.mpf('6.6') * cz) / mp.mpf(delta)
     hw = cz * mp_hoeff(len(obs), h_ratio)
-    for z in table.z_values:
+    for z in table.layout.z_values:
         hw += mp_lil(naive_count(obs, x=xt, z=z), l_ratio)
     return hw
 
@@ -432,7 +432,7 @@ def mp_backdoor_anytime_halfwidth(table, obs, xt, delta, toy=False, upto=None):
     n = len(obs) if upto is None else upto
     ratio = (mp.mpf(10) if toy else mp.mpf('6.6') * cz) / mp.mpf(delta)
     hw = cz * mp_lil(n, ratio)
-    for z in table.z_values:
+    for z in table.layout.z_values:
         hw += mp_lil(naive_count(obs, x=xt, z=z, upto=n), ratio)
     return hw
 
@@ -445,8 +445,8 @@ def mp_frontdoor_iid_halfwidth(table, obs, xt, delta, form='expanded'):
     coeff_t = {'expanded': cx * cz, 'horner-z': cz, 'horner-x': cx * cz}[form]
     hw = coeff_n * mp_hoeff(len(obs), ratio)
     hw += coeff_t * mp_hoeff(naive_count(obs, x=xt), ratio)
-    for xv in table.x_domain:
-        for z in table.z_values:
+    for xv in table.layout.x_domain:
+        for z in table.layout.z_values:
             hw += mp_hoeff(naive_count(obs, x=xv, z=z), ratio)
     return hw
 
@@ -458,8 +458,8 @@ def mp_frontdoor_adaptive_halfwidth(table, obs, xt, delta):
     l_ratio = mp.mpf('3.3') * k / mp.mpf(delta)
     hw = cx * cz * mp_hoeff(len(obs), h_ratio)
     hw += cx * cz * mp_lil(naive_count(obs, x=xt), l_ratio)
-    for xv in table.x_domain:
-        for z in table.z_values:
+    for xv in table.layout.x_domain:
+        for z in table.layout.z_values:
             hw += mp_lil(naive_count(obs, x=xv, z=z), l_ratio)
     return hw
 
@@ -471,8 +471,8 @@ def mp_frontdoor_anytime_halfwidth(table, obs, xt, delta, upto=None):
     ratio = mp.mpf('3.3') * k / mp.mpf(delta)
     hw = cx * cz * mp_lil(n, ratio)
     hw += cx * cz * mp_lil(naive_count(obs, x=xt, upto=n), ratio)
-    for xv in table.x_domain:
-        for z in table.z_values:
+    for xv in table.layout.x_domain:
+        for z in table.layout.z_values:
             hw += mp_lil(naive_count(obs, x=xv, z=z, upto=n), ratio)
     return hw
 
@@ -481,7 +481,7 @@ def mp_backdoor_iid_midpoint(table, obs, xt, yv):
     if not obs:
         return mp.mpf(0)
     total = mp.mpf(0)
-    for z in table.z_values:
+    for z in table.layout.z_values:
         c_xz = naive_count(obs, x=xt, z=z)
         if c_xz:
             cond = mp.mpf(naive_count(obs, x=xt, y=yv, z=z)) / c_xz
@@ -508,7 +508,7 @@ def naive_midpoint(table, obs, xt, yv, criterion, regime, upto=None):
 
     if criterion == 'backdoor':
         total = 0.0
-        for z in table.z_values:
+        for z in table.layout.z_values:
             cond = (lambda o, z=z: o.x == xt and o.z == z)
             event = (lambda o: o.y == yv)
             if regime == 'iid':
@@ -525,14 +525,14 @@ def naive_midpoint(table, obs, xt, yv, criterion, regime, upto=None):
         return total
 
     total = 0.0
-    for z in table.z_values:
+    for z in table.layout.z_values:
         if regime == 'iid':
             c = naive_count(sub, x=xt)
             pz = naive_count(sub, x=xt, z=z) / c if c else 0.0
         else:
             pz = ddot(lambda o, z=z: o.z == z, lambda o: o.x == xt)
         inner = 0.0
-        for xv in table.x_domain:
+        for xv in table.layout.x_domain:
             if regime == 'iid':
                 c = naive_count(sub, x=xv, z=z)
                 py = naive_count(sub, x=xv, y=yv, z=z) / c if c else 0.0
@@ -863,7 +863,7 @@ def loop_interval(table: CountTable, query: EffectQuery, n: int | None = None
     Python floats, a term whose w or b is 0 skipped.  The array evaluator
     must give these floats bit for bit, at every prefix."""
     n = table.n if n is None else n
-    families = _families(table, query)
+    families = _plan(query, table.layout)[0]
     bound = []
     for fam in families:
         radius, row = lil_term if fam.dyadic else hoeffding_term, []

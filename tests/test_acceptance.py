@@ -179,7 +179,7 @@ def test_criterion_05():
         _audit_table(base, obs, 1, 1)
     for _ in range(199):
         table, obs = random_table(rng, min_n=5, max_n=900)
-        _audit_table(table, obs, table.x_domain[0], table.y_domain[-1])
+        _audit_table(table, obs, table.layout.x_domain[0], table.layout.y_domain[-1])
     return "200 tables x 8 constructions, tolerance 1e-12"
 
 
@@ -189,7 +189,7 @@ def test_criterion_06():
     comparisons = 0
     for _ in range(200):
         table, _ = random_table(rng, min_n=20, max_n=900)
-        xt, yv = table.x_domain[0], table.y_domain[0]
+        xt, yv = table.layout.x_domain[0], table.layout.y_domain[0]
         for criterion_name in ('backdoor', 'frontdoor'):
             widths = [effect_interval(table, EffectQuery(criterion_name, xt, yv,
                                                          0.1, regime)).halfwidth

@@ -1027,6 +1027,22 @@ def test_model_with_malformed_roles_exit_2(tmp_path, capsys, command, roles, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "analyze", "coverage"])
+def test_model_with_an_unhashable_domain_value_exit_2(tmp_path, capsys, command):
+    with open(FIG1) as handle:
+        doc = json.load(handle)
+    next(v for v in doc["variables"] if v["name"] == "Y")["domain"] = [[0], [1]]
+    model, out = tmp_path / "model.json", tmp_path / "out.jsonl"
+    model.write_text(json.dumps(doc))
+    args = {"simulate": ["--n", "8"],
+            "analyze": ["--data", write_eight_obs(tmp_path / "obs.jsonl"),
+                        "--xtilde", "1", "--y", "1"],
+            "coverage": ["--xtilde", "1", "--y", "1", "--n", "20", "-R", "2"]}[command]
+    assert main([command, "--model", str(model), *args, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: the domain of 'Y' holds the unhashable value [0]\n"
+    assert not out.exists()
+
+
 def test_model_with_integer_edge_endpoints_exit_2(tmp_path, capsys):
     with open(FIG1) as handle:
         doc = json.load(handle)

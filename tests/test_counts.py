@@ -1,6 +1,7 @@
 import io
 import json
 import re
+from collections import Counter
 from contextlib import nullcontext
 from itertools import product
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causalci import counts
-from causalci.counts import (CountTable, Observation, ObservationParseError, dyadic_floor,
+from causalci.counts import (CountTable, Layout, Observation, ObservationParseError, dyadic_floor,
                              read_csv, read_jsonl)
 from causalci.effects import EffectQuery, effect_interval
 from causalci.simulator import sample_iid
@@ -158,12 +159,12 @@ def test_empirical_estimate():
 
 def test_empirical_estimate_sums_to_one():
     table = binary_table(eight_obs_stream())
-    for z in table.z_values:
+    for z in table.layout.z_values:
         total = sum(_estimate(table.leaf({'y': y}, {'x': 1, 'z': z}))
-                    for y in table.y_domain)
+                    for y in table.layout.y_domain)
         assert total == pytest.approx(1.0)
     for event, given in (('z', {'x': 1}), ('z', {}), ('x', {})):
-        values = table.z_values if event == 'z' else table.x_domain
+        values = table.layout.z_values if event == 'z' else table.layout.x_domain
         total = sum(_estimate(table.leaf({event: v}, given)) for v in values)
         assert total == pytest.approx(1.0)
 
@@ -191,9 +192,9 @@ def test_dyadic_estimate_saturated_and_single():
 def test_dyadic_levels_monotone():
     rng = __import__('numpy').random.default_rng(7)
     table, _ = random_table(rng, min_n=200, max_n=400)
-    for z in table.z_values:
-        for y in table.y_domain:
-            given = {'x': table.x_domain[0], 'z': z}
+    for z in table.layout.z_values:
+        for y in table.layout.y_domain:
+            given = {'x': table.layout.x_domain[0], 'z': z}
             # the event tally at each level j: where the count reaches 2**j
             trace = [table.leaf({'y': y}, given, m) for m in range(table.n + 1)]
             levels = [hits for (count, hits), (before, _) in zip(trace[1:], trace)
@@ -208,22 +209,22 @@ def test_dyadic_levels_monotone():
 def test_dyadic_estimates_match_naive_oracle():
     rng = __import__('numpy').random.default_rng(11)
     table, obs = random_table(rng, min_n=100, max_n=600)
-    xt = table.x_domain[0]
-    for z in table.z_values:
-        for y in table.y_domain:
+    xt = table.layout.x_domain[0]
+    for z in table.layout.z_values:
+        for y in table.layout.y_domain:
             got = _estimate(table.leaf({'y': y}, {'x': xt, 'z': z}, table.n))
             want = naive_dyadic_estimate(obs, lambda o: o.y == y,
                                          lambda o: o.x == xt and o.z == z)
             assert got == want
     for m in (1, 7, len(obs) // 2, len(obs)):
-        got = _estimate(table.leaf({'z': table.z_values[0]}, {}, m))
-        want = naive_dyadic_estimate(obs, lambda o: o.z == table.z_values[0],
+        got = _estimate(table.leaf({'z': table.layout.z_values[0]}, {}, m))
+        want = naive_dyadic_estimate(obs, lambda o: o.z == table.layout.z_values[0],
                                      lambda o: True, upto=m)
         assert got == want
-        got = _estimate(table.leaf({'y': table.y_domain[0]},
-                                   {'x': xt, 'z': table.z_values[0]}, m))
-        want = naive_dyadic_estimate(obs, lambda o: o.y == table.y_domain[0],
-                                     lambda o: o.x == xt and o.z == table.z_values[0],
+        got = _estimate(table.leaf({'y': table.layout.y_domain[0]},
+                                   {'x': xt, 'z': table.layout.z_values[0]}, m))
+        want = naive_dyadic_estimate(obs, lambda o: o.y == table.layout.y_domain[0],
+                                     lambda o: o.x == xt and o.z == table.layout.z_values[0],
                                      upto=m)
         assert got == want
 
@@ -262,7 +263,7 @@ def test_table_state_is_logarithmic_in_the_stream():
     table = model.count_table()
     empty = sum(_entries(v) for v in vars(table).values())
     table.ingest_codes(code_rows(table, sample_iid(model, 20_000, 5)))
-    nx, ny, nz = table.shape
+    nx, ny, nz = table.layout.shape
     cells = nx * ny * nz
     conditions = nx * nz + nx + 1
     widths = cells + nx * nz + (nz + nx)  # y given (x, z), z given x, z then x
@@ -283,11 +284,11 @@ def test_table_state_is_logarithmic_in_the_stream():
                 max_size=40))
 def test_marginals_sum_to_n(rows):
     table = binary_table(Observation(x, y, (z,)) for x, y, z in rows)
-    assert sum(table.count(x=x) for x in table.x_domain) == table.n
-    assert sum(table.count(z=z) for z in table.z_values) == table.n
-    for x in table.x_domain:
-        for z in table.z_values:
-            joint = sum(table.count(x=x, y=y, z=z) for y in table.y_domain)
+    assert sum(table.count(x=x) for x in table.layout.x_domain) == table.n
+    assert sum(table.count(z=z) for z in table.layout.z_values) == table.n
+    for x in table.layout.x_domain:
+        for z in table.layout.z_values:
+            joint = sum(table.count(x=x, y=y, z=z) for y in table.layout.y_domain)
             assert joint == table.count(x=x, z=z)
             assert table.count(x=x, z=z) <= min(table.count(x=x), table.count(z=z))
 
@@ -434,8 +435,8 @@ def batch_cases(draw):
 
 
 def _twin_tables(domains, rows, prefix):
-    batch = CountTable(*domains)
-    stream = CountTable(*domains)
+    batch = CountTable(Layout(*domains))
+    stream = CountTable(Layout(*domains))
     for obs in rows[:prefix]:
         batch.ingest(obs)
         stream.ingest(obs)
@@ -536,10 +537,10 @@ def test_ingest_codes_equals_row_by_row_ingest(n, data):
     cells = list(product(x_dom, y_dom, product(*z_doms)))
     rows = [Observation(_alike(x, i), y, _alike_z(z, i))
             for i, (x, y, z) in enumerate(cells[c] for c in codes.tolist())]
-    coded, stream = CountTable(*domains), CountTable(*domains)
+    coded, stream = CountTable(Layout(*domains)), CountTable(Layout(*domains))
     x, y, *z = np.unravel_index(codes, (len(x_dom), len(y_dom), *map(len, z_doms)))
-    coded.ingest_codes(coded.cell_codes(x, y, z)[:split])
-    coded.ingest_codes(coded.cell_codes(x, y, z)[split:])
+    coded.ingest_codes(coded.layout.cell_codes(x, y, z)[:split])
+    coded.ingest_codes(coded.layout.cell_codes(x, y, z)[split:])
     for obs in rows:
         stream.ingest(obs)
     assert coded == stream
@@ -573,7 +574,7 @@ def test_ingest_codes_of_a_narrow_dtype_build_the_table_of_int64_codes(dtype, bi
     domains = ((1, 11), ('y0',), [(0, 1)] * bits)
     top = int(np.iinfo(dtype).max) + 1
     codes = (np.random.default_rng(bits).random(3000) ** 3 * top).astype(np.int64)
-    wide, narrow = CountTable(*domains), CountTable(*domains)
+    wide, narrow = CountTable(Layout(*domains)), CountTable(Layout(*domains))
     assert len(wide._counts) > top
     with mock.patch.object(counts, '_CHUNK_ROWS', 1000):
         wide.ingest_codes(codes)
@@ -592,7 +593,19 @@ def test_table_refuses_a_domain_with_a_repeated_value(domains, name):
     # a cell code names one value per coordinate
     message = rf"^duplicate values in the {re.escape(name)} domain"
     with pytest.raises(ValueError, match=message):
-        CountTable(*domains)
+        CountTable(Layout(*domains))
+
+
+@pytest.mark.parametrize("domains, message", [
+    ((([0], [1]), (0, 1), ((0, 1),)), r"the x domain holds the unhashable value \[0\]"),
+    (((0, 1), (0, {1: 2}), ((0, 1),)), r"the y domain holds the unhashable value \{1: 2\}"),
+    (((0, 1), (0, 1), ((0, 1), ('a', ['b']))), r"the z\[1\] domain holds the unhashable "
+                                               r"value \['b'\]"),
+])
+def test_layout_refuses_an_unhashable_domain_value(domains, message):
+    # by name, before a set of the domain raises a bare TypeError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Layout(*domains)
 
 
 @pytest.mark.parametrize("domains, message", [
@@ -603,7 +616,7 @@ def test_table_refuses_a_domain_with_a_repeated_value(domains, name):
 ])
 def test_table_refuses_an_empty_domain(domains, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        CountTable(*domains)
+        CountTable(Layout(*domains))
 
 
 # -- the checkpoint log ------------------------------------------------------------
@@ -631,7 +644,7 @@ def log_cases(draw, max_rows=300):
 @given(batch_cases())
 def test_checkpoint_log_positions_are_the_checkpoint_rows(case):
     domains, rows, _, _ = case
-    stream = CountTable(*domains)
+    stream = CountTable(Layout(*domains))
     moved, version = [], 0
     for obs in rows:
         stream.ingest(obs)
@@ -640,7 +653,7 @@ def test_checkpoint_log_positions_are_the_checkpoint_rows(case):
             moved.append(stream.n)
     assert stream.checkpoints() == moved
     for chunk in (1, 3, 4096):
-        batch = CountTable(*domains)
+        batch = CountTable(Layout(*domains))
         with mock.patch.object(counts, '_CHUNK_ROWS', chunk):
             batch.ingest_codes(code_rows(batch, rows))
         assert batch.checkpoints() == moved
@@ -653,7 +666,7 @@ def test_prefix_intervals_from_the_log_equal_replayed_tables(case, chunk):
     that holds the whole stream, equals the element of a table that
     ingested the first m rows one by one."""
     domains, rows = case
-    full = CountTable(*domains)
+    full = CountTable(Layout(*domains))
     with mock.patch.object(counts, '_CHUNK_ROWS', chunk):
         full.ingest_codes(code_rows(full, rows))
     x_dom, y_dom, z_doms = domains
@@ -661,14 +674,14 @@ def test_prefix_intervals_from_the_log_equal_replayed_tables(case, chunk):
     queries = [EffectQuery(criterion, x, y_dom[-1], 0.1, 'anytime', binary_toy=toy)
                for x in x_dom for criterion, toy in
                [('backdoor', False), ('frontdoor', False)] + [('backdoor', True)] * binary]
-    replay = CountTable(*domains)
+    replay = CountTable(Layout(*domains))
     for m in range(len(rows) + 1):
         if m:
             replay.ingest(rows[m - 1])
         for query in queries:
             got, want = effect_interval(full, query, m), effect_interval(replay, query)
             assert (got, got.constants) == (want, want.constants)
-            z = replay.z_values[0]
+            z = replay.layout.z_values[0]
             assert full.leaf({'z': z}, {'x': query.x}, m) == \
                 replay.leaf({'z': z}, {'x': query.x}, m)
 
@@ -689,7 +702,7 @@ def test_prefix_dyadic_floor_refuses_an_untracked_condition():
 
 def _tracked_leaves(table):
     """Every tracked (event, condition) pair of the table's domains."""
-    xs, ys, zs = table.x_domain, table.y_domain, table.z_values
+    xs, ys, zs = table.layout.x_domain, table.layout.y_domain, table.layout.z_values
     return ([({'y': y}, {'x': x, 'z': z}) for x in xs for z in zs for y in ys]
             + [({'z': z}, {'x': x}) for x in xs for z in zs]
             + [({'z': z}, {}) for z in zs] + [({'x': x}, {}) for x in xs])
@@ -708,11 +721,11 @@ def test_leaf_equals_the_naive_recount_at_every_prefix(case):
     """Over every tracked pair and every prefix m, each table's leaf is the
     naive recount, whether the table was built row by row or in chunks."""
     domains, rows = case
-    tables = [CountTable(*domains)]
+    tables = [CountTable(Layout(*domains))]
     for obs in rows:
         tables[0].ingest(obs)
     for chunk in (1, 3, 4096):
-        tables.append(CountTable(*domains))
+        tables.append(CountTable(Layout(*domains)))
         with mock.patch.object(counts, '_CHUNK_ROWS', chunk):
             tables[-1].ingest_codes(code_rows(tables[-1], rows))
     leaves = _tracked_leaves(tables[0])
@@ -734,10 +747,11 @@ def test_leaf_equals_the_naive_recount_at_every_prefix(case):
     # answers each alone
     for table, m in product(tables, (None, *range(len(rows) + 1))):
         pairs = [table.leaf(event, given, m) for event, given in leaves]
-        assert table.read(leaves, m) == ([c for c, _ in pairs], [h for _, h in pairs])
+        assert table.read(table.layout.reads(leaves), m) == \
+            ([c for c, _ in pairs], [h for _, h in pairs])
     # every tracked pattern's count is the naive recount
     table = tables[0]
-    xs, ys, zs = table.x_domain, table.y_domain, table.z_values
+    xs, ys, zs = table.layout.x_domain, table.layout.y_domain, table.layout.z_values
     for pattern in ([{'x': x, 'y': y, 'z': z} for x in xs for y in ys for z in zs]
                     + [{'x': x, 'z': z} for x in xs for z in zs]
                     + [{'x': x} for x in xs] + [{'z': z} for z in zs] + [{}]):
@@ -755,7 +769,7 @@ def test_leaf_equals_the_naive_recount_at_every_prefix(case):
         starts = sorted(dyadic_rows(rows, [given for _, given in read]) | {min(1, len(rows))})
         for table, budget in product(tables, (1, 2 * len(read) + 1, counts._BLOCK_ELEMENTS)):
             with mock.patch.object(counts, '_BLOCK_ELEMENTS', budget):
-                blocks = list(table.leaf_runs(read))
+                blocks = list(table.leaf_runs(table.layout.reads(read)))
             assert all(0 < len(b.first) <= max(1, budget // len(read)) for b in blocks)
             first, last, count, hits = (np.concatenate(part).tolist() for part in zip(*blocks))
             assert first == starts
@@ -770,7 +784,8 @@ def test_leaf_equals_the_naive_recount_at_every_prefix(case):
 # -- levels logged when a prefix read needs them ------------------------------------
 
 def _runs(table, leaves, start):
-    return [[a.tolist() for a in block] for block in table.leaf_runs(leaves, start)]
+    return [[a.tolist() for a in block]
+            for block in table.leaf_runs(table.layout.reads(leaves), start)]
 
 
 def _pending_rows(table):
@@ -791,12 +806,12 @@ def test_folding_on_read_equals_logging_every_row(case, bound, chunk, seed):
     builds: each read answers alike, and the rows left pending stay within
     the bound."""
     domains, rows = case
-    lazy, eager = CountTable(*domains), CountTable(*domains)
+    lazy, eager = CountTable(Layout(*domains)), CountTable(Layout(*domains))
     leaves = _tracked_leaves(eager)
     # every leaf, or one pattern's leaves, which fold that pattern alone
     reads = [leaves] + [[leaf for leaf in leaves if sorted(leaf[1]) == axes] or leaves
                         for axes in (['x', 'z'], ['x'], [])]
-    xs, ys, zs = eager.x_domain, eager.y_domain, eager.z_values
+    xs, ys, zs = eager.layout.x_domain, eager.layout.y_domain, eager.layout.z_values
     patterns = ([{'x': x, 'y': y, 'z': z} for x in xs for y in ys for z in zs]
                 + [{'x': x, 'z': z} for x in xs for z in zs]
                 + [{'x': x} for x in xs] + [{'z': z} for z in zs] + [{}])
@@ -818,7 +833,8 @@ def test_folding_on_read_equals_logging_every_row(case, bound, chunk, seed):
                 read = reads[rng.integers(len(reads))]
                 m = int(rng.integers(done + 1)) if rng.random() < 0.8 else None
                 if op == 'read':
-                    assert lazy.read(read, m) == eager.read(read, m)
+                    compiled = eager.layout.reads(read)
+                    assert lazy.read(compiled, m) == eager.read(compiled, m)
                 else:
                     assert _runs(lazy, read, m) == _runs(eager, read, m)
             elif op == 'count':
@@ -848,9 +864,9 @@ def test_pending_chunks_keep_their_own_codes(dtype):
     assert lazy._pending
     codes[:] = codes[::-1].copy()
     codes[::3] = 0
-    leaves = _tracked_leaves(eager)
+    reads = eager.layout.reads(_tracked_leaves(eager))
     for m in (None, 1, 2, 100, 4095, 4096, 4097, 8191, 8192, 9000):
-        assert lazy.read(leaves, m) == eager.read(leaves, m)
+        assert lazy.read(reads, m) == eager.read(reads, m)
     assert lazy == eager
 
 
@@ -860,7 +876,7 @@ def test_pending_rows_never_exceed_the_bound(bound, chunk):
     at most the bound's rows pending after each chunk: a full buffer folds
     every pattern."""
     domains = ((0, 1), (0, 1), [(0, 1)] * 5)  # 64 (x, z) conditions
-    lazy, eager = CountTable(*domains), CountTable(*domains)
+    lazy, eager = CountTable(Layout(*domains)), CountTable(Layout(*domains))
     codes = np.random.default_rng(bound).integers(0, len(lazy._counts), 20 * bound)
     add, pending = CountTable._add_cells, []
 
@@ -872,7 +888,7 @@ def test_pending_rows_never_exceed_the_bound(bound, chunk):
             mock.patch.object(counts, '_CHUNK_ROWS', chunk), \
             mock.patch.object(CountTable, '_add_cells', watched):
         lazy.ingest_codes(codes)
-    for obs in lazy.decode(codes):
+    for obs in lazy.layout.decode(codes):
         eager.ingest(obs)
     assert len(pending) == -(-len(codes) // chunk)
     assert max(pending) <= bound
@@ -887,14 +903,14 @@ def test_short_chunks_pend_no_more_chunks_than_full_ones():
     pending after every call, as full chunks would: each pending chunk
     holds a copy of the counts, however few its rows."""
     domains = ((0, 1), (0, 1), [(0, 1)] * 8)  # 1,024 cells, 512 (x, z) conditions
-    lazy, eager = CountTable(*domains), CountTable(*domains)
+    lazy, eager = CountTable(Layout(*domains)), CountTable(Layout(*domains))
     codes = np.random.default_rng(8).integers(0, len(lazy._counts), 600)
     pending = []
     with mock.patch.object(counts, '_PENDING_ROWS', 4 * counts._CHUNK_ROWS):
         for row in range(len(codes)):
             lazy.ingest_codes(codes[row:row + 1])
             pending.append(len(lazy._pending))
-    for obs in lazy.decode(codes):
+    for obs in lazy.layout.decode(codes):
         eager.ingest(obs)
     assert max(pending) == 4  # chunks were held, and no more than the bound
     assert lazy == eager
@@ -906,17 +922,19 @@ def test_whole_stream_reads_never_walk_the_rows(monkeypatch):
     back-door one, and for (x, z) and x for a front-door one."""
     walked = []
 
-    def walk(table, tag, *args):
-        walked.append(tag)
-        if tag not in allowed:
-            raise AssertionError(f"the rows were walked for pattern {tag!r}")
+    def walk(table, pattern, *args):
+        walked.append(pattern)
+        if pattern not in allowed:
+            raise AssertionError(f"the rows were walked for pattern {pattern!r}")
 
     monkeypatch.setattr(CountTable, '_crossings', walk)
-    for model, criterion, adaptive in [(fig1_model(), 'backdoor', {'xz'}),
-                                       (frontdoor_model(), 'frontdoor', {'xz', 'x'})]:
+    logged = {('xz', 'y'), ('x', 'z'), ('', 'z'), ('', 'x')}
+    for model, criterion, adaptive in [(fig1_model(), 'backdoor', {('xz', 'y')}),
+                                       (frontdoor_model(), 'frontdoor',
+                                        {('xz', 'y'), ('x', 'z')})]:
         table = model.count_table()
         table.ingest_codes(code_rows(table, sample_iid(model, 9000, 7)))
-        assert {tag for *_, gains in table._pending for tag in gains} == {'xz', 'x', ''}
+        assert {tag for *_, gains in table._pending for tag in gains} == logged
         allowed, walked[:] = set(), []
         effect_interval(table, EffectQuery(criterion, 1, 1, 0.1, 'iid'))
         assert walked == []
@@ -924,7 +942,7 @@ def test_whole_stream_reads_never_walk_the_rows(monkeypatch):
         effect_interval(table, EffectQuery(criterion, 1, 1, 0.1, 'adaptive-fixed'))
         assert set(walked) == adaptive
         # the other patterns stay pending
-        assert {tag for *_, gains in table._pending for tag in gains} == {'xz', 'x', ''} - adaptive
+        assert {tag for *_, gains in table._pending for tag in gains} == logged - adaptive
 
 
 def test_read_csv_line_numbers_count_blank_and_multiline_rows():
@@ -1003,7 +1021,7 @@ def _lines_through_rows(text, columns):
     """The table and error of the row path: read_jsonl or read_csv, then
     ingest row by row, with a domain error named by the line of the row last
     read."""
-    table = CountTable(*LINE_DOMAINS)
+    table = CountTable(Layout(*LINE_DOMAINS))
     stream = ObservationStream(io.StringIO(text), columns)
     try:
         for obs in stream:
@@ -1016,7 +1034,7 @@ def _lines_through_rows(text, columns):
 
 
 def _lines_to_codes(text, columns):
-    table = CountTable(*LINE_DOMAINS)
+    table = CountTable(Layout(*LINE_DOMAINS))
     try:
         table.ingest_lines(io.StringIO(text), columns)
     except ObservationParseError as exc:
@@ -1053,7 +1071,7 @@ def test_ingest_chunks_yields_each_chunk_and_the_rows_before_an_error(rows, bad,
     lines = [JSON_ROWS[i % 3].format(t='') for i in range(rows)]
     if bad:
         lines += ['{"x": 7, "y": 0, "z": [1]}', JSON_ROWS[0].format(t='')]
-    table, seen = CountTable(*LINE_DOMAINS), []
+    table, seen = CountTable(Layout(*LINE_DOMAINS)), []
     with mock.patch.object(counts, '_CHUNK_ROWS', 4):
         chunks = table.ingest_chunks(io.StringIO('\n'.join(lines)))
         with pytest.raises(ObservationParseError, match=f"^line {rows + 1}: x value 7 ") \
@@ -1071,7 +1089,7 @@ def test_ingest_lines_parses_each_distinct_line_once(columns):
     text = '\n'.join(['x,y,z,t', *lines] if columns else lines) + '\n'
     with mock.patch.object(counts, '_parse_line', wraps=counts._parse_line) as parse_line, \
             mock.patch.object(counts, 'parse_scalar', wraps=counts.parse_scalar) as scalar:
-        CountTable(*LINE_DOMAINS).ingest_lines(io.StringIO(text), columns)
+        CountTable(Layout(*LINE_DOMAINS)).ingest_lines(io.StringIO(text), columns)
     assert (scalar.call_count, parse_line.call_count) == ((9, 0) if columns else (0, 3))
 
 
@@ -1085,7 +1103,7 @@ def _chunks_as_pulled(lines, columns):
             pulled.append(line)
             yield line
 
-    table = CountTable(*LINE_DOMAINS)
+    table = CountTable(Layout(*LINE_DOMAINS))
     parse = '_csv_observation' if columns else '_parse_line'
     with mock.patch.object(counts, '_CHUNK_ROWS', 4), \
             mock.patch.object(counts, parse, wraps=getattr(counts, parse)) as parsed:
@@ -1116,3 +1134,17 @@ def test_ingest_chunks_yields_full_chunks_and_pulls_only_their_lines(columns):
         cells = (lambda line: tuple(line.split(',')[:3])) if columns else (lambda line: line)
         assert sorted(p for p in parsed if p in map(cells, rows)) == \
             sorted(set(map(cells, rows)))
+
+
+def test_checkpoint_version_counts_the_whole_stream_once_per_axis():
+    # one log per outcome axis: the whole stream's z and x logs each hold a
+    # level per power of two up to n, at the same positions
+    rows = sample_iid(fig1_model(), 300, 3)
+    table = binary_table(rows)  # row by row
+    levels = [Counter((o.x, o.z) for o in rows), Counter(o.x for o in rows),
+              {'z': len(rows), 'x': len(rows)}]
+    assert table.checkpoint_version == sum(c.bit_length() for counts in levels
+                                           for c in counts.values())
+    assert {key[:2] for key in table._levels} == {('xz', 'y'), ('x', 'z'), ('', 'z'), ('', 'x')}
+    assert [p for p, _ in table._levels['', 'z', 0]] == [p for p, _ in table._levels['', 'x', 0]]
+    assert table.checkpoints() == sorted({p for log in table._levels.values() for p, _ in log})

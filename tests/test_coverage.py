@@ -90,6 +90,33 @@ def test_fewer_than_one_worker_is_refused(workers):
         run_coverage(fig1_model(), query, n=16, replications=2, workers=workers)
 
 
+def test_reports_of_numpy_counts_serialize():
+    # the report holds the counts as ints, whatever integral type the caller passed
+    model, query = fig1_model(), EffectQuery('backdoor', 1, 1, 0.1)
+    report = run_coverage(model, query, n=np.int64(40), replications=np.int64(3), seed=2)
+    assert report == run_coverage(model, query, n=40, replications=3, seed=2)
+    assert (type(report.n), type(report.replications)) == (int, int)
+    assert json.loads(json.dumps(report.to_json()))["replications"] == 3
+    predicted = run_prediction_coverage(model, 1, 0.1, n=np.int64(40),
+                                        replications=np.int64(3), seed=2)
+    assert json.dumps(predicted) == json.dumps(
+        run_prediction_coverage(model, 1, 0.1, n=40, replications=3, seed=2))
+
+
+@pytest.mark.parametrize("name, value", [("replications", True), ("replications", np.True_),
+                                         ("replications", 2.5), ("replications", 3.0),
+                                         ("workers", True), ("workers", 2.0)])
+def test_counts_that_are_not_integers_are_refused(name, value):
+    # True would run one replication (or sequentially), and 2.5 fail inside numpy
+    message = rf"^{name} must be an integer, got {re.escape(repr(value))}$"
+    counts = {"n": 16, "replications": 2, name: value}
+    with pytest.raises(ValueError, match=message):
+        run_coverage(fig1_model(), EffectQuery('backdoor', 1, 1, 0.1), **counts)
+    if name == "replications":
+        with pytest.raises(ValueError, match=message):
+            run_prediction_coverage(fig1_model(), 1, 0.1, **counts)
+
+
 def test_workers_agree_with_sequential():
     model = frontdoor_model()
     query = EffectQuery('frontdoor', 1, 1, 0.1)
@@ -214,7 +241,8 @@ def test_anytime_replication_checks_every_checkpoint(monkeypatch, criterion):
     rows = sample_adaptive(model, policy, n, np.random.Generator(np.random.PCG64(seed)))
     full = model.count_table()
     full.ingest_codes(code_rows(full, rows))
-    read = dyadic_rows(rows, read_conditions(criterion, 1, full.x_domain, full.z_values))
+    read = dyadic_rows(rows, read_conditions(criterion, 1, full.layout.x_domain,
+                                             full.layout.z_values))
     checked = []
 
     def spy(table, query):

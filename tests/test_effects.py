@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalci import counts
-from causalci.counts import CountTable, Observation
-from causalci.effects import (CRITERIA, FRONTDOOR_FORMS, REGIMES, EffectQuery, _families,
+from causalci import counts, simulator
+from causalci.counts import CountTable, Layout, Observation
+from causalci.effects import (CRITERIA, FRONTDOOR_FORMS, REGIMES, EffectQuery, _plan,
                               backdoor_cs_anytime, confidence_sequence, effect_interval,
                               frontdoor_cs_anytime, true_effect)
 from causalci.graph import Dag
@@ -183,7 +183,8 @@ def test_confidence_sequence_holds_every_element(model, criterion, n, adaptive, 
     rows = (sample_adaptive(model, AlternatingAdversaryPolicy(), n, seed)
             if adaptive else sample_iid(model, n, seed))
     table.ingest_codes(code_rows(table, rows))
-    read = dyadic_rows(rows, read_conditions(criterion, x, table.x_domain, table.z_values))
+    read = dyadic_rows(rows, read_conditions(criterion, x, table.layout.x_domain,
+                                             table.layout.z_values))
     # from min(1, n) by default, or from any prefix in [0, n]
     for start in (None, data.draw(st.integers(0, n))):
         segments = list(confidence_sequence(table, query, start))
@@ -208,10 +209,10 @@ def test_sequence_on_a_wide_table_is_the_scalar_loops_block_by_block(monkeypatch
     of the sequence, bound a few runs at a time so that the runs span many
     blocks, is effect_interval at its first prefix and the scalar loops'
     interval there, bit for bit; so are the fixed-n intervals."""
-    table = CountTable((0, 1, 2), (0, 1), [(0, 1)] * 6)
+    table = CountTable(Layout((0, 1, 2), (0, 1), [(0, 1)] * 6))
     table.ingest_codes(np.random.default_rng(61).integers(0, 3 * 2 * 64, 3000))
     query = q(criterion, 2, 1, 0.05, 'anytime')
-    leaves = sum(len(fam.cells) for fam in _families(table, query))
+    leaves = sum(len(fam.cells) for fam in _plan(query, table.layout)[0])
     monkeypatch.setattr(counts, '_BLOCK_ELEMENTS', 3 * leaves)
     segments = list(confidence_sequence(table, query))
     assert len(segments) > 30  # so more than ten blocks of three runs
@@ -230,8 +231,8 @@ def test_intervals_are_the_scalar_loops(criterion, regime, data):
     array evaluator's floats are the scalar loops' left-to-right ones."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     table = random_table(rng, min_n=0, max_n=400)[0]
-    query = q(criterion, data.draw(st.sampled_from(table.x_domain)),
-              data.draw(st.sampled_from(table.y_domain)), 0.1, regime)
+    query = q(criterion, data.draw(st.sampled_from(table.layout.x_domain)),
+              data.draw(st.sampled_from(table.layout.y_domain)), 0.1, regime)
     for m in sorted({0, table.n // 2, table.n}) if regime == 'anytime' else (None,):
         assert _values(effect_interval(table, query, m)) == _values(loop_interval(table, query, m))
 
@@ -271,7 +272,7 @@ def test_regime_ordering_on_random_tables():
     checked = 0
     for _ in range(40):
         table, _ = random_table(rng, min_n=30, max_n=500)
-        xt, yv = table.x_domain[0], table.y_domain[0]
+        xt, yv = table.layout.x_domain[0], table.layout.y_domain[0]
         for criterion in ('backdoor', 'frontdoor'):
             widths = []
             for regime in ('iid', 'adaptive-fixed', 'anytime'):
@@ -301,11 +302,11 @@ def test_toy_constants_tighter_than_general():
 def test_toy_requires_binary_domains():
     rng = np.random.default_rng(47)
     table, _ = random_table(rng, min_n=30, max_n=60)
-    while len(table.z_values) == 2 and len(table.x_domain) == 2:
+    while len(table.layout.z_values) == 2 and len(table.layout.x_domain) == 2:
         table, _ = random_table(rng, min_n=30, max_n=60)
     with pytest.raises(ValueError):
-        effect_interval(table, EffectQuery('backdoor', table.x_domain[0],
-                                           table.y_domain[0], 0.1,
+        effect_interval(table, EffectQuery('backdoor', table.layout.x_domain[0],
+                                           table.layout.y_domain[0], 0.1,
                                            binary_toy=True))
 
 
@@ -552,7 +553,7 @@ def test_matches_expression_route_quick():
     rng = np.random.default_rng(53)
     for _ in range(25):
         table, _ = random_table(rng, min_n=10, max_n=400)
-        xt, yv = table.x_domain[-1], table.y_domain[0]
+        xt, yv = table.layout.x_domain[-1], table.layout.y_domain[0]
         for criterion in ('backdoor', 'frontdoor'):
             for regime in ('iid', 'adaptive-fixed', 'anytime'):
                 _assert_matches_expression_route(
@@ -570,8 +571,8 @@ def test_midpoints_stay_in_unit_interval():
         for criterion in ('backdoor', 'frontdoor'):
             for regime in ('iid', 'adaptive-fixed', 'anytime'):
                 itv = effect_interval(
-                    table, EffectQuery(criterion, table.x_domain[0],
-                                       table.y_domain[-1], 0.1, regime))
+                    table, EffectQuery(criterion, table.layout.x_domain[0],
+                                       table.layout.y_domain[-1], 0.1, regime))
                 assert 0.0 <= itv.midpoint <= 1.0
                 assert 0.0 <= itv.lower <= itv.upper <= 1.0
 
@@ -600,21 +601,21 @@ def _guard_tables():
 
 
 def _guard_queries(table):
-    binary = len(table.z_domains) == 1 and len(table.x_domain) == len(table.y_domain) \
-        == len(table.z_values) == 2
-    for criterion, regime, x, delta in product(CRITERIA, REGIMES, table.x_domain,
+    binary = len(table.layout.z_domains) == 1 and len(table.layout.x_domain) \
+        == len(table.layout.y_domain) == len(table.layout.z_values) == 2
+    for criterion, regime, x, delta in product(CRITERIA, REGIMES, table.layout.x_domain,
                                                (0.05, 0.3)):
         forms = FRONTDOOR_FORMS if (criterion, regime) == ('frontdoor', 'iid') \
             else ('expanded',)
         toys = (False, True) if criterion == 'backdoor' and binary else (False,)
         for form, toy in product(forms, toys):
-            yield EffectQuery(criterion, x, table.y_domain[-1], delta, regime,
+            yield EffectQuery(criterion, x, table.layout.y_domain[-1], delta, regime,
                               binary_toy=toy, frontdoor_form=form)
 
 
 def test_constructions_byte_identical():
     tables = _guard_tables()
-    assert any(len(table.z_domains) > 1 for table in tables)
+    assert any(len(table.layout.z_domains) > 1 for table in tables)
     lines = []
     for table in tables:
         prefixes = sorted({n for n in (0, 1, 2, 3, table.n // 3, table.n // 2, table.n)
@@ -631,11 +632,46 @@ def test_constructions_byte_identical():
 def test_prediction_set_byte_identical():
     lines = []
     for table in _guard_tables():
-        if len(table.z_domains) == 1 and len(table.x_domain) == len(table.y_domain) \
-                == len(table.z_values) == 2:
-            for x, delta in product(table.x_domain, (0.02, 0.1, 0.5)):
+        if len(table.layout.z_domains) == 1 and len(table.layout.x_domain) \
+                == len(table.layout.y_domain) == len(table.layout.z_values) == 2:
+            for x, delta in product(table.layout.x_domain, (0.02, 0.1, 0.5)):
                 gamma = prediction_set(table, x, delta)
                 lines.append(f"{gamma.members!r} {gamma.threshold!r} "
                              f"{gamma.diagnostics!r}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (36, PREDICTION_SHA256)
+
+
+@pytest.mark.parametrize("make, criterion", [(fig1_model, 'backdoor'),
+                                             (frontdoor_model, 'frontdoor')])
+def test_each_query_compiles_its_reads_once_per_layout(monkeypatch, make, criterion):
+    # one Layout.reads per run of families read at one prefix, on the first
+    # call only: later calls, on fresh tables of the same model, reuse the plan
+    compiled, reads = [], Layout.reads
+
+    def counted(layout, leaves):
+        compiled.append(len(leaves))
+        return reads(layout, leaves)
+
+    monkeypatch.setattr(Layout, 'reads', counted)
+    model = make()
+    codes = simulator._iid_codes(model, 300, 4)
+
+    def table():
+        fresh = model.count_table()
+        fresh.ingest_codes(codes)
+        return fresh
+
+    groups = {'iid': 1, 'adaptive-fixed': 2, 'anytime': 1}
+    for regime in REGIMES:
+        query, before = EffectQuery(criterion, 1, 1, 0.1, regime), len(compiled)
+        first = effect_interval(table(), query)
+        assert len(compiled) - before == groups[regime]
+        for _ in range(3):
+            assert effect_interval(table(), query) == first
+        assert len(compiled) - before == groups[regime]
+    query, before = EffectQuery(criterion, 1, 1, 0.2, 'anytime'), len(compiled)
+    sequence = list(confidence_sequence(table(), query))
+    for _ in range(3):
+        assert list(confidence_sequence(table(), query)) == sequence
+    assert len(compiled) - before == 1

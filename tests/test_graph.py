@@ -169,6 +169,9 @@ def test_acyclicity_enforced():
     (["A"], [("A", "B")], None, r"edge \(A, B\) uses an undeclared vertex"),
     (["A", "B"], [("C", "B")], None, r"edge \(C, B\) uses an undeclared vertex"),
     (["A", "B"], [], {"B": ()}, "empty domain for B"),
+    (["A"], [], {"A": ([0], [1])}, r"the domain of 'A' holds the unhashable value \[0\]"),
+    (["A", "B"], [], {"B": (0, {"b": 1})}, r"the domain of 'B' holds the unhashable value "
+                                           r"\{'b': 1\}"),
 ])
 def test_dag_refuses_a_malformed_declaration(vertices, edges, domains, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

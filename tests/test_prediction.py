@@ -72,11 +72,11 @@ def test_never_empty_with_moderate_data():
 def test_requires_binary_shape():
     rng = __import__('numpy').random.default_rng(71)
     table, _ = random_table(rng, min_n=10, max_n=20)
-    while len(table.x_domain) == 2 and len(table.y_domain) == 2 \
-            and len(table.z_values) == 2 and len(table.z_domains) == 1:
+    while len(table.layout.x_domain) == 2 and len(table.layout.y_domain) == 2 \
+            and len(table.layout.z_values) == 2 and len(table.layout.z_domains) == 1:
         table, _ = random_table(rng, min_n=10, max_n=20)
     with pytest.raises(ValueError):
-        prediction_set(table, table.x_domain[0], 0.1)
+        prediction_set(table, table.layout.x_domain[0], 0.1)
 
 
 def test_strict_threshold():

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import causalci.simulator as simulator
-from causalci.counts import Observation
+from causalci.counts import CountTable, Observation
 from causalci.effects import true_effect
 from causalci.graph import Dag
 from causalci.simulator import (AlternatingAdversaryPolicy, CausalModel,
@@ -91,7 +91,7 @@ def _choice_codes(model, n, rng):
             mask = config == c
             if mask.any():
                 index[v][mask] = rng.choice(size, size=int(mask.sum()), p=row)
-    return model.count_table().cell_codes(index[roles.x], index[roles.y],
+    return model.layout.cell_codes(index[roles.x], index[roles.y],
                                           [index[name] for name in roles.z])
 
 
@@ -367,6 +367,20 @@ def test_model_with_a_repeated_domain_value_is_refused_at_load(tmp_path):
         load_model(str(path))
 
 
+def test_model_with_an_unhashable_domain_value_is_refused_at_load(tmp_path):
+    # named by its vertex, not as a bare "malformed model document: unhashable type"
+    config = Path(__file__).resolve().parent.parent / "configs" / "fig1.json"
+    doc = json.loads(config.read_text())
+    next(v for v in doc["variables"] if v["name"] == "Y")["domain"] = [[0], [1]]
+    message = r"^the domain of 'Y' holds the unhashable value \[0\]$"
+    with pytest.raises(ValueError, match=message):
+        CausalModel.from_json(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_model(str(path))
+
+
 @pytest.mark.parametrize("roles, message", MALFORMED_ROLES)
 def test_model_with_malformed_roles_is_refused_at_load(tmp_path, roles, message):
     # with z [Z, Z] the table would square Z's domain and the harness would
@@ -521,7 +535,7 @@ def test_built_in_policies_on_cell_codes_match_reference(model, policy, monkeypa
                         AlternatingAdversaryPolicy):  # every choose they have
                 patched.setattr(cls, "choose", _never_asked)
             codes = simulator._adaptive_codes(model, make(model), n, seed)
-        got = model.count_table().decode(codes)
+        got = model.layout.decode(codes)
         assert got == want, (block, n)
         assert [(type(o.x), type(o.y)) for o in got] == \
             [(type(o.x), type(o.y)) for o in want]
@@ -821,7 +835,7 @@ def test_iid_draws_at_the_boundaries_are_the_inverse_cdf_of_choice(make, monkeyp
                 blocks.append(us if v == model.roles.x else [0.0] * len(us))
         codes = simulator._iid_codes(model, len(us), _QueuedUniforms(blocks))
         table = model.count_table()
-        got = (codes // (len(table.y_domain) * len(table.z_values))).tolist()
+        got = (codes // (len(table.layout.y_domain) * len(table.layout.z_values))).tolist()
         assert got == cdf.searchsorted(us, side='right').tolist()
 
 
@@ -849,3 +863,22 @@ def test_single_draws_at_the_boundaries_are_the_bisection_of_the_row(u, monkeypa
     for x in doms["X"]:
         want = doms["Y"][_bisect_draw(rows["Y"][(x,)], u)]
         assert draw_intervened_outcome(model, x, u) == want
+
+
+def test_samplers_and_ground_truth_build_no_table(monkeypatch):
+    # they read the model's layout; a table is built only to be ingested into
+    def refuse(table, layout):
+        raise AssertionError("a CountTable was built")
+
+    class Asking(Policy):  # choose only, so asked through _asking at every step
+        def choose(self, history, visible):
+            return len(history) % 2
+
+    monkeypatch.setattr(CountTable, '__init__', refuse)
+    for model, criterion in ((fig1_model(), 'backdoor'), (frontdoor_model(), 'frontdoor')):
+        assert len(simulator._iid_codes(model, 50, 1)) == len(sample_iid(model, 50, 1)) == 50
+        for policy in (ConstantPolicy(1), CptPolicy(), AlternatingAdversaryPolicy(), Asking()):
+            assert len(simulator._adaptive_codes(model, policy, 50, 1)) == 50
+            assert len(sample_adaptive(model, policy, 50, 1)) == 50
+        assert 0 <= true_effect(model, 1, 1, criterion) <= 1
+        assert 0 <= model.interventional_probability(1, 1) <= 1
