@@ -225,6 +225,8 @@ def _ingest_data(args, table) -> None:
 def cmd_analyze(args) -> int:
     model = load_model(args.model)
     query = _build_query(args)
+    if args.changes_only and query.regime != 'anytime':
+        raise ValueError("--changes-only applies only to the anytime regime")
     if not args.assume_criterion and not _criterion_holds(model, query):
         print("refusing to analyze (pass --assume-criterion to override)",
               file=sys.stderr)

@@ -30,20 +30,21 @@ added down the block by one cumulative sum.  A condition logs at most
 log2(n) + 1 levels, and the widths of all conditions' tallies sum to
 O(cells), so a table holds O(cells * log n) entries, however long the
 stream, besides at most ``_PENDING_ROWS // _CHUNK_ROWS`` pending chunks,
-each holding its codes, the counts before it and its conditions' counts.
+each holding its codes and the counts before it.
 
 :meth:`CountTable.ingest` adds one observation and is the reference path.
 :meth:`CountTable.ingest_codes` adds cell codes ``_CHUNK_ROWS`` at a time:
-one ``numpy.bincount`` gives a chunk's (x, y, z) histogram, from which
-each condition's count before the chunk and within it are summed; that
-is all ingestion does.  A chunk in which some condition reaches a power
-of two stays pending, and a prefix read (``read`` or ``leaf`` with ``m``,
-``leaf_runs``) folds the pending chunks into the logs of the patterns it
-reads, in stream order: each chunk is decoded once and walked only for
-the conditions that gain a bit in it.  Whole-stream reads never fold, so
-a table that is only counted never walks a row.  ``checkpoints``,
-``checkpoint_version``, ``==`` and ``ingest`` fold every pattern first,
-as does a chunk that would leave more pending chunks than that bound.
+one ``numpy.bincount`` gives a chunk's (x, y, z) histogram, which is added
+to the counts, and the chunk is kept pending; that is all ingestion does.
+A prefix read (``read`` or ``leaf`` with ``m``, ``leaf_runs``) folds the
+pending chunks into the logs of the patterns it reads, in stream order:
+each condition's count before a chunk and within it are summed from the
+counts before and after it, and only a chunk in which some condition
+reaches a power of two is decoded, once, and walked for those conditions.
+Whole-stream reads never fold, so a table that is only counted never
+walks a row.  ``checkpoints``, ``checkpoint_version``, ``==`` and
+``ingest`` fold every pattern first, as does a chunk that would leave
+more pending chunks than that bound.
 :meth:`CountTable.ingest_chunks` hands the codes of text lines over a
 chunk at a time and yields after each, and :meth:`CountTable.ingest_lines`
 runs it to the end.  Every path builds the table that ``ingest`` builds,
@@ -295,12 +296,10 @@ class CountTable:
         # outcome tally): level j holds the outcome's tally among the first
         # 2**j occurrences of the condition, reached at that stream position
         self._levels: dict[tuple[str, str, int], list[tuple[int, tuple[int, ...]]]] = {}
-        # the chunks in which some condition reaches a power of two but whose
-        # levels some pattern has yet to log, in stream order, each as (n and
-        # the (x, y, z) counts before the chunk, its own copy of its codes,
-        # per pattern still to log: the conditions that gain a bit in the
-        # chunk, and every condition's count before it and within it)
-        self._pending: list[tuple[int, np.ndarray, np.ndarray, dict]] = []
+        # the chunks whose levels some pattern has yet to log, in stream order,
+        # each as (n and the (x, y, z) counts before the chunk, its own copy of
+        # its codes, the patterns still to log)
+        self._pending: list[tuple[int, np.ndarray, np.ndarray, set]] = []
 
     # -- ingestion ---------------------------------------------------------
 
@@ -375,57 +374,51 @@ class CountTable:
 
     def _add_cells(self, cells: np.ndarray) -> None:
         """Apply a chunk of valid cell codes to ``n`` and to the counts, which
-        it replaces with a new array.  A chunk in which some condition reaches
-        a power of two stays pending, with the array it replaced and its own
-        copy of the codes, until :meth:`_fold` logs its levels exactly as
-        :meth:`ingest` logs them row by row.  A pending chunk counts as a
-        full one, so at most ``_PENDING_ROWS // _CHUNK_ROWS`` stay pending,
-        however short: one more folds every pattern."""
-        m = len(cells)
-        if not m:
+        it replaces with a new array, and keep the chunk pending, with the
+        array it replaced and its own copy of the codes, until :meth:`_fold`
+        logs its levels.  A pending chunk counts as a full one, so at most
+        ``_PENDING_ROWS // _CHUNK_ROWS`` stay pending, however short: one
+        more folds every pattern."""
+        if not len(cells):
             return
-        # the (x, y, z) counts before the chunk and within it
-        held = self._counts.reshape(self.layout.shape)
-        found = np.bincount(cells, minlength=held.size).reshape(self.layout.shape)
-        # per given axes, each condition's count before the chunk and within it
-        conditions = {'xz': (held.sum(axis=1).ravel(), found.sum(axis=1).ravel()),
-                      'x': (held.sum(axis=(1, 2)), found.sum(axis=(1, 2))),
-                      '': (np.array([self.n]), np.array([m]))}
-        crossing = {given: np.flatnonzero((before ^ (before + added)) > before).tolist()
-                    for given, (before, added) in conditions.items()}
-        # per pattern: conditions that gain a bit, counts before and within
-        gains = {pattern: (crossing[pattern[0]], *conditions[pattern[0]])
-                 for pattern in _LOGGED if crossing[pattern[0]]}
-        if gains:  # a copy of the codes in the narrowest dtype that holds them
-            codes = cells.astype(np.min_scalar_type(held.size - 1))
-            self._pending.append((self.n, self._counts, codes, gains))
-        self._counts = (held + found).ravel()
-        self.n += m
-        if gains and len(self._pending) * _CHUNK_ROWS > _PENDING_ROWS:
+        found = np.bincount(cells, minlength=self._counts.size)
+        # a copy of the codes in the narrowest dtype that holds them
+        codes = cells.astype(np.min_scalar_type(self._counts.size - 1))
+        self._pending.append((self.n, self._counts, codes, set(_LOGGED)))
+        self._counts = self._counts + found
+        self.n += len(cells)
+        if len(self._pending) * _CHUNK_ROWS > _PENDING_ROWS:
             self._fold(_LOGGED)
 
     def _fold(self, patterns: Iterable[tuple[str, str]]) -> None:
-        """Log the levels of the ``patterns`` that the pending chunks hold,
-        chunk by chunk in stream order: a chunk is decoded once for all of
-        them and walked only for those that gain a bit in it, and it is
-        dropped once no pattern has levels left in it."""
+        """Log the levels of the ``patterns`` that the pending chunks have yet
+        to log, chunk by chunk in stream order, as :meth:`ingest` logs them
+        row by row.  Each condition's count before a chunk and within it are
+        summed from the (x, y, z) counts before the chunk and after it (the
+        next chunk's, or the table's), and only a chunk in which some
+        condition reaches a power of two is decoded, once, and walked for
+        those conditions.  A chunk is dropped once no pattern is left in it."""
         if not self._pending:
             return
-        nz = self.layout.shape[2]
-        kept = []
-        for chunk in self._pending:
-            n, held, codes, gains = chunk
-            walk = [pattern for pattern in gains if pattern in patterns]
-            if walk:
-                # each row's code for every given axes and outcome axis
-                x, y, z = np.unravel_index(codes, self.layout.shape)
-                rows = {'xz': x * nz + z, 'x': x, '': np.zeros_like(x), 'y': y, 'z': z}
-                for given, outcome in walk:
+        shape = self.layout.shape
+        after = [chunk[1] for chunk in self._pending[1:]] + [self._counts]
+        for (n, held, codes, left), counts in zip(self._pending, after):
+            walk = [pattern for pattern in _LOGGED if pattern in left and pattern in patterns]
+            left.difference_update(walk)
+            rows = None
+            for given, outcome in walk:
+                # each condition's count before the chunk and within it
+                axes = tuple(i for i, axis in enumerate('xyz') if axis not in given)
+                before = held.reshape(shape).sum(axis=axes).ravel()
+                added = counts.reshape(shape).sum(axis=axes).ravel() - before
+                crossing = np.flatnonzero((before ^ (before + added)) > before).tolist()
+                if crossing and rows is None:  # each row's code for every given and outcome axis
+                    x, y, z = np.unravel_index(codes, shape)
+                    rows = {'xz': x * shape[2] + z, 'x': x, '': np.zeros_like(x), 'y': y, 'z': z}
+                if crossing:
                     self._crossings((given, outcome), rows[given], rows[outcome], n, held,
-                                    *gains.pop((given, outcome)))
-            if gains:
-                kept.append(chunk)
-        self._pending = kept
+                                    crossing, before, added)
+        self._pending = [chunk for chunk in self._pending if chunk[3]]
 
     def _crossings(self, pattern: tuple[str, str], cond: np.ndarray, outcome: np.ndarray,
                    n: int, counts: np.ndarray, crossing: list[int], before: np.ndarray,

@@ -108,6 +108,8 @@ class CausalModel:
     def __init__(self, dag: Dag, cpts: dict, roles: Roles):
         self.dag = dag
         self.roles = roles = Roles(roles.x, roles.y, tuple(roles.z))
+        if not roles.z:  # a table codes every row's z
+            raise ValueError("roles.z must name at least one covariate vertex")
         dag.require(roles.x, roles.y, *roles.z)
         named = {}  # vertex -> the first role that names it
         for role, v in (('x', roles.x), ('y', roles.y), *(('z', v) for v in roles.z)):
@@ -374,13 +376,13 @@ class _SuccessRatePolicy(Policy):
 
     def reset(self, model, rng):
         super().reset(model, rng)
-        y_dom = model.dag.domains[model.roles.y]
+        y_dom = model.layout.y_domain
         target = y_dom[-1] if self.target_y is None else self.target_y
         if target not in y_dom:
             raise ValueError(f"target outcome {target!r} is not in the outcome "
                              f"domain {y_dom!r}")
         self._target, self._target_index = target, y_dom.index(target)
-        self._dom = model.dag.domains[model.roles.x]
+        self._dom = model.layout.x_domain
         self._x_index = {xv: i for i, xv in enumerate(self._dom)}
         self._hits = [0] * len(self._dom)
         self._totals = [0] * len(self._dom)

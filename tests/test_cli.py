@@ -741,6 +741,18 @@ def test_simulate_refuses_a_policy_in_the_iid_regime_exit_2(tmp_path, capsys):
     assert adaptive[0].read_bytes() == adaptive[1].read_bytes()
 
 
+@pytest.mark.parametrize("regime", [["--regime", "iid"], ["--regime", "adaptive-fixed"], []])
+def test_analyze_refuses_changes_only_outside_the_anytime_regime_exit_2(tmp_path, capsys,
+                                                                         regime):
+    data, out = tmp_path / "data.jsonl", tmp_path / "out.jsonl"
+    assert main(["simulate", "--model", FIG1, "--n", "50", "--output", str(data)]) == 0
+    assert main(["analyze", "--model", FIG1, "--data", str(data), "--xtilde", "1",
+                 "--y", "1", *regime, "--changes-only", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: --changes-only applies only to the anytime regime\n"
+    assert not out.exists()
+
+
 def test_coverage_refuses_a_policy_in_the_iid_regime_exit_2(tmp_path, capsys):
     out = tmp_path / "report.jsonl"
     assert main(["coverage", "--model", FIG1, "--n", "10", "-R", "2", "--xtilde", "1",

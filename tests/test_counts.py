@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import re
 from collections import Counter
 from contextlib import nullcontext
@@ -15,7 +16,7 @@ from causalci import counts
 from causalci.counts import (CountTable, Layout, Observation, ObservationParseError, dyadic_floor,
                              read_csv, read_jsonl)
 from causalci.effects import EffectQuery, effect_interval
-from causalci.simulator import sample_iid
+from causalci.simulator import _iid_codes, sample_iid
 from helpers import ObservationStream, binary_table, code_rows, dyadic_rows, eight_obs_stream, \
     fig1_model, frontdoor_model, naive_count, naive_dyadic_estimate, naive_dyadic_floor, \
     random_table, reference_read_csv, reference_read_jsonl, three_valued_model
@@ -239,36 +240,39 @@ def test_replay_determinism():
 
 
 def _entries(value) -> int:
-    """Entries of the dicts, lists, tuples and arrays in ``value``, nested
-    ones included."""
+    """Entries of the dicts, lists, tuples, sets and arrays in ``value``,
+    nested ones included."""
     if isinstance(value, np.ndarray):
         return value.size
     if isinstance(value, dict):
         return len(value) + sum(map(_entries, value.values()))
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, set)):
         return len(value) + sum(map(_entries, value))
     return 0
 
 
 def test_table_state_is_logarithmic_in_the_stream():
-    # what the table holds: what an empty table holds (the domains, their
-    # value -> index maps and the (x, y, z) counts); per condition of
-    # pattern (x, z), x and the whole stream one entry plus at most
-    # bit_length(n) levels, each a position and a tally as wide as the
-    # condition's outcomes; and at most _PENDING_ROWS // _CHUNK_ROWS pending
-    # chunks, each holding n, the counts before it, its codes and, per
-    # pattern, the conditions that gain a bit and every condition's count
-    # before and within it
+    # what the table holds: what an empty table holds (the (x, y, z)
+    # counts); per condition of y given (x, z), z given x and the whole
+    # stream's z and x one entry; per such pattern of k conditions, whose
+    # counts sum to n >= 2k, at most k * (log2(n / k) + 1) levels in all (a
+    # condition counted c times logs bit_length(c) <= log2(c) + 1 of them,
+    # and log2 is concave), each a position and a tally as wide as the
+    # pattern's outcomes; and at most _PENDING_ROWS // _CHUNK_ROWS pending
+    # chunks, each holding n, the counts before it, its codes and the
+    # patterns it has yet to log
     model = three_valued_model()
     table = model.count_table()
     empty = sum(_entries(v) for v in vars(table).values())
     table.ingest_codes(code_rows(table, sample_iid(model, 20_000, 5)))
     nx, ny, nz = table.layout.shape
     cells = nx * ny * nz
-    conditions = nx * nz + nx + 1
-    widths = cells + nx * nz + (nz + nx)  # y given (x, z), z given x, z then x
-    levels = conditions + table.n.bit_length() * (3 * conditions + widths)
-    chunk = 1 + 4 + cells + counts._CHUNK_ROWS + 3 * (4 + conditions)
+    conditions = nx * nz + nx + 2
+    patterns = [(nx * nz, ny), (nx, nz), (1, nz), (1, nx)]  # (conditions, tally width)
+    assert table.n >= 2 * nx * nz
+    levels = conditions + sum(k * (math.log2(table.n / k) + 1) * (3 + width)
+                              for k, width in patterns)
+    chunk = 1 + 4 + cells + counts._CHUNK_ROWS + 3 * len(counts._LOGGED)
     assert table._pending  # the levels wait for a read
     for fold in (False, True):
         if fold:
@@ -868,6 +872,31 @@ def test_pending_chunks_keep_their_own_codes(dtype):
     for m in (None, 1, 2, 100, 4095, 4096, 4097, 8191, 8192, 9000):
         assert lazy.read(reads, m) == eager.read(reads, m)
     assert lazy == eager
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ingest_codes_only_counts_and_a_prefix_read_logs_every_chunk(seed, monkeypatch):
+    """Ingestion finds no level: after a 50,000-row stream every chunk is
+    pending, even one in which no condition reaches a power of two, none of
+    their levels is logged and no row is walked.  A prefix read then logs
+    exactly what row-by-row ingest logs."""
+    model = fig1_model()
+    codes = _iid_codes(model, 50_000, seed)
+    walked, crossings = [], CountTable._crossings
+
+    def walk(table, pattern, *args):
+        walked.append(pattern)
+        crossings(table, pattern, *args)
+
+    monkeypatch.setattr(CountTable, '_crossings', walk)
+    lazy, eager = model.count_table(), model.count_table()
+    lazy.ingest_codes(codes)
+    assert len(lazy._pending) == -(-len(codes) // counts._CHUNK_ROWS) == 13
+    assert not lazy._levels and not walked
+    for obs in lazy.layout.decode(codes):
+        eager.ingest(obs)
+    lazy.read(lazy.layout.reads(_tracked_leaves(lazy)), len(codes))
+    assert not lazy._pending and lazy._levels == eager._levels
 
 
 @pytest.mark.parametrize("bound, chunk", [(64, 8), (60, 8), (5, 8), (4096, 512)])

@@ -324,6 +324,14 @@ def test_model_refuses_a_malformed_cpt(vertex, cpt, message):
         CausalModel(dag, cpts, Roles("X", "Y", ("Z",)))
 
 
+@pytest.mark.parametrize("z", [(), []])
+def test_model_without_a_covariate_is_refused_where_it_is_built(z):
+    # not at its first table, sampler or ground truth, with no role named
+    dag = Dag(["Z", "X", "Y"], [("Z", "X"), ("Z", "Y"), ("X", "Y")])
+    with pytest.raises(ValueError, match="^roles.z must name at least one covariate vertex$"):
+        CausalModel(dag, _fig1_cpts(), Roles("X", "Y", z))
+
+
 @pytest.mark.parametrize("doc, message", [
     ({}, "'variables'"),
     ({"variables": [{"name": "A", "domain": [0, 1]}]}, "'edges'"),
@@ -612,11 +620,13 @@ def test_reused_policy_tracks_the_new_models_outcome(make):
 
 
 def _treatment_outcome_model(nx, ny):
-    """X -> Y with |X| = nx and |Y| = ny, uniform rows."""
-    dag = Dag(["X", "Y"], [("X", "Y")], {"X": tuple(range(nx)), "Y": tuple(range(ny))})
-    cpts = {"X": Cpt((), {(): (1 / nx,) * nx}),
+    """X -> Y with |X| = nx and |Y| = ny, and a binary root covariate Z,
+    uniform rows."""
+    dag = Dag(["Z", "X", "Y"], [("X", "Y")],
+              {"Z": (0, 1), "X": tuple(range(nx)), "Y": tuple(range(ny))})
+    cpts = {"Z": Cpt((), {(): (0.5, 0.5)}), "X": Cpt((), {(): (1 / nx,) * nx}),
             "Y": Cpt(("X",), {(x,): (1 / ny,) * ny for x in range(nx)})}
-    return CausalModel(dag, cpts, Roles("X", "Y", ()))
+    return CausalModel(dag, cpts, Roles("X", "Y", ("Z",)))
 
 
 @st.composite
