@@ -29,22 +29,20 @@ bisection, and every later level, placed at its run by one sorted pass, is
 added down the block by one cumulative sum.  A condition logs at most
 log2(n) + 1 levels, and the widths of all conditions' tallies sum to
 O(cells), so a table holds O(cells * log n) entries, however long the
-stream, besides at most ``_PENDING_ROWS // _CHUNK_ROWS`` pending chunks,
-each holding its codes and the counts before it.
+stream, besides the codes of at most ``_PENDING_ROWS`` pending rows.
 
 :meth:`CountTable.ingest` adds one observation and is the reference path.
 :meth:`CountTable.ingest_codes` adds cell codes ``_CHUNK_ROWS`` at a time:
-one ``numpy.bincount`` gives a chunk's (x, y, z) histogram, which is added
-to the counts, and the chunk is kept pending; that is all ingestion does.
-A prefix read (``read`` or ``leaf`` with ``m``, ``leaf_runs``) folds the
-pending chunks into the logs of the patterns it reads, in stream order:
-each condition's count before a chunk and within it are summed from the
-counts before and after it, and only a chunk in which some condition
-reaches a power of two is decoded, once, and walked for those conditions.
-Whole-stream reads never fold, so a table that is only counted never
-walks a row.  ``checkpoints``, ``checkpoint_version``, ``==`` and
-``ingest`` fold every pattern first, as does a chunk that would leave
-more pending chunks than that bound.
+a chunk's ``numpy.bincount`` is added to the counts in place, and a copy
+of its codes is kept; that is all ingestion does.  A prefix read (``read``
+or ``leaf`` with ``m``, ``leaf_runs``) folds the rows that the patterns
+it reads have yet to log into their logs, in stream order, a slice at a
+time: a slice's counts are those before it plus its histogram, and only a
+slice in which some condition reaches a power of two is decoded, once,
+and walked for those conditions.  Whole-stream reads never fold, so a
+table that is only counted never walks a row.  ``checkpoints``,
+``checkpoint_version``, ``==`` and ``ingest`` fold every pattern first,
+as does a chunk that leaves more rows pending than that bound.
 :meth:`CountTable.ingest_chunks` hands the codes of text lines over a
 chunk at a time and yields after each, and :meth:`CountTable.ingest_lines`
 runs it to the end.  Every path builds the table that ``ingest`` builds,
@@ -89,9 +87,9 @@ _PATTERNS = ('xyz', 'xz', 'x', 'z', '')
 # the patterns whose conditions keep a log of dyadic levels, each as (given
 # axes, outcome axis): y given (x, z), z given x, and the whole stream's z and x
 _LOGGED = (('xz', 'y'), ('x', 'z'), ('', 'z'), ('', 'x'))
-# rows of full chunks whose levels some pattern may have yet to log; a pending
-# chunk counts as full, however short, and past this every pattern's levels
-# are logged, which bounds the memory of a stream no prefix read ever folds
+# rows whose levels some pattern may have yet to log; past this every
+# pattern's levels are logged, which bounds the memory of a stream no prefix
+# read ever folds
 _PENDING_ROWS = 1 << 16
 # a logged level is (stream position at which it was reached, outcome tally)
 _position = itemgetter(0)
@@ -287,31 +285,30 @@ class CountTable:
         self.layout = layout
         self.n = 0
         # occurrences of each (x, y, z) cell, by cell code, read through the
-        # layout's ``shape``.  Only row-by-row ingest increments it in place,
-        # and only once it has folded every pending chunk; a chunk replaces it
-        # with a new array, so no pending chunk holds a view of the array
-        # ingest writes
+        # layout's ``shape``
         self._counts = np.zeros(math.prod(layout.shape), np.int64)
         # condition (given axes, outcome axis, code) -> per-level (position,
         # outcome tally): level j holds the outcome's tally among the first
         # 2**j occurrences of the condition, reached at that stream position
         self._levels: dict[tuple[str, str, int], list[tuple[int, tuple[int, ...]]]] = {}
-        # the chunks whose levels some pattern has yet to log, in stream order,
-        # each as (n and the (x, y, z) counts before the chunk, its own copy of
-        # its codes, the patterns still to log)
-        self._pending: list[tuple[int, np.ndarray, np.ndarray, set]] = []
+        # logged pattern -> the stream position up to which its levels are logged
+        self._logged = dict.fromkeys(_LOGGED, 0)
+        # a copy of the codes of the rows past the smallest of those positions,
+        # in the narrowest dtype that holds a cell code
+        self._rows = np.zeros(0, np.min_scalar_type(self._counts.size - 1))
 
     # -- ingestion ---------------------------------------------------------
 
     def ingest(self, obs) -> None:
         """Add one observation to the stream; validates every coordinate.
-        It folds every pending chunk, so that none holds the count array it
-        then increments in place, and logs the row's levels at once."""
+        It folds every pending row first, so its levels come after theirs in
+        each log, and logs the row's levels at once."""
         x, y, z = self.layout.indices(obs)
         self._fold(_LOGGED)
         counts = self._counts.reshape(self.layout.shape)  # a view: the increment is in place
         counts[x, y, z] += 1
         self.n += 1
+        self._logged = dict.fromkeys(_LOGGED, self.n)
 
         # dyadic checkpoints, materialized after the increment
         for cond, c in ((('xz', 'y', x * self.layout.shape[2] + z), counts[x, :, z].sum()),
@@ -359,8 +356,8 @@ class CountTable:
         the table ends up as if each row had gone through :meth:`ingest`.
         Refuses the whole array if a code is not an integer in
         [0, |X|·|Y|·|Z|); else applies it ``_CHUNK_ROWS`` rows at a time,
-        updating the counts only: a chunk's dyadic levels wait for a prefix
-        read (:meth:`_add_cells`), and a pending chunk keeps a copy of its
+        updating the counts only: the rows' dyadic levels wait for a prefix
+        read (:meth:`_add_cells`), and the table keeps a copy of their
         codes, so the caller may reuse the array."""
         codes = np.asarray(codes)
         cells = self._counts.size
@@ -373,63 +370,57 @@ class CountTable:
             self._add_cells(codes[start:start + _CHUNK_ROWS])
 
     def _add_cells(self, cells: np.ndarray) -> None:
-        """Apply a chunk of valid cell codes to ``n`` and to the counts, which
-        it replaces with a new array, and keep the chunk pending, with the
-        array it replaced and its own copy of the codes, until :meth:`_fold`
-        logs its levels.  A pending chunk counts as a full one, so at most
-        ``_PENDING_ROWS // _CHUNK_ROWS`` stay pending, however short: one
-        more folds every pattern."""
-        if not len(cells):
-            return
-        found = np.bincount(cells, minlength=self._counts.size)
-        # a copy of the codes in the narrowest dtype that holds them
-        codes = cells.astype(np.min_scalar_type(self._counts.size - 1))
-        self._pending.append((self.n, self._counts, codes, set(_LOGGED)))
-        self._counts = self._counts + found
+        """Add a chunk of valid cell codes to the counts, in place, and to
+        ``n``, and keep a copy of them until :meth:`_fold` logs their levels,
+        folding every pattern past ``_PENDING_ROWS`` pending rows."""
+        self._counts += np.bincount(cells, minlength=self._counts.size)
+        self._rows = np.concatenate((self._rows, cells), dtype=self._rows.dtype, casting='unsafe')
         self.n += len(cells)
-        if len(self._pending) * _CHUNK_ROWS > _PENDING_ROWS:
+        if len(self._rows) > _PENDING_ROWS:
             self._fold(_LOGGED)
 
     def _fold(self, patterns: Iterable[tuple[str, str]]) -> None:
-        """Log the levels of the ``patterns`` that the pending chunks have yet
-        to log, chunk by chunk in stream order, as :meth:`ingest` logs them
-        row by row.  Each condition's count before a chunk and within it are
-        summed from the (x, y, z) counts before the chunk and after it (the
-        next chunk's, or the table's), and only a chunk in which some
-        condition reaches a power of two is decoded, once, and walked for
-        those conditions.  A chunk is dropped once no pattern is left in it."""
-        if not self._pending:
+        """Log the levels of the rows that the ``patterns`` have yet to log,
+        as :meth:`ingest` logs them row by row, in stream order and in slices
+        of at most ``_CHUNK_ROWS`` rows, cut also at each pattern's position.
+        The counts before the first slice are the counts less the walked
+        rows' histogram, and each slice adds its own; only a slice in which
+        some condition reaches a power of two is decoded, once, and walked
+        for those conditions.  The rows every pattern has logged are dropped."""
+        walk = [p for p in _LOGGED if p in patterns and self._logged[p] < self.n]
+        if not walk:
             return
-        shape = self.layout.shape
-        after = [chunk[1] for chunk in self._pending[1:]] + [self._counts]
-        for (n, held, codes, left), counts in zip(self._pending, after):
-            walk = [pattern for pattern in _LOGGED if pattern in left and pattern in patterns]
-            left.difference_update(walk)
-            rows = None
-            for given, outcome in walk:
-                # each condition's count before the chunk and within it
+        shape, first = self.layout.shape, self.n - len(self._rows)  # the position of _rows[0]
+        start = min(map(self._logged.get, walk))
+        after = self._counts - np.bincount(self._rows[start - first:], minlength=self._counts.size)
+        cuts = sorted({*range(start, self.n, _CHUNK_ROWS), self.n, *map(self._logged.get, walk)})
+        for a, b in zip(cuts, cuts[1:]):
+            codes, rows = self._rows[a - first:b - first], None
+            counts, after = after, after + np.bincount(codes, minlength=after.size)
+            for given, outcome in (p for p in walk if self._logged[p] <= a):
+                # each condition's count before the slice and after it
                 axes = tuple(i for i, axis in enumerate('xyz') if axis not in given)
-                before = held.reshape(shape).sum(axis=axes).ravel()
-                added = counts.reshape(shape).sum(axis=axes).ravel() - before
-                crossing = np.flatnonzero((before ^ (before + added)) > before).tolist()
+                before, total = (c.reshape(shape).sum(axis=axes).ravel() for c in (counts, after))
+                crossing = np.flatnonzero((before ^ total) > before).tolist()
                 if crossing and rows is None:  # each row's code for every given and outcome axis
                     x, y, z = np.unravel_index(codes, shape)
                     rows = {'xz': x * shape[2] + z, 'x': x, '': np.zeros_like(x), 'y': y, 'z': z}
                 if crossing:
-                    self._crossings((given, outcome), rows[given], rows[outcome], n, held,
-                                    crossing, before, added)
-        self._pending = [chunk for chunk in self._pending if chunk[3]]
+                    self._crossings((given, outcome), rows[given], rows[outcome], a, counts,
+                                    crossing, before, total - before)
+        self._logged.update(dict.fromkeys(walk, self.n))
+        self._rows = self._rows[min(self._logged.values()) - first:].copy()
 
     def _crossings(self, pattern: tuple[str, str], cond: np.ndarray, outcome: np.ndarray,
                    n: int, counts: np.ndarray, crossing: list[int], before: np.ndarray,
                    found: np.ndarray) -> None:
-        """Log a level at each row of a chunk where the count of a condition of
+        """Log a level at each row of a slice where the count of a condition of
         ``pattern`` reaches a power of two, as :meth:`ingest` does for one
         row: ``cond`` and ``outcome`` hold the rows' condition codes and
         outcome indices, ``n`` and ``counts`` the stream length and the
-        (x, y, z) counts before the chunk, ``crossing`` the conditions whose
+        (x, y, z) counts before the slice, ``crossing`` the conditions whose
         count gains a bit, the only ones walked, and ``before`` and ``found``
-        each condition's count before the chunk and within it."""
+        each condition's count before the slice and within it."""
         # the rows by condition, in stream order; 16-bit codes sort in linear time
         order = np.argsort(cond.astype(np.uint16) if len(before) <= 1 << 16 else cond,
                            kind='stable')
@@ -437,7 +428,7 @@ class CountTable:
         width, bounds = len(self.layout.index[pattern[1]]), [0, *np.cumsum(found).tolist()]
         for code in crossing:
             key, a, b = (*pattern, code), bounds[code], bounds[code + 1]
-            base, count = self._tally(key, counts), int(before[code])  # before the chunk
+            base, count = self._tally(key, counts), int(before[code])  # before the slice
             t = 1 << count.bit_length()  # the first power of two past count
             while t <= count + b - a:
                 p = a + t - count  # the condition's rows up to the one reaching t
@@ -581,7 +572,8 @@ class CountTable:
             return False
         self._fold(_LOGGED)
         other._fold(_LOGGED)
-        return self._levels == other._levels
+        # each axis's value -> index map: equal domains, by value, in one order
+        return (self.layout.index, self._levels) == (other.layout.index, other._levels)
 
     def __repr__(self) -> str:
         return "CountTable(n={}, |X|={}, |Y|={}, |Z|={})".format(self.n, *self.layout.shape)

@@ -244,8 +244,7 @@ def _open_backdoor(dag: Dag, a: str, b: str,
 def check_backdoor(dag: Dag, x_set: Iterable[str], y_set: Iterable[str],
                    z_set: Iterable[str]) -> CriterionReport:
     """Does z_set satisfy the back-door criterion relative to (x_set, y_set)?"""
-    xs, ys, zs = set(x_set), set(y_set), set(z_set)
-    _check_disjoint(dag, xs, ys, zs)
+    xs, ys, zs = _vertex_sets(dag, x_set=x_set, y_set=y_set, z_set=z_set)
     order = dag._order.get
     violations = []
     for xv in sorted(xs, key=order):
@@ -261,8 +260,7 @@ def check_backdoor(dag: Dag, x_set: Iterable[str], y_set: Iterable[str],
 
 def check_frontdoor(dag: Dag, x: str, y: str, z_set: Iterable[str]) -> CriterionReport:
     """Does z_set satisfy the front-door criterion relative to (x, y)?"""
-    zs = set(z_set)
-    _check_disjoint(dag, {x}, {y}, zs)
+    _, _, zs = _vertex_sets(dag, x=(x,), y=(y,), z_set=z_set)
     violations = []
     for path in _walk(dag, x, y, lambda path, w: dag.has_edge(path[-1], w) and w not in zs):
         violations.append(f"directed path {format_path(dag, path)} avoids the set")
@@ -276,13 +274,20 @@ def check_frontdoor(dag: Dag, x: str, y: str, z_set: Iterable[str]) -> Criterion
     return CriterionReport.from_violations(violations)
 
 
-def _check_disjoint(dag: Dag, xs: set, ys: set, zs: set) -> None:
+def _vertex_sets(dag: Dag, **named: Iterable[str]) -> list[set]:
+    """A criterion's x, y and z vertex sets, by argument name: of the dag's
+    vertices, non-empty, disjoint, and none a string, which ``set`` would split."""
+    for argument, value in named.items():
+        if isinstance(value, str):
+            raise ValueError(f"{argument} must be a collection of vertex names, not {value!r}")
+    xs, ys, zs = sets = list(map(set, named.values()))
     dag.require(*sorted(xs | ys | zs))
     if not (xs and ys and zs):
         raise ValueError("X, Y and Z must be non-empty")
     for a, b, names in ((xs, ys, "X and Y"), (xs, zs, "X and Z"), (ys, zs, "Y and Z")):
         if a & b:
             raise ValueError(f"{names} overlap on {sorted(a & b)}")
+    return sets
 
 
 # -- text format --------------------------------------------------------------

@@ -107,6 +107,8 @@ class CausalModel:
 
     def __init__(self, dag: Dag, cpts: dict, roles: Roles):
         self.dag = dag
+        if isinstance(roles.z, str):  # tuple() would split it into its characters
+            raise ValueError(f"roles.z must be a sequence of vertex names, not {roles.z!r}")
         self.roles = roles = Roles(roles.x, roles.y, tuple(roles.z))
         if not roles.z:  # a table codes every row's z
             raise ValueError("roles.z must name at least one covariate vertex")

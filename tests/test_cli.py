@@ -417,7 +417,7 @@ def _anytime_records(tmp_path, criterion, rows, seed):
 
 
 @pytest.mark.parametrize("criterion", ["backdoor", "frontdoor"])
-def test_anytime_records_equal_per_row_intervals(tmp_path, criterion):
+def test_anytime_records_equal_per_row_intervals(tmp_path, criterion, monkeypatch):
     """Records are serialized once per segment of the confidence sequence,
     with n spliced into the line for each row; each one must still equal the
     interval computed afresh after its row."""
@@ -427,6 +427,11 @@ def test_anytime_records_equal_per_row_intervals(tmp_path, criterion):
     # line serialized at a shorter n, and 10,001 rows span three chunks
     starts = _anytime_records(tmp_path, criterion, 10_001, 27)
     assert not {10, 100, 1000, 10_000} & set(starts)
+    # the rows of the patterns no chunk's sequence reads stay pending across
+    # the per-chunk folds, and a full buffer folds them mid-stream
+    monkeypatch.setattr(counts, "_CHUNK_ROWS", 64)
+    monkeypatch.setattr(counts, "_PENDING_ROWS", 256)
+    _anytime_records(tmp_path, criterion, 1500, 31)
 
 
 def test_anytime_bad_row_keeps_the_records_before_it(tmp_path, capsys):

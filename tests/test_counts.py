@@ -239,6 +239,26 @@ def test_replay_determinism():
     assert a != b
 
 
+@pytest.mark.parametrize("domains, obs", [
+    ((('no', 'yes'), (0, 1), [(0, 1)]), Observation('yes', 0, (1,))),
+    (((0, 1), ('no', 'yes'), [(0, 1)]), Observation(1, 'no', (1,))),
+    (((0, 1), (0, 1), [(2, 3)]), Observation(1, 0, (3,))),
+])
+def test_tables_over_other_domains_differ(domains, obs):
+    """Tables whose counts match cell for cell differ when their domains
+    do, so their cells mean other values; equal domains of separate
+    layouts compare equal."""
+    table, other = CountTable(Layout((0, 1), (0, 1), [(0, 1)])), CountTable(Layout(*domains))
+    table.ingest(Observation(1, 0, (1,)))
+    other.ingest(obs)
+    assert table.count(x=1) == 1 and table.count(x=1, y=0, z=1) == 1
+    assert other.count(x=1) + other.count(x=1, y=0, z=1) < 2
+    assert table != other and other != table
+    again = CountTable(Layout([0, 1], [0, 1], [[0, 1]]))
+    again.ingest(Observation(1, 0, [1]))
+    assert again == table and table == again
+
+
 def _entries(value) -> int:
     """Entries of the dicts, lists, tuples, sets and arrays in ``value``,
     nested ones included."""
@@ -258,29 +278,26 @@ def test_table_state_is_logarithmic_in_the_stream():
     # counts sum to n >= 2k, at most k * (log2(n / k) + 1) levels in all (a
     # condition counted c times logs bit_length(c) <= log2(c) + 1 of them,
     # and log2 is concave), each a position and a tally as wide as the
-    # pattern's outcomes; and at most _PENDING_ROWS // _CHUNK_ROWS pending
-    # chunks, each holding n, the counts before it, its codes and the
-    # patterns it has yet to log
+    # pattern's outcomes; and at most _PENDING_ROWS pending rows, each
+    # holding its code
     model = three_valued_model()
     table = model.count_table()
     empty = sum(_entries(v) for v in vars(table).values())
     table.ingest_codes(code_rows(table, sample_iid(model, 20_000, 5)))
     nx, ny, nz = table.layout.shape
-    cells = nx * ny * nz
     conditions = nx * nz + nx + 2
     patterns = [(nx * nz, ny), (nx, nz), (1, nz), (1, nx)]  # (conditions, tally width)
     assert table.n >= 2 * nx * nz
     levels = conditions + sum(k * (math.log2(table.n / k) + 1) * (3 + width)
                               for k, width in patterns)
-    chunk = 1 + 4 + cells + counts._CHUNK_ROWS + 3 * len(counts._LOGGED)
-    assert table._pending  # the levels wait for a read
+    assert _pending_rows(table)  # the levels wait for a read
     for fold in (False, True):
         if fold:
             table.checkpoints()
-            assert not table._pending and table._levels
-        assert len(table._pending) <= counts._PENDING_ROWS // counts._CHUNK_ROWS
+            assert not _pending_rows(table) and table._levels
+        assert _pending_rows(table) <= counts._PENDING_ROWS
         held = sum(_entries(v) for v in vars(table).values())
-        assert held <= empty + levels + len(table._pending) * chunk
+        assert held <= empty + levels + _pending_rows(table)
 
 
 @settings(max_examples=50)
@@ -793,7 +810,7 @@ def _runs(table, leaves, start):
 
 
 def _pending_rows(table):
-    return sum(len(codes) for _, _, codes, _ in table._pending)
+    return len(table._rows)
 
 
 # what a step of test_folding_on_read_equals_logging_every_row does, and its odds
@@ -849,13 +866,13 @@ def test_folding_on_read_equals_logging_every_row(case, bound, chunk, seed):
                 assert lazy.checkpoint_version == eager.checkpoint_version
             else:
                 assert lazy == eager and eager == lazy
-            assert _pending_rows(lazy) <= bound and not eager._pending
+            assert _pending_rows(lazy) <= bound and not _pending_rows(eager)
     assert lazy == eager
 
 
 @pytest.mark.parametrize("dtype", [np.intp, np.uint8])
 def test_pending_chunks_keep_their_own_codes(dtype):
-    """A pending chunk holds a copy of its codes, not a view of the
+    """Pending rows are held as a copy of their codes, not a view of the
     caller's array, which the caller may write over before a read."""
     model = fig1_model()
     eager = model.count_table()
@@ -865,7 +882,7 @@ def test_pending_chunks_keep_their_own_codes(dtype):
     lazy = model.count_table()
     codes = code_rows(lazy, rows).astype(dtype)
     lazy.ingest_codes(codes)
-    assert lazy._pending
+    assert _pending_rows(lazy) == len(codes)
     codes[:] = codes[::-1].copy()
     codes[::3] = 0
     reads = eager.layout.reads(_tracked_leaves(eager))
@@ -876,10 +893,10 @@ def test_pending_chunks_keep_their_own_codes(dtype):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_ingest_codes_only_counts_and_a_prefix_read_logs_every_chunk(seed, monkeypatch):
-    """Ingestion finds no level: after a 50,000-row stream every chunk is
-    pending, even one in which no condition reaches a power of two, none of
-    their levels is logged and no row is walked.  A prefix read then logs
-    exactly what row-by-row ingest logs."""
+    """Ingestion finds no level: after a 50,000-row stream every row is
+    pending, even in a chunk in which no condition reaches a power of two,
+    no pattern has logged past position 0 and no row is walked.  A prefix
+    read then logs exactly what row-by-row ingest logs."""
     model = fig1_model()
     codes = _iid_codes(model, 50_000, seed)
     walked, crossings = [], CountTable._crossings
@@ -891,12 +908,13 @@ def test_ingest_codes_only_counts_and_a_prefix_read_logs_every_chunk(seed, monke
     monkeypatch.setattr(CountTable, '_crossings', walk)
     lazy, eager = model.count_table(), model.count_table()
     lazy.ingest_codes(codes)
-    assert len(lazy._pending) == -(-len(codes) // counts._CHUNK_ROWS) == 13
+    assert _pending_rows(lazy) == len(codes) == 50_000
+    assert lazy._logged == dict.fromkeys(counts._LOGGED, 0)
     assert not lazy._levels and not walked
     for obs in lazy.layout.decode(codes):
         eager.ingest(obs)
     lazy.read(lazy.layout.reads(_tracked_leaves(lazy)), len(codes))
-    assert not lazy._pending and lazy._levels == eager._levels
+    assert not _pending_rows(lazy) and lazy._levels == eager._levels
 
 
 @pytest.mark.parametrize("bound, chunk", [(64, 8), (60, 8), (5, 8), (4096, 512)])
@@ -928,21 +946,40 @@ def test_pending_rows_never_exceed_the_bound(bound, chunk):
 
 def test_short_chunks_pend_no_more_chunks_than_full_ones():
     """A caller that passes one row at a time, each row a chunk whose
-    levels wait, holds at most ``_PENDING_ROWS // _CHUNK_ROWS`` chunks
-    pending after every call, as full chunks would: each pending chunk
-    holds a copy of the counts, however few its rows."""
+    levels wait, holds at most ``_PENDING_ROWS`` rows pending after every
+    call, as full chunks would."""
     domains = ((0, 1), (0, 1), [(0, 1)] * 8)  # 1,024 cells, 512 (x, z) conditions
     lazy, eager = CountTable(Layout(*domains)), CountTable(Layout(*domains))
     codes = np.random.default_rng(8).integers(0, len(lazy._counts), 600)
     pending = []
-    with mock.patch.object(counts, '_PENDING_ROWS', 4 * counts._CHUNK_ROWS):
+    with mock.patch.object(counts, '_PENDING_ROWS', 100):
         for row in range(len(codes)):
             lazy.ingest_codes(codes[row:row + 1])
-            pending.append(len(lazy._pending))
+            pending.append(_pending_rows(lazy))
     for obs in lazy.layout.decode(codes):
         eager.ingest(obs)
-    assert max(pending) == 4  # chunks were held, and no more than the bound
+    assert max(pending) == 100  # rows were held, and no more than the bound
     assert lazy == eager
+
+
+def _arrays(value):
+    """The arrays in ``value``, in its dicts, lists, tuples and sets too."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (dict, list, tuple, set)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _arrays(item)
+
+
+def test_pending_rows_hold_no_copy_of_the_counts():
+    """Rows whose levels wait keep their codes, not the counts before them:
+    a 16,384-cell table given 16 full chunks and no read holds no array of
+    its count array's size but the counts themselves."""
+    table = CountTable(Layout((0, 1), (0, 1), [(0, 1)] * 12))
+    size = len(table._counts)
+    table.ingest_codes(np.random.default_rng(16).integers(0, size, 16 * counts._CHUNK_ROWS))
+    assert [a for a in _arrays(vars(table)) if a.size == size and a is not table._counts] == []
+    assert table.n == 16 * counts._CHUNK_ROWS and not table._levels  # nothing was folded
 
 
 def test_whole_stream_reads_never_walk_the_rows(monkeypatch):
@@ -963,7 +1000,7 @@ def test_whole_stream_reads_never_walk_the_rows(monkeypatch):
                                         {('xz', 'y'), ('x', 'z')})]:
         table = model.count_table()
         table.ingest_codes(code_rows(table, sample_iid(model, 9000, 7)))
-        assert {tag for *_, gains in table._pending for tag in gains} == logged
+        assert {tag for tag, at in table._logged.items() if at < table.n} == logged
         allowed, walked[:] = set(), []
         effect_interval(table, EffectQuery(criterion, 1, 1, 0.1, 'iid'))
         assert walked == []
@@ -971,7 +1008,7 @@ def test_whole_stream_reads_never_walk_the_rows(monkeypatch):
         effect_interval(table, EffectQuery(criterion, 1, 1, 0.1, 'adaptive-fixed'))
         assert set(walked) == adaptive
         # the other patterns stay pending
-        assert {tag for *_, gains in table._pending for tag in gains} == logged - adaptive
+        assert {tag for tag, at in table._logged.items() if at < table.n} == logged - adaptive
 
 
 def test_read_csv_line_numbers_count_blank_and_multiline_rows():

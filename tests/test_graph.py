@@ -135,6 +135,21 @@ def test_overlap_rejected():
         check_backdoor(fig1_dag(), {"X"}, {"Y"}, set())
 
 
+@pytest.mark.parametrize("check, argument", [
+    (lambda dag: check_backdoor(dag, "X", {"Y"}, {"Z"}), "x_set 'X'"),
+    (lambda dag: check_backdoor(dag, {"X"}, "Y", {"Z"}), "y_set 'Y'"),
+    (lambda dag: check_backdoor(dag, {"X"}, {"Y"}, "Z"), "z_set 'Z'"),
+    (lambda dag: check_backdoor(dag, {"X"}, {"Y"}, "Z1"), "z_set 'Z1'"),
+    (lambda dag: check_frontdoor(dag, "X", "Y", "Z"), "z_set 'Z'"),
+])
+def test_a_string_for_a_vertex_set_is_refused(check, argument):
+    # not split into its characters, which named "Z" by accident and "1" as unknown
+    name, value = argument.split()
+    with pytest.raises(ValueError, match=f"^{name} must be a collection of vertex names, "
+                                         f"not {value}$"):
+        check(fig1_dag())
+
+
 def test_report_consistency_enforced():
     with pytest.raises(ValueError):
         CriterionReport(satisfied=True, violations=("nope",))

@@ -332,6 +332,15 @@ def test_model_without_a_covariate_is_refused_where_it_is_built(z):
         CausalModel(dag, _fig1_cpts(), Roles("X", "Y", z))
 
 
+@pytest.mark.parametrize("z", ["Z", "Z1"])
+def test_model_with_a_string_for_roles_z_is_refused(z):
+    # not split into its characters, which named "Z" by accident and "1" as unknown
+    dag = Dag(["Z", "X", "Y"], [("Z", "X"), ("Z", "Y"), ("X", "Y")])
+    with pytest.raises(ValueError, match=f"^roles.z must be a sequence of vertex names, "
+                                         f"not '{z}'$"):
+        CausalModel(dag, _fig1_cpts(), Roles("X", "Y", z))
+
+
 @pytest.mark.parametrize("doc, message", [
     ({}, "'variables'"),
     ({"variables": [{"name": "A", "domain": [0, 1]}]}, "'edges'"),
